@@ -30,7 +30,7 @@ let replay_requested r =
    mid-run), then a digest trailer. Byte-comparing a resumed run's
    prefix dump against the same rounds of an uninterrupted run is the
    @replay-smoke check. *)
-let dump_schedule_prefix ~out (report : Galois.Runtime.report) =
+let dump_schedule_prefix ~out (report : Galois.Run.report) =
   let lines =
     match report.schedule with
     | Some (Galois.Schedule.Rounds rounds) ->
@@ -98,7 +98,7 @@ let run_replay ~app ~policy ~size ~seed ~sink r =
                   ~crash:(crash |> Galois.Run.policy policy)
                   ()
               in
-              let pp_line tag (rep : Galois.Runtime.report) =
+              let pp_line tag (rep : Galois.Run.report) =
                 Fmt.pr "  %s digest=%a rounds=%d commits=%d@." tag D.pp rep.stats.digest
                   rep.stats.rounds rep.stats.commits
               in

@@ -13,7 +13,7 @@ let pp_stats ppf (s : Service.Server.stats) =
   Fmt.pf ppf "submitted=%d completed=%d failed=%d rejected=%d batches=%d"
     s.submitted s.completed s.failed s.rejected s.batches
 
-let run nodes seed requests batch domains threads max_pending trace out verbose =
+let run nodes seed requests batch domains threads max_pending trace verbose =
   if nodes < 1 then `Error (false, "--nodes must be >= 1")
   else if requests < 1 then `Error (false, "--requests must be >= 1")
   else if batch < 1 then `Error (false, "--batch must be >= 1")
@@ -61,56 +61,6 @@ let run nodes seed requests batch domains threads max_pending trace out verbose 
         (pct 50.0 *. 1e3)
         (pct 99.0 *. 1e3)
         Galois.Trace_digest.pp stats.digest;
-      (match out with
-      | None -> ()
-      | Some path ->
-          (* A BENCH_serve-shaped record for tooling. galois-serve makes
-             no det:1 allocation pass, so the GC columns stay zero; the
-             bench harness owns the gated record. *)
-          let commits, rounds =
-            List.fold_left
-              (fun (c, r) (resp : Service.Server.response) ->
-                match resp.outcome with
-                | Service.Server.Done { commits; rounds; _ } ->
-                    (c + commits, r + rounds)
-                | _ -> (c, r))
-              (0, 0)
-              (Service.Server.responses server)
-          in
-          Analysis.Bench_record.save path
-            {
-              Analysis.Bench_record.app = "serve";
-              policy = Galois.Policy.to_string (Galois.Policy.det threads);
-              size = nodes;
-              seed;
-              build_s = 0.0;
-              graph_bytes = Service.Catalog.total_graph_bytes catalog;
-              wall_s;
-              inspect_s = 0.0;
-              select_s = 0.0;
-              other_s = wall_s;
-              commits;
-              aborts = 0;
-              rounds;
-              generations = 0;
-              work_units = 0;
-              efficiency = 0.0;
-              minor_words = 0.0;
-              promoted_words = 0.0;
-              major_words = 0.0;
-              minor_collections = 0;
-              major_collections = 0;
-              minor_words_per_commit = 0.0;
-              rounds_per_s =
-                Analysis.Bench_record.rounds_per_s ~rounds ~wall_s;
-              atomics_per_commit = 0.0;
-              spins = 0;
-              parks = 0;
-              queries_per_s = qps;
-              p99_latency_s = pct 99.0;
-              digest = Galois.Trace_digest.to_hex stats.digest;
-            };
-          Fmt.pr "  record -> %s@." path);
       `Ok ()
     with Invalid_argument msg | Failure msg -> `Error (false, msg)
 
@@ -149,10 +99,6 @@ let trace_arg =
   let doc = "Tee every job's deterministic event stream to $(docv) (JSONL)." in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let out_arg =
-  let doc = "Write a BENCH_serve-style JSON record to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
-
 let verbose_arg =
   let doc = "Print every response line as its batch drains." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
@@ -169,7 +115,6 @@ let cmd =
          pool size or how the arrivals were grouped into batches.";
       `S Manpage.s_examples;
       `P "galois-serve --requests 1000 --batch 64 --domains 4";
-      `P "galois-serve -n 20000 --requests 200 --out BENCH_serve.json";
       `P "galois-serve --requests 32 --batch 8 --trace serve.jsonl -v";
     ]
   in
@@ -177,8 +122,7 @@ let cmd =
     Term.(
       ret
         (const run $ nodes_arg $ seed_arg $ requests_arg $ batch_arg
-       $ domains_arg $ threads_arg $ max_pending_arg $ trace_arg $ out_arg
-       $ verbose_arg))
+       $ domains_arg $ threads_arg $ max_pending_arg $ trace_arg $ verbose_arg))
   in
   Cmd.v (Cmd.info "galois-serve" ~version:"1.0.0" ~doc ~man) term
 

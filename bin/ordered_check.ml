@@ -55,7 +55,7 @@ let () =
   let reference = Apps.Sssp.serial g weights ~source:0 in
   let run_sssp policy =
     let dist, report = Apps.Sssp.galois_weighted ~policy g ~source:0 in
-    (dist, report.Galois.Runtime.stats)
+    (dist, report.Galois.Run.stats)
   in
   Fmt.pr "sssp: weighted rmat scale=%d (%d nodes, %d edges)@." !scale
     (Graphlib.Csr.nodes g) (Graphlib.Csr.edges g);
@@ -85,7 +85,7 @@ let () =
   let core_ref = Apps.Kcore.serial g2 in
   let run_kcore policy =
     let core, report = Apps.Kcore.galois ~policy g2 in
-    (core, report.Galois.Runtime.stats)
+    (core, report.Galois.Run.stats)
   in
   Fmt.pr "kcore: symmetrized kout (%d nodes, %d edges)@." (Graphlib.Csr.nodes g2)
     (Graphlib.Csr.edges g2);

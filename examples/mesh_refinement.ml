@@ -25,7 +25,7 @@ let () =
       | Ok () -> ()
       | Error e -> failwith e);
       Fmt.pr "  %d thread(s): %d -> %d triangles, %d rounds, refined=%b@." t before
-        (Mesh.triangle_count mesh) report.Galois.Runtime.stats.rounds
+        (Mesh.triangle_count mesh) report.Galois.Run.stats.rounds
         (Apps.Dmr.refined Apps.Dmr.default_config mesh))
     results;
   (* Canonical triangle sets must be identical: same mesh, bit for bit,

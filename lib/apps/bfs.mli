@@ -19,7 +19,7 @@ val galois :
   ?pool:Galois.Pool.t ->
   Graphlib.Csr.t ->
   source:int ->
-  int array * Galois.Runtime.report
+  int array * Galois.Run.report
 (** Lonestar-style unordered label-correcting BFS: runs
     non-deterministically or deterministically by policy (the paper's
     g-n / g-d variants). Returns the distance array. *)

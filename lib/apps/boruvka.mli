@@ -21,7 +21,7 @@ val galois :
   ?pool:Galois.Pool.t ->
   Graphlib.Csr.t ->
   int array ->
-  forest * Galois.Runtime.report
+  forest * Galois.Run.report
 
 val serial : Graphlib.Csr.t -> int array -> forest
 (** Kruskal with (weight, edge id) ordering — defines the deterministic

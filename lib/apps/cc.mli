@@ -8,7 +8,7 @@ val galois :
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->
   Graphlib.Csr.t ->
-  int array * Galois.Runtime.report
+  int array * Galois.Run.report
 (** Minimum-label propagation. The result — minimum node id per
     component — is unique, so every policy agrees. *)
 

@@ -36,10 +36,10 @@ val galois :
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->
   Mesh.t ->
-  Galois.Runtime.report
+  Galois.Run.report
 (** Refine all bad triangles in place under any policy. *)
 
-val serial : ?config:config -> Mesh.t -> Galois.Runtime.report
+val serial : ?config:config -> Mesh.t -> Galois.Run.report
 
 val pbbs :
   ?config:config ->

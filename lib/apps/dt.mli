@@ -11,7 +11,7 @@ val galois :
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->
   Geometry.Point.t array ->
-  Mesh.t * Galois.Runtime.report
+  Mesh.t * Galois.Run.report
 (** Triangulate the points under any policy. The synthetic bounding
     vertices are stripped before returning; the result is the Delaunay
     triangulation of the points' convex hull. *)

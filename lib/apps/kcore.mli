@@ -20,7 +20,7 @@ val galois :
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->
   Graphlib.Csr.t ->
-  int array * Galois.Runtime.report
+  int array * Galois.Run.report
 (** Montresor-style h-index local updates: a task lowers its vertex's
     estimate to the h-index of its neighbors' estimates and wakes the
     neighbors whose estimate exceeds the new value. The fixpoint is the

@@ -7,7 +7,7 @@ val galois :
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->
   Graphlib.Csr.t ->
-  bool array * Galois.Runtime.report
+  bool array * Galois.Run.report
 (** Lonestar greedy MIS under any policy. Result depends on the schedule
     (unless deterministic), but is always a valid MIS. *)
 

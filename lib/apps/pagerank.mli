@@ -18,7 +18,7 @@ val galois :
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->
   Graphlib.Csr.t ->
-  float array * Galois.Runtime.report
+  float array * Galois.Run.report
 (** Ranks (converted to floats). Ranks are un-normalized (PageRank's
     (1-d) + d·Σ formulation). *)
 

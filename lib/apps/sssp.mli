@@ -30,7 +30,7 @@ val galois :
   Graphlib.Csr.t ->
   int array ->
   source:int ->
-  int array * Galois.Runtime.report
+  int array * Galois.Run.report
 (** Unordered label-correcting SSSP (weights indexed by edge id). The
     distances are unique, so every policy agrees with {!serial}. Raises
     [Invalid_argument] on weight-array size mismatch. *)
@@ -43,7 +43,7 @@ val galois_weighted :
   ?pool:Galois.Pool.t ->
   Graphlib.Csr.t ->
   source:int ->
-  int array * Galois.Runtime.report
+  int array * Galois.Run.report
 (** {!galois} over {!plan_weighted}: the embedded-weight-plane run. *)
 
 val serial : Graphlib.Csr.t -> int array -> source:int -> int array

@@ -12,6 +12,6 @@ val galois :
   policy:Galois.Policy.t ->
   ?pool:Galois.Pool.t ->
   Graphlib.Csr.t ->
-  int * Galois.Runtime.report
+  int * Galois.Run.report
 
 val serial : Graphlib.Csr.t -> int

@@ -1,6 +1,6 @@
 (* Execution policies: the on-demand determinism switch.
 
-   A program written against [Runtime.for_each] never changes; the policy
+   A program written against [Run] never changes; the policy
    (serial, speculative non-deterministic, or deterministic DIG
    scheduling) is chosen at run time, e.g. from the command line — the
    paper's "on-demand" requirement (§1). *)

@@ -230,10 +230,17 @@ let exec t =
          generations = stats.Stats.generations;
        });
   (* User sinks are never closed here: they may span several runs. The
-     capture buffer is ours and needs no closing. *)
+     capture buffer is ours and needs no closing. A ring that dropped
+     events holds only the tail of the stream; returning it would pass a
+     truncated trace off as the whole run. *)
+  let capture m =
+    match Obs.Memory.dropped m with
+    | 0 -> Obs.Memory.contents m
+    | d -> failwith (Printf.sprintf "Galois.Run.trace: capture ring dropped %d events" d)
+  in
   {
     stats;
     schedule;
-    trace = Option.map Obs.Memory.contents memory;
+    trace = Option.map capture memory;
     audit = Option.map Audit.report audit_state;
   }

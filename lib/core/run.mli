@@ -10,9 +10,7 @@
           |> record
           |> sink (Obs.Jsonl.file "run.jsonl")
           |> exec)
-    ]}
-
-    {!Runtime.for_each} remains as a thin alias for the common cases. *)
+    ]} *)
 
 type ('item, 'state) operator = ('item, 'state) Context.t -> 'item -> unit
 
@@ -64,7 +62,9 @@ val sink : Obs.sink -> ('item, 'state) t -> ('item, 'state) t
 
 val trace : ('item, 'state) t -> ('item, 'state) t
 (** Additionally capture the event stream in memory and return it as
-    [report.trace]. *)
+    [report.trace]. The capture ring holds 65,536 events; if the run
+    emits more, {!exec} raises [Failure] naming the dropped count rather
+    than return a truncated stream. Stream longer runs to a {!sink}. *)
 
 val opt : ('a -> ('i, 's) t -> ('i, 's) t) -> 'a option -> ('i, 's) t -> ('i, 's) t
 (** [opt f (Some v)] is [f v]; [opt f None] is the identity — for

@@ -1,9 +1,7 @@
-(* Thin compatibility facade over [Run], the builder-style entry point.
-
-   [for_each] predates the builder and remains the convenient call for
-   the common cases; it simply assembles a [Run.t] and executes it. *)
-
-type ('item, 'state) operator = ('item, 'state) Run.operator
+(* [Run.report] under its older name. costbench/workload.ml names
+   [Galois.Runtime.report], and the benchmark's sources stay unchanged
+   so that its results compare across commits; this re-export keeps it
+   building. Everything else uses [Galois.Run]. *)
 
 type report = Run.report = {
   stats : Stats.t;
@@ -11,13 +9,3 @@ type report = Run.report = {
   trace : Obs.stamped list option;
   audit : Audit.report option;
 }
-
-let for_each ?(policy = Policy.Serial) ?pool ?(record = false) ?static_id ?sink ~operator
-    items =
-  Run.make ~operator items
-  |> Run.policy policy
-  |> Run.opt Run.pool pool
-  |> (if record then Run.record else Fun.id)
-  |> Run.opt Run.static_id static_id
-  |> Run.opt Run.sink sink
-  |> Run.exec

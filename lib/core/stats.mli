@@ -69,7 +69,7 @@ type t = {
   time_s : float;
   phases : phase_times;  (** where [time_s] went, per scheduler phase *)
 }
-(** Aggregated result of one [for_each] execution. *)
+(** Aggregated result of one {!Run.exec}. *)
 
 val merge :
   ?digest:Trace_digest.t ->

@@ -52,7 +52,7 @@ type run_result = {
 type case = {
   name : string;
   static_id_capable : bool;
-      (* true iff running the case with [Runtime.for_each ~static_id]
+      (* true iff running the case with [Run.static_id]
          preserves its semantics (task keys are unique, so duplicate
          collapsing is a no-op) *)
   run :
@@ -462,6 +462,20 @@ let prio_salt_distinguished ?(threads = 2) ~seed () =
       (not (D.equal (digest ~salt:s ordered) (digest ~salt:(s + 1) ordered)))
       && D.equal (digest ~salt:s unordered) (digest ~salt:(s + 1) unordered))
 
+(* A fresh in-memory ring for one run's event stream: the sink feeds it
+   and [lines ()] renders its deterministic lines. A ring that dropped
+   events holds only the tail of the stream, and comparing tails would
+   pass a divergence in the lost head, so [lines] fails the case
+   instead. *)
+let capture name =
+  let mem = Obs.Memory.create () in
+  let lines () =
+    match Obs.Memory.dropped mem with
+    | 0 -> Obs.deterministic_lines (Obs.Memory.contents mem)
+    | d -> failwith (Printf.sprintf "detcheck %s: trace ring dropped %d events" name d)
+  in
+  (Obs.Memory.sink mem, lines)
+
 (* ------------------------------------------------------------------ *)
 (* Existing applications as auditable cases                            *)
 (* ------------------------------------------------------------------ *)
@@ -472,37 +486,39 @@ module App_cases = struct
   (* BFS distances are the unique shortest hop counts: canonical across
      the whole lattice. *)
   let bfs ~n ~seed =
+    let name = Printf.sprintf "bfs(n=%d,seed=%d)" n seed in
     let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
     let run ~policy ~pool ~static_id:_ =
-      let mem = Obs.Memory.create () in
-      let dist, report = Apps.Bfs.galois ~sink:(Obs.Memory.sink mem) ~policy ~pool g ~source:0 in
+      let sink, lines = capture name in
+      let dist, report = Apps.Bfs.galois ~sink ~policy ~pool g ~source:0 in
       let d = digest_ints dist in
       {
         sched_digest = report.stats.digest;
         output_digest = d;
         canonical_digest = d;
         commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Obs.Memory.contents mem);
+        det_trace = lines ();
       }
     in
-    { name = Printf.sprintf "bfs(n=%d,seed=%d)" n seed; static_id_capable = false; run }
+    { name; static_id_capable = false; run }
 
   let sssp ~n ~seed =
+    let name = Printf.sprintf "sssp(n=%d,seed=%d)" n seed in
     let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
     let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
     let run ~policy ~pool ~static_id:_ =
-      let mem = Obs.Memory.create () in
-      let dist, report = Apps.Sssp.galois ~sink:(Obs.Memory.sink mem) ~policy ~pool g w ~source:0 in
+      let sink, lines = capture name in
+      let dist, report = Apps.Sssp.galois ~sink ~policy ~pool g w ~source:0 in
       let d = digest_ints dist in
       {
         sched_digest = report.stats.digest;
         output_digest = d;
         canonical_digest = d;
         commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Obs.Memory.contents mem);
+        det_trace = lines ();
       }
     in
-    { name = Printf.sprintf "sssp(n=%d,seed=%d)" n seed; static_id_capable = false; run }
+    { name; static_id_capable = false; run }
 
   (* The MSF weight and size are unique; the edge ids are not canonical
      across configurations (the same undirected edge carries two directed
@@ -510,13 +526,12 @@ module App_cases = struct
      so only (weight, size) goes into the canonical digest. The full edge
      list still must be thread-invariant at a fixed configuration. *)
   let boruvka ~n ~seed =
+    let name = Printf.sprintf "boruvka(n=%d,seed=%d)" n seed in
     let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n ~k:4 ()) in
     let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
     let run ~policy ~pool ~static_id:_ =
-      let mem = Obs.Memory.create () in
-      let forest, report =
-        Apps.Boruvka.galois ~sink:(Obs.Memory.sink mem) ~policy ~pool g w
-      in
+      let sink, lines = capture name in
+      let forest, report = Apps.Boruvka.galois ~sink ~policy ~pool g w in
       let fold_edges d edges = List.fold_left D.fold_int d edges in
       let output_digest =
         D.fold_int (fold_edges D.seed forest.Apps.Boruvka.parent_edge)
@@ -532,10 +547,10 @@ module App_cases = struct
         output_digest;
         canonical_digest;
         commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Obs.Memory.contents mem);
+        det_trace = lines ();
       }
     in
-    { name = Printf.sprintf "boruvka(n=%d,seed=%d)" n seed; static_id_capable = false; run }
+    { name; static_id_capable = false; run }
 
   (* Refinement's full output (the refined mesh) is schedule-dependent
      across configurations — different insertion orders pick different
@@ -543,11 +558,12 @@ module App_cases = struct
      configuration the mesh itself must be thread-invariant, compared via
      its canonical triangle list. *)
   let dmr ~points ~seed =
+    let name = Printf.sprintf "dmr(points=%d,seed=%d)" points seed in
     let pts = Geometry.Point.random_unit_square ~seed points in
     let run ~policy ~pool ~static_id:_ =
       let mesh = Apps.Dt.serial pts in
-      let mem = Obs.Memory.create () in
-      let report = Apps.Dmr.galois ~sink:(Obs.Memory.sink mem) ~policy ~pool mesh in
+      let sink, lines = capture name in
+      let report = Apps.Dmr.galois ~sink ~policy ~pool mesh in
       let output_digest =
         List.fold_left
           (fun d tri ->
@@ -562,10 +578,10 @@ module App_cases = struct
         output_digest;
         canonical_digest;
         commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Obs.Memory.contents mem);
+        det_trace = lines ();
       }
     in
-    { name = Printf.sprintf "dmr(points=%d,seed=%d)" points seed; static_id_capable = false; run }
+    { name; static_id_capable = false; run }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -594,7 +610,7 @@ module Audit_cases = struct
     let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
     let uw = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 2) sym in
     let pts = Geometry.Point.random_unit_square ~seed (max 4 points) in
-    let audit_of (report : Galois.Runtime.report) = need report.audit in
+    let audit_of (report : Galois.Run.report) = need report.audit in
     [
       {
         name = "bfs";
@@ -917,28 +933,25 @@ module Service_case = struct
     Galois.Pool.with_pool ~domains:pool_size (fun pool ->
         let catalog = Service.Catalog.synthetic ~seed ~nodes () in
         let server = Service.Server.create ~catalog pool in
-        let mems =
-          List.map
-            (fun q ->
-              let mem = Obs.Memory.create () in
-              (match Service.Server.submit ~sink:(Obs.Memory.sink mem) server q with
+        let captures =
+          List.mapi
+            (fun i q ->
+              let sink, lines = capture (Printf.sprintf "service job %d" i) in
+              (match Service.Server.submit ~sink server q with
               | `Accepted _ -> ()
               | `Rejected id -> failwith (Printf.sprintf "job %d rejected" id));
               if (Service.Server.pending server) mod chunk = 0 then
                 ignore (Service.Server.drain server);
-              mem)
+              lines)
             (queries ~seed ~nodes ~count)
         in
         ignore (Service.Server.drain server);
         let lines =
           List.map2
-            (fun r mem ->
-              Service.Server.render r ^ "|"
-              ^ D.to_hex
-                  (D.fold_string D.seed
-                     (Obs.deterministic_lines (Obs.Memory.contents mem))))
+            (fun r lines ->
+              Service.Server.render r ^ "|" ^ D.to_hex (D.fold_string D.seed (lines ())))
             (Service.Server.responses server)
-            mems
+            captures
         in
         { lines; service_digest = Service.Server.digest server })
 

@@ -9,10 +9,10 @@ module Point = Geometry.Point
 
 type app = {
   name : string;
-  serial : Galois.Runtime.report;  (* in-order execution, Flat schedule *)
-  nondet : Galois.Runtime.report;
-  det : Galois.Runtime.report;
-  det_nocont : Galois.Runtime.report;  (* continuation optimization off *)
+  serial : Galois.Run.report;  (* in-order execution, Flat schedule *)
+  nondet : Galois.Run.report;
+  det : Galois.Run.report;
+  det_nocont : Galois.Run.report;  (* continuation optimization off *)
   pbbs : Detreserve.stats option;  (* handwritten deterministic variant *)
 }
 
@@ -94,7 +94,7 @@ let collect_pfp pool (s : Scale.t) =
     let g, caps, source, sink = instance () in
     let net = Apps.Flow_network.of_graph g caps ~source ~sink in
     let result = Apps.Pfp.galois ~record:true ~policy ~pool net in
-    { Galois.Runtime.stats = result.Apps.Pfp.stats;
+    { Galois.Run.stats = result.Apps.Pfp.stats;
       schedule = result.Apps.Pfp.schedule;
       trace = None;
       audit = None }

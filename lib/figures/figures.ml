@@ -11,7 +11,7 @@ module Machine = Simmachine.Machine
 module Exec_model = Simmachine.Exec_model
 module Coredet_model = Simmachine.Coredet_model
 
-let sched (r : Galois.Runtime.report) =
+let sched (r : Galois.Run.report) =
   match r.schedule with
   | Some s -> s
   | None -> invalid_arg "Figures: report has no recorded schedule"
@@ -525,7 +525,7 @@ let ablation t =
         let policy = Galois.Policy.det Dataset.run_threads ~options in
         Apps.Dmr.galois ~record:true ~policy ~pool (dmr_mesh ())
       in
-      let row name (report : Galois.Runtime.report) =
+      let row name (report : Galois.Run.report) =
         let time =
           Exec_model.time_schedule ~amplify:(amplification_target / max 1 report.stats.commits)
             m ~threads:tmax (sched report)

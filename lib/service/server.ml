@@ -146,7 +146,7 @@ let run_query t ~sink (q : Query.t) =
       let g = entry.Catalog.graph in
       let n = Graphlib.Csr.nodes g in
       let policy = Galois.Policy.det t.threads in
-      let done_ ~summary ~output_digest (report : Galois.Runtime.report) =
+      let done_ ~summary ~output_digest (report : Galois.Run.report) =
         Done
           {
             summary;

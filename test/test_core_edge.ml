@@ -1,7 +1,6 @@
 (* Edge cases of the core runtime: empty pools, single tasks, scheduler
    option matrices, pool handling, stats algebra, schedule accessors. *)
 
-[@@@alert "-deprecated"] (* exercises the deprecated [Runtime.for_each] alias on purpose *)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -16,10 +15,13 @@ let all_policies =
 
 let noop_operator ctx () = Galois.Context.failsafe ctx
 
+let exec policy ~operator items =
+  Galois.Run.make ~operator items |> Galois.Run.policy policy |> Galois.Run.exec
+
 let test_empty_pool () =
   List.iter
     (fun (name, policy) ->
-      let report = Galois.Runtime.for_each ~policy ~operator:noop_operator [||] in
+      let report = exec policy ~operator:noop_operator [||] in
       check_int (name ^ " commits") 0 report.stats.commits;
       check_int (name ^ " aborts") 0 report.stats.aborts)
     all_policies
@@ -32,7 +34,7 @@ let test_single_task () =
         Galois.Context.failsafe ctx;
         incr hit
       in
-      let report = Galois.Runtime.for_each ~policy ~operator [| () |] in
+      let report = exec policy ~operator [| () |] in
       check_int (name ^ " ran once") 1 !hit;
       check_int (name ^ " commits") 1 report.stats.commits)
     all_policies
@@ -44,7 +46,7 @@ let test_task_without_failsafe () =
     (fun (name, policy) ->
       let l = Galois.Lock.create () in
       let operator ctx () = Galois.Context.acquire ctx l in
-      let report = Galois.Runtime.for_each ~policy ~operator [| (); (); () |] in
+      let report = exec policy ~operator [| (); (); () |] in
       check_int (name ^ " pure tasks commit") 3 report.stats.commits)
     all_policies
 
@@ -56,8 +58,7 @@ let bucket_run ~options threads n k =
     Galois.Context.failsafe ctx;
     cells.(i mod k) := i :: !(cells.(i mod k))
   in
-  let policy = Galois.Policy.det threads ~options in
-  let report = Galois.Runtime.for_each ~policy ~operator (Array.init n Fun.id) in
+  let report = exec (Galois.Policy.det threads ~options) ~operator (Array.init n Fun.id) in
   (Array.map (fun c -> List.rev !c) cells, report)
 
 let det_option_matrix =
@@ -110,8 +111,10 @@ let test_runtime_rejects_small_pool () =
       Alcotest.check_raises "pool too small"
         (Invalid_argument "Galois.Run: pool smaller than policy thread count") (fun () ->
           ignore
-            (Galois.Runtime.for_each ~policy:(Galois.Policy.nondet 4) ~pool
-               ~operator:noop_operator [| () |])))
+            (Galois.Run.make ~operator:noop_operator [| () |]
+            |> Galois.Run.policy (Galois.Policy.nondet 4)
+            |> Galois.Run.pool pool
+            |> Galois.Run.exec)))
 
 let test_policy_threads_and_determinism () =
   check_int "serial threads" 1 (Galois.Policy.threads Galois.Policy.serial);
@@ -131,8 +134,8 @@ let test_stats_algebra () =
     Galois.Context.failsafe ctx;
     ignore i
   in
-  let a = (Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator (Array.init 5 Fun.id)).stats in
-  let b = (Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator (Array.init 7 Fun.id)).stats in
+  let a = (exec Galois.Policy.serial ~operator (Array.init 5 Fun.id)).stats in
+  let b = (exec Galois.Policy.serial ~operator (Array.init 7 Fun.id)).stats in
   let s = Galois.Stats.add a b in
   check_int "summed commits" 12 s.commits;
   check_int "summed acquires" (a.acquired + b.acquired) s.acquired;
@@ -162,13 +165,13 @@ let test_register_new_semantics () =
     Galois.Context.register_new ctx fresh;
     check_bool "claimed during task" true (Galois.Lock.mark fresh <> 0)
   in
-  let _ = Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator [| () |] in
+  let _ = exec Galois.Policy.serial ~operator [| () |] in
   check_int "released after task" 0 (Galois.Lock.mark fresh);
   let bad_operator ctx () =
     Galois.Context.failsafe ctx;
     Galois.Context.register_new ctx taken
   in
-  match Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator:bad_operator [| () |] with
+  match exec Galois.Policy.serial ~operator:bad_operator [| () |] with
   | _ -> Alcotest.fail "non-fresh lock accepted"
   | exception Invalid_argument _ -> ()
 
@@ -180,7 +183,7 @@ let test_push_order_preserved_serial () =
     log := i :: !log;
     if i = 0 then List.iter (fun c -> Galois.Context.push ctx c) [ 10; 20; 30 ]
   in
-  let _ = Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator [| 0; 1 |] in
+  let _ = exec Galois.Policy.serial ~operator [| 0; 1 |] in
   Alcotest.(check (list int)) "fifo with children appended" [ 0; 1; 10; 20; 30 ]
     (List.rev !log)
 
@@ -200,10 +203,7 @@ let test_det_children_ordering () =
         Galois.Context.push ctx (1, (i * 10) + 2)
       end
     in
-    let _ =
-      Galois.Runtime.for_each ~policy:(Galois.Policy.det threads) ~operator
-        (Array.init 4 (fun i -> (0, i)))
-    in
+    let _ = exec (Galois.Policy.det threads) ~operator (Array.init 4 (fun i -> (0, i))) in
     List.rev !log
   in
   let a = run 1 and b = run 3 in

@@ -8,7 +8,6 @@
      are thread-invariant and seed-sensitive;
    - generated cases are pure functions of their seed. *)
 
-[@@@alert "-deprecated"] (* exercises the deprecated [Runtime.for_each] alias on purpose *)
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -96,7 +95,10 @@ let run_recorded ~policy ~threads:_ () =
     Galois.Context.work ctx 2;
     Galois.Context.failsafe ctx
   in
-  Galois.Runtime.for_each ~policy ~record:true ~operator (Array.init 90 Fun.id)
+  Galois.Run.make ~operator (Array.init 90 Fun.id)
+  |> Galois.Run.policy policy
+  |> Galois.Run.record
+  |> Galois.Run.exec
 
 let test_stats_digest_thread_invariant () =
   let digest_at t = (run_recorded ~policy:(Galois.Policy.det t) ~threads:t ()).stats.digest in
@@ -128,7 +130,9 @@ let test_digests_distinguish_programs () =
       Galois.Context.acquire ctx locks.(i mod 5);
       Galois.Context.failsafe ctx
     in
-    (Galois.Runtime.for_each ~policy:(Galois.Policy.det 2) ~operator (Array.init n Fun.id))
+    (Galois.Run.make ~operator (Array.init n Fun.id)
+    |> Galois.Run.policy (Galois.Policy.det 2)
+    |> Galois.Run.exec)
       .stats.digest
   in
   check_bool "different programs, different digests" false (D.equal (digest_n 40) (digest_n 41))

@@ -8,8 +8,10 @@
    - determinism holds for arbitrary (randomly generated) conflict
      structures, including dynamically created tasks. *)
 
-[@@@alert "-deprecated"] (* exercises the deprecated [Runtime.for_each] alias on purpose *)
 let check_int = Alcotest.(check int)
+
+let exec policy ~operator items =
+  Galois.Run.make ~operator items |> Galois.Run.policy policy |> Galois.Run.exec
 
 (* A task universe with random neighborhoods: task i acquires a set of
    bucket locks determined by [neigh i] and appends itself to every
@@ -23,7 +25,7 @@ let run_random_app ~policy ~n ~k ~neigh =
     Galois.Context.failsafe ctx;
     List.iter (fun j -> cells.(j) := i :: !(cells.(j))) ns
   in
-  let report = Galois.Runtime.for_each ~policy ~operator (Array.init n Fun.id) in
+  let report = exec policy ~operator (Array.init n Fun.id) in
   (Array.map (fun c -> List.rev !c) cells, report)
 
 let neigh_of_seed seed k i =
@@ -105,7 +107,7 @@ let run_mis ~policy n =
       removed.(r) <- true
     end
   in
-  let _ = Galois.Runtime.for_each ~policy ~operator (Array.init n Fun.id) in
+  let _ = exec policy ~operator (Array.init n Fun.id) in
   (Array.copy in_mis, Array.copy removed)
 
 let assert_valid_mis n in_mis =
@@ -152,9 +154,7 @@ let run_dynamic ~policy n k =
       if i mod 3 = 0 then Galois.Context.push ctx (gen + 1, ((i * 2) + 1) mod n)
     end
   in
-  let _ =
-    Galois.Runtime.for_each ~policy ~operator (Array.init n (fun i -> (0, i)))
-  in
+  let _ = exec policy ~operator (Array.init n (fun i -> (0, i))) in
   Array.map (fun c -> List.rev !c) cells
 
 let test_dynamic_det_portable () =
@@ -205,10 +205,10 @@ let run_duplicate_push ~threads ~use_static_id =
   in
   let static_id = if use_static_id then Some (fun (kind, k) -> (kind * 1000) + k) else None in
   let report =
-    Galois.Runtime.for_each
-      ~policy:(Galois.Policy.det threads)
-      ?static_id ~operator
-      (Array.init parents (fun i -> (0, i)))
+    Galois.Run.make ~operator (Array.init parents (fun i -> (0, i)))
+    |> Galois.Run.policy (Galois.Policy.det threads)
+    |> Galois.Run.opt Galois.Run.static_id static_id
+    |> Galois.Run.exec
   in
   (report.stats.commits, List.length !(cells.(child_key)))
 
@@ -235,9 +235,10 @@ let test_static_id_collapses_duplicate_seeds () =
     incr hits
   in
   let report =
-    Galois.Runtime.for_each
-      ~policy:(Galois.Policy.det 1)
-      ~static_id:Fun.id ~operator [| 3; 3; 3; 1 |]
+    Galois.Run.make ~operator [| 3; 3; 3; 1 |]
+    |> Galois.Run.policy (Galois.Policy.det 1)
+    |> Galois.Run.static_id Fun.id
+    |> Galois.Run.exec
   in
   check_int "distinct keys commit" 2 report.stats.commits;
   check_int "operator ran once per key" 2 !hits

@@ -49,7 +49,7 @@ let test_wall_clock_allowlist () =
   Alcotest.(check (list string)) "bin/ exempt" []
     (rules (scan ~path:"bin/foo_cli.ml" src));
   Alcotest.(check (list string)) "bench/ exempt" []
-    (rules (scan ~path:"bench/bench_apps.ml" src));
+    (rules (scan ~path:"bench/main.ml" src));
   Alcotest.(check (list string)) "clock.ml exempt" []
     (rules (scan ~path:"lib/core/clock.ml" src));
   (* The exemption is per-segment, not substring. *)

@@ -85,7 +85,7 @@ let test_ordered_digests_thread_invariant () =
              t)
         g
     in
-    (report.Galois.Runtime.stats.digest, report.Galois.Runtime.stats.buckets)
+    (report.Galois.Run.stats.digest, report.Galois.Run.stats.buckets)
   in
   let d1, b1 = digest 1 and d2, b2 = digest 2 and d4, b4 = digest 4 in
   check_bool "digest 1=2" true (Galois.Trace_digest.equal d1 d2);

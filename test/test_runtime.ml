@@ -1,6 +1,5 @@
 (* End-to-end tests of the runtime on small synthetic Galois programs. *)
 
-[@@@alert "-deprecated"] (* keeps covering the deprecated [Runtime.for_each] alias alongside [Run] *)
 let check_int = Alcotest.(check int)
 
 (* --- Bucket-append program: n tasks, task i appends i to bucket
@@ -20,9 +19,9 @@ let bucket_operator b k ctx i =
 let run_buckets policy n k =
   let b = make_buckets k in
   let report =
-    Galois.Runtime.for_each ~policy
-      ~operator:(bucket_operator b k)
-      (Array.init n (fun i -> i))
+    Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id)
+    |> Galois.Run.policy policy
+    |> Galois.Run.exec
   in
   (b, report)
 
@@ -82,7 +81,9 @@ let test_task_creation policy () =
   let lock = Galois.Lock.create () in
   let counter = ref 0 in
   let report =
-    Galois.Runtime.for_each ~policy ~operator:(tree_operator lock counter) [| depth |]
+    Galois.Run.make ~operator:(tree_operator lock counter) [| depth |]
+    |> Galois.Run.policy policy
+    |> Galois.Run.exec
   in
   let expected = (1 lsl (depth + 1)) - 1 in
   check_int "tree size" expected !counter;
@@ -98,7 +99,7 @@ let test_not_cautious_detected () =
     Galois.Context.failsafe ctx;
     Galois.Context.acquire ctx l2
   in
-  match Galois.Runtime.for_each ~policy:Galois.Policy.serial ~operator [| () |] with
+  match Galois.Run.exec (Galois.Run.make ~operator [| () |]) with
   | _ -> Alcotest.fail "expected Not_cautious"
   | exception Galois.Context.Not_cautious -> ()
 
@@ -130,7 +131,9 @@ let test_continuation_state_reused () =
     Galois.Policy.det 2
       ~options:{ Galois.Policy.default_det with continuation = true }
   in
-  let report = Galois.Runtime.for_each ~policy ~operator (Array.init n Fun.id) in
+  let report =
+    Galois.Run.make ~operator (Array.init n Fun.id) |> Galois.Run.policy policy |> Galois.Run.exec
+  in
   check_int "commits" n report.stats.commits;
   (* Disjoint neighborhoods: every task commits in its first round, and
      every commit reuses the state saved at inspection. *)
@@ -145,7 +148,9 @@ let test_continuation_does_not_change_output () =
       Galois.Policy.det 3 ~options:{ Galois.Policy.default_det with continuation }
     in
     let _ =
-      Galois.Runtime.for_each ~policy ~operator:(bucket_operator b k) (Array.init n Fun.id)
+      Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id)
+      |> Galois.Run.policy policy
+      |> Galois.Run.exec
     in
     Array.map (fun c -> !c) b.cells
   in
@@ -163,7 +168,9 @@ let test_validate_mode () =
     Galois.Policy.det 4 ~options:{ Galois.Policy.default_det with validate = true }
   in
   let report =
-    Galois.Runtime.for_each ~policy ~operator:(bucket_operator b k) (Array.init n Fun.id)
+    Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id)
+    |> Galois.Run.policy policy
+    |> Galois.Run.exec
   in
   check_int "commits under validation" n report.stats.commits
 
@@ -180,9 +187,11 @@ let test_static_id_dedup () =
     incr executions;
     if i < 100 then Galois.Context.push ctx 100 else incr dup_executions
   in
-  let policy = Galois.Policy.det 2 in
   let report =
-    Galois.Runtime.for_each ~policy ~static_id:Fun.id ~operator (Array.init 10 Fun.id)
+    Galois.Run.make ~operator (Array.init 10 Fun.id)
+    |> Galois.Run.policy (Galois.Policy.det 2)
+    |> Galois.Run.static_id Fun.id
+    |> Galois.Run.exec
   in
   check_int "initial + one deduplicated child" 11 !executions;
   check_int "task 100 ran once" 1 !dup_executions;
@@ -194,9 +203,10 @@ let test_recording () =
   let k = 4 and n = 50 in
   let b = make_buckets k in
   let report =
-    Galois.Runtime.for_each ~policy:(Galois.Policy.det 2) ~record:true
-      ~operator:(bucket_operator b k)
-      (Array.init n Fun.id)
+    Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id)
+    |> Galois.Run.policy (Galois.Policy.det 2)
+    |> Galois.Run.record
+    |> Galois.Run.exec
   in
   match report.schedule with
   | Some (Galois.Schedule.Rounds rounds) ->
@@ -209,9 +219,10 @@ let test_recording_nondet () =
   let k = 4 and n = 50 in
   let b = make_buckets k in
   let report =
-    Galois.Runtime.for_each ~policy:(Galois.Policy.nondet 2) ~record:true
-      ~operator:(bucket_operator b k)
-      (Array.init n Fun.id)
+    Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id)
+    |> Galois.Run.policy (Galois.Policy.nondet 2)
+    |> Galois.Run.record
+    |> Galois.Run.exec
   in
   match report.schedule with
   | Some (Galois.Schedule.Flat attempts) ->
@@ -219,28 +230,7 @@ let test_recording_nondet () =
       check_int "recorded commits" n committed
   | _ -> Alcotest.fail "expected flat schedule"
 
-(* --- the Run builder facade and its trace capture. *)
-
-let test_run_builder_equivalent () =
-  (* The builder and the for_each alias run the same program the same
-     way. *)
-  let via_builder =
-    let b = make_buckets 7 in
-    Galois.Run.make ~operator:(bucket_operator b 7) (Array.init 100 Fun.id)
-    |> Galois.Run.policy (Galois.Policy.det 2)
-    |> Galois.Run.exec
-  in
-  let via_alias =
-    let b = make_buckets 7 in
-    Galois.Runtime.for_each ~policy:(Galois.Policy.det 2)
-      ~operator:(bucket_operator b 7)
-      (Array.init 100 Fun.id)
-  in
-  check_int "same commits" via_alias.stats.commits via_builder.stats.commits;
-  check_int "same rounds" via_alias.stats.rounds via_builder.stats.rounds;
-  Alcotest.(check bool)
-    "same digest" true
-    (Galois.Trace_digest.equal via_alias.stats.digest via_builder.stats.digest)
+(* --- the Run builder's trace capture and sinks. *)
 
 let test_run_trace_capture () =
   let b = make_buckets 5 in
@@ -270,6 +260,30 @@ let test_run_trace_capture () =
         | _ -> true
       in
       Alcotest.(check bool) "timestamps monotone" true (monotone events)
+
+let test_run_trace_truncation_fails () =
+  (* A det:1 chain of 10,000 single-task rounds emits more events than
+     the capture ring holds. Returning the surviving suffix would pass it
+     off as the whole stream, so exec must fail and say how many events
+     it lost. *)
+  let lock = Galois.Lock.create () in
+  let operator ctx i =
+    Galois.Context.acquire ctx lock;
+    Galois.Context.failsafe ctx;
+    if i < 9_999 then Galois.Context.push ctx (i + 1)
+  in
+  match
+    Galois.Run.make ~operator [| 0 |]
+    |> Galois.Run.policy (Galois.Policy.det 1)
+    |> Galois.Run.trace
+    |> Galois.Run.exec
+  with
+  | _ -> Alcotest.fail "truncated trace returned as complete"
+  | exception Failure msg ->
+      let dropped =
+        Scanf.sscanf msg "Galois.Run.trace: capture ring dropped %d events" Fun.id
+      in
+      Alcotest.(check bool) "names a positive dropped count" true (dropped > 0)
 
 let test_no_trace_by_default () =
   let b = make_buckets 5 in
@@ -377,8 +391,9 @@ let suite =
     Alcotest.test_case "static ids deduplicate pushes" `Quick test_static_id_dedup;
     Alcotest.test_case "det schedule recording" `Quick test_recording;
     Alcotest.test_case "nondet schedule recording" `Quick test_recording_nondet;
-    Alcotest.test_case "Run builder matches for_each" `Quick test_run_builder_equivalent;
     Alcotest.test_case "Run trace capture brackets the run" `Quick test_run_trace_capture;
+    Alcotest.test_case "Run trace fails on a truncated ring" `Quick
+      test_run_trace_truncation_fails;
     Alcotest.test_case "no trace or schedule by default" `Quick test_no_trace_by_default;
     Alcotest.test_case "phase times sum to wall time" `Quick test_phase_times_sum_to_wall_time;
     Alcotest.test_case "deterministic trace stream thread-invariant" `Quick

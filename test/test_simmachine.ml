@@ -154,7 +154,7 @@ let test_layout_compact_wins () =
   let _, report =
     Apps.Bfs.galois ~record:true ~policy:(Galois.Policy.det 2) g ~source:0
   in
-  match report.Galois.Runtime.schedule with
+  match report.Galois.Run.schedule with
   | None -> Alcotest.fail "no schedule recorded"
   | Some sched ->
       let boxed, compact = Cachesim.Layout.compare_layouts g sched in

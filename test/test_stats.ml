@@ -1,7 +1,6 @@
 (* Stats algebra edge cases: the zero element, heterogeneous merges,
    abort-ratio corner cases, and the digest field's monoid behavior. *)
 
-[@@@alert "-deprecated"] (* exercises the deprecated [Runtime.for_each] alias on purpose *)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
@@ -148,9 +147,10 @@ let test_add_chains_digests () =
 (* --- digest edge cases: empty runs, single rounds, text round-trips -- *)
 
 let det_run ?(record = false) items =
-  Galois.Runtime.for_each ~policy:(Galois.Policy.det 2) ~record
-    ~operator:(fun ctx _ -> Galois.Context.failsafe ctx)
-    items
+  Galois.Run.make ~operator:(fun ctx _ -> Galois.Context.failsafe ctx) items
+  |> Galois.Run.policy (Galois.Policy.det 2)
+  |> (if record then Galois.Run.record else Fun.id)
+  |> Galois.Run.exec
 
 let test_of_hex_roundtrip () =
   (* Every digest round-trips through its hex rendering, including the
