@@ -10,6 +10,18 @@
 let parse_int_list s =
   try List.map int_of_string (String.split_on_char ',' s) with _ -> []
 
+(* Run [f] on the table row of every --apps name; an unknown name is
+   reported as a failure in place. *)
+let iter_apps ~failures ~size ~points ~seed apps f =
+  List.iter
+    (fun name ->
+      match Detcheck.Replay_cases.of_app name ~n:size ~points ~seed with
+      | Ok case -> f case
+      | Error msg ->
+          incr failures;
+          Fmt.pr "FAIL  %s@." msg)
+    apps
+
 (* --dmr-style: dual-modular-redundancy-style lockstep verification.
    Run every case twice — two fresh worlds, two thread counts — with a
    digest checkpoint every K rounds, and cross-check the trails: the
@@ -26,12 +38,12 @@ let run_lockstep ~cases ~seed ~apps ~threads ~size ~points ~every ~verbose =
   let boundaries = ref 0 in
   let audit (Detcheck.Replay_cases.Case c) =
     let collect t =
-      let run, output_digest = c.fresh ~static_id:false () in
+      let run, out = c.fresh ~static_id:false () in
       let trail, report =
         Replay.Lockstep.collect ~every
           (run |> Galois.Run.policy (Galois.Policy.det t))
       in
-      (trail, report.Galois.Run.stats, output_digest ())
+      (trail, report.Galois.Run.stats, c.output_digest (out ()))
     in
     let trail_a, stats_a, out_a = collect ta in
     let trail_b, stats_b, out_b = collect tb in
@@ -65,22 +77,7 @@ let run_lockstep ~cases ~seed ~apps ~threads ~size ~points ~every ~verbose =
             stats_a.Galois.Stats.digest
         else Fmt.pr "ok    %s: %a@." c.name Replay.Lockstep.pp_verdict verdict
   in
-  let app_case name =
-    match name with
-    | "bfs" -> Some (Detcheck.Replay_cases.bfs ~n:size ~seed)
-    | "sssp" -> Some (Detcheck.Replay_cases.sssp ~n:size ~seed)
-    | "mst" | "boruvka" -> Some (Detcheck.Replay_cases.boruvka ~n:size ~seed)
-    | "dmr" -> Some (Detcheck.Replay_cases.dmr ~points ~seed)
-    | _ -> None
-  in
-  List.iter
-    (fun name ->
-      match app_case name with
-      | Some case -> audit case
-      | None ->
-          incr failures;
-          Fmt.pr "FAIL  unknown app %S (expected bfs | sssp | mst | dmr)@." name)
-    apps;
+  iter_apps ~failures ~size ~points ~seed apps audit;
   for i = 0 to cases - 1 do
     audit (Detcheck.Replay_cases.gen ~seed:(seed + i))
   done;
@@ -227,22 +224,8 @@ let run ~cases ~seed ~apps ~threads ~size ~points ~service ~verbose =
       Fmt.pr "FAIL  %a@." Detcheck.pp_report report
     end
   in
-  let app_case name =
-    match name with
-    | "bfs" -> Some (Detcheck.App_cases.bfs ~n:size ~seed)
-    | "sssp" -> Some (Detcheck.App_cases.sssp ~n:size ~seed)
-    | "mst" | "boruvka" -> Some (Detcheck.App_cases.boruvka ~n:size ~seed)
-    | "dmr" -> Some (Detcheck.App_cases.dmr ~points ~seed)
-    | _ -> None
-  in
-  List.iter
-    (fun name ->
-      match app_case name with
-      | Some case -> audit case
-      | None ->
-          incr failures;
-          Fmt.pr "FAIL  unknown app %S (expected bfs | sssp | mst | dmr)@." name)
-    apps;
+  iter_apps ~failures ~size ~points ~seed apps (fun case ->
+      audit (Detcheck.App_cases.of_replay case));
   for i = 0 to cases - 1 do
     audit (Detcheck.Gen.case ~seed:(seed + i))
   done;

@@ -60,20 +60,12 @@ let dump_schedule_prefix ~out (report : Galois.Run.report) =
         ~finally:(fun () -> close_out_noerr oc)
         (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) lines)
 
-let replay_case ~app ~size ~seed =
-  match app with
-  | "bfs" -> Some (Detcheck.Replay_cases.bfs ~n:size ~seed)
-  | "sssp" -> Some (Detcheck.Replay_cases.sssp ~n:size ~seed)
-  | "mst" -> Some (Detcheck.Replay_cases.boruvka ~n:size ~seed)
-  | "dmr" -> Some (Detcheck.Replay_cases.dmr ~points:size ~seed)
-  | _ -> None
-
 let run_replay ~app ~policy ~size ~seed ~sink r =
-  match replay_case ~app ~size ~seed with
-  | None ->
+  match Detcheck.Replay_cases.of_app app ~n:size ~points:size ~seed with
+  | Error _ ->
       `Error
         (false, "checkpoint/replay flags support the bfs | sssp | mst | dmr benchmarks only")
-  | Some (Detcheck.Replay_cases.Case c) -> (
+  | Ok (Detcheck.Replay_cases.Case c) -> (
       try
         if
           (Option.is_some r.checkpoint || Option.is_some r.resume)
@@ -108,7 +100,7 @@ let run_replay ~app ~policy ~size ~seed ~sink r =
               pp_line "resumed" outcome.resumed;
               let ok =
                 D.equal outcome.full.stats.digest outcome.resumed.stats.digest
-                && D.equal (full_out ()) (crash_out ())
+                && D.equal (c.output_digest (full_out ())) (c.output_digest (crash_out ()))
               in
               Fmt.pr "  verdict=%s@." (if ok then "identical" else "DIVERGED");
               if ok then `Ok () else `Error (false, "crash-resume replay diverged")
@@ -129,7 +121,7 @@ let run_replay ~app ~policy ~size ~seed ~sink r =
               in
               Fmt.pr "%s (%a):@." app Galois.Policy.pp policy;
               Fmt.pr "  %a@." Galois.Stats.pp report.stats;
-              Fmt.pr "  output digest=%s@." (D.to_hex (out ()));
+              Fmt.pr "  output digest=%s@." (D.to_hex (c.output_digest (out ())));
               if Option.is_some r.replay_to || Option.is_some r.schedule_out then
                 dump_schedule_prefix ~out:r.schedule_out report;
               `Ok ()

@@ -1,10 +1,11 @@
 (* Validate a JSONL observability trace against the event schema:
    every line must parse as exactly one known event with the right
-   fields and types (Obs.Jsonl.validate_line). Used by the @trace-smoke
-   alias to keep `galois_run --trace` output well-formed.
+   fields and types (Obs.Jsonl.load). Used by the @trace-smoke alias to
+   keep `galois_run --trace` output well-formed.
 
    Exit status: 0 if every line validates and the file is non-empty;
-   1 otherwise, naming the first offending line. *)
+   1 otherwise (unreadable file, first offending line, or empty trace),
+   with the reason on stderr. *)
 
 let () =
   let path =
@@ -14,30 +15,14 @@ let () =
         prerr_endline "usage: trace_check FILE.jsonl";
         exit 2
   in
-  let ic = open_in path in
-  let lines = ref 0 in
-  let det = ref 0 in
-  let result =
-    let rec go lineno =
-      match input_line ic with
-      | exception End_of_file -> Ok ()
-      | line -> (
-          match Obs.Jsonl.of_line line with
-          | Ok s ->
-              incr lines;
-              if Obs.deterministic s.Obs.event then incr det;
-              go (lineno + 1)
-          | Error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg))
-    in
-    go 1
-  in
-  close_in_noerr ic;
-  match result with
+  match Obs.Jsonl.load path with
   | Error msg ->
       prerr_endline msg;
       exit 1
-  | Ok () when !lines = 0 ->
+  | Ok [] ->
       Printf.eprintf "%s: empty trace\n" path;
       exit 1
-  | Ok () ->
-      Printf.printf "%s: %d events ok (%d deterministic)\n" path !lines !det
+  | Ok events ->
+      let det = List.filter (fun (s : Obs.stamped) -> Obs.deterministic s.event) events in
+      Printf.printf "%s: %d events ok (%d deterministic)\n" path (List.length events)
+        (List.length det)

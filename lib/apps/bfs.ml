@@ -14,11 +14,12 @@ module Csr = Graphlib.Csr
 
 let unreached = max_int
 
-(* The run description and the world (distance array) it executes
-   against, without executing it — the checkpoint/replay layer composes
-   its own policies, checkpoints and resumes onto it. The distance
-   array is the app's entire mutable state, so the snapshot hook is a
-   plain copy in / copy out. *)
+(* The app's one definition: the run description plus a reader of the
+   world (distance array) it executes against, without executing it —
+   [galois] solves it under a policy, and the checkpoint/replay layer
+   composes its own policies, checkpoints and resumes onto it. The
+   distance array is the app's entire mutable state, so the snapshot
+   hook is a plain copy in / copy out. *)
 let plan g ~source =
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
@@ -41,20 +42,10 @@ let plan g ~source =
          ~save:(fun () -> Array.copy dist)
          ~restore:(fun saved -> Array.blit saved 0 dist 0 n)
   in
-  (run, dist)
+  (run, fun () -> dist)
 
 let galois ?record ?audit ?sink ~policy ?pool g ~source =
-  let run, dist = plan g ~source in
-  let report =
-    run
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  (dist, report)
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g ~source)
 
 let serial g ~source =
   let n = Csr.nodes g in

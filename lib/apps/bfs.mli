@@ -4,12 +4,13 @@ val unreached : int
 (** Distance value of unreachable nodes ([max_int]). *)
 
 val plan :
-  Graphlib.Csr.t -> source:int -> ((int * int), unit) Galois.Run.t * int array
-(** The unexecuted {!galois} run description plus the distance array it
-    will fill — the checkpoint/replay layer's entry point. The
-    description is tagged [app "bfs"] and carries a
-    [Run.snapshot_state] hook over the distance array, so snapshots can
-    resume in a fresh process. *)
+  Graphlib.Csr.t -> source:int -> ((int * int), unit) Galois.Run.t * (unit -> int array)
+(** The app's single definition: the unexecuted run description plus a
+    reader of the distance array it fills. {!galois} is
+    {!Galois.Run.solve} over it; the checkpoint/replay layer composes
+    its own policies onto it. The description is tagged [app "bfs"] and
+    carries a [Run.snapshot_state] hook over the distance array, so
+    snapshots can resume in a fresh process. *)
 
 val galois :
   ?record:bool ->

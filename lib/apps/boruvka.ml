@@ -98,17 +98,7 @@ let plan g weights =
   (run, forest)
 
 let galois ?record ?audit ?sink ~policy ?pool g weights =
-  let run, forest = plan g weights in
-  let report =
-    run
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  (forest (), report)
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g weights)
 
 (* Kruskal with sort by (weight, edge id) — the sequential baseline and
    the definition of the deterministic answer. *)

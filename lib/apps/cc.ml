@@ -8,7 +8,7 @@
 
 module Csr = Graphlib.Csr
 
-let galois ?record ?audit ?sink ~policy ?pool g =
+let plan g =
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
   let label = Array.init n Fun.id in
@@ -30,16 +30,10 @@ let galois ?record ?audit ?sink ~policy ?pool g =
           end)
     end
   in
-  let report =
-    Galois.Run.make ~operator (Array.init n Fun.id)
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  (label, report)
+  (Galois.Run.make ~operator (Array.init n Fun.id), fun () -> label)
+
+let galois ?record ?audit ?sink ~policy ?pool g =
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g)
 
 let serial g =
   let n = Csr.nodes g in

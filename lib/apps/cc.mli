@@ -1,6 +1,10 @@
 (** Connected components by label propagation (Galois program) and
     union-find (sequential baseline). The graph must be symmetric. *)
 
+val plan : Graphlib.Csr.t -> (int, unit) Galois.Run.t * (unit -> int array)
+(** The unexecuted {!galois} description plus a reader of its label
+    array; {!galois} is {!Galois.Run.solve} over it. *)
+
 val galois :
   ?record:bool ->
   ?audit:bool ->

@@ -116,16 +116,10 @@ type op_state = Geometry.Point.t * Mesh.cavity * (int * int) option
    in-process resume (crash/resume against the same mesh) only. *)
 let plan ?(config = default_config) mesh =
   let bad = Array.of_list (bad_triangles config mesh) in
-  Galois.Run.make ~operator:(operator config mesh) bad |> Galois.Run.app "dmr"
+  (Galois.Run.make ~operator:(operator config mesh) bad |> Galois.Run.app "dmr", fun () -> mesh)
 
-let galois ?(config = default_config) ?record ?audit ?sink ~policy ?pool mesh =
-  plan ~config mesh
-  |> Galois.Run.policy policy
-  |> Galois.Run.opt Galois.Run.pool pool
-  |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-  |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-  |> Galois.Run.opt Galois.Run.sink sink
-  |> Galois.Run.exec
+let galois ?config ?record ?audit ?sink ~policy ?pool mesh =
+  snd (Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan ?config mesh))
 
 let serial ?(config = default_config) mesh = galois ~config ~policy:Galois.Policy.serial mesh
 

@@ -22,11 +22,13 @@ val plan_cavity :
 type op_state
 (** The operator's saved-continuation state (an insertion plan). *)
 
-val plan : ?config:config -> Mesh.t -> (Mesh.triangle, op_state) Galois.Run.t
+val plan :
+  ?config:config -> Mesh.t -> (Mesh.triangle, op_state) Galois.Run.t * (unit -> Mesh.t)
 (** The unexecuted {!galois} description over the mesh's current bad
-    triangles, tagged [app "dmr"]. No snapshot-state hook — triangles
-    live inside the mesh, so dmr supports live in-process resume
-    only. *)
+    triangles, tagged [app "dmr"], plus a reader of the mesh it refines
+    in place. {!galois} is {!Galois.Run.solve} over it. No
+    snapshot-state hook — triangles live inside the mesh, so dmr
+    supports live in-process resume only. *)
 
 val galois :
   ?config:config ->

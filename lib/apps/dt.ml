@@ -92,24 +92,19 @@ let operator st ctx pid =
           Galois.Context.save ctx cavity;
           insert_with_cavity st ctx pid cavity)
 
-let galois ?record ?audit ?sink ~policy ?pool points =
+(* The reader strips the bounding vertices, so it runs once, after the
+   run. *)
+let plan points =
   let st, fakes = prepare points in
-  let report =
-    Galois.Run.make ~operator:(operator st) (Array.init st.n Fun.id)
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  Mesh.strip_vertices st.mesh fakes;
-  (st.mesh, report)
+  ( Galois.Run.make ~operator:(operator st) (Array.init st.n Fun.id),
+    fun () ->
+      Mesh.strip_vertices st.mesh fakes;
+      st.mesh )
 
-let serial points =
-  let mesh, report = galois ~policy:Galois.Policy.serial points in
-  ignore report;
-  mesh
+let galois ?record ?audit ?sink ~policy ?pool points =
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan points)
+
+let serial points = fst (galois ~policy:Galois.Policy.serial points)
 
 (* PBBS-style deterministic variant: deterministic reservations over
    insertion priorities, reusing the triangle mark words as

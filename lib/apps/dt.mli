@@ -4,6 +4,12 @@
 type state
 (** Internal per-run state (mesh + point containers). *)
 
+val plan :
+  Geometry.Point.t array -> (int, Mesh.cavity) Galois.Run.t * (unit -> Mesh.t)
+(** The unexecuted {!galois} description plus the mesh reader, which
+    strips the synthetic bounding vertices — call it once, after the
+    run. {!galois} is {!Galois.Run.solve} over it. *)
+
 val galois :
   ?record:bool ->
   ?audit:bool ->

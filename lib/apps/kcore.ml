@@ -71,20 +71,10 @@ let plan g =
          ~save:(fun () -> Array.copy est)
          ~restore:(fun saved -> Array.blit saved 0 est 0 n)
   in
-  (run, est)
+  (run, fun () -> est)
 
 let galois ?record ?audit ?sink ~policy ?pool g =
-  let run, est = plan g in
-  let report =
-    run
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  (est, report)
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g)
 
 (* Matula–Beck peeling: bin-sort vertices by degree, repeatedly remove
    a minimum-degree vertex, assign it the current degree as coreness

@@ -7,9 +7,9 @@
     unordered det, soft-priority det at any delta and thread count —
     produces the same array. *)
 
-val plan : Graphlib.Csr.t -> (int * int, unit) Galois.Run.t * int array
-(** The unexecuted {!galois} description plus its estimate array
-    (which converges to the coreness), tagged [app "kcore"], with the
+val plan : Graphlib.Csr.t -> (int * int, unit) Galois.Run.t * (unit -> int array)
+(** The unexecuted {!galois} description plus a reader of its estimate
+    array (which converges to the coreness), tagged [app "kcore"], with the
     task's push-time estimate as its {!Galois.Run.priority} and a
     [Run.snapshot_state] hook over the estimates. *)
 

@@ -11,7 +11,7 @@
 
 module Csr = Graphlib.Csr
 
-let galois ?record ?audit ?sink ~policy ?pool g =
+let plan g =
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
   let in_mis = Array.make n false in
@@ -22,16 +22,10 @@ let galois ?record ?audit ?sink ~policy ?pool g =
     Galois.Context.failsafe ctx;
     if not (Csr.exists_succ g u (fun v -> in_mis.(v))) then in_mis.(u) <- true
   in
-  let report =
-    Galois.Run.make ~operator (Array.init n Fun.id)
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  (in_mis, report)
+  (Galois.Run.make ~operator (Array.init n Fun.id), fun () -> in_mis)
+
+let galois ?record ?audit ?sink ~policy ?pool g =
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g)
 
 let serial g =
   let n = Csr.nodes g in

@@ -1,5 +1,9 @@
 (** Maximal independent set (paper §4.1). The graph must be symmetric. *)
 
+val plan : Graphlib.Csr.t -> (int, unit) Galois.Run.t * (unit -> bool array)
+(** The unexecuted {!galois} description plus a reader of its
+    membership array; {!galois} is {!Galois.Run.solve} over it. *)
+
 val galois :
   ?record:bool ->
   ?audit:bool ->

@@ -20,7 +20,7 @@ type config = { damping : int; tolerance : int }
 (* damping 0.85, tolerance 1e-3 in fixed point *)
 let default_config = { damping = 85 * one / 100; tolerance = one / 1000 }
 
-let galois ?(config = default_config) ?record ?audit ?sink ~policy ?pool g =
+let plan ?(config = default_config) g =
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
   let rank = Array.make n 0 in
@@ -49,16 +49,11 @@ let galois ?(config = default_config) ?record ?audit ?sink ~policy ?pool g =
       end
     end
   in
-  let report =
-    Galois.Run.make ~operator (Array.init n Fun.id)
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  (Array.map (fun r -> float_of_int r /. float_of_int one) rank, report)
+  ( Galois.Run.make ~operator (Array.init n Fun.id),
+    fun () -> Array.map (fun r -> float_of_int r /. float_of_int one) rank )
+
+let galois ?config ?record ?audit ?sink ~policy ?pool g =
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan ?config g)
 
 (* Synchronous power iteration in floats: the reference answer. *)
 let serial ?(config = default_config) ?(max_iters = 200) g =

@@ -10,6 +10,10 @@ type config = { damping : int; tolerance : int }
 
 val default_config : config
 
+val plan : ?config:config -> Graphlib.Csr.t -> (int, unit) Galois.Run.t * (unit -> float array)
+(** The unexecuted {!galois} description plus a reader of the ranks;
+    {!galois} is {!Galois.Run.solve} over it. *)
+
 val galois :
   ?config:config ->
   ?record:bool ->

@@ -131,15 +131,9 @@ let galois ?(record = false) ?(audit = false) ?sink ~policy ?pool net =
       end;
       (* One Run per epoch; a caller-supplied sink spans all epochs
          (Run never closes it), bracketing each with Run_begin/Run_end. *)
-      let report =
-        Galois.Run.make ~operator active
-        |> Galois.Run.policy policy
-        |> Galois.Run.opt Galois.Run.pool pool
-        |> (if record then Galois.Run.record else Fun.id)
-        |> (if audit then Galois.Run.audit else Fun.id)
-        |> Galois.Run.static_id Fun.id
-        |> Galois.Run.opt Galois.Run.sink sink
-        |> Galois.Run.exec
+      let (), report =
+        Galois.Run.solve ~record ~audit ?sink ?pool ~policy
+          (Galois.Run.make ~operator active |> Galois.Run.static_id Fun.id, Fun.id)
       in
       (match report.schedule with
       | Some (Galois.Schedule.Flat l) -> flat_records := l :: !flat_records

@@ -41,7 +41,7 @@ let plan_with ~weight g ~source =
          ~save:(fun () -> Array.copy dist)
          ~restore:(fun saved -> Array.blit saved 0 dist 0 n)
   in
-  (run, dist)
+  (run, fun () -> dist)
 
 let plan g weights ~source =
   if Array.length weights <> Csr.edges g then
@@ -54,23 +54,11 @@ let plan_weighted g ~source =
   if not (Csr.weighted g) then invalid_arg "Sssp.galois_weighted: graph has no weight plane";
   plan_with ~weight:(fun e -> Csr.unsafe_weight g e) g ~source
 
-let exec_plan ?record ?audit ?sink ~policy ?pool (run, dist) =
-  let report =
-    run
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  (dist, report)
-
 let galois_weighted ?record ?audit ?sink ~policy ?pool g ~source =
-  exec_plan ?record ?audit ?sink ~policy ?pool (plan_weighted g ~source)
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan_weighted g ~source)
 
 let galois ?record ?audit ?sink ~policy ?pool g weights ~source =
-  exec_plan ?record ?audit ?sink ~policy ?pool (plan g weights ~source)
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g weights ~source)
 
 (* Dijkstra with a simple pairing of (dist, node) in a sorted module-less
    binary heap. *)

@@ -6,15 +6,15 @@ val plan :
   Graphlib.Csr.t ->
   int array ->
   source:int ->
-  ((int * int), unit) Galois.Run.t * int array
-(** The unexecuted {!galois} description plus its distance array,
-    tagged [app "sssp"] with a [Run.snapshot_state] hook — see
+  ((int * int), unit) Galois.Run.t * (unit -> int array)
+(** The unexecuted {!galois} description plus a reader of its distance
+    array, tagged [app "sssp"] with a [Run.snapshot_state] hook — see
     {!Bfs.plan}. *)
 
 val plan_weighted :
   Graphlib.Csr.t ->
   source:int ->
-  ((int * int), unit) Galois.Run.t * int array
+  ((int * int), unit) Galois.Run.t * (unit -> int array)
 (** Like {!plan}, but weights come from the graph's own off-heap weight
     plane ({!Graphlib.Csr.weight}) — no heap-side weight array. Raises
     [Invalid_argument] on an unweighted graph. The schedule depends

@@ -20,7 +20,7 @@ let count_at g u =
         Csr.iter_succ g v (fun w -> if w > v && Csr.mem_edge g u w then incr count));
   !count
 
-let galois ?record ?audit ?sink ~policy ?pool g =
+let plan g =
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
   let per_node = Array.make n 0 in
@@ -36,16 +36,10 @@ let galois ?record ?audit ?sink ~policy ?pool g =
     Galois.Context.failsafe ctx;
     per_node.(u) <- c
   in
-  let report =
-    Galois.Run.make ~operator (Array.init n Fun.id)
-    |> Galois.Run.policy policy
-    |> Galois.Run.opt Galois.Run.pool pool
-    |> (match record with Some true -> Galois.Run.record | _ -> Fun.id)
-    |> (match audit with Some true -> Galois.Run.audit | _ -> Fun.id)
-    |> Galois.Run.opt Galois.Run.sink sink
-    |> Galois.Run.exec
-  in
-  (Array.fold_left ( + ) 0 per_node, report)
+  (Galois.Run.make ~operator (Array.init n Fun.id), fun () -> Array.fold_left ( + ) 0 per_node)
+
+let galois ?record ?audit ?sink ~policy ?pool g =
+  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g)
 
 let serial g =
   let total = ref 0 in

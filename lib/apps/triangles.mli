@@ -5,6 +5,10 @@
 val count_at : Graphlib.Csr.t -> int -> int
 (** Triangles whose minimum vertex is [u]. *)
 
+val plan : Graphlib.Csr.t -> (int, unit) Galois.Run.t * (unit -> int)
+(** The unexecuted {!galois} description plus a reader of the total
+    count; {!galois} is {!Galois.Run.solve} over it. *)
+
 val galois :
   ?record:bool ->
   ?audit:bool ->

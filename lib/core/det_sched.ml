@@ -724,25 +724,8 @@ let run ?(record = false) ?(sink = Obs.null) ?audit ?checkpoint ?resume ?stop_af
     match stop_after with Some r when !rounds >= r -> stop := true | _ -> ()
   done;
   let time_s = Clock.elapsed_s t0 in
-  (* Attribute the pool's spin/park deltas over this run to the workers
-     the policy used (extra idle pool workers go unreported). *)
-  let sync1 = Parallel.Domain_pool.sync_counters pool in
-  for w = 0 to threads - 1 do
-    let s0, p0 = sync0.(w) and s1, p1 = sync1.(w) in
-    workers.(w).Stats.spins <- s1 - s0;
-    workers.(w).Stats.parks <- p1 - p0
-  done;
-  if tracing then
-    Array.iteri
-      (fun w (st : Stats.worker) ->
-        emit
-          (Obs.Worker_counters
-             { worker = w; committed = st.committed; aborted = st.aborted;
-               acquires = st.acquires; atomics = st.atomic_updates;
-               work = st.work; pushes = st.pushes;
-               inspections = st.inspections; chunks = st.chunks;
-               spins = st.spins; parks = st.parks }))
-      workers;
+  Stats.book_sync workers ~before:sync0 ~after:(Parallel.Domain_pool.sync_counters pool);
+  if tracing then Array.iteri (fun w st -> emit (Stats.counters_event w st)) workers;
   let stats =
     Stats.merge ~digest:!digest ~threads ~rounds:!rounds ~generations:!generations
       ~buckets:!buckets_opened ~time_s

@@ -85,25 +85,11 @@ let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
       in
       loop ());
   let time_s = Clock.elapsed_s t0 in
-  let sync1 = Parallel.Domain_pool.sync_counters pool in
-  for w = 0 to threads - 1 do
-    let s0, p0 = sync0.(w) and s1, p1 = sync1.(w) in
-    workers.(w).Stats.spins <- s1 - s0;
-    workers.(w).Stats.parks <- p1 - p0
-  done;
+  Stats.book_sync workers ~before:sync0 ~after:(Parallel.Domain_pool.sync_counters pool);
   (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
   let emit event = sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event } in
   emit (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s = time_s });
-  Array.iteri
-    (fun w (st : Stats.worker) ->
-      emit
-        (Obs.Worker_counters
-           { worker = w; committed = st.committed; aborted = st.aborted;
-             acquires = st.acquires; atomics = st.atomic_updates;
-             work = st.work; pushes = st.pushes;
-             inspections = st.inspections; chunks = st.chunks;
-             spins = st.spins; parks = st.parks }))
-    workers;
+  Array.iteri (fun w st -> emit (Stats.counters_event w st)) workers;
   let stats =
     Stats.merge ~threads ~rounds:0 ~generations:0 ~time_s
       ~phases:(Stats.breakdown ~inspect_s:0.0 ~select_s:time_s ~time_s)

@@ -244,3 +244,12 @@ let exec t =
     trace = Option.map capture memory;
     audit = Option.map Audit.report audit_state;
   }
+
+let solve ?(record = false) ?(audit = false) ?sink:extra ?pool:shared ~policy:p (t, result) =
+  let report =
+    { t with policy_ = p; record_ = t.record_ || record; audit_ = t.audit_ || audit }
+    |> opt pool shared
+    |> opt sink extra
+    |> exec
+  in
+  (result (), report)

@@ -146,3 +146,16 @@ val encode_snapshot : ('item, 'state) t -> 'item Det_sched.boundary -> string
 val exec : ('item, 'state) t -> report
 (** Run all tasks (and the tasks they create) to completion. The event
     stream is bracketed by [Run_begin] and [Run_end]. *)
+
+val solve :
+  ?record:bool ->
+  ?audit:bool ->
+  ?sink:Obs.sink ->
+  ?pool:Pool.t ->
+  policy:Policy.t ->
+  ('item, 'state) t * (unit -> 'a) ->
+  'a * report
+(** Execute an app's plan — its run description plus a reader of the
+    output — under [policy], adding {!record}, {!audit}, a {!pool} and a
+    {!sink} when asked, and return [(result (), report)]. Every app's
+    [galois] is [solve] applied to its [plan]. *)

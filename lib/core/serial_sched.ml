@@ -43,13 +43,7 @@ let run ?(record = false) ?(sink = Obs.null) ~operator items =
   (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
   let emit event = sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event } in
   emit (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s = time_s });
-  emit
-    (Obs.Worker_counters
-       { worker = 0; committed = stats.committed; aborted = stats.aborted;
-         acquires = stats.acquires; atomics = stats.atomic_updates;
-         work = stats.work; pushes = stats.pushes;
-         inspections = stats.inspections; chunks = stats.chunks;
-         spins = stats.spins; parks = stats.parks });
+  emit (Stats.counters_event 0 stats);
   let stats =
     Stats.merge ~threads:1 ~rounds:0 ~generations:0 ~time_s
       ~phases:(Stats.breakdown ~inspect_s:0.0 ~select_s:time_s ~time_s)

@@ -32,6 +32,33 @@ let make_worker () =
     parks = 0;
   }
 
+(* Book the pool's spin/park counts accrued between two
+   [Domain_pool.sync_counters] snapshots to the workers the run used
+   (extra idle pool workers go unreported). *)
+let book_sync workers ~before ~after =
+  Array.iteri
+    (fun w st ->
+      let s0, p0 = before.(w) and s1, p1 = after.(w) in
+      st.spins <- s1 - s0;
+      st.parks <- p1 - p0)
+    workers
+
+let counters_event w st =
+  Obs.Worker_counters
+    {
+      worker = w;
+      committed = st.committed;
+      aborted = st.aborted;
+      acquires = st.acquires;
+      atomics = st.atomic_updates;
+      work = st.work;
+      pushes = st.pushes;
+      inspections = st.inspections;
+      chunks = st.chunks;
+      spins = st.spins;
+      parks = st.parks;
+    }
+
 (* Wall-clock breakdown of a run across scheduler phases. For the DIG
    scheduler [inspect_s]/[select_s] accumulate the two parallel phases
    and [other_s] is everything else (generation sort, sequential round

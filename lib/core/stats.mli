@@ -27,6 +27,13 @@ type worker = {
 
 val make_worker : unit -> worker
 
+val book_sync : worker array -> before:(int * int) array -> after:(int * int) array -> unit
+(** Set each worker's [spins]/[parks] to the difference between two
+    {!Parallel.Domain_pool.sync_counters} snapshots taken around a run. *)
+
+val counters_event : int -> worker -> Obs.event
+(** The [Worker_counters] observability event of worker [w]. *)
+
 type phase_times = { inspect_s : float; select_s : float; other_s : float }
 (** Wall-clock breakdown of {!t.time_s} across scheduler phases. The DIG
     scheduler reports its two parallel phases in [inspect_s]/[select_s]

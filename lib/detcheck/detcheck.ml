@@ -210,6 +210,39 @@ let seeds_distinguished ?(threads = 2) ~gen ~seed policy =
       let digest s = ((gen s).run ~policy ~pool ~static_id:false).canonical_digest in
       not (D.equal (digest seed) (digest (seed + 1))))
 
+(* A fresh in-memory ring for one run's event stream: the sink feeds it
+   and [lines ()] renders its deterministic lines. A ring that dropped
+   events holds only the tail of the stream, and comparing tails would
+   pass a divergence in the lost head, so [lines] fails the case
+   instead. *)
+let capture name =
+  let mem = Obs.Memory.create () in
+  let lines () =
+    match Obs.Memory.dropped mem with
+    | 0 -> Obs.deterministic_lines (Obs.Memory.contents mem)
+    | d -> failwith (Printf.sprintf "detcheck %s: trace ring dropped %d events" name d)
+  in
+  (Obs.Memory.sink mem, lines)
+
+(* The one function every lattice case comes from: each [run] solves a
+   fresh plan under the lattice point's policy with a capture sink, then
+   digests the output it reads back and the deterministic event
+   stream. *)
+let case_of ~name ~static_id_capable ~fresh ~output_digest ~canonical_digest =
+  let run ~policy ~pool ~static_id =
+    let sink, lines = capture name in
+    let out, report = Galois.Run.solve ~sink ~pool ~policy (fresh ~static_id ()) in
+    let commits = report.Galois.Run.stats.commits in
+    {
+      sched_digest = report.stats.digest;
+      output_digest = output_digest out;
+      canonical_digest = canonical_digest out ~commits;
+      commits;
+      det_trace = lines ();
+    }
+  in
+  { name; static_id_capable; run }
+
 (* ------------------------------------------------------------------ *)
 (* Property-based case generation                                      *)
 (* ------------------------------------------------------------------ *)
@@ -351,19 +384,13 @@ module Gen = struct
     Printf.sprintf "gen(seed=%d,%s,tasks=%d,locks=%d,depth=%d)" p.seed
       (topology_name p.topology) p.tasks p.locks p.max_depth
 
-  (* A fresh world (locks + output cells) and the unexecuted run
-     description over it — the checkpoint/replay layer exercises the
-     description directly (checkpoint it, crash it, resume it), so it is
-     split out of [case_of_params]. The cell array is the world's entire
-     state; the snapshot hook copies the lists in and out, making gen
-     cases cross-process resumable. *)
-  type instance = {
-    run : (int * int, int) Galois.Run.t;
-    output_digest : unit -> D.t;
-    canonical_digest : commits:int -> D.t;
-  }
-
-  let instance ?(static_id = false) p =
+  (* A fresh world (locks + output cells), the unexecuted run
+     description over it and a reader of the cells — the generated
+     operator's plan, which both the lattice ([case_of_params]) and the
+     checkpoint/replay layer ([Replay_cases.gen]) run. The cell array is
+     the world's entire state; the snapshot hook copies the lists in and
+     out, making gen cases cross-process resumable. *)
+  let plan ~static_id p =
     let locks = Galois.Lock.create_array p.locks in
     let cells = Array.init p.locks (fun _ -> ref []) in
     let operator ctx item =
@@ -397,42 +424,26 @@ module Gen = struct
            ~restore:(fun saved -> Array.iteri (fun i v -> cells.(i) := v) saved)
       |> if static_id then Galois.Run.static_id key_of else Fun.id
     in
-    let output_digest () =
+    (run, fun () -> cells)
+
+  let output_digest cells =
+    Array.fold_left
+      (fun d cell ->
+        List.fold_left D.fold_int (D.fold_int d (List.length !cell)) (List.rev !cell))
+      D.seed cells
+
+  let canonical_digest cells ~commits =
+    let d =
       Array.fold_left
-        (fun d cell ->
-          List.fold_left D.fold_int (D.fold_int d (List.length !cell)) (List.rev !cell))
+        (fun d cell -> D.fold_int64 d (List.fold_left (fun s x -> Int64.add s (mix x)) 0L !cell))
         D.seed cells
     in
-    let canonical_digest ~commits =
-      let d =
-        Array.fold_left
-          (fun d cell ->
-            D.fold_int64 d (List.fold_left (fun s x -> Int64.add s (mix x)) 0L !cell))
-          D.seed cells
-      in
-      D.fold_int d commits
-    in
-    { run; output_digest; canonical_digest }
+    D.fold_int d commits
 
   let case_of_params p =
-    let run ~policy ~pool ~static_id =
-      let inst = instance ~static_id p in
-      let report =
-        inst.run
-        |> Galois.Run.policy policy
-        |> Galois.Run.pool pool
-        |> Galois.Run.trace
-        |> Galois.Run.exec
-      in
-      {
-        sched_digest = report.stats.digest;
-        output_digest = inst.output_digest ();
-        canonical_digest = inst.canonical_digest ~commits:report.stats.commits;
-        commits = report.stats.commits;
-        det_trace = Obs.deterministic_lines (Option.value ~default:[] report.trace);
-      }
-    in
-    { name = name_of_params p; static_id_capable = p.unique_children; run }
+    case_of ~name:(name_of_params p) ~static_id_capable:p.unique_children
+      ~fresh:(fun ~static_id () -> plan ~static_id p)
+      ~output_digest ~canonical_digest
 
   let case ~seed = case_of_params (random_params ~seed)
 end
@@ -462,63 +473,84 @@ let prio_salt_distinguished ?(threads = 2) ~seed () =
       (not (D.equal (digest ~salt:s ordered) (digest ~salt:(s + 1) ordered)))
       && D.equal (digest ~salt:s unordered) (digest ~salt:(s + 1) unordered))
 
-(* A fresh in-memory ring for one run's event stream: the sink feeds it
-   and [lines ()] renders its deterministic lines. A ring that dropped
-   events holds only the tail of the stream, and comparing tails would
-   pass a divergence in the lost head, so [lines] fails the case
-   instead. *)
-let capture name =
-  let mem = Obs.Memory.create () in
-  let lines () =
-    match Obs.Memory.dropped mem with
-    | 0 -> Obs.deterministic_lines (Obs.Memory.contents mem)
-    | d -> failwith (Printf.sprintf "detcheck %s: trace ring dropped %d events" name d)
-  in
-  (Obs.Memory.sink mem, lines)
-
 (* ------------------------------------------------------------------ *)
-(* Existing applications as auditable cases                            *)
+(* The per-app table                                                   *)
 (* ------------------------------------------------------------------ *)
 
-module App_cases = struct
+(* Each row is an app's plan over inputs built once per row, plus how
+   to digest the output it reads back. [fresh] builds a brand-new world
+   per call: crash/resume needs one world for the uninterrupted
+   reference and another to crash, and every lattice point starts from
+   scratch. The item/state/output types differ per app, hence the
+   existential. The lattice cases ([App_cases]), the checkpoint/replay
+   harness and the audit rows ([Audit_cases]) all run these rows. *)
+module Replay_cases = struct
+  type t =
+    | Case : {
+        name : string;
+        static_id_capable : bool;
+        snapshot_capable : bool;
+            (* the description carries a snapshot_state hook, so
+               serialized (cross-process) resume is possible; without it
+               only live in-process resume is *)
+        fresh : static_id:bool -> unit -> ('i, 's) Galois.Run.t * (unit -> 'o);
+        output_digest : 'o -> D.t;
+        canonical_digest : 'o -> commits:int -> D.t;
+      }
+        -> t
+
+  let name (Case c) = c.name
+  let static_id_capable (Case c) = c.static_id_capable
+  let snapshot_capable (Case c) = c.snapshot_capable
+
+  let gen ~seed =
+    let p = Gen.random_params ~seed in
+    Case
+      {
+        name = Gen.name_of_params p;
+        static_id_capable = p.Gen.unique_children;
+        snapshot_capable = true;
+        fresh = (fun ~static_id () -> Gen.plan ~static_id p);
+        output_digest = Gen.output_digest;
+        canonical_digest = Gen.canonical_digest;
+      }
+
+  (* A benchmark row: no static ids, and an answer that does not depend
+     on the commit count. *)
+  let app name ~snapshot plan ~output ~canonical =
+    Case
+      {
+        name;
+        static_id_capable = false;
+        snapshot_capable = snapshot;
+        fresh = (fun ~static_id:_ () -> plan ());
+        output_digest = output;
+        canonical_digest = (fun o ~commits:_ -> canonical o);
+      }
+
+  (* The directed input the bfs and sssp rows and the audit rows share. *)
+  let graph ~n ~seed = Graphlib.Generators.kout ~seed ~n ~k:5 ()
+
   let digest_ints arr = Array.fold_left D.fold_int D.seed arr
 
-  (* BFS distances are the unique shortest hop counts: canonical across
-     the whole lattice. *)
+  (* BFS and SSSP distances are unique: the output is its own canonical
+     form across the whole lattice. *)
   let bfs ~n ~seed =
-    let name = Printf.sprintf "bfs(n=%d,seed=%d)" n seed in
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
-    let run ~policy ~pool ~static_id:_ =
-      let sink, lines = capture name in
-      let dist, report = Apps.Bfs.galois ~sink ~policy ~pool g ~source:0 in
-      let d = digest_ints dist in
-      {
-        sched_digest = report.stats.digest;
-        output_digest = d;
-        canonical_digest = d;
-        commits = report.stats.commits;
-        det_trace = lines ();
-      }
-    in
-    { name; static_id_capable = false; run }
+    let g = graph ~n ~seed in
+    app
+      (Printf.sprintf "bfs(n=%d,seed=%d)" n seed)
+      ~snapshot:true
+      (fun () -> Apps.Bfs.plan g ~source:0)
+      ~output:digest_ints ~canonical:digest_ints
 
   let sssp ~n ~seed =
-    let name = Printf.sprintf "sssp(n=%d,seed=%d)" n seed in
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
+    let g = graph ~n ~seed in
     let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-    let run ~policy ~pool ~static_id:_ =
-      let sink, lines = capture name in
-      let dist, report = Apps.Sssp.galois ~sink ~policy ~pool g w ~source:0 in
-      let d = digest_ints dist in
-      {
-        sched_digest = report.stats.digest;
-        output_digest = d;
-        canonical_digest = d;
-        commits = report.stats.commits;
-        det_trace = lines ();
-      }
-    in
-    { name; static_id_capable = false; run }
+    app
+      (Printf.sprintf "sssp(n=%d,seed=%d)" n seed)
+      ~snapshot:true
+      (fun () -> Apps.Sssp.plan g w ~source:0)
+      ~output:digest_ints ~canonical:digest_ints
 
   (* The MSF weight and size are unique; the edge ids are not canonical
      across configurations (the same undirected edge carries two directed
@@ -526,31 +558,16 @@ module App_cases = struct
      so only (weight, size) goes into the canonical digest. The full edge
      list still must be thread-invariant at a fixed configuration. *)
   let boruvka ~n ~seed =
-    let name = Printf.sprintf "boruvka(n=%d,seed=%d)" n seed in
     let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n ~k:4 ()) in
     let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
-    let run ~policy ~pool ~static_id:_ =
-      let sink, lines = capture name in
-      let forest, report = Apps.Boruvka.galois ~sink ~policy ~pool g w in
-      let fold_edges d edges = List.fold_left D.fold_int d edges in
-      let output_digest =
-        D.fold_int (fold_edges D.seed forest.Apps.Boruvka.parent_edge)
-          forest.Apps.Boruvka.total_weight
-      in
-      let canonical_digest =
-        D.fold_int
-          (D.fold_int D.seed (List.length forest.Apps.Boruvka.parent_edge))
-          forest.Apps.Boruvka.total_weight
-      in
-      {
-        sched_digest = report.stats.digest;
-        output_digest;
-        canonical_digest;
-        commits = report.stats.commits;
-        det_trace = lines ();
-      }
-    in
-    { name; static_id_capable = false; run }
+    app
+      (Printf.sprintf "boruvka(n=%d,seed=%d)" n seed)
+      ~snapshot:false
+      (fun () -> Apps.Boruvka.plan g w)
+      ~output:(fun (f : Apps.Boruvka.forest) ->
+        D.fold_int (List.fold_left D.fold_int D.seed f.parent_edge) f.total_weight)
+      ~canonical:(fun f ->
+        D.fold_int (D.fold_int D.seed (List.length f.parent_edge)) f.total_weight)
 
   (* Refinement's full output (the refined mesh) is schedule-dependent
      across configurations — different insertion orders pick different
@@ -558,30 +575,43 @@ module App_cases = struct
      configuration the mesh itself must be thread-invariant, compared via
      its canonical triangle list. *)
   let dmr ~points ~seed =
-    let name = Printf.sprintf "dmr(points=%d,seed=%d)" points seed in
     let pts = Geometry.Point.random_unit_square ~seed points in
-    let run ~policy ~pool ~static_id:_ =
-      let mesh = Apps.Dt.serial pts in
-      let sink, lines = capture name in
-      let report = Apps.Dmr.galois ~sink ~policy ~pool mesh in
-      let output_digest =
+    app
+      (Printf.sprintf "dmr(points=%d,seed=%d)" points seed)
+      ~snapshot:false
+      (fun () -> Apps.Dmr.plan (Apps.Dt.serial pts))
+      ~output:(fun mesh ->
         List.fold_left
           (fun d tri ->
             List.fold_left (fun d (x, y) -> D.fold_float (D.fold_float d x) y) d tri)
-          D.seed (Apps.Dt.canonical mesh)
-      in
-      let consistent = Result.is_ok (Mesh.check_consistency mesh) in
-      let refined = Apps.Dmr.refined Apps.Dmr.default_config mesh in
-      let canonical_digest = D.fold_bool (D.fold_bool D.seed consistent) refined in
-      {
-        sched_digest = report.stats.digest;
-        output_digest;
-        canonical_digest;
-        commits = report.stats.commits;
-        det_trace = lines ();
-      }
-    in
-    { name; static_id_capable = false; run }
+          D.seed (Apps.Dt.canonical mesh))
+      ~canonical:(fun mesh ->
+        D.fold_bool
+          (D.fold_bool D.seed (Result.is_ok (Mesh.check_consistency mesh)))
+          (Apps.Dmr.refined Apps.Dmr.default_config mesh))
+
+  let of_app name ~n ~points ~seed =
+    match name with
+    | "bfs" -> Ok (bfs ~n ~seed)
+    | "sssp" -> Ok (sssp ~n ~seed)
+    | "mst" | "boruvka" -> Ok (boruvka ~n ~seed)
+    | "dmr" -> Ok (dmr ~points ~seed)
+    | _ -> Error (Printf.sprintf "unknown app %S (expected bfs | sssp | mst | dmr)" name)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Existing applications as auditable cases                            *)
+(* ------------------------------------------------------------------ *)
+
+module App_cases = struct
+  let of_replay (Replay_cases.Case c) =
+    case_of ~name:c.name ~static_id_capable:c.static_id_capable ~fresh:c.fresh
+      ~output_digest:c.output_digest ~canonical_digest:c.canonical_digest
+
+  let bfs ~n ~seed = of_replay (Replay_cases.bfs ~n ~seed)
+  let sssp ~n ~seed = of_replay (Replay_cases.sssp ~n ~seed)
+  let boruvka ~n ~seed = of_replay (Replay_cases.boruvka ~n ~seed)
+  let dmr ~points ~seed = of_replay (Replay_cases.dmr ~points ~seed)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -602,71 +632,33 @@ module Audit_cases = struct
      cautious by construction, so the audit must come back clean; the
      race check also re-verifies the scheduler's disjoint-neighborhood
      invariant (acquires count as writes), which bites even though the
-     operators carry no [Context.touch] instrumentation. Worlds that the
-     operator mutates (mesh, flow network) are rebuilt per run. *)
+     operators carry no [Context.touch] instrumentation. Every row solves
+     a fresh plan, so worlds the operator mutates (mesh, flow network)
+     are rebuilt per run; pfp keeps its own row because it runs one
+     plan per epoch. *)
   let apps ~n ~points ~seed =
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
+    let row name fresh =
+      {
+        name;
+        run =
+          (fun ~policy ~pool ->
+            need (snd (Galois.Run.solve ~audit:true ~pool ~policy (fresh ()))).audit);
+      }
+    in
+    let table name (Replay_cases.Case c) = row name (c.fresh ~static_id:false) in
+    let g = Replay_cases.graph ~n ~seed in
     let sym = Graphlib.Csr.symmetrize g in
-    let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-    let uw = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 2) sym in
     let pts = Geometry.Point.random_unit_square ~seed (max 4 points) in
-    let audit_of (report : Galois.Run.report) = need report.audit in
     [
-      {
-        name = "bfs";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Bfs.galois ~audit:true ~policy ~pool g ~source:0)));
-      };
-      {
-        name = "sssp";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Sssp.galois ~audit:true ~policy ~pool g w ~source:0)));
-      };
-      {
-        name = "cc";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Cc.galois ~audit:true ~policy ~pool sym)));
-      };
-      {
-        name = "boruvka";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Boruvka.galois ~audit:true ~policy ~pool sym uw)));
-      };
-      {
-        name = "mis";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Mis.galois ~audit:true ~policy ~pool sym)));
-      };
-      {
-        name = "triangles";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Triangles.galois ~audit:true ~policy ~pool sym)));
-      };
-      {
-        name = "pagerank";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Pagerank.galois ~audit:true ~policy ~pool g)));
-      };
-      {
-        name = "dt";
-        run =
-          (fun ~policy ~pool ->
-            audit_of (snd (Apps.Dt.galois ~audit:true ~policy ~pool pts)));
-      };
-      {
-        name = "dmr";
-        run =
-          (fun ~policy ~pool ->
-            let mesh = Apps.Dt.serial pts in
-            audit_of (Apps.Dmr.galois ~audit:true ~policy ~pool mesh));
-      };
+      table "bfs" (Replay_cases.bfs ~n ~seed);
+      table "sssp" (Replay_cases.sssp ~n ~seed);
+      row "cc" (fun () -> Apps.Cc.plan sym);
+      table "boruvka" (Replay_cases.boruvka ~n ~seed);
+      row "mis" (fun () -> Apps.Mis.plan sym);
+      row "triangles" (fun () -> Apps.Triangles.plan sym);
+      row "pagerank" (fun () -> Apps.Pagerank.plan g);
+      row "dt" (fun () -> Apps.Dt.plan pts);
+      table "dmr" (Replay_cases.dmr ~points ~seed);
       {
         name = "pfp";
         run =
@@ -784,113 +776,6 @@ module Audit_cases = struct
     { cname = "racy-sssp"; crun }
 
   let controls ~n ~seed = [ non_cautious_bfs ~n ~seed; racy_sssp () ]
-end
-
-(* ------------------------------------------------------------------ *)
-(* Cases for the checkpoint/replay harness                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike [case] (which executes internally and reports digests), a
-   replay case hands out the unexecuted run description itself, so the
-   harness can checkpoint it, crash it and resume it. The item/state
-   types differ per app, hence the existential. [fresh] builds a brand
-   new world each call: crash/resume tests need one world for the
-   uninterrupted reference run and a separate one to crash. *)
-module Replay_cases = struct
-  type t =
-    | Case : {
-        name : string;
-        static_id_capable : bool;
-        snapshot_capable : bool;
-            (* the description carries a snapshot_state hook, so
-               serialized (cross-process) resume is possible; without it
-               only live in-process resume is *)
-        fresh : static_id:bool -> unit -> ('i, 's) Galois.Run.t * (unit -> D.t);
-      }
-        -> t
-
-  let name (Case c) = c.name
-  let static_id_capable (Case c) = c.static_id_capable
-  let snapshot_capable (Case c) = c.snapshot_capable
-
-  let gen ~seed =
-    let p = Gen.random_params ~seed in
-    Case
-      {
-        name = Gen.name_of_params p;
-        static_id_capable = p.Gen.unique_children;
-        snapshot_capable = true;
-        fresh =
-          (fun ~static_id () ->
-            let inst = Gen.instance ~static_id p in
-            (inst.Gen.run, inst.Gen.output_digest));
-      }
-
-  let digest_ints arr = Array.fold_left D.fold_int D.seed arr
-
-  let bfs ~n ~seed =
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
-    Case
-      {
-        name = Printf.sprintf "bfs(n=%d,seed=%d)" n seed;
-        static_id_capable = false;
-        snapshot_capable = true;
-        fresh =
-          (fun ~static_id:_ () ->
-            let run, dist = Apps.Bfs.plan g ~source:0 in
-            (run, fun () -> digest_ints dist));
-      }
-
-  let sssp ~n ~seed =
-    let g = Graphlib.Generators.kout ~seed ~n ~k:5 () in
-    let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-    Case
-      {
-        name = Printf.sprintf "sssp(n=%d,seed=%d)" n seed;
-        static_id_capable = false;
-        snapshot_capable = true;
-        fresh =
-          (fun ~static_id:_ () ->
-            let run, dist = Apps.Sssp.plan g w ~source:0 in
-            (run, fun () -> digest_ints dist));
-      }
-
-  let boruvka ~n ~seed =
-    let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n ~k:4 ()) in
-    let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
-    Case
-      {
-        name = Printf.sprintf "boruvka(n=%d,seed=%d)" n seed;
-        static_id_capable = false;
-        snapshot_capable = false;
-        fresh =
-          (fun ~static_id:_ () ->
-            let run, forest = Apps.Boruvka.plan g w in
-            ( run,
-              fun () ->
-                let f = forest () in
-                D.fold_int
-                  (List.fold_left D.fold_int D.seed f.Apps.Boruvka.parent_edge)
-                  f.Apps.Boruvka.total_weight ));
-      }
-
-  let dmr ~points ~seed =
-    let pts = Geometry.Point.random_unit_square ~seed points in
-    Case
-      {
-        name = Printf.sprintf "dmr(points=%d,seed=%d)" points seed;
-        static_id_capable = false;
-        snapshot_capable = false;
-        fresh =
-          (fun ~static_id:_ () ->
-            let mesh = Apps.Dt.serial pts in
-            ( Apps.Dmr.plan mesh,
-              fun () ->
-                List.fold_left
-                  (fun d tri ->
-                    List.fold_left (fun d (x, y) -> D.fold_float (D.fold_float d x) y) d tri)
-                  D.seed (Apps.Dt.canonical mesh) ));
-      }
 end
 
 (* ------------------------------------------------------------------ *)

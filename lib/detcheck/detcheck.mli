@@ -16,8 +16,10 @@
       not.
 
     {!Gen} supplies property-based random cases (random conflict
-    topologies, random operator shapes); {!App_cases} adapts the real
-    benchmarks. {!seeds_distinguished} is the positive control proving
+    topologies, random operator shapes); {!App_cases} derives cases for
+    the real benchmarks from the per-app table {!Replay_cases}, whose
+    rows are the apps' [plan]s. {!seeds_distinguished} is the positive
+    control proving
     the digests can diverge at all. *)
 
 type run_result = {
@@ -138,39 +140,74 @@ module Gen : sig
       generated run via {!Galois.Run.priority} — inert under the
       default [prio=off] configurations. *)
 
-  type instance = {
-    run : (int * int, int) Galois.Run.t;
-        (** the unexecuted description over this instance's fresh world,
-            tagged [app "gen"] with a snapshot-state hook over the
-            output cells *)
-    output_digest : unit -> Galois.Trace_digest.t;
-    canonical_digest : commits:int -> Galois.Trace_digest.t;
-  }
-  (** A fresh world plus its run description, not yet executed — the
-      checkpoint/replay harness's entry point ([case_of_params] runs
-      one instance per [run] call). *)
-
-  val instance : ?static_id:bool -> params -> instance
-
   val case_of_params : params -> case
+  (** Runs a fresh plan of the generated operator (the one
+      {!Replay_cases.gen} hands out) at every lattice point, like every
+      {!App_cases} case. *)
 
   val case : seed:int -> case
   (** [case_of_params (random_params ~seed)]. *)
 end
 
-(** The paper's benchmarks as auditable cases. Inputs are generated once
-    at case construction; each [run] re-executes from a fresh state. *)
-module App_cases : sig
-  val bfs : n:int -> seed:int -> case
-  val sssp : n:int -> seed:int -> case
-  val boruvka : n:int -> seed:int -> case
+(** The per-app table: each row is an app's plan over inputs generated
+    once at row construction, plus how to digest the output its plan
+    reads back. [fresh] builds a brand-new world per call — crash/resume
+    tests need one world for the uninterrupted reference and a separate
+    one to crash. The lattice cases ({!App_cases}), the checkpoint/replay
+    harness (lib/replay, test_replay) and the audit rows
+    ({!Audit_cases.apps}) all run these rows. Names match the {!Gen} /
+    {!App_cases} names for the same parameters, so pinned fixture
+    entries can be cross-referenced. *)
+module Replay_cases : sig
+  type t =
+    | Case : {
+        name : string;
+        static_id_capable : bool;
+        snapshot_capable : bool;
+            (** carries a snapshot-state hook: serialized cross-process
+                resume works, not just live in-process resume *)
+        fresh : static_id:bool -> unit -> ('i, 's) Galois.Run.t * (unit -> 'o);
+            (** a fresh world's plan: its description plus a reader of
+                the output (call after executing) *)
+        output_digest : 'o -> Galois.Trace_digest.t;
+            (** order-sensitive: thread-invariant at a fixed
+                configuration *)
+        canonical_digest : 'o -> commits:int -> Galois.Trace_digest.t;
+            (** the configuration-invariant answer *)
+      }
+        -> t
 
-  val dmr : points:int -> seed:int -> case
+  val name : t -> string
+  val static_id_capable : t -> bool
+  val snapshot_capable : t -> bool
+  val gen : seed:int -> t
+  val bfs : n:int -> seed:int -> t
+  val sssp : n:int -> seed:int -> t
+  val boruvka : n:int -> seed:int -> t
+
+  val dmr : points:int -> seed:int -> t
   (** Canonical digest is the refinement postcondition (mesh consistent
       and fully refined): the refined mesh itself is legitimately
       configuration-dependent, but must be thread-invariant at any fixed
       configuration (its canonical triangle list is the output
       digest). *)
+
+  val of_app : string -> n:int -> points:int -> seed:int -> (t, string) result
+  (** The row for a command-line app name: [bfs], [sssp], [mst] (alias
+      [boruvka]) over [n] nodes, or [dmr] over [points] points. The
+      error names the accepted apps. *)
+end
+
+(** The paper's benchmarks as lattice cases, each derived from its
+    {!Replay_cases} row: every [run] solves a fresh plan with a capture
+    sink. *)
+module App_cases : sig
+  val of_replay : Replay_cases.t -> case
+
+  val bfs : n:int -> seed:int -> case
+  val sssp : n:int -> seed:int -> case
+  val boruvka : n:int -> seed:int -> case
+  val dmr : points:int -> seed:int -> case
 end
 
 (** Cases for the dynamic neighborhood/race audit ({!Galois.Run.audit}).
@@ -190,8 +227,10 @@ module Audit_cases : sig
 
   val apps : n:int -> points:int -> seed:int -> t list
   (** The ten Run-based benchmarks (bfs, sssp, cc, boruvka, mis,
-      triangles, pagerank, dt, dmr, pfp), worlds rebuilt per run where
-      the operator mutates them. *)
+      triangles, pagerank, dt, dmr, pfp). Every row but pfp solves a
+      fresh [plan] per run with [~audit:true] — bfs, sssp, boruvka and
+      dmr take theirs from {!Replay_cases}; pfp runs one plan per epoch
+      and keeps its own row. *)
 
   type control = {
     cname : string;
@@ -211,40 +250,6 @@ module Audit_cases : sig
       race, all in round 1. *)
 
   val controls : n:int -> seed:int -> control list
-end
-
-(** Cases for the checkpoint/replay harness (lib/replay, test_replay):
-    instead of executing internally, each case hands out its unexecuted
-    run description so the harness can checkpoint / crash / resume it.
-    [fresh] builds a brand-new world per call — crash/resume tests need
-    one world for the uninterrupted reference and a separate one to
-    crash. Names match the {!Gen} / {!App_cases} names for the same
-    parameters, so pinned fixture entries can be cross-referenced. *)
-module Replay_cases : sig
-  type t =
-    | Case : {
-        name : string;
-        static_id_capable : bool;
-        snapshot_capable : bool;
-            (** carries a snapshot-state hook: serialized cross-process
-                resume works, not just live in-process resume *)
-        fresh :
-          static_id:bool ->
-          unit ->
-          ('i, 's) Galois.Run.t * (unit -> Galois.Trace_digest.t);
-            (** a fresh world's description plus an output digest read
-                off that world (call after executing) *)
-      }
-        -> t
-
-  val name : t -> string
-  val static_id_capable : t -> bool
-  val snapshot_capable : t -> bool
-  val gen : seed:int -> t
-  val bfs : n:int -> seed:int -> t
-  val sssp : n:int -> seed:int -> t
-  val boruvka : n:int -> seed:int -> t
-  val dmr : points:int -> seed:int -> t
 end
 
 (** The service lattice: determinism at the service boundary. An

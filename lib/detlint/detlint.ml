@@ -9,7 +9,7 @@
      random         Random.* — seedless ambient PRNG state
      hashtbl-order  Hashtbl.iter/fold/to_seq* — bucket-order dependent
      wall-clock     Unix.gettimeofday/Unix.time/Sys.time outside the
-                    allowlist (Clock, bin/ and bench/ driver code)
+                    allowlist (Clock, bin/ driver code)
      domain-self    Domain.self — control flow keyed on worker identity
      poly-hash      Hashtbl.hash/seeded_hash/hash_param — polymorphic
                     structural hashing (mutable structures hash by
@@ -64,11 +64,9 @@ let dotted comps = String.concat "." comps
 
 (* Wall-clock allowlist: the monotonic-clock module itself (it wraps
    the only sanctioned absolute-time call sites) and driver code under
-   bin/ or bench/, which reports wall-clock times to humans. *)
+   bin/, which reports wall-clock times to humans. *)
 let wall_clock_exempt path =
-  let segments = String.split_on_char '/' path in
-  List.mem "bin" segments || List.mem "bench" segments
-  || Filename.basename path = "clock.ml"
+  List.mem "bin" (String.split_on_char '/' path) || Filename.basename path = "clock.ml"
 
 let rule_of_path ~path comps =
   let comps = match comps with "Stdlib" :: rest -> rest | c -> c in

@@ -26,7 +26,7 @@ val rules : (string * string) list
 val scan_source : path:string -> string -> finding list
 (** [scan_source ~path source] lints one compilation unit. [path] is
     used for reporting and for the wall-clock allowlist (paths with a
-    [bin] or [bench] segment, and [clock.ml], may read the wall clock).
+    [bin] segment, and [clock.ml], may read the wall clock).
     Findings are sorted by (file, line, col, rule). *)
 
 val scan_file : ?as_path:string -> string -> finding list

@@ -48,8 +48,6 @@ let test_wall_clock_allowlist () =
     (rules (scan ~path:"lib/core/foo.ml" "let t = Sys.time ()\n"));
   Alcotest.(check (list string)) "bin/ exempt" []
     (rules (scan ~path:"bin/foo_cli.ml" src));
-  Alcotest.(check (list string)) "bench/ exempt" []
-    (rules (scan ~path:"bench/main.ml" src));
   Alcotest.(check (list string)) "clock.ml exempt" []
     (rules (scan ~path:"lib/core/clock.ml" src));
   (* The exemption is per-segment, not substring. *)

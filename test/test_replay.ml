@@ -53,7 +53,7 @@ let audit_case ?resume_policy ~policy ~at (Detcheck.Replay_cases.Case c) =
   in
   let what = Printf.sprintf "%s at=%d" c.name at in
   check_reports what outcome.Replay.full outcome.Replay.resumed;
-  check_digest (what ^ ": output") (full_out ()) (crash_out ());
+  check_digest (what ^ ": output") (c.output_digest (full_out ())) (c.output_digest (crash_out ()));
   outcome.Replay.crash_round
 
 let test_gen_crash_resume_lattice () =
@@ -143,7 +143,7 @@ let test_bytes_resume_fresh_world () =
     |> Galois.Run.exec
   in
   check_reports "bytes resume" full resumed;
-  check_bool "dist restored and completed" true (full_dist = fresh_dist)
+  check_bool "dist restored and completed" true (full_dist () = fresh_dist ())
 
 let test_checkpoint_file_roundtrip () =
   (* checkpoint_to writes a loadable file whose decoded snapshot resumes

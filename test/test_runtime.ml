@@ -354,6 +354,56 @@ let test_sinks_receive_and_survive () =
   check_int "both sinks see every event" n !counting;
   Alcotest.(check bool) "user sinks not closed" false !closed
 
+(* --- Run.solve: an app's plan executed with the wrappers' flags. *)
+
+let bucket_plan n k =
+  let b = make_buckets k in
+  (Galois.Run.make ~operator:(bucket_operator b k) (Array.init n Fun.id), fun () -> b.cells)
+
+let test_solve_result_and_record () =
+  let cells, report = Galois.Run.solve ~policy:(Galois.Policy.det 2) (bucket_plan 40 5) in
+  check_int "reads the world after the run" 40
+    (Array.fold_left (fun a c -> a + List.length !c) 0 cells);
+  Alcotest.(check bool) "no schedule without record" true (report.schedule = None);
+  Alcotest.(check bool) "no audit without audit" true (report.audit = None);
+  List.iter
+    (fun policy ->
+      let _, report = Galois.Run.solve ~record:true ~policy (bucket_plan 40 5) in
+      Alcotest.(check bool)
+        (Fmt.str "schedule recorded under %a" Galois.Policy.pp policy)
+        true (report.schedule <> None))
+    [ Galois.Policy.serial; Galois.Policy.nondet 2; Galois.Policy.det 2 ]
+
+let test_solve_audit () =
+  let _, report = Galois.Run.solve ~audit:true ~policy:(Galois.Policy.det 2) (bucket_plan 40 5) in
+  (match report.audit with
+  | Some a -> Alcotest.(check bool) "clean audit" true (Galois.Audit.clean a)
+  | None -> Alcotest.fail "audit requested but absent");
+  Alcotest.check_raises "audit under serial"
+    (Invalid_argument "Galois.Run: audit requires a det policy") (fun () ->
+      ignore (Galois.Run.solve ~audit:true ~policy:Galois.Policy.serial (bucket_plan 4 2)))
+
+let test_solve_sink_brackets () =
+  let mem = Obs.Memory.create () in
+  let _, report =
+    Galois.Run.solve ~sink:(Obs.Memory.sink mem) ~policy:(Galois.Policy.det 2)
+      (bucket_plan 30 5)
+  in
+  let events = Obs.Memory.contents mem in
+  (match events with
+  | { Obs.event = Obs.Run_begin { tasks; _ }; _ } :: _ -> check_int "run_begin tasks" 30 tasks
+  | _ -> Alcotest.fail "first event must be Run_begin");
+  match List.rev events with
+  | { Obs.event = Obs.Run_end { commits; _ }; _ } :: _ ->
+      check_int "run_end commits" report.stats.commits commits
+  | _ -> Alcotest.fail "last event must be Run_end"
+
+let test_solve_undersized_pool () =
+  Galois.Pool.with_pool ~domains:1 (fun pool ->
+      Alcotest.check_raises "pool smaller than det:2"
+        (Invalid_argument "Galois.Run: pool smaller than policy thread count") (fun () ->
+          ignore (Galois.Run.solve ~pool ~policy:(Galois.Policy.det 2) (bucket_plan 4 2))))
+
 (* --- policy parsing round-trips. *)
 
 let test_policy_parsing () =
@@ -400,5 +450,12 @@ let suite =
       test_trace_stream_thread_invariant;
     Alcotest.test_case "sinks receive events and are not closed" `Quick
       test_sinks_receive_and_survive;
+    Alcotest.test_case "Run.solve reads the result; records on request" `Quick
+      test_solve_result_and_record;
+    Alcotest.test_case "Run.solve audits on request, det only" `Quick test_solve_audit;
+    Alcotest.test_case "Run.solve sink sees Run_begin..Run_end" `Quick
+      test_solve_sink_brackets;
+    Alcotest.test_case "Run.solve rejects an undersized pool" `Quick
+      test_solve_undersized_pool;
     Alcotest.test_case "policy parsing" `Quick test_policy_parsing;
   ]
