@@ -1,5 +1,11 @@
 (** Boruvka's minimum spanning forest as an unordered Galois program.
 
+    Each union-find root owns a mergeable min-heap of its component's
+    outgoing edges, keyed by (weight, edge id), whose top is external
+    after every union: a task's inspection reads that top in O(1) and
+    writes nothing; its commit melds the two heaps and pops the edges
+    the union made internal.
+
     Requires a symmetric graph with direction-symmetric weights
     ({!Graphlib.Graph_io.undirected_random_weights}); ties break by edge
     id, making the forest weight unique across all policies. *)

@@ -179,6 +179,68 @@ let test_boruvka_edge_count () =
   check_int "n - components edges" (Csr.nodes g - Uf.components uf)
     (List.length forest.Apps.Boruvka.parent_edge)
 
+(* Self-loops, parallel edges, an isolated vertex (5) and two
+   disconnected parts, {0,1,2,3} and {4,6}, with every weight tied: the
+   per-vertex heaps must leave the loops out and each union must drop
+   the edges it made internal. *)
+let test_boruvka_edge_cases () =
+  let undirected = [ (0, 0); (0, 1); (1, 0); (1, 2); (2, 3); (3, 0); (1, 3); (4, 6); (6, 6); (6, 4) ] in
+  let both = List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) undirected in
+  let g = Csr.of_edges ~n:7 (Array.of_list both) in
+  let w = Array.make (Csr.edges g) 5 in
+  let reference = Apps.Boruvka.serial g w in
+  check_int "kruskal picks n - components edges" 4 (List.length reference.Apps.Boruvka.parent_edge);
+  List.iter
+    (fun (name, policy) ->
+      let forest, _ = Apps.Boruvka.galois ~policy g w in
+      check_bool (name ^ " forest valid") true (Apps.Boruvka.validate g forest);
+      check_int (name ^ " total weight")
+        reference.Apps.Boruvka.total_weight forest.Apps.Boruvka.total_weight)
+    [
+      ("serial", Galois.Policy.serial);
+      ("nondet:2", Galois.Policy.nondet 2);
+      ("det:1", Galois.Policy.det 1);
+      ("det:2", Galois.Policy.det 2);
+    ]
+
+(* Small random symmetric graphs, down to one vertex and no edges: the
+   forest matches Kruskal and validates at det:1 and det:4, and the two
+   schedules are the same. *)
+let test_boruvka_random_graphs () =
+  Galois.Pool.with_pool ~domains:4 @@ fun pool ->
+  let solve t g w =
+    let forest, report = Apps.Boruvka.galois ~record:true ~pool ~policy:(Galois.Policy.det t) g w in
+    (forest, Galois.Schedule.digest (Option.get report.schedule))
+  in
+  let prop (n, k, seed) =
+    let g = Csr.symmetrize (Gen.kout ~seed ~n ~k:(min k (n - 1)) ()) in
+    let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) ~max_weight:8 g in
+    let reference = (Apps.Boruvka.serial g w).total_weight in
+    let ok (forest : Apps.Boruvka.forest) =
+      forest.total_weight = reference && Apps.Boruvka.validate g forest
+    in
+    let f1, d1 = solve 1 g w and f4, d4 = solve 4 g w in
+    ok f1 && ok f4 && Galois.Trace_digest.equal d1 d4
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"boruvka random graphs" ~count:100
+       QCheck.(triple (int_range 1 30) (int_range 0 4) small_nat)
+       prop)
+
+(* Inspection reads the root's heap top without allocating, so the
+   allocation per commit stays small even when every task contends on
+   one giant component (the costbench boruvka-hotspot input). *)
+let test_boruvka_allocation () =
+  let g = Csr.symmetrize (Gen.kout ~seed:2014 ~n:400 ~k:4 ()) in
+  let w = Graphlib.Graph_io.undirected_random_weights ~seed:2015 g in
+  Galois.Pool.with_pool ~domains:1 @@ fun pool ->
+  let g0 = Gc.quick_stat () in
+  let _, report = Apps.Boruvka.galois ~pool ~policy:(Galois.Policy.det 1) g w in
+  let g1 = Gc.quick_stat () in
+  let per_commit = (g1.minor_words -. g0.minor_words) /. float_of_int report.stats.commits in
+  if per_commit >= 2_000.0 then
+    Alcotest.failf "det:1 boruvka allocates %.0f minor words per commit (limit 2,000)" per_commit
+
 (* --- pagerank ----------------------------------------------------------- *)
 
 let test_pagerank_converges () =
@@ -253,6 +315,9 @@ let suite =
     Alcotest.test_case "boruvka: weight matches kruskal" `Quick
       test_boruvka_weight_matches_kruskal;
     Alcotest.test_case "boruvka: forest size" `Quick test_boruvka_edge_count;
+    Alcotest.test_case "boruvka: loops, parallel edges, ties" `Quick test_boruvka_edge_cases;
+    Alcotest.test_case "boruvka: random graphs, det:1 = det:4" `Quick test_boruvka_random_graphs;
+    Alcotest.test_case "boruvka: det:1 allocation per commit" `Quick test_boruvka_allocation;
     Alcotest.test_case "pagerank: converges to power iteration" `Quick test_pagerank_converges;
     Alcotest.test_case "pagerank: det bit-portable" `Quick test_pagerank_det_portable;
     Alcotest.test_case "pagerank: sink nodes" `Quick test_pagerank_sink_nodes;
