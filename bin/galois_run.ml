@@ -25,33 +25,11 @@ let replay_requested r =
   || Option.is_some r.replay_to || Option.is_some r.crash_at
   || Option.is_some r.schedule_out
 
-(* The executed rounds as stable text: one [round=...] line per round
-   with *absolute* round numbers (a resumed run's schedule starts
-   mid-run), then a digest trailer. Byte-comparing a resumed run's
-   prefix dump against the same rounds of an uninterrupted run is the
-   @replay-smoke check. *)
-let dump_schedule_prefix ~out (report : Galois.Run.report) =
-  let lines =
-    match report.schedule with
-    | Some (Galois.Schedule.Rounds rounds) ->
-        let first = report.stats.rounds - List.length rounds + 1 in
-        List.mapi
-          (fun i window ->
-            let committed =
-              Array.fold_left
-                (fun a (t : Galois.Schedule.task_record) -> if t.committed then a + 1 else a)
-                0 window
-            in
-            Printf.sprintf "round=%d window=%d committed=%d" (first + i)
-              (Array.length window) committed)
-          rounds
-    | Some (Galois.Schedule.Flat _) | None -> []
-  in
-  let lines =
-    lines
-    @ [ Printf.sprintf "digest=%s rounds=%d" (D.to_hex report.stats.digest)
-          report.stats.rounds ]
-  in
+(* The executed rounds in the Detcheck.Schedule_dump format, which
+   `detcheck replay` compares against an uninterrupted run's dump
+   (@replay-smoke). *)
+let dump_schedule_prefix ~out report =
+  let lines = Detcheck.Schedule_dump.lines report in
   match out with
   | None -> List.iter print_endline lines
   | Some path ->

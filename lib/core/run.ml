@@ -107,8 +107,6 @@ let snapshot_of_boundary t boundary =
     state = Option.map (fun (Hook h) -> Obj.repr (h.save ())) t.hook_;
   }
 
-let encode_snapshot t boundary = Snapshot.encode (snapshot_of_boundary t boundary)
-
 (* Validate a decoded snapshot against the run description it is being
    resumed into, restore the application state it carries, and hand the
    boundary to the scheduler. *)

@@ -138,11 +138,6 @@ val stop_after : int -> ('item, 'state) t -> ('item, 'state) t
 (** Stop at the first round boundary [>= r] (replay-to). A no-op if the
     run finishes earlier; the report covers the executed prefix. *)
 
-val encode_snapshot : ('item, 'state) t -> 'item Det_sched.boundary -> string
-(** Serialize a boundary exactly as a {!checkpoint_to} of this
-    description would (including the {!snapshot_state} capture) —
-    for tests and custom transports. *)
-
 val exec : ('item, 'state) t -> report
 (** Run all tasks (and the tasks they create) to completion. The event
     stream is bracketed by [Run_begin] and [Run_end]. *)

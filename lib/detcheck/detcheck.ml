@@ -881,3 +881,67 @@ module Service_case = struct
       pool_sizes;
     { case_name = name; runs = !runs; divergences = List.rev !divergences }
 end
+
+(* ------------------------------------------------------------------ *)
+(* Schedule dumps                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The executed rounds as stable text: one "round=N window=W
+   committed=C" line per recorded round, with absolute round numbers (a
+   resumed run's schedule starts mid-run), then a "digest=<hex>
+   rounds=R" trailer. A resumed run is correct iff its dump is the
+   suffix of the uninterrupted run's dump. *)
+module Schedule_dump = struct
+  let lines (report : Galois.Run.report) =
+    let rounds =
+      match report.schedule with
+      | Some (Galois.Schedule.Rounds rounds) -> rounds
+      | Some (Galois.Schedule.Flat _) | None -> []
+    in
+    let first = report.stats.rounds - List.length rounds + 1 in
+    List.mapi
+      (fun i window ->
+        let committed =
+          Array.fold_left
+            (fun a (t : Galois.Schedule.task_record) -> if t.committed then a + 1 else a)
+            0 window
+        in
+        Printf.sprintf "round=%d window=%d committed=%d" (first + i) (Array.length window)
+          committed)
+      rounds
+    @ [ Printf.sprintf "digest=%s rounds=%d" (D.to_hex report.stats.digest)
+          report.stats.rounds ]
+
+  (* "round=N ..." -> Some (N, line); anything else -> None *)
+  let round_of_line line =
+    match String.index_opt line ' ' with
+    | Some sp when String.starts_with ~prefix:"round=" line ->
+        int_of_string_opt (String.sub line 6 (sp - 6)) |> Option.map (fun r -> (r, line))
+    | _ -> None
+
+  let split lines =
+    ( List.filter_map round_of_line lines,
+      List.find_opt (String.starts_with ~prefix:"digest=") lines )
+
+  let check_suffix ~full ~resumed =
+    let full_rounds, full_trailer = split full in
+    let resumed_rounds, resumed_trailer = split resumed in
+    let round_problem (r, line) =
+      match List.assoc_opt r full_rounds with
+      | None -> Some (Printf.sprintf "round %d of the resumed dump is not in the full dump" r)
+      | Some l when l <> line ->
+          Some (Printf.sprintf "round %d differs:\n  full:    %s\n  resumed: %s" r l line)
+      | Some _ -> None
+    in
+    let problems =
+      (if resumed_rounds = [] then [ "the resumed dump has no round lines" ] else [])
+      @ List.filter_map round_problem resumed_rounds
+      @
+      match (full_trailer, resumed_trailer) with
+      | Some a, Some b when a = b -> []
+      | Some a, Some b ->
+          [ Printf.sprintf "digest trailers differ:\n  full:    %s\n  resumed: %s" a b ]
+      | _ -> [ "missing digest trailer" ]
+    in
+    if problems = [] then Ok (List.length resumed_rounds) else Error problems
+end

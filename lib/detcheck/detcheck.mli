@@ -273,3 +273,21 @@ module Service_case : sig
       byte-for-byte (with each job's deterministic event-stream digest
       appended) against the first. *)
 end
+
+(** The schedule-dump text format, written by [galois-run --schedule-out]
+    and compared by [detcheck replay]: one ["round=N window=W
+    committed=C"] line per recorded round, numbered absolutely (a
+    resumed run's dump starts mid-run), then a ["digest=<hex> rounds=R"]
+    trailer. *)
+module Schedule_dump : sig
+  val lines : Galois.Run.report -> string list
+  (** The dump of a run executed with {!Galois.Run.record}; a report
+      without a round schedule yields the trailer alone. *)
+
+  val check_suffix : full:string list -> resumed:string list -> (int, string list) result
+  (** Whether the [resumed] dump is the suffix of the [full] one: every
+      resumed round line equals the same-numbered full line and the
+      digest trailers are equal. [Ok n] counts the resumed rounds;
+      [Error] lists every problem found, including a resumed dump with
+      no round lines and a missing trailer. *)
+end

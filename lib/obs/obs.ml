@@ -543,6 +543,7 @@ module Jsonl = struct
         let rec go lineno acc =
           match input_line ic with
           | exception End_of_file -> Ok (List.rev acc)
+          | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
           | line -> (
               match of_line line with
               | Ok s -> go (lineno + 1) (s :: acc)

@@ -203,7 +203,8 @@ module Jsonl : sig
   val validate_line : string -> (unit, string) result
 
   val load : string -> (stamped list, string) result
-  (** Read a trace file; the error names the first offending line. *)
+  (** Read a trace file; the error names the file and the first
+      offending line, or the I/O failure (missing file, directory). *)
 
   val sink : out_channel -> sink
   (** Write lines to a channel the caller owns; [close] only flushes. *)

@@ -1,13 +1,10 @@
 (** Checkpoint/replay harnesses over the {!Galois.Run} replay
     primitives: lockstep dual-run digest cross-checking (the DMR-style
-    verifier behind [detcheck --dmr-style]) and crash-injection
+    verifier behind [detcheck lockstep]) and crash-injection
     (run, kill at a round, resume, compare with the uninterrupted
     run). The primitives themselves — [Run.checkpoint_every],
     [Run.resume_from], [Run.stop_after] and the snapshot codec — live
     in lib/core; this layer only composes them. *)
-
-module Snapshot = Galois.Snapshot
-(** Re-exported for callers that depend on [replay] alone. *)
 
 (** Run a job twice (any two thread counts / pools) and cross-check the
     deterministic digest prefix at every shared round boundary —

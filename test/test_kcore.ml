@@ -75,14 +75,11 @@ let test_galois_matches_serial () =
 
 let test_ordered_digests_thread_invariant () =
   let g = Csr.symmetrize (Graphlib.Generators.kout ~seed:13 ~n:800 ~k:4 ()) in
-  let digest t =
+  let digest ?(priority = Galois.Policy.Prio_auto) t =
     let _, report =
       K.galois
         ~policy:
-          (Galois.Policy.det
-             ~options:
-               (Galois.Policy.Det_options.make ~priority:Galois.Policy.Prio_auto ())
-             t)
+          (Galois.Policy.det ~options:(Galois.Policy.Det_options.make ~priority ()) t)
         g
     in
     (report.Galois.Run.stats.digest, report.Galois.Run.stats.buckets)
@@ -90,6 +87,8 @@ let test_ordered_digests_thread_invariant () =
   let d1, b1 = digest 1 and d2, b2 = digest 2 and d4, b4 = digest 4 in
   check_bool "digest 1=2" true (Galois.Trace_digest.equal d1 d2);
   check_bool "digest 1=4" true (Galois.Trace_digest.equal d1 d4);
+  let delta, _ = digest ~priority:(Galois.Policy.Prio_delta 2) 4 in
+  check_bool "kcore delta changes the schedule" false (Galois.Trace_digest.equal d4 delta);
   check_bool "buckets opened" true (b1 > 0);
   check_int "bucket count invariant" b1 b2;
   check_int "bucket count invariant (4)" b1 b4

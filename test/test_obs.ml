@@ -153,9 +153,13 @@ let test_file_sink_roundtrip () =
       | Error e -> Alcotest.fail e
       | Ok events ->
           check_int "all lines back" (List.length exemplars) (List.length events));
-  match Obs.Jsonl.load "/nonexistent/obs_test.jsonl" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "loaded a nonexistent file"
+  List.iter
+    (fun bad ->
+      match Obs.Jsonl.load bad with
+      | Error e ->
+          check_bool ("error names " ^ bad) true (String.starts_with ~prefix:bad e)
+      | Ok _ -> Alcotest.fail ("loaded " ^ bad))
+    [ "/nonexistent/obs_test.jsonl"; Filename.get_temp_dir_name () ]
 
 let suite =
   [
