@@ -249,9 +249,11 @@ let run_replay full_path resumed_path =
 (* ordered: sssp on a weighted R-MAT graph under the soft-priority
    (delta-stepping bucket) scheduler. prio=auto must produce exactly the
    prio=off distances (both equal to Dijkstra), each policy's schedule
-   digest must be thread-count invariant, and the ordered run must cut
-   work_units by at least [ordered_min_drop] percent versus the
-   unordered one — the delta-stepping payoff. *)
+   digest must be thread-count invariant, a prio=auto run crashed at its
+   midpoint at det:2 and resumed at det:4 must match the uninterrupted
+   run, and the ordered run must cut work_units by at least
+   [ordered_min_drop] percent versus the unordered one — the
+   delta-stepping payoff. *)
 let ordered_scale = 13
 let ordered_min_drop = 25.0
 
@@ -280,6 +282,30 @@ let run_ordered () =
   let dist_auto, auto4 = run_sssp (det ~priority:Galois.Policy.Prio_auto 4) in
   let _, auto1 = run_sssp (det ~priority:Galois.Policy.Prio_auto 1) in
   let _, auto2 = run_sssp (det ~priority:Galois.Policy.Prio_auto 2) in
+  (* Crash a det:2 run at its midpoint, taking the one boundary there,
+     and resume it at det:4 — the boundary carries a bucket width. *)
+  let at = max 1 (auto2.rounds / 2) in
+  let crashed =
+    fst (Apps.Sssp.plan_weighted g ~source:0)
+    |> Galois.Run.policy (det ~priority:Galois.Policy.Prio_auto 2)
+  in
+  let boundary = ref None in
+  ignore
+    (crashed
+    |> Galois.Run.checkpoint_every at
+    |> Galois.Run.on_checkpoint (fun snap -> boundary := Some snap.Galois.Snapshot.boundary)
+    |> Galois.Run.stop_after at
+    |> Galois.Run.exec);
+  let resumed =
+    Option.map
+      (fun b ->
+        (crashed
+        |> Galois.Run.policy (det ~priority:Galois.Policy.Prio_auto 4)
+        |> Galois.Run.resume b
+        |> Galois.Run.exec)
+          .stats)
+      !boundary
+  in
   Verdict.check v (dist_off = reference) "prio=off distances match Dijkstra";
   Verdict.check v (dist_auto = reference) "prio=auto distances match Dijkstra";
   Verdict.check v (D.equal off4.digest off1.digest) "prio=off digest thread-invariant";
@@ -287,6 +313,13 @@ let run_ordered () =
     (D.equal auto4.digest auto1.digest && D.equal auto4.digest auto2.digest)
     "prio=auto digest thread-invariant (1,2,4)";
   Verdict.check v (auto4.buckets > 0 && off4.buckets = 0) "prio=auto actually bucketizes";
+  Verdict.check v
+    (match resumed with
+    | Some r ->
+        D.equal r.digest auto2.digest && r.rounds = auto2.rounds && r.buckets = auto2.buckets
+    | None -> false)
+    (Printf.sprintf
+       "prio=auto crash at round %d (det:2), resume at det:4: digest, rounds, buckets equal" at);
   Verdict.check v
     (not (D.equal off4.digest auto4.digest))
     "prio=off and prio=auto schedules differ";

@@ -23,6 +23,7 @@ val adapt_window : target_ratio:float -> window:int -> committed:int -> w_use:in
 type 'item boundary = {
   b_rounds : int;  (** rounds completed when the boundary was taken *)
   b_generations : int;
+  b_buckets : int;  (** soft-priority bucket runs opened so far *)
   b_next_id : int;
   b_gen_base : int;
   b_window : int;  (** the {e next} round's window (already adapted) *)
@@ -48,11 +49,11 @@ type 'item boundary = {
     digest for digest. The pending deque is captured in deque order (the
     spread permutation means that is {e not} id order), and the current
     generation's undrained child buffer rides along — a mid-generation
-    boundary owns children pushed by earlier rounds. The six counter
-    fields are the deterministic subset of the worker counters,
-    cumulative since the original round 1; timing-dependent counters
-    (atomics, chunks, spins, parks) and wall-clock restart from zero on
-    resume. *)
+    boundary owns children pushed by earlier rounds. Seven counters are
+    cumulative since the original round 1: [b_buckets] and the six
+    [b_commits] .. [b_inspected] fields, the deterministic subset of the
+    worker counters. Timing-dependent counters (atomics, chunks, spins,
+    parks) and wall-clock restart from zero on resume. *)
 
 val run :
   ?record:bool ->

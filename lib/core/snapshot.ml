@@ -9,13 +9,14 @@
    Wire format, all integers little-endian:
 
      "GSNAP"  5-byte magic
-     u16      format version (currently 2; v2 added the b_delta field)
+     u16      format version (currently 3; v2 added the b_delta field,
+              v3 the b_buckets field)
      u64      FNV-1a checksum of everything after this field
      body:
        str      app tag            (u64 length + bytes)
        str      options            (Det_options.to_string rendering)
        u8       static_id
-       i64 x6   rounds generations next_id gen_base window delta
+       i64 x7   rounds generations buckets next_id gen_base window delta
        u64      digest prefix
        i64 x6   commits aborts acquired work created inspected
        i64      n_pending, then n_pending pending ids (deque order)
@@ -60,7 +61,7 @@ let error_to_string = function
   | Io what -> Printf.sprintf "snapshot i/o error: %s" what
 
 let magic = "GSNAP"
-let version = 2
+let version = 3
 
 (* --- encoding ---------------------------------------------------------- *)
 
@@ -78,6 +79,7 @@ let encode t =
   Buffer.add_uint8 body (if t.static_id then 1 else 0);
   add_int body b.Det_sched.b_rounds;
   add_int body b.b_generations;
+  add_int body b.b_buckets;
   add_int body b.b_next_id;
   add_int body b.b_gen_base;
   add_int body b.b_window;
@@ -173,6 +175,7 @@ let decode s =
           in
           let b_rounds = int () in
           let b_generations = int () in
+          let b_buckets = int () in
           let b_next_id = int () in
           let b_gen_base = int () in
           let b_window = int () in
@@ -212,6 +215,7 @@ let decode s =
                 {
                   Det_sched.b_rounds;
                   b_generations;
+                  b_buckets;
                   b_next_id;
                   b_gen_base;
                   b_window;

@@ -242,51 +242,62 @@ let test_pool_reuse () =
         (fun e g -> Alcotest.(check string) "reused pool hits the pinned table" e g)
         expected first)
 
-(* Checkpoint/resume against the same table: crash each fixture case at
-   its midpoint round, resume live, and require the *pinned* digest —
+(* Checkpoint/resume against the same tables: crash each fixture case
+   at its midpoint round, resume live, and require the *pinned* digest —
    resume equivalence anchored to a cross-version constant, not merely
-   to this build's own uninterrupted run. *)
-let pinned_default name =
+   to this build's own uninterrupted run. The prio=auto and prio=delta:8
+   rows resume boundaries that carry a bucket width ([b_delta > 0]). *)
+let pinned table name label =
   List.find_map
     (fun line ->
       match String.split_on_char '|' line with
-      | [ n; "default"; sched; _ ] when n = name -> D.of_hex sched
+      | [ n; l; sched; _ ] when n = name && l = label -> D.of_hex sched
       | _ -> None)
-    expected
+    table
+
+let resume_rows =
+  { Detcheck.label = "default"; options = Galois.Policy.default_det; static_id = false }
+  :: List.filter
+       (fun (cfg : Detcheck.config) -> cfg.label = "prio=auto" || cfg.label = "prio=delta:8")
+       (prio_configs ~static_id_capable:false)
 
 let test_resume_reproduces_pinned () =
   List.iter
     (fun (Detcheck.Replay_cases.Case c) ->
-      let pinned =
-        match pinned_default c.name with
-        | Some d -> d
-        | None -> Alcotest.failf "no pinned default entry for %s" c.name
-      in
-      let full_run, _ = c.fresh ~static_id:false () in
-      let full =
-        full_run |> Galois.Run.policy (Galois.Policy.det 2) |> Galois.Run.exec
-      in
-      if not (D.equal pinned full.Galois.Run.stats.digest) then
-        Alcotest.failf "%s: uninterrupted run missed the pinned digest" c.name;
-      let at = max 1 (full.Galois.Run.stats.rounds / 2) in
-      let crash_run, _ = c.fresh ~static_id:false () in
-      let crash_run = crash_run |> Galois.Run.policy (Galois.Policy.det 2) in
-      let last = ref None in
-      let _ =
-        crash_run
-        |> Galois.Run.checkpoint_every 1
-        |> Galois.Run.on_checkpoint (fun snap ->
-               last := Some snap.Galois.Snapshot.boundary)
-        |> Galois.Run.stop_after at
-        |> Galois.Run.exec
-      in
-      match !last with
-      | None -> Alcotest.failf "%s: no boundary captured by round %d" c.name at
-      | Some b ->
-          let resumed = crash_run |> Galois.Run.resume b |> Galois.Run.exec in
-          if not (D.equal pinned resumed.Galois.Run.stats.digest) then
-            Alcotest.failf "%s: resume from round %d missed the pinned digest"
-              c.name b.Galois.Det_sched.b_rounds)
+      List.iter
+        (fun (cfg : Detcheck.config) ->
+          let what = Printf.sprintf "%s|%s" c.name cfg.label in
+          let table = if cfg.label = "default" then expected else expected_prio in
+          let pinned =
+            match pinned table c.name cfg.label with
+            | Some d -> d
+            | None -> Alcotest.failf "no pinned entry for %s" what
+          in
+          let policy = Galois.Policy.det ~options:cfg.options 2 in
+          let full_run, _ = c.fresh ~static_id:false () in
+          let full = full_run |> Galois.Run.policy policy |> Galois.Run.exec in
+          if not (D.equal pinned full.Galois.Run.stats.digest) then
+            Alcotest.failf "%s: uninterrupted run missed the pinned digest" what;
+          let at = max 1 (full.Galois.Run.stats.rounds / 2) in
+          let crash_run, _ = c.fresh ~static_id:false () in
+          let crash_run = crash_run |> Galois.Run.policy policy in
+          let last = ref None in
+          let _ =
+            crash_run
+            |> Galois.Run.checkpoint_every 1
+            |> Galois.Run.on_checkpoint (fun snap ->
+                   last := Some snap.Galois.Snapshot.boundary)
+            |> Galois.Run.stop_after at
+            |> Galois.Run.exec
+          in
+          match !last with
+          | None -> Alcotest.failf "%s: no boundary captured by round %d" what at
+          | Some b ->
+              let resumed = crash_run |> Galois.Run.resume b |> Galois.Run.exec in
+              if not (D.equal pinned resumed.Galois.Run.stats.digest) then
+                Alcotest.failf "%s: resume from round %d missed the pinned digest" what
+                  b.Galois.Det_sched.b_rounds)
+        resume_rows)
     [
       Detcheck.Replay_cases.gen ~seed:1;
       Detcheck.Replay_cases.gen ~seed:2;

@@ -29,8 +29,11 @@ let check_reports what (full : Galois.Run.report) (resumed : Galois.Run.report) 
   check_digest (what ^ ": sched digest") full.stats.digest resumed.stats.digest;
   check_int (what ^ ": rounds") full.stats.rounds resumed.stats.rounds;
   check_int (what ^ ": generations") full.stats.generations resumed.stats.generations;
+  check_int (what ^ ": buckets") full.stats.buckets resumed.stats.buckets;
   check_int (what ^ ": commits") full.stats.commits resumed.stats.commits;
   check_int (what ^ ": aborts") full.stats.aborts resumed.stats.aborts;
+  check_int (what ^ ": acquired") full.stats.acquired resumed.stats.acquired;
+  check_int (what ^ ": inspected") full.stats.inspected resumed.stats.inspected;
   check_int (what ^ ": created") full.stats.created resumed.stats.created;
   check_int (what ^ ": work") full.stats.work_units resumed.stats.work_units
 
@@ -66,6 +69,8 @@ let test_gen_crash_resume_lattice () =
       Galois.Policy.Det_options.default;
       Galois.Policy.Det_options.make ~window:(Some 8) ();
       Galois.Policy.Det_options.make ~spread:1 ~continuation:false ();
+      Galois.Policy.Det_options.make ~priority:Galois.Policy.Prio_auto ();
+      Galois.Policy.Det_options.make ~priority:(Galois.Policy.Prio_delta 8) ();
     ]
   in
   List.iter
@@ -189,6 +194,7 @@ let sample_snapshot () =
     {
       Galois.Det_sched.b_rounds = 7;
       b_generations = 2;
+      b_buckets = 3;
       b_next_id = 40;
       b_gen_base = 30;
       b_window = 16;
@@ -227,6 +233,7 @@ let test_codec_roundtrip () =
       let b = snap.Snapshot.boundary and g = got.Snapshot.boundary in
       check_int "rounds" b.Galois.Det_sched.b_rounds g.Galois.Det_sched.b_rounds;
       check_int "generations" b.b_generations g.b_generations;
+      check_int "buckets" b.b_buckets g.b_buckets;
       check_int "next_id" b.b_next_id g.b_next_id;
       check_int "gen_base" b.b_gen_base g.b_gen_base;
       check_int "window" b.b_window g.b_window;
@@ -277,12 +284,18 @@ let test_codec_corruption () =
   (match decode_error (Bytes.to_string bad_magic) with
   | Snapshot.Bad_magic -> ()
   | e -> Alcotest.failf "magic: expected Bad_magic, got %s" (Snapshot.error_to_string e));
-  (* Future version: reported before the checksum is even consulted. *)
-  let future = Bytes.of_string bytes in
-  Bytes.set future 5 (Char.chr 99);
-  match decode_error (Bytes.to_string future) with
-  | Snapshot.Bad_version 99 -> ()
-  | e -> Alcotest.failf "version: expected Bad_version 99, got %s" (Snapshot.error_to_string e)
+  (* Future and superseded versions (v2 lacks b_buckets): reported
+     before the checksum is even consulted. *)
+  List.iter
+    (fun v ->
+      let other = Bytes.of_string bytes in
+      Bytes.set other 5 (Char.chr v);
+      match decode_error (Bytes.to_string other) with
+      | Snapshot.Bad_version got when got = v -> ()
+      | e ->
+          Alcotest.failf "version: expected Bad_version %d, got %s" v
+            (Snapshot.error_to_string e))
+    [ 99; 2 ]
 
 let test_save_load_atomic () =
   let path = Filename.temp_file "galois_snap" ".snap" in
