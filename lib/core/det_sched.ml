@@ -23,8 +23,11 @@
    of a deterministically ordered sequence; the marks after inspect are a
    max-fold over a deterministic set; the selected set is therefore
    unique; committed tasks have pairwise-disjoint neighborhoods, so their
-   write phases commute; and children ids come from a lexicographic
-   (parent id, birth index) sort, independent of which worker ran what.
+   write phases commute; and a child's id is its rank in (parent id,
+   birth index) order, independent of which worker ran what. That rank
+   is a counting sort, not a comparison sort: parents are the previous
+   generation's dense ids and each pushes births 0..k-1, so the rank is
+   the number of children of lower-id parents plus the birth index.
    The window size for the next round depends only on the (deterministic)
    commit count — the paper's parameterless adaptive windowing.
 
@@ -86,21 +89,23 @@ let make_task id item =
 (* §3.3 locality spread: deal a sequence into [spread] strided piles so
    that tasks adjacent in iteration order (likely to share neighborhoods)
    land in different rounds. A fixed constant permutation — deterministic
-   and machine-independent. *)
+   and machine-independent. [spread_index spread n i] is its closed form,
+   the slot of position [i] of [n]: pile [i mod spread], entry
+   [i / spread], behind [pile] earlier piles of which the first
+   [n mod spread] hold one extra entry. For [n <= spread] it is the
+   identity. *)
+let spread_index spread n i =
+  if spread <= 1 then i
+  else
+    let pile = i mod spread in
+    (pile * (n / spread)) + Int.min pile (n mod spread) + (i / spread)
+
 let spread_permute spread arr =
   let n = Array.length arr in
   if spread <= 1 || n <= spread then arr
   else begin
     let out = Array.make n arr.(0) in
-    let idx = ref 0 in
-    for pile = 0 to spread - 1 do
-      let i = ref pile in
-      while !i < n do
-        out.(!idx) <- arr.(!i);
-        incr idx;
-        i := !i + spread
-      done
-    done;
+    Array.iteri (fun i x -> out.(spread_index spread n i) <- x) arr;
     out
   end
 
@@ -113,50 +118,63 @@ let adapt_window ~target_ratio ~window ~committed ~w_use =
   if ratio >= target_ratio then min (window * 2) (1 lsl 22)
   else max 32 (int_of_float (float_of_int window *. ratio /. target_ratio) + 1)
 
-(* Deterministic id assignment (§3.2). Children are sorted by
-   (parent id, birth index) — unique per child, so the order is total
-   and independent of which worker buffered what. Ids are the sorted
-   ranks offset by a counter that grows monotonically across
-   generations. With [static_id], ids come from the application's fixed
-   task universe instead (§3.3, third optimization) and duplicates
-   collapse to a single task. Either way the assigned ids are dense in
-   [base, base + count) — the defeat table below indexes on exactly
-   that. [todo] is never empty: a generation is only formed from
-   pending children.
-
-   Returns tasks in id order; the caller applies the spread permutation
-   (unordered generations) or the bucket layout (soft-priority
-   generations) on top. *)
-let form_generation ~static_id ~base (todo : 'item Child_buffer.t) =
+(* Deterministic id assignment (§3.2): the todo index of every new
+   task, in id order. A child's rank in (parent id, birth index) order
+   is a counting sort over the parent range — the previous generation's
+   ids, or 0 for the initial items — plus its birth index, which equals
+   the lexicographic sort because each parent commits once and pushes
+   births 0..k-1. Each birth must stay below its parent's child count
+   and take a fresh rank, which together force exactly 0..k-1; anything
+   else raises. With [static_id], ids come from the application's fixed
+   task universe instead (§3.3, third optimization): its keys are sorted
+   and duplicates collapse to a single task. Either way the ids [base +
+   rank] are dense in [base, base + count) — the defeat table indexes on
+   exactly that. [todo] is never empty: a generation is only formed from
+   pending children. *)
+let id_order ~static_id todo =
   let n = Child_buffer.length todo in
   match static_id with
   | Some key_of ->
-      let arr =
-        Array.init n (fun i ->
-            let item = Child_buffer.item todo i in
-            (key_of item, item))
-      in
-      Array.sort (fun (a, _) (b, _) -> compare a b) arr;
+      let keys = Array.init n (fun i : int -> key_of (Child_buffer.item todo i)) in
+      let order = Array.init n Fun.id in
+      Array.sort (fun i j -> Int.compare keys.(i) keys.(j)) order;
       (* Collapse duplicates in place: the kept prefix [0, count) never
          overtakes the read position. *)
       let count = ref 0 in
       Array.iter
-        (fun ((key, _) as entry) ->
-          if !count = 0 || fst arr.(!count - 1) <> key then begin
-            arr.(!count) <- entry;
+        (fun i ->
+          if !count = 0 || not (Int.equal keys.(order.(!count - 1)) keys.(i)) then begin
+            order.(!count) <- i;
             incr count
           end)
-        arr;
-      Array.init !count (fun i -> make_task (base + i) (snd arr.(i)))
+        order;
+      Array.sub order 0 !count
   | None ->
-      let idx = Array.init n Fun.id in
-      Array.sort
-        (fun i j ->
-          let p1 = Child_buffer.parent todo i and p2 = Child_buffer.parent todo j in
-          if p1 <> p2 then compare (p1 : int) p2
-          else compare (Child_buffer.birth todo i : int) (Child_buffer.birth todo j))
-        idx;
-      Array.mapi (fun r i -> make_task (base + r) (Child_buffer.item todo i)) idx
+      let lo = ref max_int and hi = ref min_int in
+      for i = 0 to n - 1 do
+        let p = Child_buffer.parent todo i in
+        lo := Int.min !lo p;
+        hi := Int.max !hi p
+      done;
+      let lo = !lo in
+      (* Parent [p]'s children take ranks [start.(p - lo), start.(p - lo + 1)). *)
+      let start = Array.make (!hi - lo + 2) 0 in
+      for i = 0 to n - 1 do
+        let s = Child_buffer.parent todo i - lo + 1 in
+        start.(s) <- start.(s) + 1
+      done;
+      for s = 1 to Array.length start - 1 do
+        start.(s) <- start.(s) + start.(s - 1)
+      done;
+      let order = Array.make n (-1) in
+      for i = 0 to n - 1 do
+        let s = Child_buffer.parent todo i - lo and birth = Child_buffer.birth todo i in
+        let r = start.(s) + birth in
+        if birth < 0 || r >= start.(s + 1) || order.(r) >= 0 then
+          invalid_arg "Det_sched.run: a parent's child births must be 0..k-1";
+        order.(r) <- i
+      done;
+      order
 
 (* Delta-stepping bucket index with floor semantics, so negative
    priorities order correctly below zero instead of folding onto
@@ -166,52 +184,103 @@ let bucket_of ~delta p = if p >= 0 then p / delta else -(((-p) + delta - 1) / de
 (* Per-generation automatic delta: spread the priority span over ~64
    buckets. A pure function of the generation's priorities, so [auto]
    is as deterministic as an explicit delta. *)
-let auto_delta prios =
-  let pmin = Array.fold_left Int.min prios.(0) prios
-  and pmax = Array.fold_left Int.max prios.(0) prios in
-  max 1 (((pmax - pmin) / 64) + 1)
+let auto_delta ~pmin ~pmax = max 1 (((pmax - pmin) / 64) + 1)
 
 (* The [(bucket, size)] run table of a run-contiguous sequence: group
    the consecutive equal values of [bucket 0 .. bucket (n - 1)], n > 0. *)
-let group_runs n bucket =
+let group_runs n (bucket : int -> int) =
   let runs = ref [] and start = ref 0 in
   for i = 1 to n do
-    if i = n || bucket i <> bucket !start then begin
+    if i = n || not (Int.equal (bucket i) (bucket !start)) then begin
       runs := (bucket !start, i - !start) :: !runs;
       start := i
     end
   done;
   Array.of_list (List.rev !runs)
 
-(* Lay an id-ordered generation out as contiguous delta-stepping bucket
-   runs: stable-sort by bucket (ties by position, i.e. id), group equal
-   buckets, and spread-permute each run on its own — windows never
-   straddle a bucket, so the permutation must not either. Returns the
-   reordered tasks, the [(bucket, size)] run table and the delta used. *)
-let bucketize ~mode ~spread ~priority generation =
-  let n = Array.length generation in
-  let prios = Array.map (fun t -> priority t.item) generation in
-  let delta =
-    match mode with
-    | Policy.Prio_delta d -> d
-    | Policy.Prio_auto -> auto_delta prios
-    | Policy.Prio_off -> invalid_arg "Det_sched.bucketize: prio=off"
+(* Positions [0, n) stably ordered by [key], each key an unsigned offset
+   of at most [span]: an LSD radix sort of counting-sort passes whose
+   digit covers max(n, 128) values (capped at 2^20). One pass — a plain
+   counting sort — covers every span that fits a digit, so under
+   [prio=auto] (at most 65 buckets) it is always one pass; only a wide
+   explicit delta's span needs more, and never a span-sized array. *)
+let counting_order key span =
+  let n = Array.length key in
+  let rec width b = if 1 lsl b >= n || b >= 20 then b else width (b + 1) in
+  let bits = width 7 in
+  let mask = (1 lsl bits) - 1 in
+  let size = if span land lnot mask = 0 then span + 1 else mask + 1 in
+  let count = Array.make (size + 1) 0 in
+  let rec pass src shift =
+    Array.fill count 0 (size + 1) 0;
+    Array.iter
+      (fun i ->
+        let d = ((key.(i) lsr shift) land mask) + 1 in
+        count.(d) <- count.(d) + 1)
+      src;
+    for d = 1 to size do
+      count.(d) <- count.(d) + count.(d - 1)
+    done;
+    let dst = Array.make n 0 in
+    Array.iter
+      (fun i ->
+        let d = (key.(i) lsr shift) land mask in
+        dst.(count.(d)) <- i;
+        count.(d) <- count.(d) + 1)
+      src;
+    let shift = shift + bits in
+    if shift < Sys.int_size && span lsr shift <> 0 then pass dst shift else dst
   in
-  let idx = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      let bi = bucket_of ~delta prios.(i) and bj = bucket_of ~delta prios.(j) in
-      if bi <> bj then compare bi bj else compare i j)
-    idx;
-  let out = Array.map (fun i -> generation.(i)) idx in
-  let runs = group_runs n (fun i -> bucket_of ~delta prios.(idx.(i))) in
-  let start = ref 0 in
-  Array.iter
-    (fun (_, len) ->
-      Array.blit (spread_permute spread (Array.sub out !start len)) 0 out !start len;
-      start := !start + len)
-    runs;
-  (out, runs, delta)
+  pass (Array.init n Fun.id) 0
+
+(* Generation formation: order the todo children by id, then write each
+   new task — [make id item] — once, straight into its pending-deque
+   slot. Unordered ([prio=off]) that slot is the spread permutation of
+   its rank. Under soft priority the generation is laid out as
+   contiguous delta-stepping bucket runs: a stable counting sort by
+   bucket keeps id order within a bucket, and each run is spread on its
+   own — windows never straddle a bucket, so the permutation must not
+   either. Returns the slots, the [(bucket, size)] run table (empty when
+   unordered) and the delta used (0 when unordered). *)
+let form_generation ~make ~static_id ~spread ~priority ~prio_of ~base todo =
+  let order = id_order ~static_id todo in
+  let m = Array.length order in
+  let item r = Child_buffer.item todo order.(r) in
+  let first = make base (item 0) in
+  let slots = Array.make m first in
+  let place slot r = slots.(slot) <- (if r = 0 then first else make (base + r) (item r)) in
+  match priority with
+  | Policy.Prio_off ->
+      for r = 0 to m - 1 do
+        place (spread_index spread m r) r
+      done;
+      (slots, [||], 0)
+  | Policy.Prio_delta _ | Policy.Prio_auto ->
+      let prios = Array.init m (fun r -> prio_of (item r)) in
+      let pmin = Array.fold_left Int.min prios.(0) prios
+      and pmax = Array.fold_left Int.max prios.(0) prios in
+      let delta =
+        match priority with Policy.Prio_delta d -> d | _ -> auto_delta ~pmin ~pmax
+      in
+      (* Bucket keys as offsets from the lowest bucket ([bucket_of] is
+         monotone); the wrapped difference is exact read unsigned. *)
+      let bmin = bucket_of ~delta pmin in
+      let key = Array.map (fun p -> bucket_of ~delta p - bmin) prios in
+      let by_bucket = counting_order key (bucket_of ~delta pmax - bmin) in
+      let runs = group_runs m (fun j -> key.(by_bucket.(j)) + bmin) in
+      let start = ref 0 in
+      Array.iter
+        (fun (_, len) ->
+          for k = 0 to len - 1 do
+            place (!start + spread_index spread len k) by_bucket.(!start + k)
+          done;
+          start := !start + len)
+        runs;
+      (slots, runs, delta)
+
+let generation_layout ~static_id ~spread ~priority ~prio_of ~base todo =
+  form_generation ~make:(fun id item -> (id, item)) ~static_id ~spread ~priority ~prio_of ~base
+    todo
 
 (* Guided chunk size for dynamic parallel iteration: aim for several
    grabs per worker (cheap load balancing against uneven task costs)
@@ -346,11 +415,29 @@ let ensure_slots st need generation =
     st.slot_round <- Array.make need 0
   end
 
+(* Everything is validated before anything is loaded. The todo checks
+   keep a malformed boundary from reaching formation, where an
+   out-of-generation parent would size the counting sort. *)
 let of_boundary env st b =
   if b.b_gen_base > b.b_next_id || b.b_rounds < 0 || b.b_window < 0 then
     invalid_arg "Det_sched.run: inconsistent resume boundary";
   if Array.length b.b_pending_ids <> Array.length b.b_pending_items then
     invalid_arg "Det_sched.run: resume boundary id/item arrays disagree";
+  let in_generation id = id >= b.b_gen_base && id < b.b_next_id in
+  if not (Array.for_all in_generation b.b_pending_ids) then
+    invalid_arg "Det_sched.run: resume boundary pending id out of generation";
+  let nt = Array.length b.b_todo_items in
+  if Array.length b.b_todo_parents <> nt || Array.length b.b_todo_births <> nt then
+    invalid_arg "Det_sched.run: resume boundary todo columns disagree";
+  if not (Array.for_all in_generation b.b_todo_parents) then
+    invalid_arg "Det_sched.run: resume boundary todo parent out of generation";
+  let todo = Child_buffer.create () in
+  Array.iteri
+    (fun i item ->
+      Child_buffer.push todo ~parent:b.b_todo_parents.(i) ~birth:b.b_todo_births.(i) item)
+    b.b_todo_items;
+  (* Raises unless each parent's births are exactly 0..k-1. *)
+  if nt > 0 then ignore (id_order ~static_id:None todo);
   st.rounds <- b.b_rounds;
   st.generations <- b.b_generations;
   st.buckets <- b.b_buckets;
@@ -365,17 +452,9 @@ let of_boundary env st b =
   c.work <- b.b_work;
   c.pushes <- b.b_created;
   c.inspections <- b.b_inspected;
-  Array.iteri
-    (fun i item ->
-      Child_buffer.push st.todo ~parent:b.b_todo_parents.(i) ~birth:b.b_todo_births.(i) item)
-    b.b_todo_items;
+  Child_buffer.transfer ~into:st.todo todo;
   let n = Array.length b.b_pending_items in
   if n > 0 then begin
-    Array.iter
-      (fun id ->
-        if id < b.b_gen_base || id >= b.b_next_id then
-          invalid_arg "Det_sched.run: resume boundary pending id out of generation")
-      b.b_pending_ids;
     (* Rebuild the current generation's pending suffix in captured
        deque order (spread-permuted, not id order). *)
     let generation =
@@ -438,26 +517,24 @@ let open_run env st =
       if env.tracing then
         env.emit (Obs.Bucket_opened { generation = st.generations; bucket; size })
 
-(* Generation formation: sort the pending children into a new
-   generation, lay it out (spread permutation, or bucket runs under
-   soft priority) and fold it into the digest. *)
+(* Generation formation: rank the pending children into a new
+   generation laid out in pending-deque order (spread permutation, or
+   bucket runs under soft priority) and fold it into the digest. *)
 let form env st =
   st.generations <- st.generations + 1;
-  let generation = form_generation ~static_id:env.static_id ~base:st.next_id st.todo in
+  let { Policy.spread; initial_window; priority; _ } = env.options in
+  let generation, runs, delta =
+    form_generation ~make:make_task ~static_id:env.static_id ~spread ~priority
+      ~prio_of:env.prio_of ~base:st.next_id st.todo
+  in
   Child_buffer.clear st.todo;
   let gen_len = Array.length generation in
   st.gen_base <- st.next_id;
   st.next_id <- st.next_id + gen_len;
   ensure_slots st gen_len generation;
-  let { Policy.spread; initial_window; priority; _ } = env.options in
-  (match priority with
-  | Policy.Prio_off ->
-      st.delta <- 0;
-      Pending.load st.pending (spread_permute spread generation)
-  | mode ->
-      let laid_out, runs, delta = bucketize ~mode ~spread ~priority:env.prio_of generation in
-      st.delta <- delta;
-      Pending.load_runs st.pending laid_out runs);
+  st.delta <- delta;
+  if delta = 0 then Pending.load st.pending generation
+  else Pending.load_runs st.pending generation runs;
   st.digest <- Trace_digest.fold_int st.digest gen_len;
   if st.delta > 0 then st.digest <- Trace_digest.fold_int st.digest st.delta;
   if env.tracing then

@@ -7,11 +7,33 @@
     The output is a function of the input and the (fixed) scheduling
     constants only — never of the thread count or timing. *)
 
+val spread_index : int -> int -> int -> int
+(** [spread_index spread n i] is the slot that position [i] of [n]
+    takes under the §3.3 locality-spread permutation: the array dealt
+    into [spread] strided piles, concatenated. A bijection on [[0, n)]
+    whenever [spread > 1 && n > spread]; the identity otherwise. *)
+
 val spread_permute : int -> 'a array -> 'a array
-(** The §3.3 locality-spread permutation: deal the array into [spread]
-    strided piles, concatenated. A bijection on indices whenever
-    [spread > 1 && length > spread]; the identity otherwise. Exposed for
-    the property tests. *)
+(** The spread permutation applied to an array: element [i] moves to
+    [spread_index spread (length arr) i]. Returns [arr] itself when the
+    permutation is the identity. Exposed for the property tests. *)
+
+val generation_layout :
+  static_id:('item -> int) option ->
+  spread:int ->
+  priority:Policy.priority_mode ->
+  prio_of:('item -> int) ->
+  base:int ->
+  'item Child_buffer.t ->
+  (int * 'item) array * (int * int) array * int
+(** Generation formation exactly as the scheduler does it, for the
+    property tests: the [(id, item)] tasks of the generation formed from
+    a non-empty todo buffer, in pending-deque order, with ids dense from
+    [base]; the [(bucket, size)] run table ([[||]] under [Prio_off]);
+    and the bucket width used (0 under [Prio_off]). Without [static_id],
+    ids follow the (parent id, birth index) order; raises
+    [Invalid_argument] unless each parent's births are exactly
+    [0..k-1]. *)
 
 val adapt_window : target_ratio:float -> window:int -> committed:int -> w_use:int -> int
 (** One step of the parameterless window controller (§3.1): the next
@@ -72,8 +94,8 @@ val run :
   Stats.t * Schedule.t option
 (** [static_id] enables the paper's §3.3 fast path for task pools drawn
     from a fixed universe: ids come from the application (and duplicate
-    pushes of one task collapse) instead of lexicographic child
-    sorting.
+    pushes of one task collapse) instead of the (parent id, birth
+    index) rank of each child.
 
     [priority] maps an item to its (lower-is-sooner) integer priority.
     It only matters under [options.priority <> Prio_off]: each

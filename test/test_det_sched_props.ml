@@ -68,6 +68,167 @@ let test_spread_bijection () =
     check_int_list "bijection" (Array.to_list arr) (Array.to_list sorted)
   done
 
+(* --- generation formation against the comparison-sort model ---------- *)
+
+module Cb = Galois.Child_buffer
+
+(* Formation as first written, kept as the model: sort the children by
+   (parent, birth), or by static key with duplicates collapsed; number
+   them from [base]; then spread the whole generation, or stable-sort it
+   by bucket, group equal buckets into runs and spread each run on its
+   own. Pile dealing is [spread_reference], not [D.spread_index]. *)
+let model_layout ~static_id ~spread ~priority ~prio_of ~base todo =
+  let entries =
+    Array.init (Cb.length todo) (fun i -> (Cb.parent todo i, Cb.birth todo i, Cb.item todo i))
+  in
+  let items =
+    match static_id with
+    | Some key_of ->
+        let keyed = Array.map (fun (_, _, item) -> (key_of item, item)) entries in
+        Array.sort (fun (a, _) (b, _) -> compare a b) keyed;
+        let kept =
+          Array.fold_left
+            (fun acc (k, item) ->
+              match acc with (k', _) :: _ when k' = k -> acc | _ -> (k, item) :: acc)
+            [] keyed
+        in
+        Array.of_list (List.rev_map snd kept)
+    | None ->
+        Array.stable_sort (fun (p1, b1, _) (p2, b2, _) -> compare (p1, b1) (p2, b2)) entries;
+        Array.map (fun (_, _, item) -> item) entries
+  in
+  let generation = Array.mapi (fun r item -> (base + r, item)) items in
+  match priority with
+  | Galois.Policy.Prio_off -> (spread_reference spread generation, [||], 0)
+  | Galois.Policy.Prio_delta _ | Galois.Policy.Prio_auto ->
+      let prios = Array.map (fun (_, item) -> prio_of item) generation in
+      let delta =
+        match priority with
+        | Galois.Policy.Prio_delta d -> d
+        | _ ->
+            let pmin = Array.fold_left min prios.(0) prios
+            and pmax = Array.fold_left max prios.(0) prios in
+            max 1 (((pmax - pmin) / 64) + 1)
+      in
+      let bucket p = if p >= 0 then p / delta else -((-p + delta - 1) / delta) in
+      let idx = List.init (Array.length generation) Fun.id in
+      let idx = List.stable_sort (fun i j -> compare (bucket prios.(i)) (bucket prios.(j))) idx in
+      let rec runs = function
+        | [] -> []
+        | i :: _ as l ->
+            let b = bucket prios.(i) in
+            let run = List.filter (fun j -> bucket prios.(j) = b) l in
+            (b, run) :: runs (List.filter (fun j -> bucket prios.(j) <> b) l)
+      in
+      let runs = runs idx in
+      let spread_run (_, run) =
+        Array.to_list (spread_reference spread (Array.of_list (List.map (Array.get generation) run)))
+      in
+      let table = List.map (fun (b, run) -> (b, List.length run)) runs in
+      (Array.of_list (List.concat_map spread_run runs), Array.of_list table, delta)
+
+let shuffle rng arr =
+  for i = Array.length arr - 1 downto 1 do
+    let j = Sm.int rng (i + 1) in
+    let x = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- x
+  done
+
+(* A random todo set as the scheduler builds one: the committed parents
+   of a generation, in shuffled order, each push births 0..k-1
+   contiguously into one of several worker buffers, and the buffers are
+   drained in shuffled order; or an initial generation under parent 0.
+   Items are in [-500, 500]. *)
+let random_todo rng =
+  let todo = Cb.create () in
+  let item () = Sm.int rng 1001 - 500 in
+  if Sm.int rng 5 = 0 then
+    (* The initial generation: every item a birth of parent 0. *)
+    for k = 0 to Sm.int rng 300 do
+      Cb.push todo ~parent:0 ~birth:k (item ())
+    done
+  else begin
+    let gen_base = 1 + Sm.int rng 1000 and gen_size = 1 + Sm.int rng 200 in
+    let parents = Array.init gen_size (fun i -> gen_base + i) in
+    shuffle rng parents;
+    let buffers = Array.init (1 + Sm.int rng 4) (fun _ -> Cb.create ()) in
+    Array.iter
+      (fun parent ->
+        if Sm.bool rng || Cb.length buffers.(0) = 0 then begin
+          let buf = buffers.(Sm.int rng (Array.length buffers)) in
+          for k = 0 to Sm.int rng 6 - 1 do
+            Cb.push buf ~parent ~birth:k (item ())
+          done
+        end)
+      parents;
+    shuffle rng buffers;
+    Array.iter (fun buf -> Cb.transfer ~into:todo buf) buffers;
+    if Cb.length todo = 0 then Cb.push todo ~parent:gen_base ~birth:0 (item ())
+  end;
+  todo
+
+let priority_name = function
+  | Galois.Policy.Prio_off -> "off"
+  | Galois.Policy.Prio_auto -> "auto"
+  | Galois.Policy.Prio_delta d -> Printf.sprintf "delta:%d" d
+
+let test_layout_matches_model () =
+  (* Priorities: the item itself (negative included), a wide span that
+     takes the bucket sort several digits, and extremes whose bucket
+     offsets only fit read unsigned. *)
+  let prio_ofs =
+    [ ("item", Fun.id); ("wide", fun x -> x * 1_000_000_007);
+      ("extreme", fun x -> if x > 300 then max_int else if x < -300 then -(max_int / 2) else x) ]
+  in
+  let rng = Sm.create 0xf0a3 in
+  for case = 1 to 300 do
+    let todo = random_todo rng in
+    let base = 1 + Sm.int rng 5000 in
+    let static_id = if Sm.int rng 4 = 0 then Some (fun x -> abs x mod 97) else None in
+    List.iter
+      (fun spread ->
+        List.iter
+          (fun priority ->
+            List.iter
+              (fun (pname, prio_of) ->
+                let what =
+                  Printf.sprintf "case %d spread=%d prio=%s/%s%s" case spread
+                    (priority_name priority) pname
+                    (if Option.is_some static_id then " static" else "")
+                in
+                let slots, runs, delta =
+                  D.generation_layout ~static_id ~spread ~priority ~prio_of ~base todo
+                in
+                let slots', runs', delta' =
+                  model_layout ~static_id ~spread ~priority ~prio_of ~base todo
+                in
+                let check_pairs what a b =
+                  Alcotest.(check (list (pair int int))) what (Array.to_list a) (Array.to_list b)
+                in
+                check_pairs (what ^ ": ids and slots") slots' slots;
+                check_pairs (what ^ ": run table") runs' runs;
+                check_int (what ^ ": delta") delta' delta)
+              (if priority = Galois.Policy.Prio_off then [ List.hd prio_ofs ] else prio_ofs))
+          Galois.Policy.[ Prio_off; Prio_delta (1 + Sm.int rng 40); Prio_auto ])
+      [ 1; 3; 64 ]
+  done
+
+let test_layout_rejects_bad_births () =
+  (* Formation checks the births itself, whoever filled the buffer. *)
+  List.iter
+    (fun (what, births) ->
+      let todo = Cb.create () in
+      Cb.push todo ~parent:5 ~birth:0 10;
+      List.iter (fun b -> Cb.push todo ~parent:7 ~birth:b 20) births;
+      match
+        D.generation_layout ~static_id:None ~spread:1 ~priority:Galois.Policy.Prio_off
+          ~prio_of:Fun.id ~base:1 todo
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: accepted" what)
+    [ ("duplicate", [ 0; 0 ]); ("gap", [ 0; 2 ]); ("no birth 0", [ 1 ]); ("negative", [ -1; 0 ]) ]
+
 let target = 0.9
 let cap = 1 lsl 22
 
@@ -352,6 +513,8 @@ let suite =
     Alcotest.test_case "spread: exact-multiple piles" `Quick test_spread_exact_multiple;
     Alcotest.test_case "spread: remainder piles" `Quick test_spread_remainder;
     Alcotest.test_case "spread: random bijection" `Quick test_spread_bijection;
+    Alcotest.test_case "formation: matches the sort model" `Quick test_layout_matches_model;
+    Alcotest.test_case "formation: non-dense births raise" `Quick test_layout_rejects_bad_births;
     Alcotest.test_case "window: doubles to cap" `Quick test_window_doubles_to_cap;
     Alcotest.test_case "window: zero commits collapse" `Quick
       test_window_collapse_on_zero_commits;

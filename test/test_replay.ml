@@ -543,6 +543,53 @@ let test_resume_validation () =
   in
   check_int "resumed to completion" 100 report.Galois.Run.stats.commits
 
+(* A malformed boundary must be refused by [Det_sched.run] itself,
+   before anything is loaded or run, with its own [Invalid_argument]
+   rather than a stray index error. The sample boundary (generation
+   [30, 40), parent 31 with births 0 and 1) is the positive control. *)
+let resume_sample b =
+  Parallel.Domain_pool.with_pool 1 (fun pool ->
+      Galois.Det_sched.run ~pool ~options:Galois.Policy.default_det ~static_id:None
+        ~resume:b ~operator:(fun _ _ -> ()) [||])
+
+let expect_resume_refused what b =
+  match resume_sample b with
+  | exception Invalid_argument msg ->
+      check_bool (what ^ ": names Det_sched.run") true
+        (String.starts_with ~prefix:"Det_sched.run: " msg)
+  | _ -> Alcotest.failf "%s: accepted" what
+
+let sample_boundary () = (sample_snapshot ()).Snapshot.boundary
+
+let test_resume_sample_accepted () =
+  let stats, _ = resume_sample (sample_boundary ()) in
+  (* 25 carried commits, 3 pending tasks and the 2 todo children. *)
+  check_int "commits" 30 stats.Galois.Stats.commits
+
+let test_resume_short_births () =
+  expect_resume_refused "short births column"
+    { (sample_boundary ()) with b_todo_births = [| 0 |] }
+
+let test_resume_short_parents () =
+  expect_resume_refused "short parents column"
+    { (sample_boundary ()) with b_todo_parents = [| 31 |] }
+
+let test_resume_parent_below_generation () =
+  expect_resume_refused "parent below the generation"
+    { (sample_boundary ()) with b_todo_parents = [| 29; 29 |] }
+
+let test_resume_parent_past_generation () =
+  expect_resume_refused "parent at next_id"
+    { (sample_boundary ()) with b_todo_parents = [| 31; 40 |] }
+
+let test_resume_duplicate_births () =
+  expect_resume_refused "duplicate births"
+    { (sample_boundary ()) with b_todo_births = [| 0; 0 |] }
+
+let test_resume_birth_gap () =
+  expect_resume_refused "births with a gap"
+    { (sample_boundary ()) with b_todo_births = [| 0; 2 |] }
+
 let suite =
   [
     Alcotest.test_case "gen: crash/resume over the lattice" `Quick
@@ -565,4 +612,13 @@ let suite =
     Alcotest.test_case "schedule dump suffix check" `Quick test_schedule_dump_suffix;
     Alcotest.test_case "builder validation" `Quick test_builder_validation;
     Alcotest.test_case "resume validation" `Quick test_resume_validation;
+    Alcotest.test_case "resume: sample boundary accepted" `Quick test_resume_sample_accepted;
+    Alcotest.test_case "resume: short births refused" `Quick test_resume_short_births;
+    Alcotest.test_case "resume: short parents refused" `Quick test_resume_short_parents;
+    Alcotest.test_case "resume: parent below generation refused" `Quick
+      test_resume_parent_below_generation;
+    Alcotest.test_case "resume: parent past generation refused" `Quick
+      test_resume_parent_past_generation;
+    Alcotest.test_case "resume: duplicate births refused" `Quick test_resume_duplicate_births;
+    Alcotest.test_case "resume: births with a gap refused" `Quick test_resume_birth_gap;
   ]
