@@ -18,7 +18,12 @@
    whose capacity survives [reset], so a warmed-up context executes
    tasks without allocating. (The buffers keep references to the last
    task's locks/items until overwritten — bounded by one task's
-   footprint, and the scheduler holds those objects anyway.) *)
+   footprint, and the scheduler holds those objects anyway.)
+
+   An [Inspect]-phase acquisition always counts the location, but
+   stores it only when [keep_inspected] is set: the DIG scheduler reads
+   inspected neighborhoods only to record schedules or validate the
+   defeat flags, so plain runs skip the store and the copy out. *)
 
 exception Conflict
 (* Raised to the scheduler when a task loses a location. *)
@@ -38,7 +43,8 @@ type ('item, 'state) t = {
   mutable stamp : int;  (* Lock epoch all claims run under *)
   mutable stats : Stats.worker;
   mutable neighborhood : Lock.t array;  (* first [neighborhood_size] valid *)
-  mutable neighborhood_size : int;
+  mutable neighborhood_size : int;  (* acquisitions, stored or not *)
+  mutable keep_inspected : bool;  (* store Inspect-phase acquisitions *)
   mutable past_failsafe : bool;
   mutable saved : 'state option;
   mutable pushed : 'item array;  (* first [pushed_count] valid, push order *)
@@ -61,6 +67,7 @@ let create () =
     stats = Stats.make_worker ();
     neighborhood = [||];
     neighborhood_size = 0;
+    keep_inspected = true;
     past_failsafe = false;
     saved = None;
     pushed = [||];
@@ -111,14 +118,14 @@ let acquire t lock =
              only here keeps one event per acquisition per round. *)
           Audit.record tape ~task:t.task_id ~lid:(Lock.id lock) ~kind:Audit.Acquire
             ~pre:true);
-      add_lock t lock;
-      (match Lock.claim_max lock ~stamp:t.stamp t.task_id with
-      | `Won 0 -> ()
-      | `Won displaced -> t.on_defeat displaced
-      | `Lost ->
-          (* A higher-priority task already holds the mark, so it cannot
-             know about us: flag ourselves instead (§3.3 protocol). *)
-          t.on_defeat t.task_id)
+      if t.keep_inspected then add_lock t lock
+      else t.neighborhood_size <- t.neighborhood_size + 1;
+      let displaced = Lock.claim_max lock ~stamp:t.stamp t.task_id in
+      if displaced = Lock.lost then
+        (* A higher-priority task already holds the mark, so it cannot
+           know about us: flag ourselves instead (§3.3 protocol). *)
+        t.on_defeat t.task_id
+      else if displaced <> 0 then t.on_defeat displaced
   | Commit ->
       (* The inspect phase of this very round acquired the same prefix,
          so the mark must still be ours; anything else is a scheduler
@@ -196,8 +203,12 @@ let stamp t = t.stamp
 
 (* Internal accessors for schedulers. *)
 
-let neighborhood_array t =
-  Array.init t.neighborhood_size (fun i -> t.neighborhood.(i))
+(* How many neighborhood entries are stored: all of them, unless this
+   is an inspection that only counted. *)
+let stored t =
+  if t.phase = Inspect && not t.keep_inspected then 0 else t.neighborhood_size
+
+let neighborhood_array t = Array.init (stored t) (fun i -> t.neighborhood.(i))
 
 (* Copy the neighborhood into [prev] when it fits, else into a fresh
    array: a retried task hands its previous round's array back in and
@@ -205,7 +216,7 @@ let neighborhood_array t =
    stale; callers must use [neighborhood_count], not the array
    length. *)
 let neighborhood_into t prev =
-  let n = t.neighborhood_size in
+  let n = stored t in
   if n = 0 then prev
   else begin
     let dst =
@@ -242,6 +253,8 @@ let reached_failsafe t = t.past_failsafe
 let set_on_defeat t f = t.on_defeat <- f
 let set_stats t stats = t.stats <- stats
 let set_tape t tape = t.tape <- tape
+let set_keep_inspected t keep = t.keep_inspected <- keep
+let keeps_inspected t = t.keep_inspected
 
 let release_all t =
   for i = 0 to t.neighborhood_size - 1 do

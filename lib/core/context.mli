@@ -91,16 +91,24 @@ val reset :
 (** [stamp] is the lock epoch (from {!Lock.new_epoch}) the task's
     acquisitions are made under. *)
 
+(** The [neighborhood_*] accessors see [Inspect]-phase locations only
+    when {!set_keep_inspected} is on (the DIG scheduler turns it on
+    when the run records or validates); otherwise an inspection's
+    stored neighborhood is empty. {!neighborhood_count} always counts
+    every acquisition. [Direct]-phase acquisitions are always stored,
+    since {!release_all} needs them. *)
+
 val neighborhood_array : (_, _) t -> Lock.t array
-(** Fresh array of the acquired locks, in acquisition order. *)
+(** Fresh array of the stored locks, in acquisition order. *)
 
 val neighborhood_into : (_, _) t -> Lock.t array -> Lock.t array
-(** Copy the acquired locks (acquisition order) into the given array if
+(** Copy the stored locks (acquisition order) into the given array if
     it is large enough, else into a fresh one; returns whichever was
     filled. Entries beyond {!neighborhood_count} are stale — callers
     must pair the array with the count, not [Array.length]. *)
 
 val neighborhood_count : (_, _) t -> int
+(** Locations acquired by the current task, stored or not. *)
 
 val pushed_get : ('item, _) t -> int -> 'item
 (** [pushed_get t i] is the [i]-th pushed item in push order,
@@ -123,5 +131,11 @@ val set_tape : (_, _) t -> Audit.tape option -> unit
 (** Attach (or detach) the audit recorder tape this context records
     acquire/touch events into. Set once per run by the DIG scheduler;
     [None] disables recording. *)
+
+val set_keep_inspected : (_, _) t -> bool -> unit
+(** Whether [Inspect]-phase acquisitions are stored as well as counted
+    (default [true]). Set once per context by the DIG scheduler. *)
+
+val keeps_inspected : (_, _) t -> bool
 
 val release_all : (_, _) t -> unit

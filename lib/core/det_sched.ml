@@ -59,8 +59,10 @@ type ('item, 'state) task = {
      racy write is benign; the pool barrier publishes it before the
      commit phase reads it. *)
   mutable alive : bool;
-  (* First [n_locks] entries are this round's neighborhood, in
-     acquisition order; capacity is reused across retries. *)
+  (* [n_locks] counts this round's acquisitions. Only runs that record
+     or validate fill [neighborhood]: then its first [n_locks] entries
+     are the neighborhood, in acquisition order, with capacity reused
+     across retries. *)
   mutable neighborhood : Lock.t array;
   mutable n_locks : int;
   mutable saved : 'state option;
@@ -564,7 +566,8 @@ let inspect env st ~stamp ~w_use =
           t.pure_children <- Context.pushed_into ctx t.pure_children;
           t.n_pure_children <- Context.pushed_count ctx
       | exception Context.Failsafe_reached -> ());
-      t.neighborhood <- Context.neighborhood_into ctx t.neighborhood;
+      if Context.keeps_inspected ctx then
+        t.neighborhood <- Context.neighborhood_into ctx t.neighborhood;
       t.n_locks <- Context.neighborhood_count ctx;
       t.task_work <- Context.work_units ctx;
       if env.options.continuation then t.saved <- Context.saved ctx);
@@ -783,6 +786,9 @@ let run ?(record = false) ?(sink = Obs.null) ?audit ?checkpoint ?resume ?stop_af
     Array.init threads (fun w ->
         let ctx = Context.create () in
         Context.set_stats ctx workers.(w);
+        (* Only schedule records and validation read inspected
+           neighborhoods; other runs just count them. *)
+        Context.set_keep_inspected ctx (record || options.Policy.validate);
         Option.iter (fun a -> Context.set_tape ctx (Some (Audit.tape a w))) audit;
         ctx)
   in

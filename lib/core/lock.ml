@@ -1,6 +1,9 @@
 (* Abstract locations (\S2 of the paper).
 
-   Every shared abstract object (graph node, triangle, ...) owns one lock
+   Every shared abstract object (graph node, triangle, ...) owns one
+   location: a single heap block [{ word; lid }] whose field 0 is the
+   mark word and whose field 1 is the location id. A claim therefore
+   touches one block, with no pointer to chase from the location to its
    word. The word holds 0 when free, or a packed (stamp, task id) pair:
    the low [id_bits] carry the id of the task currently marking the
    location, the bits above them the epoch stamp under which the mark was
@@ -12,7 +15,17 @@
    lock. Both schedulers synchronize exclusively through these words,
    matching the Galois system's per-object lock design. *)
 
-type t = { mark : int Atomic.t; lid : int }
+type t = { mutable word : int; lid : int }
+
+(* The mark word is read and written only through [cell]. [Atomic.get],
+   [compare_and_set] and [set] compile to [%atomic_load],
+   [caml_atomic_cas] and [caml_atomic_exchange], which act on field 0 of
+   whatever block they are given; [word] is field 0 of [t], so viewing a
+   [t] as an [int Atomic.t] addresses exactly the mark word. The word
+   only ever holds immediates, so no write barrier is involved, and
+   nothing outside this module sees the cast: [t] is abstract. *)
+(* detlint: allow obj-magic — field 0 of [t] is the int mark word; see above *)
+let cell : t -> int Atomic.t = Obj.magic
 
 (* 30 bits of task id leave 32 bits of epoch stamp: the packed word
    (stamp lsl 30) lor id stays below 2^62 and therefore within OCaml's
@@ -53,27 +66,32 @@ let reset_lids ?(base = 0) () =
   if base < 0 then invalid_arg "Lock.reset_lids: base must be >= 0";
   Atomic.set next_lid base
 
-let create () = { mark = Atomic.make 0; lid = Atomic.fetch_and_add next_lid 1 }
+let create () = { word = 0; lid = Atomic.fetch_and_add next_lid 1 }
 
-let create_array n = Array.init n (fun _ -> create ())
+(* One [fetch_and_add] reserves the whole lid range, so an array's lids
+   are contiguous even while another domain creates locks. *)
+let create_array n =
+  if n < 0 then invalid_arg "Lock.create_array: negative length";
+  let base = Atomic.fetch_and_add next_lid n in
+  Array.init n (fun i -> { word = 0; lid = base + i })
 
 let id t = t.lid
 
-let raw t = Atomic.get t.mark
+let raw t = Atomic.get (cell t)
 
 (* The id field of the current mark word, whatever its epoch (0 = free).
    Stale marks still decode: callers that care about epochs use the
    stamped operations below, which never confuse epochs. *)
-let mark t = Atomic.get t.mark land id_mask
+let mark t = Atomic.get (cell t) land id_mask
 
 (* Fig. 1b [writeMarks]: claim the location for [task_id] if it is free
    — including stale-marked, which is free by construction — or already
    ours under this epoch. Returns false on a same-epoch conflict. *)
 let try_claim t ~stamp task_id =
   let packed = pack ~stamp task_id in
-  let cur = Atomic.get t.mark in
+  let cur = Atomic.get (cell t) in
   cur = packed
-  || ((cur lsr id_bits) <> stamp && Atomic.compare_and_set t.mark cur packed)
+  || ((cur lsr id_bits) <> stamp && Atomic.compare_and_set (cell t) cur packed)
 
 (* Strict freshness claim for [Context.register_new]: the word must be
    literally 0 — never written, or explicitly cleared. A stale mark from
@@ -82,7 +100,7 @@ let try_claim t ~stamp task_id =
    free here. *)
 let claim_fresh t ~stamp task_id =
   let packed = pack ~stamp task_id in
-  Atomic.compare_and_set t.mark 0 packed
+  Atomic.compare_and_set (cell t) 0 packed
 
 (* Fig. 3 [writeMarksMax]: deterministically raise the mark to the
    maximum of its current value and [task_id], within this epoch; a
@@ -90,20 +108,24 @@ let claim_fresh t ~stamp task_id =
    determinism requires that every marking attempt runs even after the
    task has already lost some other location (§3.2). The result reports
    who lost the location, so the inspect phase can maintain the paper's
-   commit-prevention flags (§3.3). *)
+   commit-prevention flags (§3.3), as an immediate so a claim never
+   allocates: the displaced same-epoch id, 0 for none, or [lost]. *)
+let lost = -1
+
 let claim_max t ~stamp task_id =
   let packed = pack ~stamp task_id in
+  let word = cell t in
   let rec go () =
-    let cur = Atomic.get t.mark in
+    let cur = Atomic.get word in
     let cur_id = if cur lsr id_bits = stamp then cur land id_mask else 0 in
-    if cur_id = task_id then `Won 0
-    else if cur_id > task_id then `Lost
-    else if Atomic.compare_and_set t.mark cur packed then `Won cur_id
+    if cur_id = task_id then 0
+    else if cur_id > task_id then lost
+    else if Atomic.compare_and_set word cur packed then cur_id
     else go ()
   in
   go ()
 
-let holds t ~stamp task_id = Atomic.get t.mark = pack ~stamp task_id
+let holds t ~stamp task_id = Atomic.get (cell t) = pack ~stamp task_id
 
 (* Release the location if we hold it under this epoch. Used by
    non-deterministic rollback/commit and by the PBBS reservation loops;
@@ -111,7 +133,7 @@ let holds t ~stamp task_id = Atomic.get t.mark = pack ~stamp task_id
    a new epoch instead. *)
 let release t ~stamp task_id =
   let packed = pack ~stamp task_id in
-  if Atomic.get t.mark = packed then
-    ignore (Atomic.compare_and_set t.mark packed 0)
+  if Atomic.get (cell t) = packed then
+    ignore (Atomic.compare_and_set (cell t) packed 0)
 
-let force_clear t = Atomic.set t.mark 0
+let force_clear t = Atomic.set (cell t) 0

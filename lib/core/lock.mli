@@ -1,13 +1,15 @@
 (** Abstract locations with atomic, epoch-stamped mark words.
 
     The Galois runtime synchronizes by associating marks with abstract
-    locations (paper §2). Each lock word holds 0 when free or a packed
-    [(stamp, task id)] pair. All claiming operations take the epoch
-    [~stamp] they run under (obtained from {!new_epoch}); a mark whose
-    stamp belongs to a different epoch is {e stale} and behaves like a
-    free word. This makes end-of-round mark clearing unnecessary: the
-    DIG scheduler opens a fresh epoch per round, invalidating every
-    surviving mark at once instead of CAS-ing each one back to 0. *)
+    locations (paper §2). A location is one heap block holding its mark
+    word and its location id, so a claim touches a single block. The
+    word holds 0 when free or a packed [(stamp, task id)] pair. All
+    claiming operations take the epoch [~stamp] they run under (obtained
+    from {!new_epoch}); a mark whose stamp belongs to a different epoch
+    is {e stale} and behaves like a free word. This makes end-of-round
+    mark clearing unnecessary: the DIG scheduler opens a fresh epoch per
+    round, invalidating every surviving mark at once instead of CAS-ing
+    each one back to 0. *)
 
 type t
 
@@ -24,6 +26,10 @@ val reset_lids : ?base:int -> unit -> unit
     Lids stay excluded from all schedule/trace digests regardless. *)
 
 val create_array : int -> t array
+(** [create_array n] is [n] fresh locations whose lids are the
+    contiguous range [base .. base + n - 1], reserved in one step even
+    while other domains create locations. Raises [Invalid_argument] when
+    [n < 0], before any lid is consumed. *)
 
 val id : t -> int
 (** Stable location id, used for access traces and cache simulation. *)
@@ -62,14 +68,19 @@ val claim_fresh : t -> stamp:int -> int -> bool
     has seen the location, which is what freshness rules out. Used by
     [Context.register_new]. *)
 
-val claim_max : t -> stamp:int -> int -> [ `Won of int | `Lost ]
+val claim_max : t -> stamp:int -> int -> int
 (** [claim_max l ~stamp id] implements Fig. 3's [writeMarksMax] for one
     location: raise the mark to [max mark id] within the epoch, where a
-    stale or free word counts as 0. [`Won d] means the mark now carries
-    [id] and displaced the same-epoch task with id [d] (0 when the
-    location was free, stale or already ours); [`Lost] means a
-    higher-priority task holds it under this epoch. Never fails to
-    complete — required for determinism (§3.2). *)
+    stale or free word counts as 0. A result [d >= 0] means the mark now
+    carries [id] and displaced the same-epoch task with id [d] (0 when
+    the location was free, stale or already ours); {!lost} means a
+    higher-priority task holds it under this epoch. The result is an
+    immediate, so a claim never allocates. Never fails to complete —
+    required for determinism (§3.2). *)
+
+val lost : int
+(** The {!claim_max} result for a lost claim (negative, so it is never
+    a task id). *)
 
 val holds : t -> stamp:int -> int -> bool
 (** Does the mark equal this (stamp, task id) pair exactly? *)

@@ -14,6 +14,8 @@
      poly-hash      Hashtbl.hash/seeded_hash/hash_param — polymorphic
                     structural hashing (mutable structures hash by
                     current contents; ids are the deterministic key)
+     obj-magic      Obj.magic — an unchecked cast; each one must carry
+                    an allow stating why the representation holds
 
    Escapes: a comment
 
@@ -52,6 +54,7 @@ let rules =
     ( "poly-hash",
       "polymorphic structural hashing (Hashtbl.hash family) — mutable \
        structures hash by current contents; hash stable ids instead" );
+    ("obj-magic", "Obj.magic — unchecked cast; justify the representation in an allow");
   ]
 
 let suppressible rule = List.mem_assoc rule rules
@@ -89,6 +92,7 @@ let rule_of_path ~path comps =
             dotted comps ^ " reads the wall clock (use Galois.Clock)" )
   | [ "Domain"; "self" ] ->
       Some ("domain-self", dotted comps ^ " exposes worker identity")
+  | [ "Obj"; "magic" ] -> Some ("obj-magic", dotted comps ^ " is an unchecked cast")
   | _ -> None
 
 (* ------------------------------------------------------------------ *)

@@ -422,15 +422,18 @@ let test_stale_marks_across_rounds () =
       let j = Sm.int rng n in
       let id = 1 + Sm.int rng 1000 in
       let m = model.(j) in
-      (match Galois.Lock.claim_max locks.(j) ~stamp id with
-      | `Won 0 ->
-          check_bool "Won 0 only when free/stale or re-claim" true (m = 0 || m = id);
-          model.(j) <- id
-      | `Won v ->
-          check_int "victim is this round's mark, never a stale one" m v;
-          check_bool "displacement raises" true (id > m);
-          model.(j) <- id
-      | `Lost -> check_bool "Lost only to a same-round higher id" true (m > id));
+      let v = Galois.Lock.claim_max locks.(j) ~stamp id in
+      if v = Galois.Lock.lost then
+        check_bool "lost only to a same-round higher id" true (m > id)
+      else if v = 0 then begin
+        check_bool "no victim only when free/stale or re-claim" true (m = 0 || m = id);
+        model.(j) <- id
+      end
+      else begin
+        check_int "victim is this round's mark, never a stale one" m v;
+        check_bool "displacement raises" true (id > m);
+        model.(j) <- id
+      end;
       check_bool "holds agrees with round-local model" true
         (Galois.Lock.holds locks.(j) ~stamp model.(j) = (model.(j) <> 0))
     done;

@@ -40,6 +40,20 @@ let test_domain_self () =
   Alcotest.(check (list string)) "Domain.spawn untouched" []
     (rules (scan "let d f = Domain.spawn f\n"))
 
+let test_obj_magic () =
+  Alcotest.(check (list string)) "Obj.magic" [ "obj-magic" ]
+    (rules (scan "let f (x : int) : bool = Obj.magic x\n"));
+  Alcotest.(check (list string)) "Obj.magic under bin" [ "obj-magic" ]
+    (rules (scan ~path:"bin/foo_cli.ml" "let f x = Obj.magic x\n"));
+  Alcotest.(check (list string)) "allowed with a reason" []
+    (rules
+       (scan
+          "(* detlint: allow obj-magic — field 0 is an int *)\n\
+           let f (x : int ref) : int Atomic.t = Obj.magic x\n"));
+  Alcotest.(check (list string)) "Obj.repr/Obj.obj untouched" []
+    (rules
+       (scan ~path:"lib/core/run.ml" "let f x = Obj.obj (Obj.repr x)\n"))
+
 let test_wall_clock_allowlist () =
   let src = "let t = Unix.gettimeofday ()\n" in
   Alcotest.(check (list string)) "flagged under lib" [ "wall-clock" ]
@@ -128,6 +142,7 @@ let suite =
       test_hashtbl_order;
     Alcotest.test_case "polymorphic hashing flagged" `Quick test_poly_hash;
     Alcotest.test_case "domain-self flagged" `Quick test_domain_self;
+    Alcotest.test_case "obj-magic flagged" `Quick test_obj_magic;
     Alcotest.test_case "wall-clock allowlist" `Quick test_wall_clock_allowlist;
     Alcotest.test_case "escape comments suppress" `Quick test_allow_comment;
     Alcotest.test_case "bad allows are findings" `Quick test_bad_allow;

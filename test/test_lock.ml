@@ -4,7 +4,10 @@ let check_bool = Alcotest.(check bool)
 let test_fresh_lock_free () =
   let l = Galois.Lock.create () in
   check_int "mark is 0" 0 (Galois.Lock.mark l);
-  check_int "raw word is 0" 0 (Galois.Lock.raw l)
+  check_int "raw word is 0" 0 (Galois.Lock.raw l);
+  Array.iter
+    (fun l -> check_int "fresh array element's word is 0" 0 (Galois.Lock.raw l))
+    (Galois.Lock.create_array 32)
 
 let test_ids_unique () =
   let locks = Galois.Lock.create_array 100 in
@@ -14,6 +17,51 @@ let test_ids_unique () =
   for i = 1 to 99 do
     if sorted.(i) = sorted.(i - 1) then Alcotest.fail "duplicate lock id"
   done
+
+let check_contiguous name locks =
+  let base = Galois.Lock.id locks.(0) in
+  Array.iteri (fun i l -> check_int name (base + i) (Galois.Lock.id l)) locks
+
+let test_create_array_contiguous_across_domains () =
+  (* Each array reserves its whole lid range at once, so arrays created
+     concurrently never interleave their lids. *)
+  let make () = List.init 50 (fun _ -> Galois.Lock.create_array 200) in
+  let other = Domain.spawn make in
+  let mine = make () in
+  let all = mine @ Domain.join other in
+  List.iter (check_contiguous "lids are base..base+n-1") all;
+  let lids = List.concat_map (fun a -> Array.to_list (Array.map Galois.Lock.id a)) all in
+  check_int "no lid shared between arrays" (100 * 200)
+    (List.length (List.sort_uniq compare lids))
+
+let test_create_array_negative () =
+  let before = Galois.Lock.id (Galois.Lock.create ()) in
+  (match Galois.Lock.create_array (-1) with
+  | _ -> Alcotest.fail "negative length accepted"
+  | exception Invalid_argument _ -> ());
+  check_int "next lid unchanged" (before + 1) (Galois.Lock.id (Galois.Lock.create ()));
+  check_int "empty array allowed" 0 (Array.length (Galois.Lock.create_array 0))
+
+let test_try_claim_across_domains () =
+  (* The mark word is field 0 of the location's one block; claims from
+     several domains on one array must still be exclusive: each location
+     ends up held by exactly one claimant. *)
+  let locks = Galois.Lock.create_array 256 in
+  let stamp = Galois.Lock.new_epoch () in
+  let ids = [| 3; 7; 11 |] in
+  let claim id () = Array.map (fun l -> Galois.Lock.try_claim l ~stamp id) locks in
+  let others = Array.map (fun id -> Domain.spawn (claim id)) (Array.sub ids 1 2) in
+  let first = claim ids.(0) () in
+  let won = Array.append [| first |] (Array.map Domain.join others) in
+  Array.iteri
+    (fun i l ->
+      match List.filter (fun d -> won.(d).(i)) [ 0; 1; 2 ] with
+      | [ d ] ->
+          check_bool "winner holds the location" true (Galois.Lock.holds l ~stamp ids.(d))
+      | holders -> Alcotest.failf "location %d claimed by %d tasks" i (List.length holders))
+    locks;
+  let count w = Array.fold_left (fun a b -> if b then a + 1 else a) 0 w in
+  check_int "true results" 256 (Array.fold_left (fun acc w -> acc + count w) 0 won)
 
 let test_try_claim () =
   let stamp = Galois.Lock.new_epoch () in
@@ -36,19 +84,13 @@ let test_release_only_owner () =
 let test_claim_max_monotone () =
   let stamp = Galois.Lock.new_epoch () in
   let l = Galois.Lock.create () in
-  (match Galois.Lock.claim_max l ~stamp 5 with
-  | `Won 0 -> ()
-  | _ -> Alcotest.fail "claiming a free lock should win with no victim");
-  (match Galois.Lock.claim_max l ~stamp 9 with
-  | `Won 5 -> ()
-  | _ -> Alcotest.fail "higher id should displace 5");
-  (match Galois.Lock.claim_max l ~stamp 7 with
-  | `Lost -> ()
-  | _ -> Alcotest.fail "lower id must lose");
+  check_int "claiming a free lock wins with no victim" 0
+    (Galois.Lock.claim_max l ~stamp 5);
+  check_int "higher id displaces 5" 5 (Galois.Lock.claim_max l ~stamp 9);
+  check_int "lower id loses" Galois.Lock.lost (Galois.Lock.claim_max l ~stamp 7);
   check_int "mark is max" 9 (Galois.Lock.mark l);
-  match Galois.Lock.claim_max l ~stamp 9 with
-  | `Won 0 -> ()
-  | _ -> Alcotest.fail "re-claim by current owner wins without victim"
+  check_int "re-claim by current owner wins without victim" 0
+    (Galois.Lock.claim_max l ~stamp 9)
 
 let test_claim_max_concurrent_is_max () =
   (* The paper's determinism hinges on writeMarksMax being
@@ -64,7 +106,7 @@ let test_claim_max_concurrent_is_max () =
 
 let test_claim_max_loser_reported_exactly_once () =
   (* Every displaced id is reported exactly once across all claimants,
-     and `Lost happens exactly for claims that observe a higher mark.
+     and [lost] happens exactly for claims that observe a higher mark.
      With sequential claims in random order, the set of reported victims
      must be all ids except the max. *)
   let stamp = Galois.Lock.new_epoch () in
@@ -73,15 +115,12 @@ let test_claim_max_loser_reported_exactly_once () =
   let victims = ref [] and losses = ref 0 in
   List.iter
     (fun id ->
-      match Galois.Lock.claim_max l ~stamp id with
-      | `Won 0 -> ()
-      | `Won v -> victims := v :: !victims
-      | `Lost -> incr losses)
+      let v = Galois.Lock.claim_max l ~stamp id in
+      if v = Galois.Lock.lost then incr losses
+      else if v <> 0 then victims := v :: !victims)
     ids;
-  let expected_victims = List.sort compare [ 13; 2; 7; 21 ] in
-  (* 2 displaced by 13? order: 13 free->Won 0; 2 -> Lost; 40 -> Won 13;
-     7 -> Lost; 21 -> Lost; 40000 -> Won 40; 5 -> Lost. *)
-  ignore expected_victims;
+  (* 13 free -> 0; 2 -> lost; 40 -> displaces 13; 7 -> lost; 21 -> lost;
+     40000 -> displaces 40; 5 -> lost. *)
   Alcotest.(check (list int)) "victims" [ 40; 13 ] !victims;
   check_int "losses" 4 !losses;
   check_int "final mark" 40000 (Galois.Lock.mark l)
@@ -128,10 +167,8 @@ let test_claim_max_over_stale_mark () =
   let l = Galois.Lock.create () in
   ignore (Galois.Lock.claim_max l ~stamp:old_stamp 1000);
   let stamp = Galois.Lock.new_epoch () in
-  (match Galois.Lock.claim_max l ~stamp 2 with
-  | `Won 0 -> ()
-  | `Won v -> Alcotest.failf "stale owner %d reported as victim" v
-  | `Lost -> Alcotest.fail "lower id must beat a stale mark");
+  check_int "lower id beats a stale mark, reporting no victim" 0
+    (Galois.Lock.claim_max l ~stamp 2);
   check_int "fresh epoch owns with the lower id" 2 (Galois.Lock.mark l)
 
 let test_stale_release_is_noop () =
@@ -196,6 +233,11 @@ let suite =
   [
     Alcotest.test_case "fresh lock is free" `Quick test_fresh_lock_free;
     Alcotest.test_case "lock ids unique" `Quick test_ids_unique;
+    Alcotest.test_case "array lids contiguous across domains" `Quick
+      test_create_array_contiguous_across_domains;
+    Alcotest.test_case "negative array length rejected" `Quick test_create_array_negative;
+    Alcotest.test_case "try_claim exclusive across domains" `Quick
+      test_try_claim_across_domains;
     Alcotest.test_case "try_claim semantics" `Quick test_try_claim;
     Alcotest.test_case "release only by owner" `Quick test_release_only_owner;
     Alcotest.test_case "claim_max is monotone max" `Quick test_claim_max_monotone;

@@ -230,6 +230,47 @@ let test_recording_nondet () =
       check_int "recorded commits" n committed
   | _ -> Alcotest.fail "expected flat schedule"
 
+(* --- Inspected neighborhoods reach record and validate. Plain det runs
+   only count inspect-phase acquisitions; recording and validation must
+   still see every location. Item i acquires locks i and i+1 (mod n). *)
+
+let ring_run n policy =
+  let locks = Galois.Lock.create_array n in
+  let operator ctx i =
+    Galois.Context.acquire ctx locks.(i);
+    Galois.Context.acquire ctx locks.((i + 1) mod n);
+    Galois.Context.failsafe ctx
+  in
+  (locks, Galois.Run.make ~operator (Array.init n Fun.id) |> Galois.Run.policy policy)
+
+let test_record_validate_see_neighborhoods () =
+  let n = 40 in
+  let locks, run = ring_run n (Galois.Policy.det 2) in
+  let base = Galois.Lock.id locks.(0) in
+  let report = run |> Galois.Run.record |> Galois.Run.exec in
+  (match report.schedule with
+  | Some (Galois.Schedule.Rounds _ as s) ->
+      let first r =
+        match Array.map (fun lid -> lid - base) r.Galois.Schedule.locks with
+        | [| i; j |] when i >= 0 && i < n && j = (i + 1) mod n ->
+            check_int "acquires" 2 r.Galois.Schedule.acquires;
+            i
+        | lids ->
+            Alcotest.failf "record locks [%s]"
+              (String.concat ";" (Array.to_list (Array.map string_of_int lids)))
+      in
+      List.iter (fun r -> ignore (first r)) (Galois.Schedule.tasks s);
+      Alcotest.(check (list int))
+        "each item commits once with its own neighborhood" (List.init n Fun.id)
+        (List.sort compare (List.map first (Galois.Schedule.committed_tasks s)))
+  | _ -> Alcotest.fail "expected round-structured schedule");
+  let validate =
+    Galois.Policy.det 2 ~options:{ Galois.Policy.default_det with validate = true }
+  in
+  let plain = (Galois.Run.exec (snd (ring_run n (Galois.Policy.det 2)))).stats.digest in
+  Alcotest.(check int64) "validate=on digest = plain digest" plain
+    (Galois.Run.exec (snd (ring_run n validate))).stats.digest
+
 (* --- the Run builder's trace capture and sinks. *)
 
 let test_run_trace_capture () =
@@ -441,6 +482,8 @@ let suite =
     Alcotest.test_case "static ids deduplicate pushes" `Quick test_static_id_dedup;
     Alcotest.test_case "det schedule recording" `Quick test_recording;
     Alcotest.test_case "nondet schedule recording" `Quick test_recording_nondet;
+    Alcotest.test_case "record and validate see inspected neighborhoods" `Quick
+      test_record_validate_see_neighborhoods;
     Alcotest.test_case "Run trace capture brackets the run" `Quick test_run_trace_capture;
     Alcotest.test_case "Run trace fails on a truncated ring" `Quick
       test_run_trace_truncation_fails;
