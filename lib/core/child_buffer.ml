@@ -1,12 +1,12 @@
 (* Flat per-worker child accumulation for the DIG scheduler.
 
-   Workers buffer the tasks their committed window entries push; between
-   rounds the sequential glue drains every worker's buffer into the
-   generation-wide todo buffer that the next [form_generation] consumes.
-   A structure-of-arrays layout ((parent id, birth index, item) columns)
-   replaces the previous [(id, k, item) :: list] accumulation: pushes
-   into a warmed-up buffer allocate nothing, and [clear] keeps capacity,
-   so steady-state rounds do no per-child allocation at all. *)
+   Workers buffer the tasks their committed window entries push, across
+   all the rounds of a generation; the next generation's formation
+   ranks the children straight out of every worker's buffer and clears
+   them. A structure-of-arrays layout ((parent id, birth index, item)
+   columns) replaces the previous [(id, k, item) :: list] accumulation:
+   pushes into a warmed-up buffer allocate nothing, and [clear] keeps
+   capacity, so steady-state rounds do no per-child allocation at all. *)
 
 type 'a t = {
   mutable parent : int array;  (* id of the pushing task *)
@@ -45,27 +45,3 @@ let push t ~parent ~birth item =
 let parent t i = t.parent.(i)
 let birth t i = t.birth.(i)
 let item t i = t.items.(i)
-
-(* Append [src]'s contents to [into] and clear [src] (capacity kept on
-   both sides). *)
-let transfer ~into src =
-  let n = src.len in
-  if n > 0 then begin
-    if into.len + n > Array.length into.items then begin
-      (* Grow [into] to at least the required size in one step. *)
-      let cap = max (max 8 (2 * into.len)) (into.len + n) in
-      let parent = Array.make cap 0 and birth = Array.make cap 0 in
-      let items = Array.make cap src.items.(0) in
-      Array.blit into.parent 0 parent 0 into.len;
-      Array.blit into.birth 0 birth 0 into.len;
-      Array.blit into.items 0 items 0 into.len;
-      into.parent <- parent;
-      into.birth <- birth;
-      into.items <- items
-    end;
-    Array.blit src.parent 0 into.parent into.len n;
-    Array.blit src.birth 0 into.birth into.len n;
-    Array.blit src.items 0 into.items into.len n;
-    into.len <- into.len + n;
-    src.len <- 0
-  end

@@ -1,11 +1,11 @@
 (** Flat per-worker child buffers for the DIG scheduler.
 
     A growable structure-of-arrays of [(parent id, birth index, item)]
-    triples. Capacity survives {!clear} and {!transfer}, so a warmed-up
+    triples. Capacity survives {!clear}, so a warmed-up
     buffer accumulates children without allocating — the flat
     replacement for the scheduler's former per-push list consing. Not
     thread-safe: each buffer is owned by one worker during a parallel
-    phase and drained by the sequential round glue. *)
+    phase and read by the sequential generation formation. *)
 
 type 'a t
 
@@ -22,7 +22,3 @@ val parent : 'a t -> int -> int
 val birth : 'a t -> int -> int
 val item : 'a t -> int -> 'a
 (** Column accessors for index [i < length t]; unchecked. *)
-
-val transfer : into:'a t -> 'a t -> unit
-(** [transfer ~into src] appends [src]'s triples to [into] and clears
-    [src]; both keep their capacity. *)

@@ -31,62 +31,31 @@
    The window size for the next round depends only on the (deterministic)
    commit count — the paper's parameterless adaptive windowing.
 
-   Steady-state rounds are allocation-free and release-free: the pending
-   set is an in-place [Pending] deque over the generation array (window =
-   index range, descending compaction), the defeat table is a flat array
-   indexed by [id - generation base] (generation ids are dense) with
-   round stamps instead of per-round clearing, tasks reuse their
-   neighborhood / child arrays across retries via the [Context] scratch
-   buffers, children accumulate in flat per-worker [Child_buffer]s
-   instead of consed lists, and every round claims marks under a fresh
-   [Lock] epoch — marks surviving the previous round are stale by
-   construction, so the former end-of-select [Lock.release] pass (one CAS
-   per held lock per task per round) is gone entirely. The schedule
-   itself is bit-for-bit the one the original list-based implementation
-   produced — test/test_digest_fixture.ml pins it.
+   A task is its id. The only per-task data indexed by generation slot
+   ([id - generation base]; generation ids are dense) are the items,
+   written once at formation, and each slot's window position, written
+   by the window setup. Everything a task holds for one round lives in
+   [columns] indexed by window position, reused across rounds and
+   generations, so steady-state rounds allocate nothing per task: the
+   pending set is an in-place [Pending] deque of slots (window = index
+   range, descending compaction, no write barrier), defeat flags are
+   round stamps instead of per-round clearing, pure children and
+   neighborhoods reuse their arrays through the [Context] scratch
+   buffers, children stay in flat per-worker [Child_buffer]s until the
+   next generation is ranked straight out of them, the committed ids
+   are folded into the digest once per round, and every round claims
+   marks under a fresh [Lock] epoch — marks surviving the previous round
+   are stale by construction, so the former end-of-select
+   [Lock.release] pass (one CAS per held lock per task per round) is
+   gone entirely. The schedule itself is bit-for-bit the one the
+   original list-based implementation produced —
+   test/test_digest_fixture.ml pins it.
 
    Code shape: a run's mutable [state] and fixed [env] are two records
    that [form], [round] and [finish] work over. A resume [boundary] is
    the projection of the state that [capture] takes and [of_boundary]
    loads back, seven cumulative counters included: buckets and the six
    deterministic worker counters, carried as one [Stats.worker]. *)
-
-type ('item, 'state) task = {
-  item : 'item;
-  id : int;
-  (* Defeat flag (§3.3). Written concurrently during inspect, but only
-     ever from [true] to [false] (an idempotent immediate), so the plain
-     racy write is benign; the pool barrier publishes it before the
-     commit phase reads it. *)
-  mutable alive : bool;
-  (* [n_locks] counts this round's acquisitions. Only runs that record
-     or validate fill [neighborhood]: then its first [n_locks] entries
-     are the neighborhood, in acquisition order, with capacity reused
-     across retries. *)
-  mutable neighborhood : Lock.t array;
-  mutable n_locks : int;
-  mutable saved : 'state option;
-  mutable pure : bool;  (* inspect finished without reaching a failsafe *)
-  mutable pure_children : 'item array;  (* first [n_pure_children], push order *)
-  mutable n_pure_children : int;
-  mutable task_work : int;  (* inspect-phase (prefix) work units *)
-  mutable commit_work : int;  (* commit-phase work units *)
-}
-
-let make_task id item =
-  {
-    item;
-    id;
-    alive = true;
-    neighborhood = [||];
-    n_locks = 0;
-    saved = None;
-    pure = false;
-    pure_children = [||];
-    n_pure_children = 0;
-    task_work = 0;
-    commit_work = 0;
-  }
 
 (* §3.3 locality spread: deal a sequence into [spread] strided piles so
    that tasks adjacent in iteration order (likely to share neighborhoods)
@@ -120,25 +89,70 @@ let adapt_window ~target_ratio ~window ~committed ~w_use =
   if ratio >= target_ratio then min (window * 2) (1 lsl 22)
   else max 32 (int_of_float (float_of_int window *. ratio /. target_ratio) + 1)
 
-(* Deterministic id assignment (§3.2): the todo index of every new
-   task, in id order. A child's rank in (parent id, birth index) order
-   is a counting sort over the parent range — the previous generation's
-   ids, or 0 for the initial items — plus its birth index, which equals
-   the lexicographic sort because each parent commits once and pushes
-   births 0..k-1. Each birth must stay below its parent's child count
-   and take a fresh rank, which together force exactly 0..k-1; anything
-   else raises. With [static_id], ids come from the application's fixed
-   task universe instead (§3.3, third optimization): its keys are sorted
-   and duplicates collapse to a single task. Either way the ids [base +
-   rank] are dense in [base, base + count) — the defeat table indexes on
-   exactly that. [todo] is never empty: a generation is only formed from
-   pending children. *)
-let id_order ~static_id todo =
-  let n = Child_buffer.length todo in
+let child_count bufs = Array.fold_left (fun a b -> a + Child_buffer.length b) 0 bufs
+
+(* An item to size arrays with; [bufs] holds at least one child. *)
+let some_child bufs =
+  match Array.find_opt (fun b -> Child_buffer.length b > 0) bufs with
+  | Some b -> Child_buffer.item b 0
+  | None -> invalid_arg "Det_sched: no children to rank"
+
+(* Deterministic id assignment (§3.2): [rank_children bufs f] calls [f r
+   buf i] for entry [i] of every buffer [buf] in [bufs], with [r] its
+   rank in (parent id, birth index) order — which worker buffered a
+   child, and where, never matters. The rank is a counting sort over
+   the parent range — the previous generation's ids, or 0 for the
+   initial items — plus the birth index, which equals the lexicographic
+   sort because each parent commits once and pushes births 0..k-1. Each
+   birth must stay below its parent's child count and take a fresh
+   rank, which together force exactly 0..k-1; anything else raises. The
+   ranks are dense in [0, child_count bufs). *)
+let iter_children bufs f =
+  Array.iter (fun buf -> for i = 0 to Child_buffer.length buf - 1 do f buf i done) bufs
+
+let rank_children bufs f =
+  let n = child_count bufs in
+  if n > 0 then begin
+    let lo = ref max_int and hi = ref min_int in
+    iter_children bufs (fun buf i ->
+        let p = Child_buffer.parent buf i in
+        lo := Int.min !lo p;
+        hi := Int.max !hi p);
+    let lo = !lo in
+    (* Parent [p]'s children take ranks [start.(p - lo), start.(p - lo + 1)). *)
+    let start = Array.make (!hi - lo + 2) 0 in
+    iter_children bufs (fun buf i ->
+        let s = Child_buffer.parent buf i - lo + 1 in
+        start.(s) <- start.(s) + 1);
+    for s = 1 to Array.length start - 1 do
+      start.(s) <- start.(s) + start.(s - 1)
+    done;
+    let taken = Bytes.make n '\000' in
+    iter_children bufs (fun buf i ->
+        let s = Child_buffer.parent buf i - lo and birth = Child_buffer.birth buf i in
+        let r = start.(s) + birth in
+        if birth < 0 || r >= start.(s + 1) || Bytes.get taken r <> '\000' then
+          invalid_arg "Det_sched.run: a parent's child births must be 0..k-1";
+        Bytes.set taken r '\001';
+        f r buf i)
+  end
+
+(* A generation's items in id order: rank [r] becomes the task of id
+   [gen_base + r]. Ranked by [rank_children], or with [static_id] by the
+   application's fixed task universe (§3.3, third optimization): its
+   keys are sorted and duplicates collapse to a single task. [bufs] is
+   never empty of children: a generation is only formed from pending
+   ones. *)
+let rank_items ~static_id bufs =
   match static_id with
   | Some key_of ->
-      let keys = Array.init n (fun i : int -> key_of (Child_buffer.item todo i)) in
-      let order = Array.init n Fun.id in
+      let all =
+        Array.concat
+          (Array.to_list
+             (Array.map (fun b -> Array.init (Child_buffer.length b) (Child_buffer.item b)) bufs))
+      in
+      let keys = Array.map (fun item : int -> key_of item) all in
+      let order = Array.init (Array.length all) Fun.id in
       Array.sort (fun i j -> Int.compare keys.(i) keys.(j)) order;
       (* Collapse duplicates in place: the kept prefix [0, count) never
          overtakes the read position. *)
@@ -150,33 +164,11 @@ let id_order ~static_id todo =
             incr count
           end)
         order;
-      Array.sub order 0 !count
+      Array.init !count (fun r -> all.(order.(r)))
   | None ->
-      let lo = ref max_int and hi = ref min_int in
-      for i = 0 to n - 1 do
-        let p = Child_buffer.parent todo i in
-        lo := Int.min !lo p;
-        hi := Int.max !hi p
-      done;
-      let lo = !lo in
-      (* Parent [p]'s children take ranks [start.(p - lo), start.(p - lo + 1)). *)
-      let start = Array.make (!hi - lo + 2) 0 in
-      for i = 0 to n - 1 do
-        let s = Child_buffer.parent todo i - lo + 1 in
-        start.(s) <- start.(s) + 1
-      done;
-      for s = 1 to Array.length start - 1 do
-        start.(s) <- start.(s) + start.(s - 1)
-      done;
-      let order = Array.make n (-1) in
-      for i = 0 to n - 1 do
-        let s = Child_buffer.parent todo i - lo and birth = Child_buffer.birth todo i in
-        let r = start.(s) + birth in
-        if birth < 0 || r >= start.(s + 1) || order.(r) >= 0 then
-          invalid_arg "Det_sched.run: a parent's child births must be 0..k-1";
-        order.(r) <- i
-      done;
-      order
+      let items = Array.make (child_count bufs) (some_child bufs) in
+      rank_children bufs (fun r buf i -> items.(r) <- Child_buffer.item buf i);
+      items
 
 (* Delta-stepping bucket index with floor semantics, so negative
    priorities order correctly below zero instead of folding onto
@@ -235,30 +227,28 @@ let counting_order key span =
   in
   pass (Array.init n Fun.id) 0
 
-(* Generation formation: order the todo children by id, then write each
-   new task — [make id item] — once, straight into its pending-deque
-   slot. Unordered ([prio=off]) that slot is the spread permutation of
-   its rank. Under soft priority the generation is laid out as
-   contiguous delta-stepping bucket runs: a stable counting sort by
-   bucket keeps id order within a bucket, and each run is spread on its
-   own — windows never straddle a bucket, so the permutation must not
-   either. Returns the slots, the [(bucket, size)] run table (empty when
-   unordered) and the delta used (0 when unordered). *)
-let form_generation ~make ~static_id ~spread ~priority ~prio_of ~base todo =
-  let order = id_order ~static_id todo in
-  let m = Array.length order in
-  let item r = Child_buffer.item todo order.(r) in
-  let first = make base (item 0) in
-  let slots = Array.make m first in
-  let place slot r = slots.(slot) <- (if r = 0 then first else make (base + r) (item r)) in
+(* Generation formation: rank the buffered children into the
+   generation's items, then write each slot once, straight into its
+   place in the pending deque. Unordered ([prio=off]) that place is the
+   spread permutation of its rank. Under soft priority the generation
+   is laid out as contiguous delta-stepping bucket runs: a stable
+   counting sort by bucket keeps id order within a bucket, and each run
+   is spread on its own — windows never straddle a bucket, so the
+   permutation must not either. Returns the items, the deque of slots,
+   the [(bucket, size)] run table (empty when unordered) and the delta
+   used (0 when unordered). *)
+let form_generation ~static_id ~spread ~priority ~prio_of bufs =
+  let items = rank_items ~static_id bufs in
+  let m = Array.length items in
+  let slots = Array.make m 0 in
   match priority with
   | Policy.Prio_off ->
       for r = 0 to m - 1 do
-        place (spread_index spread m r) r
+        slots.(spread_index spread m r) <- r
       done;
-      (slots, [||], 0)
+      (items, slots, [||], 0)
   | Policy.Prio_delta _ | Policy.Prio_auto ->
-      let prios = Array.init m (fun r -> prio_of (item r)) in
+      let prios = Array.map prio_of items in
       let pmin = Array.fold_left Int.min prios.(0) prios
       and pmax = Array.fold_left Int.max prios.(0) prios in
       let delta =
@@ -274,15 +264,15 @@ let form_generation ~make ~static_id ~spread ~priority ~prio_of ~base todo =
       Array.iter
         (fun (_, len) ->
           for k = 0 to len - 1 do
-            place (!start + spread_index spread len k) by_bucket.(!start + k)
+            slots.(!start + spread_index spread len k) <- by_bucket.(!start + k)
           done;
           start := !start + len)
         runs;
-      (slots, runs, delta)
+      (items, slots, runs, delta)
 
-let generation_layout ~static_id ~spread ~priority ~prio_of ~base todo =
-  form_generation ~make:(fun id item -> (id, item)) ~static_id ~spread ~priority ~prio_of ~base
-    todo
+let generation_layout ~static_id ~spread ~priority ~prio_of ~base bufs =
+  let items, slots, runs, delta = form_generation ~static_id ~spread ~priority ~prio_of bufs in
+  (Array.map (fun s -> (base + s, items.(s))) slots, runs, delta)
 
 (* Guided chunk size for dynamic parallel iteration: aim for several
    grabs per worker (cheap load balancing against uneven task costs)
@@ -334,21 +324,53 @@ type 'item boundary = {
   b_inspected : int;
 }
 
+(* One round's per-task state, indexed by window position: entry [i]
+   belongs to the task at position [i] of the pending deque. Sized to
+   the largest window so far and reused across rounds and generations.
+   The inspecting worker resets its own entry, except [defeated]: the
+   defeat flag (§3.3) is the round the task was last defeated in, a
+   stamp no round has to clear. It is written concurrently during
+   inspect, by the task itself or by whoever displaced its mark, but
+   only ever with the current round number (an idempotent immediate),
+   so the plain racy write is benign; the pool barrier publishes it
+   before the commit phase reads it. *)
+type ('item, 'state) columns = {
+  defeated : int array;
+  pure : bool array;  (* inspect finished without reaching a failsafe *)
+  children : 'item array array;  (* a pure task's first [n_children] pushes *)
+  n_children : int array;
+  n_locks : int array;  (* this round's acquisitions *)
+  inspect_work : int array;  (* inspect-phase (prefix) work units *)
+  commit_work : int array;  (* commit-phase work units *)
+  saved : 'state option array;  (* continuation, when enabled *)
+  (* Filled only by runs that record or validate: the first [n_locks]
+     entries are the neighborhood, in acquisition order. *)
+  neighborhoods : Lock.t array array;
+  ids : int array;  (* the glue's committed ids, in window order *)
+}
+
+let make_columns w =
+  { defeated = Array.make w 0; pure = Array.make w false; children = Array.make w [||];
+    n_children = Array.make w 0; n_locks = Array.make w 0; inspect_work = Array.make w 0;
+    commit_work = Array.make w 0; saved = Array.make w None; neighborhoods = Array.make w [||];
+    ids = Array.make w 0 }
+
 (* Everything one run mutates between rounds. *)
 type ('item, 'state) state = {
   mutable rounds : int;
   mutable generations : int;
   mutable buckets : int;  (* soft-priority runs opened so far *)
   mutable next_id : int;
-  (* Defeat table: generation ids are dense in [gen_base, gen_base +
-     count), so [id - gen_base] indexes a flat array. Slots are stamped
-     with the round that registered them instead of being cleared —
-     [rounds] only grows, so a stale stamp can never match. Reads during
-     inspect race only with other reads; registration happens in the
-     sequential window setup. *)
+  (* The generation's ids are dense in [gen_base, gen_base + count), so
+     slot [id - gen_base] indexes [items] (written once by [form]) and
+     [reg] (the slot's window position, written by the window setup and
+     read by [defeat]). *)
   mutable gen_base : int;
-  mutable slot_task : ('item, 'state) task array;
-  mutable slot_round : int array;
+  mutable items : 'item array;
+  mutable reg : int array;
+  pending : Pending.t;  (* slots, in deque order *)
+  mutable w_use : int;  (* the current round's window *)
+  mutable cols : ('item, 'state) columns;
   mutable window : int;  (* the next round's window; 0 before the first generation *)
   mutable delta : int;  (* bucket width of the current generation; 0 = unordered *)
   (* Round-trace digest: every quantity folded is deterministic by the
@@ -360,8 +382,6 @@ type ('item, 'state) state = {
      process-global counter and would differ between two runs in the
      same process. *)
   mutable digest : Trace_digest.t;
-  pending : ('item, 'state) task Pending.t;
-  todo : 'item Child_buffer.t;  (* children of the current generation *)
   carry : Stats.worker;
       (* deterministic counters from before a resume boundary; zero on a
          fresh run, summed with the real workers in [capture]/[finish] *)
@@ -376,8 +396,10 @@ type ('item, 'state) env = {
   pool : Parallel.Domain_pool.t;
   workers : Stats.worker array;
   contexts : ('item, 'state) Context.t array;
-  (* Per-worker flat buffers of (parent id, birth index, item) triples,
-     drained into [todo] by the sequential glue each round. *)
+  (* Per-worker flat buffers of (parent id, birth index, item) triples:
+     every child of the current generation (plus, before the first
+     generation, the initial items in buffer 0) until [form] ranks them
+     into the next one. *)
   child_buffers : 'item Child_buffer.t array;
   operator : ('item, 'state) Context.t -> 'item -> unit;
   options : Policy.det_options;
@@ -398,24 +420,24 @@ type ('item, 'state) env = {
 }
 
 let empty_state () =
-  { rounds = 0; generations = 0; buckets = 0; next_id = 1; gen_base = 1; slot_task = [||];
-    slot_round = [||]; window = 0; delta = 0; digest = Trace_digest.seed;
-    pending = Pending.create (); todo = Child_buffer.create (); carry = Stats.make_worker ();
-    inspect_s = 0.0; select_s = 0.0; records = [] }
+  { rounds = 0; generations = 0; buckets = 0; next_id = 1; gen_base = 1; items = [||];
+    reg = [||]; pending = Pending.create (); w_use = 0; cols = make_columns 0; window = 0;
+    delta = 0; digest = Trace_digest.seed; carry = Stats.make_worker (); inspect_s = 0.0;
+    select_s = 0.0; records = [] }
 
-(* Each round marks under its own fresh lock epoch, so a displaced id
-   must belong to the current window. *)
+(* Flag task [id] defeated in this round. Each round marks under its own
+   fresh lock epoch, so a displaced id belongs to the current window:
+   its slot's registration names a window position, and the deque entry
+   there must be that very slot. The cross-check makes registrations
+   left by earlier rounds or generations harmless, so none is cleared
+   and the window setup writes one int per task. Reads during inspect
+   race only with other reads. *)
 let defeat st id =
   let s = id - st.gen_base in
-  if s >= 0 && s < Array.length st.slot_round && st.slot_round.(s) = st.rounds then
-    st.slot_task.(s).alive <- false
-  else assert false
-
-let ensure_slots st need generation =
-  if need > Array.length st.slot_round then begin
-    st.slot_task <- Array.make need generation.(0);
-    st.slot_round <- Array.make need 0
-  end
+  let i = if s >= 0 && s < Array.length st.reg then st.reg.(s) else -1 in
+  if i >= 0 && i < st.w_use && Pending.get st.pending i = s then
+    st.cols.defeated.(i) <- st.rounds
+  else failwith "Det_sched: a defeated task is not in the current window"
 
 (* Everything is validated before anything is loaded. The todo checks
    keep a malformed boundary from reaching formation, where an
@@ -428,6 +450,15 @@ let of_boundary env st b =
   let in_generation id = id >= b.b_gen_base && id < b.b_next_id in
   if not (Array.for_all in_generation b.b_pending_ids) then
     invalid_arg "Det_sched.run: resume boundary pending id out of generation";
+  let gen_len = b.b_next_id - b.b_gen_base in
+  let slots = Array.map (fun id -> id - b.b_gen_base) b.b_pending_ids in
+  let seen = Bytes.make gen_len '\000' in
+  Array.iter
+    (fun s ->
+      if Bytes.get seen s <> '\000' then
+        invalid_arg "Det_sched.run: resume boundary pending id repeated";
+      Bytes.set seen s '\001')
+    slots;
   let nt = Array.length b.b_todo_items in
   if Array.length b.b_todo_parents <> nt || Array.length b.b_todo_births <> nt then
     invalid_arg "Det_sched.run: resume boundary todo columns disagree";
@@ -439,7 +470,7 @@ let of_boundary env st b =
       Child_buffer.push todo ~parent:b.b_todo_parents.(i) ~birth:b.b_todo_births.(i) item)
     b.b_todo_items;
   (* Raises unless each parent's births are exactly 0..k-1. *)
-  if nt > 0 then ignore (id_order ~static_id:None todo);
+  rank_children [| todo |] (fun _ _ _ -> ());
   st.rounds <- b.b_rounds;
   st.generations <- b.b_generations;
   st.buckets <- b.b_buckets;
@@ -454,35 +485,43 @@ let of_boundary env st b =
   c.work <- b.b_work;
   c.pushes <- b.b_created;
   c.inspections <- b.b_inspected;
-  Child_buffer.transfer ~into:st.todo todo;
-  let n = Array.length b.b_pending_items in
+  env.child_buffers.(0) <- todo;
+  let n = Array.length slots in
   if n > 0 then begin
     (* Rebuild the current generation's pending suffix in captured
-       deque order (spread-permuted, not id order). *)
-    let generation =
-      Array.init n (fun i -> make_task b.b_pending_ids.(i) b.b_pending_items.(i))
-    in
+       deque order (spread-permuted, not id order); the committed slots
+       keep a filler item nothing reads. *)
+    st.items <- Array.make gen_len b.b_pending_items.(0);
+    Array.iteri (fun i s -> st.items.(s) <- b.b_pending_items.(i)) slots;
+    st.reg <- Array.make gen_len (-1);
     if b.b_delta > 0 then begin
       (* Soft-priority generation: the captured deque order is
          run-contiguous (windows never straddle runs), so grouping
          consecutive equal buckets reconstructs the run table. The
          current run was already opened (and digest-folded) before the
          boundary, so it is not re-opened here. *)
-      let bucket i = bucket_of ~delta:b.b_delta (env.prio_of generation.(i).item) in
-      Pending.load_runs st.pending generation (group_runs n bucket);
+      let bucket i = bucket_of ~delta:b.b_delta (env.prio_of b.b_pending_items.(i)) in
+      Pending.load_runs st.pending slots (group_runs n bucket);
       st.delta <- b.b_delta
     end
-    else Pending.load st.pending generation;
-    ensure_slots st (b.b_next_id - b.b_gen_base) generation
+    else Pending.load st.pending slots
   end;
   if env.tracing then
     env.emit (Obs.Resumed { round = b.b_rounds; digest = Trace_digest.to_hex b.b_digest })
 
 (* The state a resume needs to replay round [rounds + 1] onward. Called
    from the sequential glue only, after compaction and window adaptation
-   — [st.window] is the next round's window. *)
+   — [st.window] is the next round's window. The todo is written in
+   (parent id, birth index) rank order, so the boundary — and its
+   encoded bytes — do not depend on which worker buffered which child. *)
 let capture env st =
-  let np = Pending.length st.pending and nt = Child_buffer.length st.todo in
+  let np = Pending.length st.pending and nt = child_count env.child_buffers in
+  let parents = Array.make nt 0 and births = Array.make nt 0 in
+  let items = if nt = 0 then [||] else Array.make nt (some_child env.child_buffers) in
+  rank_children env.child_buffers (fun r buf i ->
+      parents.(r) <- Child_buffer.parent buf i;
+      births.(r) <- Child_buffer.birth buf i;
+      items.(r) <- Child_buffer.item buf i);
   let sum f = Array.fold_left (fun a w -> a + f w) (f st.carry) env.workers in
   {
     b_rounds = st.rounds;
@@ -493,11 +532,11 @@ let capture env st =
     b_window = st.window;
     b_delta = (if np = 0 then 0 else st.delta);
     b_digest = st.digest;
-    b_pending_ids = Array.init np (fun i -> (Pending.get st.pending i).id);
-    b_pending_items = Array.init np (fun i -> (Pending.get st.pending i).item);
-    b_todo_parents = Array.init nt (Child_buffer.parent st.todo);
-    b_todo_births = Array.init nt (Child_buffer.birth st.todo);
-    b_todo_items = Array.init nt (Child_buffer.item st.todo);
+    b_pending_ids = Array.init np (fun i -> st.gen_base + Pending.get st.pending i);
+    b_pending_items = Array.init np (fun i -> st.items.(Pending.get st.pending i));
+    b_todo_parents = parents;
+    b_todo_births = births;
+    b_todo_items = items;
     b_commits = sum (fun w -> w.Stats.committed);
     b_aborts = sum (fun w -> w.Stats.aborted);
     b_acquired = sum (fun w -> w.Stats.acquires);
@@ -519,24 +558,24 @@ let open_run env st =
       if env.tracing then
         env.emit (Obs.Bucket_opened { generation = st.generations; bucket; size })
 
-(* Generation formation: rank the pending children into a new
+(* Generation formation: rank the buffered children into a new
    generation laid out in pending-deque order (spread permutation, or
    bucket runs under soft priority) and fold it into the digest. *)
 let form env st =
   st.generations <- st.generations + 1;
   let { Policy.spread; initial_window; priority; _ } = env.options in
-  let generation, runs, delta =
-    form_generation ~make:make_task ~static_id:env.static_id ~spread ~priority
-      ~prio_of:env.prio_of ~base:st.next_id st.todo
+  let items, slots, runs, delta =
+    form_generation ~static_id:env.static_id ~spread ~priority ~prio_of:env.prio_of
+      env.child_buffers
   in
-  Child_buffer.clear st.todo;
-  let gen_len = Array.length generation in
+  Array.iter Child_buffer.clear env.child_buffers;
+  let gen_len = Array.length items in
+  st.items <- items;
+  if Array.length st.reg < gen_len then st.reg <- Array.make gen_len (-1);
   st.gen_base <- st.next_id;
   st.next_id <- st.next_id + gen_len;
-  ensure_slots st gen_len generation;
   st.delta <- delta;
-  if delta = 0 then Pending.load st.pending generation
-  else Pending.load_runs st.pending generation runs;
+  if delta = 0 then Pending.load st.pending slots else Pending.load_runs st.pending slots runs;
   st.digest <- Trace_digest.fold_int st.digest gen_len;
   if st.delta > 0 then st.digest <- Trace_digest.fold_int st.digest st.delta;
   if env.tracing then
@@ -549,36 +588,40 @@ let form env st =
     st.window <-
       (match initial_window with Some w -> max 1 w | None -> max 32 ((gen_len + 7) / 8))
 
+(* Inspect window position [i] on worker [w]: run the task up to its
+   failsafe point, resetting the position's column entries. *)
+let inspect_task env st ~stamp w i =
+  let c = st.cols and ctx = env.contexts.(w) in
+  let s = Pending.get st.pending i in
+  Context.reset ctx ~phase:Inspect ~task_id:(st.gen_base + s) ~stamp ~saved:None;
+  Context.set_on_defeat ctx env.defeat;
+  env.workers.(w).inspections <- env.workers.(w).inspections + 1;
+  (match env.operator ctx st.items.(s) with
+  | () ->
+      (* No failsafe point reached: a read-only task. Its whole
+         execution — including pushes — happened now; commit just
+         publishes the children if selected. *)
+      c.pure.(i) <- true;
+      c.children.(i) <- Context.pushed_into ctx c.children.(i);
+      c.n_children.(i) <- Context.pushed_count ctx
+  | exception Context.Failsafe_reached -> c.pure.(i) <- false);
+  if Context.keeps_inspected ctx then
+    c.neighborhoods.(i) <- Context.neighborhood_into ctx c.neighborhoods.(i);
+  c.n_locks.(i) <- Context.neighborhood_count ctx;
+  c.inspect_work.(i) <- Context.work_units ctx;
+  c.commit_work.(i) <- 0;
+  if env.options.continuation then c.saved.(i) <- Context.saved ctx
+
 let inspect env st ~stamp ~w_use =
   let t_inspect = Clock.now_s () in
-  par_iter env.pool ~threads:env.threads ~workers:env.workers w_use (fun w i ->
-      let ctx = env.contexts.(w) in
-      let t = Pending.get st.pending i in
-      Context.reset ctx ~phase:Inspect ~task_id:t.id ~stamp ~saved:None;
-      Context.set_on_defeat ctx env.defeat;
-      env.workers.(w).inspections <- env.workers.(w).inspections + 1;
-      (match env.operator ctx t.item with
-      | () ->
-          (* No failsafe point reached: a read-only task. Its whole
-             execution — including pushes — happened now; commit just
-             publishes the children if selected. *)
-          t.pure <- true;
-          t.pure_children <- Context.pushed_into ctx t.pure_children;
-          t.n_pure_children <- Context.pushed_count ctx
-      | exception Context.Failsafe_reached -> ());
-      if Context.keeps_inspected ctx then
-        t.neighborhood <- Context.neighborhood_into ctx t.neighborhood;
-      t.n_locks <- Context.neighborhood_count ctx;
-      t.task_work <- Context.work_units ctx;
-      if env.options.continuation then t.saved <- Context.saved ctx);
+  par_iter env.pool ~threads:env.threads ~workers:env.workers w_use (inspect_task env st ~stamp);
   let dt_inspect = Clock.elapsed_s t_inspect in
   st.inspect_s <- st.inspect_s +. dt_inspect;
   if env.tracing then begin
-    let marked = ref 0 and saved = ref 0 in
+    let c = st.cols and marked = ref 0 and saved = ref 0 in
     for i = 0 to w_use - 1 do
-      let t = Pending.get st.pending i in
-      marked := !marked + t.n_locks;
-      if Option.is_some t.saved then incr saved
+      marked := !marked + c.n_locks.(i);
+      if Option.is_some c.saved.(i) then incr saved
     done;
     env.emit
       (Obs.Inspect_done { round = st.rounds; marked = !marked; saved_continuations = !saved });
@@ -589,43 +632,43 @@ let inspect env st ~stamp ~w_use =
    Surviving marks are NOT released: the next round's fresh epoch makes
    them stale wholesale, deleting one CAS per held lock per task per
    round from the former mark-clearing pass. *)
-let select_and_exec env st ~stamp ~w_use =
-  par_iter env.pool ~threads:env.threads ~workers:env.workers w_use (fun w i ->
-      let stats = env.workers.(w) in
-      let ctx = env.contexts.(w) in
-      let buf = env.child_buffers.(w) in
-      let t = Pending.get st.pending i in
-      let selected = t.alive in
-      if env.options.Policy.validate then begin
-        let marks_ok = ref true in
-        for k = 0 to t.n_locks - 1 do
-          if not (Lock.holds t.neighborhood.(k) ~stamp t.id) then marks_ok := false
-        done;
-        if selected <> !marks_ok then
-          failwith "Det_sched: defeat flags disagree with neighborhood marks"
-      end;
-      if selected then begin
-        if t.pure then begin
-          for k = 0 to t.n_pure_children - 1 do
-            Child_buffer.push buf ~parent:t.id ~birth:k t.pure_children.(k)
-          done;
-          stats.pushes <- stats.pushes + t.n_pure_children;
-          stats.work <- stats.work + t.task_work
-        end
-        else begin
-          Context.reset ctx ~phase:Commit ~task_id:t.id ~stamp ~saved:t.saved;
-          env.operator ctx t.item;
-          stats.work <- stats.work + Context.work_units ctx;
-          t.commit_work <- Context.work_units ctx;
-          let n = Context.pushed_count ctx in
-          for k = 0 to n - 1 do
-            Child_buffer.push buf ~parent:t.id ~birth:k (Context.pushed_get ctx k)
-          done;
-          stats.pushes <- stats.pushes + n
-        end;
-        stats.committed <- stats.committed + 1
-      end
-      else stats.aborted <- stats.aborted + 1)
+let select_task env st ~stamp w i =
+  let c = st.cols and stats = env.workers.(w) and ctx = env.contexts.(w) in
+  let buf = env.child_buffers.(w) in
+  let s = Pending.get st.pending i in
+  let id = st.gen_base + s in
+  let selected = c.defeated.(i) <> st.rounds in
+  if env.options.Policy.validate then begin
+    let marks_ok = ref true in
+    for k = 0 to c.n_locks.(i) - 1 do
+      if not (Lock.holds c.neighborhoods.(i).(k) ~stamp id) then marks_ok := false
+    done;
+    if selected <> !marks_ok then
+      failwith "Det_sched: defeat flags disagree with neighborhood marks"
+  end;
+  if selected then begin
+    if c.pure.(i) then begin
+      let children = c.children.(i) and n = c.n_children.(i) in
+      for k = 0 to n - 1 do
+        Child_buffer.push buf ~parent:id ~birth:k children.(k)
+      done;
+      stats.pushes <- stats.pushes + n;
+      stats.work <- stats.work + c.inspect_work.(i)
+    end
+    else begin
+      Context.reset ctx ~phase:Commit ~task_id:id ~stamp ~saved:c.saved.(i);
+      env.operator ctx st.items.(s);
+      stats.work <- stats.work + Context.work_units ctx;
+      c.commit_work.(i) <- Context.work_units ctx;
+      let n = Context.pushed_count ctx in
+      for k = 0 to n - 1 do
+        Child_buffer.push buf ~parent:id ~birth:k (Context.pushed_get ctx k)
+      done;
+      stats.pushes <- stats.pushes + n
+    end;
+    stats.committed <- stats.committed + 1
+  end
+  else stats.aborted <- stats.aborted + 1
 
 (* Dynamic determinism audit: drain the access tapes and check
    cautiousness / containment / round-level races against the committed
@@ -644,15 +687,17 @@ let audit_round env st a ~w_use ~ids ~n =
       fresh
 
 let record_round st ~w_use =
-  let record t =
-    { Schedule.acquires = t.n_locks; inspect_work = t.task_work; commit_work = t.commit_work;
-      committed = t.alive; locks = Array.init t.n_locks (fun k -> Lock.id t.neighborhood.(k)) }
+  let c = st.cols in
+  let record i =
+    { Schedule.acquires = c.n_locks.(i); inspect_work = c.inspect_work.(i);
+      commit_work = c.commit_work.(i); committed = c.defeated.(i) <> st.rounds;
+      locks = Array.init c.n_locks.(i) (fun k -> Lock.id c.neighborhoods.(i).(k)) }
   in
-  st.records <- Array.init w_use (fun i -> record (Pending.get st.pending i)) :: st.records
+  st.records <- Array.init w_use record :: st.records
 
 (* One round: window setup, inspect, selectAndExec, then the sequential
-   glue — digest fold, audit, child transfer, compaction, run accounting,
-   window adaptation and the checkpoint. *)
+   glue — digest fold, audit, compaction, run accounting, window
+   adaptation and the checkpoint. *)
 let round env st =
   st.rounds <- st.rounds + 1;
   (* A fresh lock epoch per round: every mark the previous round left
@@ -661,19 +706,16 @@ let round env st =
   let stamp = Lock.new_epoch () in
   (* --- calculateWindow / getWindowOfTasks ---------------------------
      Under soft-priority scheduling the window is additionally capped at
-     the current bucket run: rounds never mix buckets. *)
+     the current bucket run: rounds never mix buckets. The setup only
+     registers each slot's window position; the inspecting workers reset
+     the rest of the window's columns. *)
   let w_use = min st.window (Pending.window_avail st.pending) in
+  if w_use > Array.length st.cols.defeated then st.cols <- make_columns w_use;
+  st.w_use <- w_use;
   for i = 0 to w_use - 1 do
-    let t = Pending.get st.pending i in
-    t.alive <- true;
-    t.pure <- false;
-    t.n_pure_children <- 0;
-    t.saved <- None;
-    t.commit_work <- 0;
-    let s = t.id - st.gen_base in
-    st.slot_task.(s) <- t;
-    st.slot_round.(s) <- st.rounds
+    st.reg.(Pending.get st.pending i) <- i
   done;
+  let pushed_before = child_count env.child_buffers in
   if env.tracing then begin
     env.emit (Obs.Round_begin { round = st.rounds; window = w_use });
     env.emit
@@ -682,51 +724,47 @@ let round env st =
   end;
   inspect env st ~stamp ~w_use;
   let t_select = Clock.now_s () in
-  select_and_exec env st ~stamp ~w_use;
+  par_iter env.pool ~threads:env.threads ~workers:env.workers w_use (select_task env st ~stamp);
   let dt_select = Clock.elapsed_s t_select in
   st.select_s <- st.select_s +. dt_select;
   (* --- sequential glue between rounds -------------------------------
-     [alive] still says which tasks were selected: defeat flags only
-     change during inspect. One pass folds the committed ids into the
-     digest and collects the audit's ids and the executed work. *)
-  let ids = if Option.is_some env.audit then Array.make w_use 0 else [||] in
+     [defeated] still says which tasks were selected: defeat flags only
+     change during inspect. One pass collects the committed ids and the
+     executed work; the ids are then folded into the digest at once. *)
+  let c = st.cols in
   let n_committed = ref 0 and exec_work = ref 0 in
-  st.digest <- Trace_digest.fold_int st.digest w_use;
   for i = 0 to w_use - 1 do
-    let t = Pending.get st.pending i in
-    if t.alive then begin
-      st.digest <- Trace_digest.fold_int st.digest t.id;
-      if Array.length ids > 0 then ids.(!n_committed) <- t.id;
+    if c.defeated.(i) <> st.rounds then begin
+      c.ids.(!n_committed) <- st.gen_base + Pending.get st.pending i;
       incr n_committed;
-      exec_work := !exec_work + if t.pure then t.task_work else t.commit_work
+      exec_work := !exec_work + if c.pure.(i) then c.inspect_work.(i) else c.commit_work.(i)
     end
   done;
   let n_committed = !n_committed in
-  st.digest <- Trace_digest.fold_int st.digest n_committed;
+  st.digest <-
+    Trace_digest.fold_int
+      (Trace_digest.fold_ints (Trace_digest.fold_int st.digest w_use) c.ids n_committed)
+      n_committed;
   (match env.audit with
-  | Some a -> audit_round env st a ~w_use ~ids ~n:n_committed
+  | Some a -> audit_round env st a ~w_use ~ids:c.ids ~n:n_committed
   | None -> ());
-  let round_pushes = ref 0 in
-  for w = 0 to env.threads - 1 do
-    round_pushes := !round_pushes + Child_buffer.length env.child_buffers.(w);
-    Child_buffer.transfer ~into:st.todo env.child_buffers.(w)
-  done;
   if env.tracing then begin
     env.emit
       (Obs.Select_done
          { round = st.rounds; committed = n_committed; defeated = w_use - n_committed });
     env.emit (Obs.Phase_time { round = st.rounds; phase = Obs.Select; dt_s = dt_select });
     env.emit
-      (Obs.Execute_done { round = st.rounds; work = !exec_work; pushes = !round_pushes })
+      (Obs.Execute_done
+         { round = st.rounds; work = !exec_work;
+           pushes = child_count env.child_buffers - pushed_before })
   end;
   if env.record then record_round st ~w_use;
   (* Failed tasks precede the untried remainder: they came from the
      window prefix, so the in-place compaction keeps the pending
      sequence in id order. *)
-  let dropped =
-    Pending.compact st.pending ~w_use ~keep:(fun i -> not (Pending.get st.pending i).alive)
-  in
-  assert (dropped = n_committed);
+  let dropped = Pending.compact st.pending ~w_use ~keep:(fun i -> c.defeated.(i) = st.rounds) in
+  if dropped <> n_committed then
+    failwith "Det_sched: compaction dropped a task count other than the commit count";
   (* Soft-priority run accounting: when the commits drained the current
      bucket run, open the next one — so every round boundary with
      pending tasks already has its run open, which is what lets a
@@ -807,7 +845,10 @@ let run ?(record = false) ?(sink = Obs.null) ?audit ?checkpoint ?resume ?stop_af
       sync0 = Parallel.Domain_pool.sync_counters pool }
   in
   (match resume with
-  | None -> Array.iteri (fun i item -> Child_buffer.push st.todo ~parent:0 ~birth:i item) items
+  | None ->
+      Array.iteri
+        (fun i item -> Child_buffer.push env.child_buffers.(0) ~parent:0 ~birth:i item)
+        items
   | Some b -> of_boundary env st b);
   let t0 = Clock.now_s () in
   (* One iteration per round. A generation boundary is just a round
@@ -816,7 +857,7 @@ let run ?(record = false) ?(sink = Obs.null) ?audit ?checkpoint ?resume ?stop_af
      the same path and a resume can re-enter mid-generation. *)
   let stopped = ref false in
   while
-    (not !stopped) && (Pending.length st.pending > 0 || Child_buffer.length st.todo > 0)
+    (not !stopped) && (Pending.length st.pending > 0 || child_count env.child_buffers > 0)
   do
     if Pending.length st.pending = 0 then form env st;
     round env st;

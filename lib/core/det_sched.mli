@@ -24,15 +24,16 @@ val generation_layout :
   priority:Policy.priority_mode ->
   prio_of:('item -> int) ->
   base:int ->
-  'item Child_buffer.t ->
+  'item Child_buffer.t array ->
   (int * 'item) array * (int * int) array * int
 (** Generation formation exactly as the scheduler does it, for the
     property tests: the [(id, item)] tasks of the generation formed from
-    a non-empty todo buffer, in pending-deque order, with ids dense from
-    [base]; the [(bucket, size)] run table ([[||]] under [Prio_off]);
-    and the bucket width used (0 under [Prio_off]). Without [static_id],
-    ids follow the (parent id, birth index) order; raises
-    [Invalid_argument] unless each parent's births are exactly
+    the children in the worker buffers (at least one child in all), in
+    pending-deque order, with ids dense from [base]; the
+    [(bucket, size)] run table ([[||]] under [Prio_off]); and the bucket
+    width used (0 under [Prio_off]). Without [static_id], ids follow the
+    (parent id, birth index) order, whichever buffer holds a child;
+    raises [Invalid_argument] unless each parent's births are exactly
     [0..k-1]. *)
 
 val adapt_window : target_ratio:float -> window:int -> committed:int -> w_use:int -> int
@@ -70,8 +71,10 @@ type 'item boundary = {
     round [b_rounds + 1] and reproduce the uninterrupted run's schedule
     digest for digest. The pending deque is captured in deque order (the
     spread permutation means that is {e not} id order), and the current
-    generation's undrained child buffer rides along — a mid-generation
-    boundary owns children pushed by earlier rounds. Seven counters are
+    generation's children ride along in (parent id, birth index) order —
+    a mid-generation boundary owns children pushed by earlier rounds,
+    and the order makes its encoded bytes independent of the thread
+    count. Seven counters are
     cumulative since the original round 1: [b_buckets] and the six
     [b_commits] .. [b_inspected] fields, the deterministic subset of the
     worker counters. Timing-dependent counters (atomics, chunks, spins,

@@ -112,18 +112,18 @@ let claim_fresh t ~stamp task_id =
    allocates: the displaced same-epoch id, 0 for none, or [lost]. *)
 let lost = -1
 
-let claim_max t ~stamp task_id =
-  let packed = pack ~stamp task_id in
-  let word = cell t in
-  let rec go () =
-    let cur = Atomic.get word in
-    let cur_id = if cur lsr id_bits = stamp then cur land id_mask else 0 in
-    if cur_id = task_id then 0
-    else if cur_id > task_id then lost
-    else if Atomic.compare_and_set word cur packed then cur_id
-    else go ()
-  in
-  go ()
+(* The CAS loop is a top-level function, not a local closure: this tree
+   builds without flambda, so a local [let rec] capturing the word,
+   stamp and ids would allocate a closure on every claim. *)
+let rec claim_max_loop word ~stamp packed task_id =
+  let cur = Atomic.get word in
+  let cur_id = if cur lsr id_bits = stamp then cur land id_mask else 0 in
+  if cur_id = task_id then 0
+  else if cur_id > task_id then lost
+  else if Atomic.compare_and_set word cur packed then cur_id
+  else claim_max_loop word ~stamp packed task_id
+
+let claim_max t ~stamp task_id = claim_max_loop (cell t) ~stamp (pack ~stamp task_id) task_id
 
 let holds t ~stamp task_id = Atomic.get (cell t) = pack ~stamp task_id
 

@@ -7,7 +7,9 @@
    (window extraction, [List.rev_append] re-splicing), allocating O(w)
    cons cells every round. Here the window is just an index range over
    the generation array and a round ends with an in-place compaction:
-   no per-round allocation at all.
+   no per-round allocation at all. The entries are plain ints (the
+   scheduler stores generation slots), so compaction moves immediates
+   and never goes through the write barrier.
 
    [compact] walks the window backwards, sliding each kept (failed)
    task down to sit directly before the untried remainder. Writing
@@ -16,8 +18,8 @@
    ever clobbered, and the descending walk preserves the relative order
    of the kept tasks. *)
 
-type 'a t = {
-  mutable buf : 'a array;
+type t = {
+  mutable buf : int array;
   mutable head : int;
   mutable len : int;
   (* Soft-priority bucket runs: the buffer is a concatenation of

@@ -38,6 +38,21 @@ let fold_int64 t x =
 
 let fold_int t x = fold_int64 t (Int64.of_int x)
 
+(* [fold_int] over a prefix of an int array, with the running hash in
+   one local: the result is boxed once, not once per element. The bytes
+   of [Int64.of_int x] are those of [x] shifted arithmetically, so the
+   sign extension into the top byte comes from [asr]. *)
+let fold_ints t a n =
+  if n < 0 || n > Array.length a then invalid_arg "Trace_digest.fold_ints";
+  let h = ref t in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get a i in
+    for b = 0 to 7 do
+      h := Int64.mul (Int64.logxor !h (Int64.of_int ((x asr (8 * b)) land 0xff))) prime
+    done
+  done;
+  !h
+
 let fold_bool t b = fold_byte t (if b then 1 else 0)
 
 let fold_float t f = fold_int64 t (Int64.bits_of_float f)

@@ -22,6 +22,11 @@ val is_absent : t -> bool
 val fold_int : t -> int -> t
 (** Fold the 8 little-endian bytes of the word into the digest. *)
 
+val fold_ints : t -> int array -> int -> t
+(** [fold_ints t a n] folds [a.(0)] .. [a.(n - 1)] with {!fold_int}, in
+    order, without boxing per element. Raises [Invalid_argument] unless
+    [0 <= n <= Array.length a]. *)
+
 val fold_int64 : t -> int64 -> t
 val fold_bool : t -> bool -> t
 

@@ -31,6 +31,22 @@ let test_bfs_all_variants_agree () =
       let dist, _, _ = Apps.Bfs.pbbs ~pool g ~source:0 in
       if dist <> reference then Alcotest.fail "pbbs bfs differs from serial")
 
+(* Allocation gate for the det scheduler's hot path: det:1 bfs on a
+   small kout input (the costbench bfs-kout shape) must stay below a
+   pinned number of minor words per commit (about 21 on this input).
+   The bfs operator itself allocates its task tuples and iteration
+   closures; a per-task record or a per-commit box in the scheduler
+   pushes it over. *)
+let test_bfs_allocation () =
+  let g = Gen.kout ~seed:2014 ~n:8192 ~k:5 () in
+  Galois.Pool.with_pool ~domains:1 @@ fun pool ->
+  let g0 = Gc.quick_stat () in
+  let _, report = Apps.Bfs.galois ~pool ~policy:(Galois.Policy.det 1) g ~source:0 in
+  let g1 = Gc.quick_stat () in
+  let per_commit = (g1.minor_words -. g0.minor_words) /. float_of_int report.stats.commits in
+  if per_commit >= 32.0 then
+    Alcotest.failf "det:1 bfs allocates %.1f minor words per commit (limit 32)" per_commit
+
 let test_bfs_disconnected () =
   (* Nodes unreachable from the source stay at [unreached]. *)
   let g = Csr.of_edges ~n:5 [| (0, 1); (1, 2); (3, 4) |] in
@@ -262,6 +278,7 @@ let suite =
   [
     Alcotest.test_case "bfs: all variants agree" `Quick test_bfs_all_variants_agree;
     Alcotest.test_case "bfs: disconnected graph" `Quick test_bfs_disconnected;
+    Alcotest.test_case "bfs: det:1 allocation per commit" `Quick test_bfs_allocation;
     Alcotest.test_case "sssp: weight plane = weight array" `Quick
       test_sssp_weight_plane_equivalent;
     Alcotest.test_case "mis: all variants valid" `Quick test_mis_all_valid;

@@ -77,9 +77,13 @@ module Cb = Galois.Child_buffer
    them from [base]; then spread the whole generation, or stable-sort it
    by bucket, group equal buckets into runs and spread each run on its
    own. Pile dealing is [spread_reference], not [D.spread_index]. *)
-let model_layout ~static_id ~spread ~priority ~prio_of ~base todo =
+let model_layout ~static_id ~spread ~priority ~prio_of ~base bufs =
   let entries =
-    Array.init (Cb.length todo) (fun i -> (Cb.parent todo i, Cb.birth todo i, Cb.item todo i))
+    Array.concat
+      (List.map
+         (fun todo ->
+           Array.init (Cb.length todo) (fun i -> (Cb.parent todo i, Cb.birth todo i, Cb.item todo i)))
+         (Array.to_list bufs))
   in
   let items =
     match static_id with
@@ -137,17 +141,19 @@ let shuffle rng arr =
 
 (* A random todo set as the scheduler builds one: the committed parents
    of a generation, in shuffled order, each push births 0..k-1
-   contiguously into one of several worker buffers, and the buffers are
-   drained in shuffled order; or an initial generation under parent 0.
-   Items are in [-500, 500]. *)
+   contiguously into one of several worker buffers, which formation
+   reads in shuffled order; or an initial generation under parent 0 in
+   one buffer. Items are in [-500, 500]. *)
 let random_todo rng =
-  let todo = Cb.create () in
   let item () = Sm.int rng 1001 - 500 in
-  if Sm.int rng 5 = 0 then
+  if Sm.int rng 5 = 0 then begin
     (* The initial generation: every item a birth of parent 0. *)
+    let todo = Cb.create () in
     for k = 0 to Sm.int rng 300 do
       Cb.push todo ~parent:0 ~birth:k (item ())
-    done
+    done;
+    [| todo |]
+  end
   else begin
     let gen_base = 1 + Sm.int rng 1000 and gen_size = 1 + Sm.int rng 200 in
     let parents = Array.init gen_size (fun i -> gen_base + i) in
@@ -162,11 +168,11 @@ let random_todo rng =
           done
         end)
       parents;
+    if Array.for_all (fun buf -> Cb.length buf = 0) buffers then
+      Cb.push buffers.(0) ~parent:gen_base ~birth:0 (item ());
     shuffle rng buffers;
-    Array.iter (fun buf -> Cb.transfer ~into:todo buf) buffers;
-    if Cb.length todo = 0 then Cb.push todo ~parent:gen_base ~birth:0 (item ())
-  end;
-  todo
+    buffers
+  end
 
 let priority_name = function
   | Galois.Policy.Prio_off -> "off"
@@ -223,7 +229,7 @@ let test_layout_rejects_bad_births () =
       List.iter (fun b -> Cb.push todo ~parent:7 ~birth:b 20) births;
       match
         D.generation_layout ~static_id:None ~spread:1 ~priority:Galois.Policy.Prio_off
-          ~prio_of:Fun.id ~base:1 todo
+          ~prio_of:Fun.id ~base:1 [| todo |]
       with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "%s: accepted" what)

@@ -200,6 +200,35 @@ let test_pack_bounds () =
   check_int "mark decodes the full-width id" Galois.Lock.max_task_id
     (Galois.Lock.mark l)
 
+(* Marking never allocates: 10k calls of each hot-path operation may
+   cost only the boxed floats of the two [Gc.minor_words] reads. The
+   loops are inline, not closures, so they allocate nothing themselves. *)
+let test_marking_allocates_nothing () =
+  let l = Galois.Lock.create () and calls = 10_000 in
+  let stamp = Galois.Lock.new_epoch () in
+  let check what before =
+    let words = Gc.minor_words () -. before in
+    if words > 8.0 then
+      Alcotest.failf "%s allocated %.0f minor words over %d calls" what words calls
+  in
+  (* Rising ids: every claim displaces the previous one with a CAS. *)
+  let before = Gc.minor_words () in
+  for id = 1 to calls do
+    ignore (Galois.Lock.claim_max l ~stamp id)
+  done;
+  check "claim_max" before;
+  let stamp = Galois.Lock.new_epoch () in
+  let before = Gc.minor_words () in
+  for id = 1 to calls do
+    ignore (Galois.Lock.try_claim l ~stamp (1 + (id land 1)))
+  done;
+  check "try_claim" before;
+  let before = Gc.minor_words () in
+  for id = 1 to calls do
+    ignore (Galois.Lock.holds l ~stamp id)
+  done;
+  check "holds" before
+
 (* Property: for any sequence of claim_max operations, the final mark is
    the maximum id claimed. *)
 let prop_claim_max_commutes =
@@ -251,6 +280,7 @@ let suite =
     Alcotest.test_case "claim_max over stale mark" `Quick test_claim_max_over_stale_mark;
     Alcotest.test_case "stale release is a no-op" `Quick test_stale_release_is_noop;
     Alcotest.test_case "pack bounds" `Quick test_pack_bounds;
+    Alcotest.test_case "marking allocates nothing" `Quick test_marking_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_claim_max_commutes;
     QCheck_alcotest.to_alcotest prop_claim_max_epochs_isolate;
   ]

@@ -150,6 +150,34 @@ let test_bytes_resume_fresh_world () =
   check_reports "bytes resume" full resumed;
   check_bool "dist restored and completed" true (full_dist () = fresh_dist ())
 
+(* A boundary is a function of the schedule alone, so its encoded bytes
+   must not depend on the thread count: bfs with a snapshot after every
+   round gives the same bytes at det:1 and det:3, round for round. The
+   pending todo is where thread count could leak in, through which
+   worker buffered which child. *)
+let test_checkpoint_bytes_thread_invariant () =
+  let g = Graphlib.Generators.kout ~seed:11 ~n:4000 ~k:5 () in
+  let snapshots threads =
+    let run, _ = Apps.Bfs.plan g ~source:0 in
+    let snaps = ref [] in
+    let _ =
+      run
+      |> Galois.Run.policy (Galois.Policy.det threads)
+      |> Galois.Run.checkpoint_every 1
+      |> Galois.Run.on_checkpoint (fun snap -> snaps := Snapshot.encode snap :: !snaps)
+      |> Galois.Run.exec
+    in
+    Array.of_list (List.rev !snaps)
+  in
+  let one = snapshots 1 and three = snapshots 3 in
+  check_int "snapshot count" (Array.length one) (Array.length three);
+  check_bool "several rounds" true (Array.length one > 10);
+  Array.iteri
+    (fun r bytes ->
+      if not (String.equal bytes three.(r)) then
+        Alcotest.failf "round %d: det:1 and det:3 snapshots differ" (r + 1))
+    one
+
 let test_checkpoint_file_roundtrip () =
   (* checkpoint_to writes a loadable file whose decoded snapshot resumes
      (via resume_from) to the uninterrupted digest. *)
@@ -590,6 +618,10 @@ let test_resume_birth_gap () =
   expect_resume_refused "births with a gap"
     { (sample_boundary ()) with b_todo_births = [| 0; 2 |] }
 
+let test_resume_repeated_pending_id () =
+  expect_resume_refused "repeated pending id"
+    { (sample_boundary ()) with b_pending_ids = [| 31; 34; 31 |] }
+
 let suite =
   [
     Alcotest.test_case "gen: crash/resume over the lattice" `Quick
@@ -599,6 +631,8 @@ let suite =
       test_crash_past_end_degrades;
     Alcotest.test_case "bytes resume into a fresh world" `Quick
       test_bytes_resume_fresh_world;
+    Alcotest.test_case "checkpoint bytes thread-invariant" `Quick
+      test_checkpoint_bytes_thread_invariant;
     Alcotest.test_case "checkpoint file round-trips" `Quick test_checkpoint_file_roundtrip;
     Alcotest.test_case "codec: round-trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec: corruption detection" `Quick test_codec_corruption;
@@ -621,4 +655,6 @@ let suite =
       test_resume_parent_past_generation;
     Alcotest.test_case "resume: duplicate births refused" `Quick test_resume_duplicate_births;
     Alcotest.test_case "resume: births with a gap refused" `Quick test_resume_birth_gap;
+    Alcotest.test_case "resume: repeated pending id refused" `Quick
+      test_resume_repeated_pending_id;
   ]

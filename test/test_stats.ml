@@ -170,6 +170,43 @@ let test_of_hex_roundtrip () =
     [ ""; "123"; "cbf29ce48422232"; "cbf29ce4842223255"; "xbf29ce484222325";
       "CBF29CE484222325"; "0x29ce484222325aa" ]
 
+(* [fold_ints] is [fold_int] over an array prefix, element by element:
+   random prefixes of arrays mixing small, negative and extreme ints,
+   including the empty prefix, and out-of-range lengths rejected. *)
+let test_fold_ints_matches_fold_int () =
+  let rng = Parallel.Splitmix.create 0xf01d in
+  let special = [| 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1; 255; -256 |] in
+  for _ = 1 to 500 do
+    let len = Parallel.Splitmix.int rng 40 in
+    let a =
+      Array.init len (fun _ ->
+          match Parallel.Splitmix.int rng 3 with
+          | 0 -> special.(Parallel.Splitmix.int rng (Array.length special))
+          | 1 -> Parallel.Splitmix.int rng 1_000_000 - 500_000
+          | _ -> Int64.to_int (Parallel.Splitmix.next_int64 rng))
+    in
+    let n = Parallel.Splitmix.int rng (len + 1) in
+    let start = D.fold_int D.seed (Parallel.Splitmix.int rng 1000) in
+    let expected = ref start in
+    for i = 0 to n - 1 do
+      expected := D.fold_int !expected a.(i)
+    done;
+    check_bool "fold_ints = fold_int over the prefix" true
+      (D.equal !expected (D.fold_ints start a n))
+  done;
+  check_bool "n = 0 is the identity" true (D.equal D.seed (D.fold_ints D.seed [| 1; 2 |] 0));
+  check_bool "empty array" true (D.equal D.seed (D.fold_ints D.seed [||] 0));
+  check_bool "negatives and extremes" true
+    (D.equal
+       (D.fold_int (D.fold_int (D.fold_int (D.fold_int D.seed (-1)) max_int) min_int) 0)
+       (D.fold_ints D.seed [| -1; max_int; min_int; 0 |] 4));
+  List.iter
+    (fun n ->
+      match D.fold_ints D.seed [| 1; 2 |] n with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "fold_ints accepted n = %d over 2 elements" n)
+    [ -1; 3 ]
+
 let test_empty_run_digest () =
   (* Zero tasks: no generation is ever formed, so the digest is the bare
      FNV seed (present — a det run happened — but foldless), and the
@@ -238,6 +275,7 @@ let suite =
     Alcotest.test_case "trace digest monoid" `Quick test_digest_monoid;
     Alcotest.test_case "add chains digests" `Quick test_add_chains_digests;
     Alcotest.test_case "of_hex round-trips" `Quick test_of_hex_roundtrip;
+    Alcotest.test_case "fold_ints matches fold_int" `Quick test_fold_ints_matches_fold_int;
     Alcotest.test_case "empty run digest" `Quick test_empty_run_digest;
     Alcotest.test_case "single-round digest by hand" `Quick test_single_round_digest;
     Alcotest.test_case "digest survives pp round-trip" `Quick
