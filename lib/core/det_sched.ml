@@ -81,13 +81,18 @@ let spread_permute spread arr =
   end
 
 (* The parameterless window controller (§3.1): growth on a good round,
-   proportional shrink (with a floor) on a bad one. Exposed for the
-   property tests; must stay bit-identical to the original inline
-   computation — the adapted sizes feed the round-trace digest. *)
+   proportional shrink on a bad one. The shrink has no constant floor:
+   [window * ratio / target + 1] is at least [committed] when the round
+   filled its window and [target <= 1], so the floor is whatever the
+   round just committed — a hot spot that commits two tasks a round
+   stops re-inspecting thirty doomed ones. Exposed for the property
+   tests; the adapted sizes feed the round-trace digest. *)
 let adapt_window ~target_ratio ~window ~committed ~w_use =
+  if w_use < 1 || committed < 0 || committed > w_use || window < w_use then
+    invalid_arg "Det_sched.adapt_window: need 0 <= committed <= w_use, 1 <= w_use <= window";
   let ratio = float_of_int committed /. float_of_int w_use in
   if ratio >= target_ratio then min (window * 2) (1 lsl 22)
-  else max 32 (int_of_float (float_of_int window *. ratio /. target_ratio) + 1)
+  else int_of_float (float_of_int window *. ratio /. target_ratio) + 1
 
 let child_count bufs = Array.fold_left (fun a b -> a + Child_buffer.length b) 0 bufs
 
@@ -443,8 +448,12 @@ let defeat st id =
    keep a malformed boundary from reaching formation, where an
    out-of-generation parent would size the counting sort. *)
 let of_boundary env st b =
-  if b.b_gen_base > b.b_next_id || b.b_rounds < 0 || b.b_window < 0 then
-    invalid_arg "Det_sched.run: inconsistent resume boundary";
+  (* Pending tasks need a window: with no constant floor in
+     [adapt_window], an empty round could not recover from window 0. *)
+  if
+    b.b_gen_base > b.b_next_id || b.b_rounds < 0 || b.b_window < 0
+    || (b.b_window = 0 && Array.length b.b_pending_ids > 0)
+  then invalid_arg "Det_sched.run: inconsistent resume boundary";
   if Array.length b.b_pending_ids <> Array.length b.b_pending_items then
     invalid_arg "Det_sched.run: resume boundary id/item arrays disagree";
   let in_generation id = id >= b.b_gen_base && id < b.b_next_id in

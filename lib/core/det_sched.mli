@@ -39,9 +39,14 @@ val generation_layout :
 val adapt_window : target_ratio:float -> window:int -> committed:int -> w_use:int -> int
 (** One step of the parameterless window controller (§3.1): the next
     window size after a round that committed [committed] of [w_use]
-    tasks under the current [window]. Doubles (capped) at or above
-    [target_ratio], shrinks proportionally (floor 32) below it. Exposed
-    for the property tests; the scheduler calls exactly this. *)
+    tasks under the current [window]. Doubles (capped at 2^22) at or
+    above [target_ratio], shrinks proportionally below it to
+    [window * ratio / target_ratio + 1] — at least [committed] when the
+    round used its whole window and [target_ratio <= 1], so the floor
+    comes from the commit count, not from a constant. Raises
+    [Invalid_argument] unless [1 <= w_use <= window] and
+    [0 <= committed <= w_use]. Exposed for the property tests; the
+    scheduler calls exactly this. *)
 
 type 'item boundary = {
   b_rounds : int;  (** rounds completed when the boundary was taken *)

@@ -499,7 +499,7 @@ let fig12 t =
 
 (* ------------------------------------------------------------------ *)
 (* Ablations of the §3.3 design choices (DESIGN.md §5): locality
-   spread, adaptive vs fixed windows, static ids. Each runs the
+   spread, adaptive vs starved windows, static ids. Each runs the
    deterministic scheduler with one knob changed and reports rounds,
    failed selections and simulated time (m4x10, max threads). *)
 
@@ -542,12 +542,12 @@ let ablation t =
         [
           row "bfs: default (spread=16, adaptive)" (run_bfs base);
           row "bfs: no locality spread" (run_bfs { base with spread = 1 });
-          row "bfs: fixed small window (256)"
+          row "bfs: starved window (target 2.0)"
             (run_bfs { base with initial_window = Some 256; target_ratio = 2.0 });
           row "bfs: no continuation" (run_bfs { base with continuation = false });
           row "dmr: default" (run_dmr base);
           row "dmr: no locality spread" (run_dmr { base with spread = 1 });
-          row "dmr: fixed small window (256)"
+          row "dmr: starved window (target 2.0)"
             (run_dmr { base with initial_window = Some 256; target_ratio = 2.0 });
           row "dmr: no continuation" (run_dmr { base with continuation = false });
         ]

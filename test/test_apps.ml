@@ -47,6 +47,26 @@ let test_bfs_allocation () =
   if per_commit >= 32.0 then
     Alcotest.failf "det:1 bfs allocates %.1f minor words per commit (limit 32)" per_commit
 
+(* Wasted-work gate for the window controller: det:2 boruvka on the
+   input of [galois_run mst -n 400] (the costbench boruvka-hotspot
+   shape), where every task contends on the giant component's root and
+   about two tasks commit per round. With the window's shrink floor at
+   the last round's commit count it inspects about 1.7 tasks per commit
+   in about 430 rounds; a constant floor such as 32 would re-inspect
+   about 30 doomed tasks every round (16.3 inspections per commit). *)
+let test_boruvka_hotspot_waste () =
+  let g = Csr.symmetrize (Gen.kout ~seed:2014 ~n:400 ~k:4 ()) in
+  let w = Graphlib.Graph_io.undirected_random_weights ~seed:2015 g in
+  Galois.Pool.with_pool ~domains:2 @@ fun pool ->
+  let forest, report = Apps.Boruvka.galois ~pool ~policy:(Galois.Policy.det 2) g w in
+  check_bool "forest valid" true (Apps.Boruvka.validate g forest);
+  let stats = report.stats in
+  let per_commit = float_of_int stats.inspected /. float_of_int stats.commits in
+  if per_commit > 3.0 then
+    Alcotest.failf "det:2 boruvka inspects %.2f tasks per commit (limit 3)" per_commit;
+  if stats.rounds > 470 then
+    Alcotest.failf "det:2 boruvka takes %d rounds (limit 470)" stats.rounds
+
 let test_bfs_disconnected () =
   (* Nodes unreachable from the source stay at [unreached]. *)
   let g = Csr.of_edges ~n:5 [| (0, 1); (1, 2); (3, 4) |] in
@@ -279,6 +299,8 @@ let suite =
     Alcotest.test_case "bfs: all variants agree" `Quick test_bfs_all_variants_agree;
     Alcotest.test_case "bfs: disconnected graph" `Quick test_bfs_disconnected;
     Alcotest.test_case "bfs: det:1 allocation per commit" `Quick test_bfs_allocation;
+    Alcotest.test_case "boruvka: det:2 hot-spot inspections per commit" `Quick
+      test_boruvka_hotspot_waste;
     Alcotest.test_case "sssp: weight plane = weight array" `Quick
       test_sssp_weight_plane_equivalent;
     Alcotest.test_case "mis: all variants valid" `Quick test_mis_all_valid;

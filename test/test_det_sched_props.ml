@@ -254,33 +254,75 @@ let test_window_doubles_to_cap () =
     (D.adapt_window ~target_ratio:target ~window:cap ~committed:cap ~w_use:cap)
 
 let test_window_collapse_on_zero_commits () =
-  (* A fully defeated round collapses any window straight to the floor. *)
+  (* A fully defeated round collapses any window straight to one task:
+     the floor is what the round committed, plus one. *)
   List.iter
     (fun w ->
-      check_int "floor after zero commits" 32
+      check_int "one task after zero commits" 1
         (D.adapt_window ~target_ratio:target ~window:w ~committed:0 ~w_use:(max 1 (w / 2))))
-    [ 32; 33; 100; 4096; cap ]
+    [ 1; 32; 33; 100; 4096; cap ]
 
 let test_window_bounds_random_walk () =
   (* Whatever commit ratios a workload forces, the controller stays
-     inside [32, cap] and never more than doubles: 500 random walks of
+     inside [1, cap] and never more than doubles: 500 random walks of
      the recurrence with uniformly random commit counts. *)
   let rng = Sm.create 2014 in
   for _ = 1 to 500 do
-    let w = ref (32 + Sm.int rng 8192) in
+    let w = ref (1 + Sm.int rng 8192) in
     for _ = 1 to 50 do
       let w_use = 1 + Sm.int rng !w in
       let committed = Sm.int rng (w_use + 1) in
       let next = D.adapt_window ~target_ratio:target ~window:!w ~committed ~w_use in
-      check_bool "floor" true (next >= 32);
+      check_bool "at least one" true (next >= 1);
       check_bool "cap" true (next <= cap);
-      check_bool "at most doubles" true (next <= max 32 (2 * !w));
+      check_bool "at most doubles" true (next <= 2 * !w);
       (let ratio = float_of_int committed /. float_of_int w_use in
        if ratio >= target then
          check_int "good round doubles" (min (2 * !w) cap) next);
       w := next
     done
   done
+
+let test_window_floor_is_commit_count () =
+  (* The shrink has no constant floor; after a round that used its whole
+     window it keeps at least the tasks that round committed, for any
+     target <= 1, and one more at the default 0.9. At exactly 1.0 the
+     float product [w * (c / w)] can round below [c], so only [c] is
+     promised there. *)
+  let rng = Sm.create 7 in
+  let targets = [ 0.9; 1.0; 0.5; 0.99; 0.1 ] in
+  for _ = 1 to 2000 do
+    let w = 1 + Sm.int rng (1 lsl 20) in
+    let committed = Sm.int rng (w + 1) in
+    List.iter
+      (fun target_ratio ->
+        if float_of_int committed /. float_of_int w < target_ratio then begin
+          let next = D.adapt_window ~target_ratio ~window:w ~committed ~w_use:w in
+          if next < committed then
+            Alcotest.failf "target %g: window %d, %d committed -> %d" target_ratio w committed
+              next;
+          if target_ratio = target && next < committed + 1 then
+            Alcotest.failf "default target: window %d, %d committed -> %d" w committed next
+        end)
+      targets
+  done
+
+let test_window_rejects_bad_inputs () =
+  (* [adapt_window] is public: a round with no window, a commit count
+     outside [0, w_use] or a window smaller than the round it ran would
+     otherwise yield a meaningless (e.g. negative) next window. *)
+  List.iter
+    (fun (what, window, committed, w_use) ->
+      match D.adapt_window ~target_ratio:target ~window ~committed ~w_use with
+      | exception Invalid_argument _ -> ()
+      | next -> Alcotest.failf "%s: accepted, next window %d" what next)
+    [
+      ("empty round", 32, 0, 0);
+      ("negative w_use", 32, 0, -1);
+      ("negative commits", 32, -1, 16);
+      ("more commits than tasks", 32, 17, 16);
+      ("window below w_use", 8, 4, 16);
+    ]
 
 let test_window_shrink_proportional () =
   (* Below target, the shrink is proportional: committing half the
@@ -528,6 +570,9 @@ let suite =
     Alcotest.test_case "window: zero commits collapse" `Quick
       test_window_collapse_on_zero_commits;
     Alcotest.test_case "window: bounded random walk" `Quick test_window_bounds_random_walk;
+    Alcotest.test_case "window: floor is the commit count" `Quick
+      test_window_floor_is_commit_count;
+    Alcotest.test_case "window: rejects bad inputs" `Quick test_window_rejects_bad_inputs;
     Alcotest.test_case "window: proportional shrink" `Quick test_window_shrink_proportional;
     Alcotest.test_case "pending: compact cases" `Quick test_pending_compact_cases;
     Alcotest.test_case "pending: compact random model" `Quick test_pending_compact_random;

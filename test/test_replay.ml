@@ -622,6 +622,10 @@ let test_resume_repeated_pending_id () =
   expect_resume_refused "repeated pending id"
     { (sample_boundary ()) with b_pending_ids = [| 31; 34; 31 |] }
 
+let test_resume_zero_window () =
+  expect_resume_refused "zero window with pending tasks"
+    { (sample_boundary ()) with b_window = 0 }
+
 let suite =
   [
     Alcotest.test_case "gen: crash/resume over the lattice" `Quick
@@ -657,4 +661,6 @@ let suite =
     Alcotest.test_case "resume: births with a gap refused" `Quick test_resume_birth_gap;
     Alcotest.test_case "resume: repeated pending id refused" `Quick
       test_resume_repeated_pending_id;
+    Alcotest.test_case "resume: zero window with pending tasks refused" `Quick
+      test_resume_zero_window;
   ]
