@@ -64,7 +64,7 @@ let create () =
     phase = Direct;
     task_id = 1;
     stamp = 0;  (* claims before the first [reset] are a usage error *)
-    stats = Stats.make_worker ();
+    stats = Obs.counters 0;
     neighborhood = [||];
     neighborhood_size = 0;
     keep_inspected = true;
@@ -106,11 +106,11 @@ let acquire t lock =
   t.stats.acquires <- t.stats.acquires + 1;
   match t.phase with
   | Direct ->
-      t.stats.atomic_updates <- t.stats.atomic_updates + 1;
+      t.stats.atomics <- t.stats.atomics + 1;
       if Lock.try_claim lock ~stamp:t.stamp t.task_id then add_lock t lock
       else raise Conflict
   | Inspect ->
-      t.stats.atomic_updates <- t.stats.atomic_updates + 1;
+      t.stats.atomics <- t.stats.atomics + 1;
       (match t.tape with
       | None -> ()
       | Some tape ->
@@ -141,7 +141,7 @@ let acquire t lock =
 let register_new t lock =
   match t.phase with
   | Direct ->
-      t.stats.atomic_updates <- t.stats.atomic_updates + 1;
+      t.stats.atomics <- t.stats.atomics + 1;
       (* Strictly fresh: a stale mark from an earlier epoch proves some
          other task saw this location, so it must not pass either. *)
       if not (Lock.claim_fresh lock ~stamp:t.stamp t.task_id) then

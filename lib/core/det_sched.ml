@@ -54,8 +54,8 @@
    Code shape: a run's mutable [state] and fixed [env] are two records
    that [form], [round] and [finish] work over. A resume [boundary] is
    the projection of the state that [capture] takes and [of_boundary]
-   loads back, seven cumulative counters included: buckets and the six
-   deterministic worker counters, carried as one [Stats.worker]. *)
+   loads back, cumulative counters included: buckets and the worker
+   counters [Obs.det_counters] lists, carried as one [Stats.worker]. *)
 
 (* §3.3 locality spread: deal a sequence into [spread] strided piles so
    that tasks adjacent in iteration order (likely to share neighborhoods)
@@ -299,7 +299,7 @@ let par_iter pool ~threads ~workers n f =
         let start = Atomic.fetch_and_add counter chunk in
         if start >= n then continue_ := false
         else begin
-          workers.(w).Stats.chunks <- workers.(w).Stats.chunks + 1;
+          workers.(w).Obs.chunks <- workers.(w).Obs.chunks + 1;
           for i = start to min (start + chunk) n - 1 do
             f w i
           done
@@ -321,12 +321,7 @@ type 'item boundary = {
   b_todo_parents : int array;
   b_todo_births : int array;
   b_todo_items : 'item array;
-  b_commits : int;
-  b_aborts : int;
-  b_acquired : int;
-  b_work : int;
-  b_created : int;
-  b_inspected : int;
+  b_counters : Stats.worker;
 }
 
 (* One round's per-task state, indexed by window position: entry [i]
@@ -427,7 +422,7 @@ type ('item, 'state) env = {
 let empty_state () =
   { rounds = 0; generations = 0; buckets = 0; next_id = 1; gen_base = 1; items = [||];
     reg = [||]; pending = Pending.create (); w_use = 0; cols = make_columns 0; window = 0;
-    delta = 0; digest = Trace_digest.seed; carry = Stats.make_worker (); inspect_s = 0.0;
+    delta = 0; digest = Trace_digest.seed; carry = Obs.counters 0; inspect_s = 0.0;
     select_s = 0.0; records = [] }
 
 (* Flag task [id] defeated in this round. Each round marks under its own
@@ -487,13 +482,7 @@ let of_boundary env st b =
   st.gen_base <- b.b_gen_base;
   st.window <- b.b_window;
   st.digest <- b.b_digest;
-  let c = st.carry in
-  c.committed <- b.b_commits;
-  c.aborted <- b.b_aborts;
-  c.acquires <- b.b_acquired;
-  c.work <- b.b_work;
-  c.pushes <- b.b_created;
-  c.inspections <- b.b_inspected;
+  List.iter (fun f -> f.Obs.set st.carry (f.Obs.get b.b_counters)) Obs.det_counters;
   env.child_buffers.(0) <- todo;
   let n = Array.length slots in
   if n > 0 then begin
@@ -531,7 +520,6 @@ let capture env st =
       parents.(r) <- Child_buffer.parent buf i;
       births.(r) <- Child_buffer.birth buf i;
       items.(r) <- Child_buffer.item buf i);
-  let sum f = Array.fold_left (fun a w -> a + f w) (f st.carry) env.workers in
   {
     b_rounds = st.rounds;
     b_generations = st.generations;
@@ -546,12 +534,8 @@ let capture env st =
     b_todo_parents = parents;
     b_todo_births = births;
     b_todo_items = items;
-    b_commits = sum (fun w -> w.Stats.committed);
-    b_aborts = sum (fun w -> w.Stats.aborted);
-    b_acquired = sum (fun w -> w.Stats.acquires);
-    b_work = sum (fun w -> w.Stats.work);
-    b_created = sum (fun w -> w.Stats.pushes);
-    b_inspected = sum (fun w -> w.Stats.inspections);
+    b_counters =
+      Obs.sum_counters ~fields:Obs.det_counters (Array.append [| st.carry |] env.workers);
   }
 
 (* Opening a soft-priority run folds its bucket index and size into the
@@ -808,7 +792,7 @@ let finish env st ~t0 =
   let time_s = Clock.elapsed_s t0 in
   Stats.book_sync env.workers ~before:env.sync0
     ~after:(Parallel.Domain_pool.sync_counters env.pool);
-  if env.tracing then Array.iteri (fun w c -> env.emit (Stats.counters_event w c)) env.workers;
+  if env.tracing then Array.iter (fun c -> env.emit (Stats.counters_event c)) env.workers;
   let stats =
     Stats.merge ~digest:st.digest ~threads:env.threads ~rounds:st.rounds
       ~generations:st.generations ~buckets:st.buckets ~time_s
@@ -828,7 +812,7 @@ let run ?(record = false) ?(sink = Obs.null) ?audit ?checkpoint ?resume ?stop_af
   | _ -> ());
   (* The policy's thread count rules; extra pool workers stay idle. *)
   let threads = min (Option.value threads ~default:max_int) (Parallel.Domain_pool.size pool) in
-  let workers = Array.init threads (fun _ -> Stats.make_worker ()) in
+  let workers = Array.init threads Obs.counters in
   let contexts =
     Array.init threads (fun w ->
         let ctx = Context.create () in

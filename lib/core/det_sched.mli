@@ -65,12 +65,9 @@ type 'item boundary = {
   b_todo_parents : int array;
   b_todo_births : int array;
   b_todo_items : 'item array;
-  b_commits : int;
-  b_aborts : int;
-  b_acquired : int;
-  b_work : int;
-  b_created : int;
-  b_inspected : int;
+  b_counters : Stats.worker;
+      (** sums of the {!Obs.det_counters} since round 1; the other
+          counters are 0 *)
 }
 (** Round-boundary scheduler state: everything [run] needs to resume at
     round [b_rounds + 1] and reproduce the uninterrupted run's schedule
@@ -79,11 +76,12 @@ type 'item boundary = {
     generation's children ride along in (parent id, birth index) order —
     a mid-generation boundary owns children pushed by earlier rounds,
     and the order makes its encoded bytes independent of the thread
-    count. Seven counters are
-    cumulative since the original round 1: [b_buckets] and the six
-    [b_commits] .. [b_inspected] fields, the deterministic subset of the
-    worker counters. Timing-dependent counters (atomics, chunks, spins,
-    parks) and wall-clock restart from zero on resume. *)
+    count. [b_buckets] and [b_counters] are cumulative since the
+    original round 1: [b_counters] carries exactly the worker counters
+    whose {!Obs.counter_table} entry is deterministic (committed,
+    aborted, acquires, atomics, work, pushes, inspections). The
+    thread- and timing-dependent ones (chunks, spins, parks) and
+    wall-clock restart from zero on resume. *)
 
 val run :
   ?record:bool ->

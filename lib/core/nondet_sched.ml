@@ -18,7 +18,7 @@ let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
     | None -> Parallel.Domain_pool.size pool
     | Some t -> min t (Parallel.Domain_pool.size pool)
   in
-  let workers = Array.init threads (fun _ -> Stats.make_worker ()) in
+  let workers = Array.init threads Obs.counters in
   let records = Array.make threads [] in
   let ws = Workset.create items in
   (* One lock epoch for the whole run: the speculative scheduler really
@@ -64,7 +64,7 @@ let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
             | () ->
                 consecutive_aborts := 0;
                 (* Committed: release marks, publish created tasks. *)
-                stats.atomic_updates <- stats.atomic_updates + Context.neighborhood_count ctx;
+                stats.atomics <- stats.atomics + Context.neighborhood_count ctx;
                 record_attempt ~committed:true;
                 Context.release_all ctx;
                 Workset.push_new ws (Context.pushed_list ctx);
@@ -75,7 +75,7 @@ let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
             | exception Context.Conflict ->
                 (* Rollback: cautious tasks made no writes yet, so
                    releasing the marks undoes everything. *)
-                stats.atomic_updates <- stats.atomic_updates + Context.neighborhood_count ctx;
+                stats.atomics <- stats.atomics + Context.neighborhood_count ctx;
                 record_attempt ~committed:false;
                 Context.release_all ctx;
                 stats.aborted <- stats.aborted + 1;
@@ -89,7 +89,7 @@ let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
   (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
   let emit event = sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event } in
   emit (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s = time_s });
-  Array.iteri (fun w st -> emit (Stats.counters_event w st)) workers;
+  Array.iter (fun st -> emit (Stats.counters_event st)) workers;
   let stats =
     Stats.merge ~threads ~rounds:0 ~generations:0 ~time_s
       ~phases:(Stats.breakdown ~inspect_s:0.0 ~select_s:time_s ~time_s)

@@ -7,7 +7,7 @@
    phase. *)
 
 let run ?(record = false) ?(sink = Obs.null) ~operator items =
-  let stats = Stats.make_worker () in
+  let stats = Obs.counters 0 in
   let ctx = Context.create () in
   Context.set_stats ctx stats;
   let queue = Queue.create () in
@@ -22,7 +22,7 @@ let run ?(record = false) ?(sink = Obs.null) ~operator items =
     operator ctx item;
     (* No concurrency: Conflict cannot be raised, every task commits. *)
     let neighborhood = Context.neighborhood_count ctx in
-    stats.atomic_updates <- stats.atomic_updates + neighborhood;
+    stats.atomics <- stats.atomics + neighborhood;
     if record then
       records :=
         {
@@ -43,7 +43,7 @@ let run ?(record = false) ?(sink = Obs.null) ~operator items =
   (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
   let emit event = sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event } in
   emit (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s = time_s });
-  emit (Stats.counters_event 0 stats);
+  emit (Stats.counters_event stats);
   let stats =
     Stats.merge ~threads:1 ~rounds:0 ~generations:0 ~time_s
       ~phases:(Stats.breakdown ~inspect_s:0.0 ~select_s:time_s ~time_s)

@@ -9,8 +9,8 @@
    Wire format, all integers little-endian:
 
      "GSNAP"  5-byte magic
-     u16      format version (currently 3; v2 added the b_delta field,
-              v3 the b_buckets field)
+     u16      format version (currently 4; v2 added the b_delta field,
+              v3 the b_buckets field, v4 the atomics counter)
      u64      FNV-1a checksum of everything after this field
      body:
        str      app tag            (u64 length + bytes)
@@ -18,7 +18,9 @@
        u8       static_id
        i64 x7   rounds generations buckets next_id gen_base window delta
        u64      digest prefix
-       i64 x6   commits aborts acquired work created inspected
+       i64 x7   worker counters: the Obs.det_counters, in table order
+                (committed aborted acquires atomics work pushes
+                inspections)
        i64      n_pending, then n_pending pending ids (deque order)
        i64      n_todo, then n_todo (parent, birth) i64 pairs
        u64      Marshal blob length, then the blob:
@@ -61,7 +63,7 @@ let error_to_string = function
   | Io what -> Printf.sprintf "snapshot i/o error: %s" what
 
 let magic = "GSNAP"
-let version = 3
+let version = 4
 
 (* --- encoding ---------------------------------------------------------- *)
 
@@ -85,12 +87,7 @@ let encode t =
   add_int body b.b_window;
   add_int body b.b_delta;
   Buffer.add_int64_le body b.b_digest;
-  add_int body b.b_commits;
-  add_int body b.b_aborts;
-  add_int body b.b_acquired;
-  add_int body b.b_work;
-  add_int body b.b_created;
-  add_int body b.b_inspected;
+  List.iter (fun f -> add_int body (f.Obs.get b.b_counters)) Obs.det_counters;
   add_int body (Array.length b.b_pending_ids);
   Array.iter (add_int body) b.b_pending_ids;
   add_int body (Array.length b.b_todo_items);
@@ -181,12 +178,8 @@ let decode s =
           let b_window = int () in
           let b_delta = int () in
           let b_digest = i64 () in
-          let b_commits = int () in
-          let b_aborts = int () in
-          let b_acquired = int () in
-          let b_work = int () in
-          let b_created = int () in
-          let b_inspected = int () in
+          let b_counters = Obs.counters 0 in
+          List.iter (fun f -> f.Obs.set b_counters (int ())) Obs.det_counters;
           let n_pending = len ~what:"pending" in
           let b_pending_ids = Array.init n_pending (fun _ -> int ()) in
           let n_todo = len ~what:"todo" in
@@ -226,12 +219,7 @@ let decode s =
                   b_todo_parents;
                   b_todo_births;
                   b_todo_items;
-                  b_commits;
-                  b_aborts;
-                  b_acquired;
-                  b_work;
-                  b_created;
-                  b_inspected;
+                  b_counters;
                 };
             }
         end

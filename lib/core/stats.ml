@@ -5,59 +5,21 @@
    the parallel phase. These counters feed the paper's Figures 4 and 5
    (task rates, abort ratios, rounds, atomic update rates). *)
 
-type worker = {
-  mutable committed : int;  (* tasks that executed to completion *)
-  mutable aborted : int;  (* conflict aborts / failed round selections *)
-  mutable acquires : int;  (* neighborhood mark operations *)
-  mutable atomic_updates : int;  (* CAS-class operations on shared words *)
-  mutable work : int;  (* abstract work units reported by operators *)
-  mutable pushes : int;  (* tasks created *)
-  mutable inspections : int;  (* deterministic-scheduler inspect executions *)
-  mutable chunks : int;  (* chunk grabs in dynamic parallel iteration *)
-  mutable spins : int;  (* pool wakeups served by the spin fast path *)
-  mutable parks : int;  (* pool waits that fell back to the condvar *)
-}
-
-let make_worker () =
-  {
-    committed = 0;
-    aborted = 0;
-    acquires = 0;
-    atomic_updates = 0;
-    work = 0;
-    pushes = 0;
-    inspections = 0;
-    chunks = 0;
-    spins = 0;
-    parks = 0;
-  }
+type worker = Obs.counters
 
 (* Book the pool's spin/park counts accrued between two
    [Domain_pool.sync_counters] snapshots to the workers the run used
    (extra idle pool workers go unreported). *)
 let book_sync workers ~before ~after =
   Array.iteri
-    (fun w st ->
+    (fun w (st : worker) ->
       let s0, p0 = before.(w) and s1, p1 = after.(w) in
       st.spins <- s1 - s0;
       st.parks <- p1 - p0)
     workers
 
-let counters_event w st =
-  Obs.Worker_counters
-    {
-      worker = w;
-      committed = st.committed;
-      aborted = st.aborted;
-      acquires = st.acquires;
-      atomics = st.atomic_updates;
-      work = st.work;
-      pushes = st.pushes;
-      inspections = st.inspections;
-      chunks = st.chunks;
-      spins = st.spins;
-      parks = st.parks;
-    }
+(* A copy, so the event cannot change under a sink that keeps it. *)
+let counters_event (c : worker) = Obs.Worker_counters { c with worker = c.worker }
 
 (* Wall-clock breakdown of a run across scheduler phases. For the DIG
    scheduler [inspect_s]/[select_s] accumulate the two parallel phases
@@ -66,8 +28,6 @@ let counters_event w st =
    time under [select_s] (execution). The three fields always sum to
    [time_s]. *)
 type phase_times = { inspect_s : float; select_s : float; other_s : float }
-
-let no_phases = { inspect_s = 0.0; select_s = 0.0; other_s = 0.0 }
 
 let breakdown ~inspect_s ~select_s ~time_s =
   let inspect_s = Float.max 0.0 inspect_s
@@ -85,6 +45,7 @@ type t = {
   work_units : int;
   created : int;
   inspected : int;
+  chunks : int;  (* dynamic chunk grabs of the DIG parallel phases *)
   spins : int;  (* pool-synchronization wakeups served by spinning *)
   parks : int;  (* pool-synchronization waits that parked on a condvar *)
   rounds : int;  (* deterministic scheduler rounds (0 for nondet/serial) *)
@@ -104,38 +65,19 @@ type t = {
 
 let merge ?(digest = Trace_digest.absent) ?phases ?(buckets = 0) ~threads ~rounds
     ~generations ~time_s workers =
-  let commits = ref 0
-  and aborts = ref 0
-  and acquired = ref 0
-  and atomics = ref 0
-  and work_units = ref 0
-  and created = ref 0
-  and inspected = ref 0
-  and spins = ref 0
-  and parks = ref 0 in
-  Array.iter
-    (fun w ->
-      commits := !commits + w.committed;
-      aborts := !aborts + w.aborted;
-      acquired := !acquired + w.acquires;
-      atomics := !atomics + w.atomic_updates;
-      work_units := !work_units + w.work;
-      created := !created + w.pushes;
-      inspected := !inspected + w.inspections;
-      spins := !spins + w.spins;
-      parks := !parks + w.parks)
-    workers;
+  let c = Obs.sum_counters workers in
   {
     threads;
-    commits = !commits;
-    aborts = !aborts;
-    acquired = !acquired;
-    atomics = !atomics;
-    work_units = !work_units;
-    created = !created;
-    inspected = !inspected;
-    spins = !spins;
-    parks = !parks;
+    commits = c.committed;
+    aborts = c.aborted;
+    acquired = c.acquires;
+    atomics = c.atomics;
+    work_units = c.work;
+    created = c.pushes;
+    inspected = c.inspections;
+    chunks = c.chunks;
+    spins = c.spins;
+    parks = c.parks;
     rounds;
     generations;
     buckets;
@@ -147,52 +89,29 @@ let merge ?(digest = Trace_digest.absent) ?phases ?(buckets = 0) ~threads ~round
       | None -> breakdown ~inspect_s:0.0 ~select_s:0.0 ~time_s);
   }
 
+(* The inverse of [merge]'s projection: [t]'s counters as one record. *)
+let totals t : worker =
+  { (Obs.counters 0) with committed = t.commits; aborted = t.aborts; acquires = t.acquired;
+    atomics = t.atomics; work = t.work_units; pushes = t.created; inspections = t.inspected;
+    chunks = t.chunks; spins = t.spins; parks = t.parks }
+
 (* Combine reports of consecutive executions (e.g. the epochs of
    preflow-push) into one summary. *)
 let add a b =
-  {
-    threads = max a.threads b.threads;
-    commits = a.commits + b.commits;
-    aborts = a.aborts + b.aborts;
-    acquired = a.acquired + b.acquired;
-    atomics = a.atomics + b.atomics;
-    work_units = a.work_units + b.work_units;
-    created = a.created + b.created;
-    inspected = a.inspected + b.inspected;
-    spins = a.spins + b.spins;
-    parks = a.parks + b.parks;
-    rounds = a.rounds + b.rounds;
-    generations = a.generations + b.generations;
-    buckets = a.buckets + b.buckets;
-    digest = Trace_digest.combine a.digest b.digest;
-    time_s = a.time_s +. b.time_s;
-    phases =
+  let sum f = f a.phases +. f b.phases in
+  merge
+    ~digest:(Trace_digest.combine a.digest b.digest)
+    ~phases:
       {
-        inspect_s = a.phases.inspect_s +. b.phases.inspect_s;
-        select_s = a.phases.select_s +. b.phases.select_s;
-        other_s = a.phases.other_s +. b.phases.other_s;
-      };
-  }
+        inspect_s = sum (fun p -> p.inspect_s);
+        select_s = sum (fun p -> p.select_s);
+        other_s = sum (fun p -> p.other_s);
+      }
+    ~buckets:(a.buckets + b.buckets) ~threads:(max a.threads b.threads)
+    ~rounds:(a.rounds + b.rounds) ~generations:(a.generations + b.generations)
+    ~time_s:(a.time_s +. b.time_s) [| totals a; totals b |]
 
-let zero threads =
-  {
-    threads;
-    commits = 0;
-    aborts = 0;
-    acquired = 0;
-    atomics = 0;
-    work_units = 0;
-    created = 0;
-    inspected = 0;
-    spins = 0;
-    parks = 0;
-    rounds = 0;
-    generations = 0;
-    buckets = 0;
-    digest = Trace_digest.absent;
-    time_s = 0.0;
-    phases = no_phases;
-  }
+let zero threads = merge ~threads ~rounds:0 ~generations:0 ~time_s:0.0 [||]
 
 let abort_ratio t =
   let attempts = t.commits + t.aborts in

@@ -4,35 +4,17 @@
     and 5: task commit rates, abort ratios, rounds, atomic update
     rates). *)
 
-type worker = {
-  mutable committed : int;
-  mutable aborted : int;
-  mutable acquires : int;
-  mutable atomic_updates : int;
-  mutable work : int;
-  mutable pushes : int;
-  mutable inspections : int;
-  mutable chunks : int;
-  mutable spins : int;
-  mutable parks : int;
-}
-(** Per-worker mutable counters; owned exclusively by one worker during a
-    parallel section. [chunks] counts chunk grabs in the deterministic
-    scheduler's dynamic parallel iteration — a load-balance signal
-    surfaced through the [Worker_counters] observability event.
-    [spins]/[parks] mirror the {!Parallel.Domain_pool} sync counters:
-    wakeups served by the bounded spin fast path vs. waits that fell
-    back to the mutex/condvar slow path. Both are timing-dependent and
-    therefore non-deterministic. *)
-
-val make_worker : unit -> worker
+type worker = Obs.counters
+(** Per-worker mutable counters, owned exclusively by one worker during
+    a parallel section (create them with {!Obs.counters}). *)
 
 val book_sync : worker array -> before:(int * int) array -> after:(int * int) array -> unit
 (** Set each worker's [spins]/[parks] to the difference between two
     {!Parallel.Domain_pool.sync_counters} snapshots taken around a run. *)
 
-val counters_event : int -> worker -> Obs.event
-(** The [Worker_counters] observability event of worker [w]. *)
+val counters_event : worker -> Obs.event
+(** The [Worker_counters] observability event of a worker: a copy of
+    its counters as they are now. *)
 
 type phase_times = { inspect_s : float; select_s : float; other_s : float }
 (** Wall-clock breakdown of {!t.time_s} across scheduler phases. The DIG
@@ -41,9 +23,6 @@ type phase_times = { inspect_s : float; select_s : float; other_s : float }
     adaptation) in [other_s]; serial and speculative executions book all
     their time under [select_s]. Always sums to {!t.time_s} (up to float
     rounding). *)
-
-val no_phases : phase_times
-(** All zero; the breakdown of {!zero}. *)
 
 val breakdown : inspect_s:float -> select_s:float -> time_s:float -> phase_times
 (** Clamp the measured phase times to [\[0, ∞)] and attribute the
@@ -61,6 +40,7 @@ type t = {
   work_units : int;
   created : int;
   inspected : int;
+  chunks : int;  (** dynamic chunk grabs of the DIG parallel phases *)
   spins : int;  (** pool-sync wakeups served by the spin fast path *)
   parks : int;  (** pool-sync waits that parked on a condvar *)
   rounds : int;
@@ -76,7 +56,11 @@ type t = {
   time_s : float;
   phases : phase_times;  (** where [time_s] went, per scheduler phase *)
 }
-(** Aggregated result of one {!Run.exec}. *)
+(** Aggregated result of one {!Run.exec}. The counters from [commits]
+    to [parks] are the workers' {!Obs.counters} summed ([acquired] is
+    [acquires], [work_units] is [work], [created] is [pushes],
+    [inspected] is [inspections]); under [det], the sums of the
+    {!Obs.det_counters} are thread-invariant and survive a resume. *)
 
 val merge :
   ?digest:Trace_digest.t ->
@@ -90,6 +74,10 @@ val merge :
   t
 (** When [phases] is omitted the whole of [time_s] is booked under
     [other_s]; [buckets] defaults to 0 (unordered execution). *)
+
+val totals : t -> worker
+(** [t]'s counters as one record (worker 0): the inverse of {!merge}'s
+    projection of the summed workers onto {!t}. *)
 
 val add : t -> t -> t
 (** Combine consecutive executions (counters sum, times add, digests

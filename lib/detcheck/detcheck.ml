@@ -23,7 +23,8 @@
    genuinely different claims:
 
    - across thread counts at a fixed configuration, the *schedule itself*
-     is invariant: round-trace digest, output digest, and the rendered
+     is invariant: round-trace digest, deterministic worker-counter
+     totals, output digest, and the rendered
      deterministic observability event stream (lib/obs, timing events
      stripped) byte for byte;
 
@@ -37,6 +38,7 @@ module Splitmix = Parallel.Splitmix
 
 type run_result = {
   sched_digest : D.t;  (* Stats.t.digest: absent for serial/nondet *)
+  det_counters : D.t;  (* the run's Obs.det_counters totals, folded in table order *)
   output_digest : D.t;  (* order-sensitive digest of the final output *)
   canonical_digest : D.t;  (* configuration-invariant digest of the answer *)
   commits : int;
@@ -127,8 +129,9 @@ type divergence = {
   config : string;
   threads : int;
   quantity : string;
-      (* "sched-digest" | "output-digest" | "canonical-digest"
-         | "trace-stream" (digests of the deterministic event stream) *)
+      (* "sched-digest" | "det-counters" | "output-digest"
+         | "canonical-digest" | "trace-stream" (digests of the
+         deterministic event stream) *)
   expected : D.t;
   got : D.t;
 }
@@ -188,6 +191,7 @@ let check_invariance ?(threads = default_threads) ?configs case =
                       diverged ~config:cfg.label ~threads:t ~quantity ~expected ~got
                   in
                   check "sched-digest" reference.sched_digest r.sched_digest;
+                  check "det-counters" reference.det_counters r.det_counters;
                   check "output-digest" reference.output_digest r.output_digest;
                   check "canonical-digest" reference.canonical_digest r.canonical_digest;
                   (* Byte-compare the deterministic event streams; report
@@ -224,6 +228,12 @@ let capture name =
   in
   (Obs.Memory.sink mem, lines)
 
+(* The counters [Obs.counter_table] marks deterministic, as one digest:
+   the lattice holds the table to that claim across thread counts. *)
+let det_counters_digest stats =
+  let c = Galois.Stats.totals stats in
+  List.fold_left (fun d f -> D.fold_int d (f.Obs.get c)) D.seed Obs.det_counters
+
 (* The one function every lattice case comes from: each [run] solves a
    fresh plan under the lattice point's policy with a capture sink, then
    digests the output it reads back and the deterministic event
@@ -235,6 +245,7 @@ let case_of ~name ~static_id_capable ~fresh ~output_digest ~canonical_digest =
     let commits = report.Galois.Run.stats.commits in
     {
       sched_digest = report.stats.digest;
+      det_counters = det_counters_digest report.stats;
       output_digest = output_digest out;
       canonical_digest = canonical_digest out ~commits;
       commits;

@@ -6,7 +6,9 @@
     static ids), asserting:
 
     - at a fixed configuration, the round-trace digest
-      ({!Galois.Stats.t.digest}), the order-sensitive output digest and
+      ({!Galois.Stats.t.digest}), the totals of the counters
+      {!Obs.counter_table} marks deterministic, the order-sensitive
+      output digest and
       the rendered deterministic observability event stream
       ({!Obs.deterministic_lines}, timing events stripped) are identical
       across all thread counts — the paper's portability claim, checked
@@ -25,6 +27,9 @@
 type run_result = {
   sched_digest : Galois.Trace_digest.t;
       (** {!Galois.Stats.t.digest} of the run; absent for serial/nondet *)
+  det_counters : Galois.Trace_digest.t;
+      (** the run's totals of the {!Obs.det_counters}, folded in table
+          order: thread-invariant at a fixed configuration *)
   output_digest : Galois.Trace_digest.t;
       (** order-sensitive digest of the final output; thread-invariant at
           a fixed configuration *)

@@ -11,6 +11,60 @@ let phase_of_name = function
   | "execute" -> Some Execute
   | _ -> None
 
+(* The ten per-worker counters behind the paper's Figs. 4 and 5,
+   declared once (fields documented in the interface): [counter_table]
+   drives everything that walks them — sums, rendering, the JSONL
+   codec, resume boundaries, snapshots — so adding a counter is one
+   field here plus one table entry (and its 0 in [counters], which the
+   compiler asks for). *)
+type counters = {
+  worker : int;
+  mutable committed : int;
+  mutable aborted : int;
+  mutable acquires : int;
+  mutable atomics : int;
+  mutable work : int;
+  mutable pushes : int;
+  mutable inspections : int;
+  mutable chunks : int;
+  mutable spins : int;
+  mutable parks : int;
+}
+
+type counter = {
+  name : string;
+  get : counters -> int;
+  set : counters -> int -> unit;
+  det : bool;
+}
+
+let counter name get set ~det = { name; get; set; det }
+
+let counter_table =
+  [
+    counter "committed" (fun c -> c.committed) (fun c v -> c.committed <- v) ~det:true;
+    counter "aborted" (fun c -> c.aborted) (fun c v -> c.aborted <- v) ~det:true;
+    counter "acquires" (fun c -> c.acquires) (fun c v -> c.acquires <- v) ~det:true;
+    counter "atomics" (fun c -> c.atomics) (fun c v -> c.atomics <- v) ~det:true;
+    counter "work" (fun c -> c.work) (fun c v -> c.work <- v) ~det:true;
+    counter "pushes" (fun c -> c.pushes) (fun c v -> c.pushes <- v) ~det:true;
+    counter "inspections" (fun c -> c.inspections) (fun c v -> c.inspections <- v) ~det:true;
+    counter "chunks" (fun c -> c.chunks) (fun c v -> c.chunks <- v) ~det:false;
+    counter "spins" (fun c -> c.spins) (fun c v -> c.spins <- v) ~det:false;
+    counter "parks" (fun c -> c.parks) (fun c v -> c.parks <- v) ~det:false;
+  ]
+
+let det_counters = List.filter (fun f -> f.det) counter_table
+
+let counters worker =
+  { worker; committed = 0; aborted = 0; acquires = 0; atomics = 0; work = 0; pushes = 0;
+    inspections = 0; chunks = 0; spins = 0; parks = 0 }
+
+let sum_counters ?(fields = counter_table) cs =
+  let total = counters 0 in
+  List.iter (fun f -> f.set total (Array.fold_left (fun a c -> a + f.get c) 0 cs)) fields;
+  total
+
 type event =
   | Run_begin of { policy : string; threads : int; tasks : int }
   | Generation_begin of { generation : int; tasks : int }
@@ -21,19 +75,7 @@ type event =
   | Window_adapted of { old_w : int; new_w : int; ratio : float }
   | Phase_time of { round : int; phase : phase; dt_s : float }
   | Chunk_sized of { round : int; tasks : int; chunk : int }
-  | Worker_counters of {
-      worker : int;
-      committed : int;
-      aborted : int;
-      acquires : int;
-      atomics : int;
-      work : int;
-      pushes : int;
-      inspections : int;
-      chunks : int;
-      spins : int;
-      parks : int;
-    }
+  | Worker_counters of counters
   | Bucket_opened of { generation : int; bucket : int; size : int }
   | Bucket_drained of { round : int; bucket : int }
   | Checkpoint_taken of { round : int; digest : string }
@@ -72,15 +114,9 @@ let pp_event ppf = function
         (phase_name phase) dt_s
   | Chunk_sized { round; tasks; chunk } ->
       Fmt.pf ppf "chunk-sized round=%d tasks=%d chunk=%d" round tasks chunk
-  | Worker_counters
-      { worker; committed; aborted; acquires; atomics; work; pushes;
-        inspections; chunks; spins; parks } ->
-      Fmt.pf ppf
-        "worker-counters worker=%d committed=%d aborted=%d acquires=%d \
-         atomics=%d work=%d pushes=%d inspections=%d chunks=%d spins=%d \
-         parks=%d"
-        worker committed aborted acquires atomics work pushes inspections
-        chunks spins parks
+  | Worker_counters c ->
+      Fmt.pf ppf "worker-counters worker=%d" c.worker;
+      List.iter (fun f -> Fmt.pf ppf " %s=%d" f.name (f.get c)) counter_table
   | Bucket_opened { generation; bucket; size } ->
       Fmt.pf ppf "bucket-opened generation=%d bucket=%d size=%d" generation
         bucket size
@@ -236,15 +272,9 @@ module Jsonl = struct
     | Chunk_sized { round; tasks; chunk } ->
         ("chunk_sized",
          [ ("round", I round); ("tasks", I tasks); ("chunk", I chunk) ])
-    | Worker_counters
-        { worker; committed; aborted; acquires; atomics; work; pushes;
-          inspections; chunks; spins; parks } ->
+    | Worker_counters c ->
         ("worker_counters",
-         [ ("worker", I worker); ("committed", I committed);
-           ("aborted", I aborted); ("acquires", I acquires);
-           ("atomics", I atomics); ("work", I work); ("pushes", I pushes);
-           ("inspections", I inspections); ("chunks", I chunks);
-           ("spins", I spins); ("parks", I parks) ])
+         ("worker", I c.worker) :: List.map (fun f -> (f.name, I (f.get c))) counter_table)
     | Bucket_opened { generation; bucket; size } ->
         ("bucket_opened",
          [ ("generation", I generation); ("bucket", I bucket);
@@ -481,15 +511,9 @@ module Jsonl = struct
           { round = get_int fs "round"; tasks = get_int fs "tasks";
             chunk = get_int fs "chunk" }
     | "worker_counters" ->
-        Worker_counters
-          { worker = get_int fs "worker"; committed = get_int fs "committed";
-            aborted = get_int fs "aborted"; acquires = get_int fs "acquires";
-            atomics = get_int fs "atomics"; work = get_int fs "work";
-            pushes = get_int fs "pushes";
-            inspections = get_int fs "inspections";
-            chunks = get_int fs "chunks";
-            spins = get_int fs "spins";
-            parks = get_int fs "parks" }
+        let c = counters (get_int fs "worker") in
+        List.iter (fun f -> f.set c (get_int fs f.name)) counter_table;
+        Worker_counters c
     | "bucket_opened" ->
         Bucket_opened
           { generation = get_int fs "generation"; bucket = get_int fs "bucket";

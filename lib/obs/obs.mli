@@ -13,6 +13,52 @@
     Sinks are synchronous and are only ever called from the scheduler's
     sequential sections (never concurrently), so they need no locking. *)
 
+(** {1 Worker counters} *)
+
+type counters = {
+  worker : int;  (** worker index within the run *)
+  mutable committed : int;  (** tasks that executed to completion *)
+  mutable aborted : int;  (** conflict aborts / failed round selections *)
+  mutable acquires : int;  (** neighborhood mark operations *)
+  mutable atomics : int;  (** CAS-class operations on shared words *)
+  mutable work : int;  (** abstract work units reported by operators *)
+  mutable pushes : int;  (** tasks created *)
+  mutable inspections : int;  (** deterministic-scheduler inspect executions *)
+  mutable chunks : int;  (** chunk grabs in the DIG parallel phases *)
+  mutable spins : int;  (** pool wakeups served by the spin fast path *)
+  mutable parks : int;  (** pool waits that parked on the condvar slow path *)
+}
+(** The per-worker counters behind the paper's Figures 4 and 5. One
+    worker owns its record during a parallel section and bumps the
+    fields directly; everything that walks all of them goes through
+    {!counter_table}. *)
+
+type counter = {
+  name : string;  (** rendering and JSONL key *)
+  get : counters -> int;
+  set : counters -> int -> unit;
+  det : bool;
+      (** the run-wide sum is a function of the input and the policy
+          under [det] — identical across thread counts and carried
+          across a resume boundary *)
+}
+
+val counter_table : counter list
+(** Every counter except [worker], in declaration order: the order of
+    the [Worker_counters] rendering, its JSONL fields, and the resume
+    boundary's wire format. [chunks], [spins] and [parks] depend on
+    thread count and timing; the other seven are deterministic. *)
+
+val det_counters : counter list
+(** The entries of {!counter_table} with [det] set, in table order. *)
+
+val counters : int -> counters
+(** All-zero counters of worker [w]. *)
+
+val sum_counters : ?fields:counter list -> counters array -> counters
+(** Field-wise sum over [fields] (default {!counter_table}); fields
+    outside the list, and [worker], are zero. *)
+
 (** {1 Events} *)
 
 (** The two instrumented phases of a DIG round, plus [Execute] for
@@ -54,25 +100,11 @@ type event =
           for this round's [tasks]-task parallel phases. The choice
           depends on the thread count, so — like [Phase_time] — it is
           not part of the deterministic stream. *)
-  | Worker_counters of {
-      worker : int;
-      committed : int;
-      aborted : int;
-      acquires : int;
-      atomics : int;
-      work : int;
-      pushes : int;
-      inspections : int;
-      chunks : int;
-      spins : int;
-      parks : int;
-    }
-      (** End-of-run per-worker totals ([chunks] counts dynamic
-          chunk grabs in the DIG parallel phases; [spins]/[parks] count
-          pool-synchronization wakeups served by the spin fast path vs.
-          waits that parked on the condvar slow path). Task→worker
+  | Worker_counters of counters
+      (** End-of-run totals of one worker (see {!counters}). Task→worker
           attribution and synchronization behavior depend on timing, so
-          these are not deterministic. *)
+          the event is not deterministic even where the run-wide sum of
+          a counter is. *)
   | Bucket_opened of { generation : int; bucket : int; size : int }
       (** Soft-priority scheduling ([prio=delta:<n>|auto]) started
           drawing windows from delta-stepping bucket [bucket] of

@@ -43,6 +43,7 @@ let test_checker_detects_divergence () =
           let d = D.fold_int D.seed !counter in
           {
             Detcheck.sched_digest = d;
+            det_counters = d;
             output_digest = d;
             canonical_digest = d;
             det_trace = D.to_hex d;
@@ -52,9 +53,11 @@ let test_checker_detects_divergence () =
   in
   let report = Detcheck.check_invariance ~threads:[ 1; 2 ] case in
   check_bool "divergence detected" false (Detcheck.ok report);
-  (* Every non-reference run diverges in all three quantities, and the
+  (* Every non-reference run diverges in every quantity, and the
      second configuration's anchor also diverges canonically. *)
-  check_bool "multiple divergences" true (List.length report.Detcheck.divergences > 3)
+  check_bool "multiple divergences" true (List.length report.Detcheck.divergences > 3);
+  check_bool "det-counters compared" true
+    (List.exists (fun d -> d.Detcheck.quantity = "det-counters") report.Detcheck.divergences)
 
 let test_positive_control () =
   check_bool "seed perturbation diverges (det)" true

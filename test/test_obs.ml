@@ -8,6 +8,22 @@ let check_string = Alcotest.(check string)
 
 let stamp ?(at_s = 1.25) event = { Obs.at_s; event }
 
+let worker_counters =
+  Obs.Worker_counters
+    {
+      worker = 3;
+      committed = 10;
+      aborted = 2;
+      acquires = 25;
+      atomics = 40;
+      work = 17;
+      pushes = 4;
+      inspections = 12;
+      chunks = 6;
+      spins = 9;
+      parks = 1;
+    }
+
 (* One exemplar per constructor, with non-default field values so a
    field swap or rename cannot round-trip by accident. *)
 let exemplars =
@@ -21,22 +37,12 @@ let exemplars =
     Obs.Window_adapted { old_w = 64; new_w = 128; ratio = 0.921875 };
     Obs.Phase_time { round = 7; phase = Obs.Inspect; dt_s = 0.003125 };
     Obs.Chunk_sized { round = 7; tasks = 64; chunk = 4 };
-    Obs.Worker_counters
-      {
-        worker = 3;
-        committed = 10;
-        aborted = 2;
-        acquires = 25;
-        atomics = 40;
-        work = 17;
-        pushes = 4;
-        inspections = 12;
-        chunks = 6;
-        spins = 9;
-        parks = 1;
-      };
+    worker_counters;
+    Obs.Bucket_opened { generation = 2; bucket = 5; size = 37 };
+    Obs.Bucket_drained { round = 9; bucket = 5 };
     Obs.Checkpoint_taken { round = 8; digest = "04aeef9adef32405" };
     Obs.Resumed { round = 8; digest = "04aeef9adef32405" };
+    Obs.Audit_finding { round = 7; rule = "race"; task = 41; other = 17; lid = 1234 };
     Obs.Run_end { commits = 1000; rounds = 19; generations = 3 };
   ]
 
@@ -52,6 +58,18 @@ let test_jsonl_roundtrip () =
             (Printf.sprintf "event %d round-trips" i)
             line (Obs.Jsonl.to_line s'))
     exemplars
+
+(* The table-derived rendering of [Worker_counters] must stay
+   byte-identical to the hand-written one it replaced: the strings below
+   are what the per-field printer and encoder produced. *)
+let test_worker_counters_golden () =
+  check_string "jsonl"
+    {|{"at_s":1.25,"ev":"worker_counters","worker":3,"committed":10,"aborted":2,"acquires":25,"atomics":40,"work":17,"pushes":4,"inspections":12,"chunks":6,"spins":9,"parks":1}|}
+    (Obs.Jsonl.to_line (stamp worker_counters));
+  check_string "pp_event"
+    "worker-counters worker=3 committed=10 aborted=2 acquires=25 atomics=40 work=17 \
+     pushes=4 inspections=12 chunks=6 spins=9 parks=1"
+    (Fmt.str "%a" Obs.pp_event worker_counters)
 
 let test_jsonl_phase_names () =
   List.iter
@@ -164,6 +182,7 @@ let test_file_sink_roundtrip () =
 let suite =
   [
     Alcotest.test_case "jsonl round-trips every event" `Quick test_jsonl_roundtrip;
+    Alcotest.test_case "worker_counters golden strings" `Quick test_worker_counters_golden;
     Alcotest.test_case "jsonl phase names" `Quick test_jsonl_phase_names;
     Alcotest.test_case "jsonl parser rejects bad lines" `Quick test_jsonl_rejects;
     Alcotest.test_case "deterministic classification" `Quick test_deterministic_classification;

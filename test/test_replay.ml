@@ -23,8 +23,8 @@ let check_digest what a b =
     Alcotest.failf "%s: digest %a <> %a" what D.pp a D.pp b
 
 (* The deterministic halves of two reports must agree; the
-   non-deterministic halves (spins, parks, atomics) legitimately may
-   not and are not compared. *)
+   non-deterministic halves (chunks, spins, parks) legitimately may not
+   and are not compared. *)
 let check_reports what (full : Galois.Run.report) (resumed : Galois.Run.report) =
   check_digest (what ^ ": sched digest") full.stats.digest resumed.stats.digest;
   check_int (what ^ ": rounds") full.stats.rounds resumed.stats.rounds;
@@ -33,6 +33,7 @@ let check_reports what (full : Galois.Run.report) (resumed : Galois.Run.report) 
   check_int (what ^ ": commits") full.stats.commits resumed.stats.commits;
   check_int (what ^ ": aborts") full.stats.aborts resumed.stats.aborts;
   check_int (what ^ ": acquired") full.stats.acquired resumed.stats.acquired;
+  check_int (what ^ ": atomics") full.stats.atomics resumed.stats.atomics;
   check_int (what ^ ": inspected") full.stats.inspected resumed.stats.inspected;
   check_int (what ^ ": created") full.stats.created resumed.stats.created;
   check_int (what ^ ": work") full.stats.work_units resumed.stats.work_units
@@ -216,6 +217,13 @@ let test_checkpoint_file_roundtrip () =
 (* Snapshot codec                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Distinct values in every deterministic counter (25 commits first);
+   the others stay 0, as in a captured boundary. *)
+let counters_sample () =
+  let c = Obs.counters 0 in
+  List.iteri (fun k f -> f.Obs.set c (25 + (5 * k))) Obs.det_counters;
+  c
+
 (* A small boundary with every field populated, for codec tests. *)
 let sample_snapshot () =
   let b =
@@ -233,12 +241,7 @@ let sample_snapshot () =
       b_todo_parents = [| 31; 31 |];
       b_todo_births = [| 0; 1 |];
       b_todo_items = [| (100, 0); (101, 0) |];
-      b_commits = 25;
-      b_aborts = 5;
-      b_acquired = 60;
-      b_work = 75;
-      b_created = 10;
-      b_inspected = 30;
+      b_counters = counters_sample ();
     }
   in
   {
@@ -271,8 +274,9 @@ let test_codec_roundtrip () =
       Alcotest.(check (array int)) "todo parents" b.b_todo_parents g.b_todo_parents;
       Alcotest.(check (array int)) "todo births" b.b_todo_births g.b_todo_births;
       check_bool "todo items" true (b.b_todo_items = g.b_todo_items);
-      check_int "commits" b.b_commits g.b_commits;
-      check_int "inspected" b.b_inspected g.b_inspected;
+      List.iter
+        (fun f -> check_int f.Obs.name (f.Obs.get b.b_counters) (f.Obs.get g.b_counters))
+        Obs.counter_table;
       let st : int array = Obj.obj (Option.get got.Snapshot.state) in
       Alcotest.(check (array int)) "state payload" [| 1; 2; 3 |] st
 
@@ -312,8 +316,8 @@ let test_codec_corruption () =
   (match decode_error (Bytes.to_string bad_magic) with
   | Snapshot.Bad_magic -> ()
   | e -> Alcotest.failf "magic: expected Bad_magic, got %s" (Snapshot.error_to_string e));
-  (* Future and superseded versions (v2 lacks b_buckets): reported
-     before the checksum is even consulted. *)
+  (* Future and superseded versions (v2 lacks b_buckets, v3 the atomics
+     counter): reported before the checksum is even consulted. *)
   List.iter
     (fun v ->
       let other = Bytes.of_string bytes in
@@ -323,7 +327,7 @@ let test_codec_corruption () =
       | e ->
           Alcotest.failf "version: expected Bad_version %d, got %s" v
             (Snapshot.error_to_string e))
-    [ 99; 2 ]
+    [ 99; 2; 3 ]
 
 let test_save_load_atomic () =
   let path = Filename.temp_file "galois_snap" ".snap" in

@@ -41,7 +41,7 @@ let test_zero_time_rates () =
   check_float "atomics rate" 0.0 (Stats.atomics_per_us s)
 
 let test_zero_is_neutral_for_add () =
-  let worker = Stats.make_worker () in
+  let worker = Obs.counters 0 in
   worker.committed <- 5;
   worker.aborted <- 2;
   worker.work <- 11;
@@ -56,7 +56,7 @@ let test_add_heterogeneous_threads () =
   (* Combining a 1-thread epoch with a 4-thread epoch (preflow-push
      style): counters sum, thread count is the max, times add. *)
   let mk ~threads ~commits ~time_s =
-    let w = Stats.make_worker () in
+    let w = Obs.counters 0 in
     w.committed <- commits;
     Stats.merge ~threads ~rounds:1 ~generations:1 ~time_s [| w |]
   in
@@ -70,19 +70,37 @@ let test_add_heterogeneous_threads () =
   check_int "order-insensitive counters" 40 (Stats.add b a).commits
 
 let test_merge_sums_workers () =
-  let mk c a =
-    let w = Stats.make_worker () in
-    w.committed <- c;
-    w.aborted <- a;
-    w.acquires <- c + a;
-    w
+  (* Worker w's k-th table counter is 100w + k + 1: every value is
+     distinct, and so is every three-worker sum, so a dropped or swapped
+     field in the sum or in the projection onto [Stats.t] shows. *)
+  let mk w =
+    let c = Obs.counters w in
+    List.iteri (fun k f -> f.Obs.set c ((100 * w) + k + 1)) Obs.counter_table;
+    c
   in
   let s =
-    Stats.merge ~threads:3 ~rounds:5 ~generations:2 ~time_s:1.0 [| mk 1 2; mk 3 4; mk 5 6 |]
+    Stats.merge ~threads:3 ~rounds:5 ~generations:2 ~time_s:1.0 [| mk 0; mk 1; mk 2 |]
   in
-  check_int "commits" 9 s.commits;
-  check_int "aborts" 12 s.aborts;
-  check_int "acquires" 21 s.acquired;
+  let sum name =
+    match List.find_index (fun f -> f.Obs.name = name) Obs.counter_table with
+    | Some k -> 300 + (3 * (k + 1))
+    | None -> Alcotest.failf "no counter %S" name
+  in
+  check_int "commits" (sum "committed") s.commits;
+  check_int "aborts" (sum "aborted") s.aborts;
+  check_int "acquired" (sum "acquires") s.acquired;
+  check_int "atomics" (sum "atomics") s.atomics;
+  check_int "work_units" (sum "work") s.work_units;
+  check_int "created" (sum "pushes") s.created;
+  check_int "inspected" (sum "inspections") s.inspected;
+  check_int "chunks" (sum "chunks") s.chunks;
+  check_int "spins" (sum "spins") s.spins;
+  check_int "parks" (sum "parks") s.parks;
+  (* [totals] inverts the projection. *)
+  let back = Stats.totals s in
+  List.iter
+    (fun f -> check_int ("totals " ^ f.Obs.name) (sum f.Obs.name) (f.Obs.get back))
+    Obs.counter_table;
   check_int "threads as given" 3 s.threads;
   check_bool "digest defaults to absent" true (D.is_absent s.digest)
 
@@ -115,7 +133,7 @@ let test_phase_breakdown () =
 
 let test_phases_add_and_merge () =
   let mk phases time_s =
-    Stats.merge ~phases ~threads:1 ~rounds:1 ~generations:1 ~time_s [| Stats.make_worker () |]
+    Stats.merge ~phases ~threads:1 ~rounds:1 ~generations:1 ~time_s [| Obs.counters 0 |]
   in
   let a = mk (Stats.breakdown ~inspect_s:0.1 ~select_s:0.2 ~time_s:0.4) 0.4 in
   let b = mk (Stats.breakdown ~inspect_s:0.3 ~select_s:0.1 ~time_s:0.6) 0.6 in
@@ -126,7 +144,7 @@ let test_phases_add_and_merge () =
   (* merge without ~phases books everything under other, keeping the
      total consistent. *)
   let plain =
-    Stats.merge ~threads:1 ~rounds:1 ~generations:1 ~time_s:0.7 [| Stats.make_worker () |]
+    Stats.merge ~threads:1 ~rounds:1 ~generations:1 ~time_s:0.7 [| Obs.counters 0 |]
   in
   check_float "default books under other" 0.7 plain.phases.Stats.other_s;
   check_float "default total" 0.7 (Stats.phase_total plain.phases)
@@ -134,7 +152,7 @@ let test_phases_add_and_merge () =
 let test_add_chains_digests () =
   let mk d =
     Stats.merge ~digest:d ~threads:1 ~rounds:1 ~generations:1 ~time_s:0.0
-      [| Stats.make_worker () |]
+      [| Obs.counters 0 |]
   in
   let a = mk (D.fold_int D.seed 7) and b = mk (D.fold_int D.seed 8) in
   let s = Stats.add a b in
