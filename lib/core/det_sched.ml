@@ -279,32 +279,52 @@ let generation_layout ~static_id ~spread ~priority ~prio_of ~base bufs =
   let items, slots, runs, delta = form_generation ~static_id ~spread ~priority ~prio_of bufs in
   (Array.map (fun s -> (base + s, items.(s))) slots, runs, delta)
 
-(* Guided chunk size for dynamic parallel iteration: aim for several
-   grabs per worker (cheap load balancing against uneven task costs)
-   without letting tiny windows degenerate into per-index contention on
-   the shared counter. *)
-let chunk_for ~threads n = max 4 (min 1024 (n / (threads * 8)))
+(* The failure of the lower pending slot, as (slot, exn, backtrace). *)
+let lower_failure a b =
+  match (a, b) with Some (s, _, _), Some (s', _, _) when s' < s -> b | None, _ -> b | _ -> a
 
-(* Chunked dynamic parallel iteration over [0, n). Assignment of indices
-   to workers is timing-dependent; nothing the workers compute depends on
-   it. Each grab bumps the grabbing worker's [chunks] counter. *)
-let par_iter pool ~threads ~workers n f =
-  let counter = Atomic.make 0 in
-  let chunk = chunk_for ~threads n in
-  Parallel.Domain_pool.run pool (fun w ->
-      if w >= threads then ()
-      else
-      let continue_ = ref true in
-      while !continue_ do
-        let start = Atomic.fetch_and_add counter chunk in
-        if start >= n then continue_ := false
-        else begin
-          workers.(w).Obs.chunks <- workers.(w).Obs.chunks + 1;
-          for i = start to min (start + chunk) n - 1 do
-            f w i
-          done
-        end
-      done)
+(* Worker [w]'s share of a phase: grab chunks off [next] until the
+   window runs out, keeping the lowest-slot failure it met in
+   [failed.(w)]. *)
+let drain ~workers ~pending ~failed ~next ~chunk n f w =
+  let continue_ = ref true in
+  while !continue_ do
+    let start = Atomic.fetch_and_add next chunk in
+    if start >= n then continue_ := false
+    else begin
+      workers.(w).Obs.chunks <- workers.(w).Obs.chunks + 1;
+      for i = start to min (start + chunk) n - 1 do
+        try f w i
+        with exn ->
+          let bt = Printexc.get_raw_backtrace () in
+          failed.(w) <- lower_failure failed.(w) (Some (Pending.get pending i, exn, bt))
+      done
+    end
+  done
+
+(* Chunked dynamic parallel iteration over the window positions
+   [0, n). Assignment of positions to workers is timing-dependent;
+   nothing the workers compute depends on it. Each grab bumps the
+   grabbing worker's [chunks] counter. A phase no second worker could
+   take a chunk of (one thread, or a window of at most one chunk) runs
+   inline on the caller without the pool's dispatch and join: one worker
+   would run every task either way.
+
+   An operator exception does not cut the phase short. Every other task
+   still runs, and the exception of the raising task with the lowest id
+   (the lowest [pending] slot) is re-raised afterwards. Which tasks of a
+   phase raise is deterministic, so a failing run fails the same way at
+   every thread count, inline or dispatched. *)
+let par_iter pool ~threads ~workers ~pending n f =
+  let chunk = Parallel.Domain_pool.guided_chunk ~workers:threads n in
+  let next = Atomic.make 0 and failed = Array.make threads None in
+  if threads = 1 || n <= chunk then drain ~workers ~pending ~failed ~next ~chunk n f 0
+  else
+    Parallel.Domain_pool.run pool (fun w ->
+        if w < threads then drain ~workers ~pending ~failed ~next ~chunk n f w);
+  match Array.fold_left lower_failure None failed with
+  | None -> ()
+  | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
 
 (* Round-boundary scheduler state (checkpoint/replay); see the interface. *)
 type 'item boundary = {
@@ -607,7 +627,8 @@ let inspect_task env st ~stamp w i =
 
 let inspect env st ~stamp ~w_use =
   let t_inspect = Clock.now_s () in
-  par_iter env.pool ~threads:env.threads ~workers:env.workers w_use (inspect_task env st ~stamp);
+  par_iter env.pool ~threads:env.threads ~workers:env.workers ~pending:st.pending w_use
+    (inspect_task env st ~stamp);
   let dt_inspect = Clock.elapsed_s t_inspect in
   st.inspect_s <- st.inspect_s +. dt_inspect;
   if env.tracing then begin
@@ -713,11 +734,13 @@ let round env st =
     env.emit (Obs.Round_begin { round = st.rounds; window = w_use });
     env.emit
       (Obs.Chunk_sized
-         { round = st.rounds; tasks = w_use; chunk = chunk_for ~threads:env.threads w_use })
+         { round = st.rounds; tasks = w_use;
+           chunk = Parallel.Domain_pool.guided_chunk ~workers:env.threads w_use })
   end;
   inspect env st ~stamp ~w_use;
   let t_select = Clock.now_s () in
-  par_iter env.pool ~threads:env.threads ~workers:env.workers w_use (select_task env st ~stamp);
+  par_iter env.pool ~threads:env.threads ~workers:env.workers ~pending:st.pending w_use
+    (select_task env st ~stamp);
   let dt_select = Clock.elapsed_s t_select in
   st.select_s <- st.select_s +. dt_select;
   (* --- sequential glue between rounds -------------------------------

@@ -147,4 +147,13 @@ val run :
     [stop_after:r] stops after the first round boundary with
     [rounds >= r] (a no-op if the run finishes earlier) — the replay-to
     primitive. The returned stats cover the executed prefix. Raises
-    [Invalid_argument] if [r < 1]. *)
+    [Invalid_argument] if [r < 1].
+
+    An exception raised by [operator] does not cut its phase short:
+    every other task of the round's inspect (or selectAndExec) still
+    runs, and then [run] re-raises the exception of the raising task
+    with the lowest id, with that task's backtrace. Which tasks raise is
+    deterministic, so the same exception surfaces at every thread count.
+    After an inspect failure no task of that round has committed; after
+    a selectAndExec failure every other selected task of the round has.
+    The pool stays usable. *)

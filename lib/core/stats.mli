@@ -42,7 +42,12 @@ type t = {
   inspected : int;
   chunks : int;  (** dynamic chunk grabs of the DIG parallel phases *)
   spins : int;  (** pool-sync wakeups served by the spin fast path *)
-  parks : int;  (** pool-sync waits that parked on a condvar *)
+  parks : int;
+      (** pool-sync waits that parked on a condvar. Every pool dispatch
+          books one wait, a spin or a park, per worker of the run, so
+          [spins + parks] is [threads] times the dispatched phases (the
+          DIG scheduler runs a phase no second worker could share
+          inline, without one); only the split depends on timing. *)
   rounds : int;
   generations : int;
   buckets : int;

@@ -4,7 +4,7 @@
    bounded number of [Domain.cpu_relax] iterations on an atomic word
    (the job generation, or the remaining-worker count) and only then
    fall back to the original mutex/condvar slow path. The fast path
-   turns the two SPMD dispatches per scheduler round from four mutex
+   turns the SPMD dispatches of a scheduler round (up to two) from four mutex
    round-trips per worker into a couple of atomic reads when cores are
    available, while the park fallback keeps the pool well-behaved when
    domains outnumber cores (the common case in the reproduction
@@ -180,15 +180,16 @@ let with_pool ?spin size f =
   let t = create ?spin size in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Dynamic chunk size: small enough for balance, large enough to keep the
-   shared counter off the critical path. *)
-let default_chunk lo hi size =
-  let n = hi - lo in
-  max 1 (min 1024 (n / (size * 8)))
+(* Guided chunk size: aim for several grabs per worker (cheap load
+   balancing against uneven task costs) without letting small ranges
+   degenerate into per-index contention on the shared counter. *)
+let guided_chunk ~workers n = max 4 (min 1024 (n / (workers * 8)))
 
 let parallel_for ?chunk t lo hi body =
   if hi > lo then begin
-    let chunk = match chunk with Some c -> max 1 c | None -> default_chunk lo hi t.size in
+    let chunk =
+      match chunk with Some c -> max 1 c | None -> guided_chunk ~workers:t.size (hi - lo)
+    in
     let next = Atomic.make lo in
     run t (fun _worker ->
         let continue_ = ref true in

@@ -31,8 +31,11 @@ val sync_counters : t -> (int * int) array
 (** Per-worker [(spins, parks)] totals accumulated since pool creation:
     wakeups served entirely by the spin fast path vs. waits that fell
     back to the condvar. Slot [0] counts the caller's job-completion
-    joins. Timing-dependent — read only between jobs, and never fold
-    into anything deterministic. *)
+    joins. Each {!run} on a pool of [n > 1] workers adds exactly one wait
+    to every slot, so the sum of spins and parks over the slots is [n]
+    times the number of [run]s ([0] for a one-worker pool); only the
+    split between spins and parks depends on timing. Read only between
+    jobs, and never fold into anything deterministic. *)
 
 val shutdown : t -> unit
 (** Join all worker domains. The pool cannot be used afterwards.
@@ -42,9 +45,17 @@ val with_pool : ?spin:int -> int -> (t -> 'a) -> 'a
 (** [with_pool n f] runs [f] with a fresh pool, shutting it down
     afterwards even if [f] raises. *)
 
+val guided_chunk : workers:int -> int -> int
+(** [guided_chunk ~workers n] is the chunk size of a dynamic iteration
+    over [n] indices shared by [workers]: about eight grabs per worker,
+    at least 4 and at most 1024 indices per grab. Which worker runs which
+    index depends on timing, so nothing deterministic may depend on the
+    chunking. *)
+
 val parallel_for : ?chunk:int -> t -> int -> int -> (int -> unit) -> unit
 (** [parallel_for t lo hi body] runs [body i] for [lo <= i < hi] with
-    dynamic chunked load balancing. *)
+    dynamic chunked load balancing, in chunks of [chunk] indices
+    (default {!guided_chunk} over the pool's workers). *)
 
 val parallel_for_workers : t -> int -> int -> (int -> int -> int -> unit) -> unit
 (** [parallel_for_workers t lo hi body] statically splits [\[lo, hi)] into

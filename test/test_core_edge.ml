@@ -18,6 +18,10 @@ let noop_operator ctx () = Galois.Context.failsafe ctx
 let exec policy ~operator items =
   Galois.Run.make ~operator items |> Galois.Run.policy policy |> Galois.Run.exec
 
+let exec_on pool policy ~operator items =
+  Galois.Run.make ~operator items |> Galois.Run.policy policy |> Galois.Run.pool pool
+  |> Galois.Run.exec
+
 let test_empty_pool () =
   List.iter
     (fun (name, policy) ->
@@ -218,6 +222,94 @@ let test_lock_ids_monotone () =
   let b = Galois.Lock.create () in
   check_bool "ids increase" true (Galois.Lock.id b > Galois.Lock.id a)
 
+(* Deterministic operator failure: ranks 1 and 16 of 64 initial items
+   raise distinct exceptions in the first window of 32 (spread 16 puts
+   rank 16 at window position 1, ahead of rank 1). The phase still runs
+   the other 30 tasks, then re-raises the lowest-id raising task's
+   exception — rank 1's — at every thread count, inline or dispatched,
+   and the pool stays usable. [commit] moves the raise past the
+   failsafe point, into selectAndExec. *)
+exception Raised of int
+
+let test_det_failure_lowest_id () =
+  let attempt ?pool ~commit threads =
+    let locks = Galois.Lock.create_array 64 and finished = Atomic.make 0 in
+    let step i =
+      if i = 1 || i = 16 then raise (Raised i);
+      Atomic.incr finished
+    in
+    let operator ctx i =
+      Galois.Context.acquire ctx locks.(i);
+      if not commit then step i;
+      Galois.Context.failsafe ctx;
+      if commit then step i
+    in
+    match
+      Galois.Run.make ~operator (Array.init 64 Fun.id)
+      |> Galois.Run.policy (Galois.Policy.det threads)
+      |> Galois.Run.opt Galois.Run.pool pool
+      |> Galois.Run.exec
+    with
+    | _ -> Alcotest.failf "det:%d run with raising operators returned" threads
+    | exception Raised r -> (r, Atomic.get finished)
+  in
+  let expect = Alcotest.(check (pair int int)) in
+  List.iter
+    (fun commit ->
+      let phase = if commit then "commit" else "inspect" in
+      expect (phase ^ ": det:1") (1, 30) (attempt ~commit 1);
+      expect (phase ^ ": det:2") (1, 30) (attempt ~commit 2);
+      Galois.Pool.with_pool ~domains:4 (fun pool ->
+          expect (phase ^ ": det:2 on 4 domains") (1, 30) (attempt ~pool ~commit 2);
+          let report = exec_on pool (Galois.Policy.det 2) ~operator:noop_operator [| (); () |] in
+          check_int (phase ^ ": pool reusable") 2 report.stats.commits))
+    [ false; true ]
+
+(* A phase no second worker could take a chunk of runs inline on the
+   caller, so it books no pool wait: a det:2 chain (every window is one
+   task) leaves worker 1 idle with all-zero counters, and det:1 on a
+   two-domain pool books nothing either. Wider windows still dispatch,
+   and dispatching never moves the schedule digest. *)
+let test_det_inline_phases () =
+  let waits (s : Galois.Stats.t) = s.spins + s.parks in
+  let lock = Galois.Lock.create () in
+  let chain ctx i =
+    Galois.Context.acquire ctx lock;
+    Galois.Context.failsafe ctx;
+    if i < 40 then Galois.Context.push ctx (i + 1)
+  in
+  Galois.Pool.with_pool ~domains:2 @@ fun pool ->
+  let mem = Obs.Memory.create () in
+  let report =
+    Galois.Run.make ~operator:chain [| 0 |]
+    |> Galois.Run.policy (Galois.Policy.det 2)
+    |> Galois.Run.pool pool
+    |> Galois.Run.sink (Obs.Memory.sink mem)
+    |> Galois.Run.exec
+  in
+  check_int "chain commits" 41 report.stats.commits;
+  check_int "det:2 chain waits" 0 (waits report.stats);
+  let worker1 =
+    List.filter_map
+      (function
+        | { Obs.event = Obs.Worker_counters c; _ } when c.worker = 1 -> Some c | _ -> None)
+      (Obs.Memory.contents mem)
+  in
+  (match worker1 with
+  | [ c ] ->
+      List.iter
+        (fun (f : Obs.counter) -> check_int ("worker 1 " ^ f.name) 0 (f.get c))
+        Obs.counter_table
+  | l -> Alcotest.failf "expected one worker-1 counters event, got %d" (List.length l));
+  let det1 = exec_on pool (Galois.Policy.det 1) ~operator:chain [| 0 |] in
+  check_int "det:1 chain waits on 2 domains" 0 (waits det1.stats);
+  let g = Graphlib.Generators.kout ~seed:5 ~n:2000 ~k:5 () in
+  let bfs threads = snd (Apps.Bfs.galois ~pool ~policy:(Galois.Policy.det threads) g ~source:0) in
+  let b1 = bfs 1 and b2 = bfs 2 in
+  check_int "det:1 bfs waits" 0 (waits b1.stats);
+  check_bool "det:2 bfs dispatches" true (waits b2.stats > 0);
+  check_bool "bfs digests equal" true (Galois.Trace_digest.equal b1.stats.digest b2.stats.digest)
+
 let suite =
   [
     Alcotest.test_case "empty task pool" `Quick test_empty_pool;
@@ -233,4 +325,6 @@ let suite =
     Alcotest.test_case "serial push order" `Quick test_push_order_preserved_serial;
     Alcotest.test_case "det child ordering portable" `Quick test_det_children_ordering;
     Alcotest.test_case "lock ids monotone" `Quick test_lock_ids_monotone;
+    Alcotest.test_case "det failure raises lowest id" `Quick test_det_failure_lowest_id;
+    Alcotest.test_case "det inline phases book no waits" `Quick test_det_inline_phases;
   ]
