@@ -11,6 +11,18 @@
 
 module D = Galois.Trace_digest
 
+(* A run's wall time is the driver's to measure: [Stats.t] holds counts
+   only, and the per-phase split is in a --trace file
+   (galois-figures --phase-breakdown). *)
+let timed f =
+  let t0 = Galois.Clock.now_s () in
+  let v = f () in
+  (v, Galois.Clock.elapsed_s t0)
+
+let pp_stats name ~policy ~wall_s stats =
+  Fmt.pr "%s (%a):@." name Galois.Policy.pp policy;
+  Fmt.pr "  %a time=%.4fs@." Galois.Stats.pp stats wall_s
+
 type replay_opts = {
   checkpoint : string option;  (* write round-boundary snapshots here *)
   every : int option;  (* checkpoint cadence (default 1) *)
@@ -84,7 +96,7 @@ let run_replay ~app ~policy ~size ~seed ~sink r =
               if ok then `Ok () else `Error (false, "crash-resume replay diverged")
           | None ->
               let run, out = c.fresh ~static_id:false () in
-              let report =
+              let run =
                 run
                 |> Galois.Run.policy policy
                 |> Galois.Run.sink sink
@@ -95,10 +107,9 @@ let run_replay ~app ~policy ~size ~seed ~sink r =
                 |> (if Option.is_some r.replay_to || Option.is_some r.schedule_out then
                       Galois.Run.record
                     else Fun.id)
-                |> Galois.Run.exec
               in
-              Fmt.pr "%s (%a):@." app Galois.Policy.pp policy;
-              Fmt.pr "  %a@." Galois.Stats.pp report.stats;
+              let report, wall_s = timed (fun () -> Galois.Run.exec run) in
+              pp_stats app ~policy ~wall_s report.stats;
               Fmt.pr "  output digest=%s@." (D.to_hex (c.output_digest (out ())));
               if Option.is_some r.replay_to || Option.is_some r.schedule_out then
                 dump_schedule_prefix ~out:r.schedule_out report;
@@ -107,15 +118,12 @@ let run_replay ~app ~policy ~size ~seed ~sink r =
       | Invalid_argument msg | Failure msg -> `Error (false, msg))
 
 let run_app ~app ~policy ~size ~seed ~verbose ~sink =
-  let pp_stats name (stats : Galois.Stats.t) =
-    Fmt.pr "%s (%a):@." name Galois.Policy.pp policy;
-    Fmt.pr "  %a@." Galois.Stats.pp stats
-  in
+  let pp_stats name = pp_stats name ~policy in
   match app with
   | "bfs" ->
       let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-      let dist, report = Apps.Bfs.galois ~sink ~policy g ~source:0 in
-      pp_stats "bfs" report.stats;
+      let (dist, report), wall_s = timed (fun () -> Apps.Bfs.galois ~sink ~policy g ~source:0) in
+      pp_stats "bfs" ~wall_s report.stats;
       let reached = Array.fold_left (fun a d -> if d <> Apps.Bfs.unreached then a + 1 else a) 0 dist in
       Fmt.pr "  reached %d of %d nodes; valid=%b@." reached size
         (Apps.Bfs.validate g ~source:0 dist);
@@ -126,15 +134,15 @@ let run_app ~app ~policy ~size ~seed ~verbose ~sink =
       `Ok ()
   | "mis" ->
       let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:5 ()) in
-      let in_mis, report = Apps.Mis.galois ~sink ~policy g in
-      pp_stats "mis" report.stats;
+      let (in_mis, report), wall_s = timed (fun () -> Apps.Mis.galois ~sink ~policy g) in
+      pp_stats "mis" ~wall_s report.stats;
       let members = Array.fold_left (fun a b -> if b then a + 1 else a) 0 in_mis in
       Fmt.pr "  |MIS| = %d; valid=%b@." members (Apps.Mis.is_maximal_independent g in_mis);
       `Ok ()
   | "dt" ->
       let pts = Geometry.Point.random_unit_square ~seed size in
-      let mesh, report = Apps.Dt.galois ~sink ~policy pts in
-      pp_stats "dt" report.stats;
+      let (mesh, report), wall_s = timed (fun () -> Apps.Dt.galois ~sink ~policy pts) in
+      pp_stats "dt" ~wall_s report.stats;
       Fmt.pr "  triangles=%d, delaunay violations=%d@." (Mesh.triangle_count mesh)
         (Mesh.delaunay_violations mesh);
       `Ok ()
@@ -142,32 +150,34 @@ let run_app ~app ~policy ~size ~seed ~verbose ~sink =
       let pts = Geometry.Point.random_unit_square ~seed size in
       let mesh = Apps.Dt.serial pts in
       let before = Mesh.triangle_count mesh in
-      let report = Apps.Dmr.galois ~sink ~policy mesh in
-      pp_stats "dmr" report.stats;
+      let report, wall_s = timed (fun () -> Apps.Dmr.galois ~sink ~policy mesh) in
+      pp_stats "dmr" ~wall_s report.stats;
       Fmt.pr "  triangles %d -> %d; refined=%b@." before (Mesh.triangle_count mesh)
         (Apps.Dmr.refined Apps.Dmr.default_config mesh);
       `Ok ()
   | "pfp" ->
       let g, caps, source, sink_node = Graphlib.Generators.flow_network ~seed ~n:size ~k:4 () in
       let net = Apps.Flow_network.of_graph g caps ~source ~sink:sink_node in
-      let result = Apps.Pfp.galois ~sink ~policy net in
-      pp_stats "pfp" result.stats;
+      let result, wall_s = timed (fun () -> Apps.Pfp.galois ~sink ~policy net) in
+      pp_stats "pfp" ~wall_s result.stats;
       let ok, _ = Apps.Flow_network.check_flow net in
       Fmt.pr "  max flow=%d; epochs=%d; global relabels=%d; conservation=%b@."
         result.flow_value result.epochs result.global_relabels ok;
       `Ok ()
   | "cc" ->
       let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:5 ()) in
-      let label, report = Apps.Cc.galois ~sink ~policy g in
-      pp_stats "cc" report.stats;
+      let (label, report), wall_s = timed (fun () -> Apps.Cc.galois ~sink ~policy g) in
+      pp_stats "cc" ~wall_s report.stats;
       Fmt.pr "  %d components; valid=%b@." (Apps.Cc.count_components label)
         (Apps.Cc.validate g label);
       `Ok ()
   | "sssp" ->
       let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
       let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-      let dist, report = Apps.Sssp.galois ~sink ~policy g w ~source:0 in
-      pp_stats "sssp" report.stats;
+      let (dist, report), wall_s =
+        timed (fun () -> Apps.Sssp.galois ~sink ~policy g w ~source:0)
+      in
+      pp_stats "sssp" ~wall_s report.stats;
       let reached =
         Array.fold_left (fun a d -> if d <> Apps.Sssp.unreached then a + 1 else a) 0 dist
       in
@@ -176,29 +186,29 @@ let run_app ~app ~policy ~size ~seed ~verbose ~sink =
   | "mst" ->
       let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:4 ()) in
       let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
-      let forest, report = Apps.Boruvka.galois ~sink ~policy g w in
-      pp_stats "mst (boruvka)" report.stats;
+      let (forest, report), wall_s = timed (fun () -> Apps.Boruvka.galois ~sink ~policy g w) in
+      pp_stats "mst (boruvka)" ~wall_s report.stats;
       Fmt.pr "  forest: %d edges, total weight %d; valid=%b@."
         (List.length forest.Apps.Boruvka.parent_edge) forest.Apps.Boruvka.total_weight
         (Apps.Boruvka.validate g forest);
       `Ok ()
   | "triangles" ->
       let g = Graphlib.Csr.symmetrize (Graphlib.Generators.rmat ~seed ~scale:11 ~edge_factor:8 ()) in
-      let total, report = Apps.Triangles.galois ~sink ~policy g in
-      pp_stats "triangles" report.stats;
+      let (total, report), wall_s = timed (fun () -> Apps.Triangles.galois ~sink ~policy g) in
+      pp_stats "triangles" ~wall_s report.stats;
       Fmt.pr "  %d triangles@." total;
       `Ok ()
   | "kcore" ->
       let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:5 ()) in
-      let core, report = Apps.Kcore.galois ~sink ~policy g in
-      pp_stats "kcore" report.stats;
+      let (core, report), wall_s = timed (fun () -> Apps.Kcore.galois ~sink ~policy g) in
+      pp_stats "kcore" ~wall_s report.stats;
       let kmax = Array.fold_left max 0 core in
       Fmt.pr "  max coreness=%d; valid=%b@." kmax (Apps.Kcore.validate g core);
       `Ok ()
   | "pagerank" ->
       let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-      let ranks, report = Apps.Pagerank.galois ~sink ~policy g in
-      pp_stats "pagerank" report.stats;
+      let (ranks, report), wall_s = timed (fun () -> Apps.Pagerank.galois ~sink ~policy g) in
+      pp_stats "pagerank" ~wall_s report.stats;
       let reference = Apps.Pagerank.serial g in
       Fmt.pr "  max deviation from power iteration: %.5f@."
         (Apps.Pagerank.max_abs_diff ranks reference);

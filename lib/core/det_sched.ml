@@ -405,8 +405,6 @@ type ('item, 'state) state = {
   carry : Stats.worker;
       (* deterministic counters from before a resume boundary; zero on a
          fresh run, summed with the real workers in [capture]/[finish] *)
-  mutable inspect_s : float;
-  mutable select_s : float;
   mutable records : Schedule.task_record array list;  (* newest round first *)
 }
 
@@ -442,8 +440,7 @@ type ('item, 'state) env = {
 let empty_state () =
   { rounds = 0; generations = 0; buckets = 0; next_id = 1; gen_base = 1; items = [||];
     reg = [||]; pending = Pending.create (); w_use = 0; cols = make_columns 0; window = 0;
-    delta = 0; digest = Trace_digest.seed; carry = Obs.counters 0; inspect_s = 0.0;
-    select_s = 0.0; records = [] }
+    delta = 0; digest = Trace_digest.seed; carry = Obs.counters 0; records = [] }
 
 (* Flag task [id] defeated in this round. Each round marks under its own
    fresh lock epoch, so a displaced id belongs to the current window:
@@ -626,12 +623,11 @@ let inspect_task env st ~stamp w i =
   if env.options.continuation then c.saved.(i) <- Context.saved ctx
 
 let inspect env st ~stamp ~w_use =
-  let t_inspect = Clock.now_s () in
+  let t_inspect = if env.tracing then Clock.now_s () else 0.0 in
   par_iter env.pool ~threads:env.threads ~workers:env.workers ~pending:st.pending w_use
     (inspect_task env st ~stamp);
-  let dt_inspect = Clock.elapsed_s t_inspect in
-  st.inspect_s <- st.inspect_s +. dt_inspect;
   if env.tracing then begin
+    let dt_s = Clock.elapsed_s t_inspect in
     let c = st.cols and marked = ref 0 and saved = ref 0 in
     for i = 0 to w_use - 1 do
       marked := !marked + c.n_locks.(i);
@@ -639,7 +635,7 @@ let inspect env st ~stamp ~w_use =
     done;
     env.emit
       (Obs.Inspect_done { round = st.rounds; marked = !marked; saved_continuations = !saved });
-    env.emit (Obs.Phase_time { round = st.rounds; phase = Obs.Inspect; dt_s = dt_inspect })
+    env.emit (Obs.Phase_time { round = st.rounds; phase = Obs.Inspect; dt_s })
   end
 
 (* --- selectAndExec --------------------------------------------------
@@ -738,11 +734,10 @@ let round env st =
            chunk = Parallel.Domain_pool.guided_chunk ~workers:env.threads w_use })
   end;
   inspect env st ~stamp ~w_use;
-  let t_select = Clock.now_s () in
+  let t_select = if env.tracing then Clock.now_s () else 0.0 in
   par_iter env.pool ~threads:env.threads ~workers:env.workers ~pending:st.pending w_use
     (select_task env st ~stamp);
-  let dt_select = Clock.elapsed_s t_select in
-  st.select_s <- st.select_s +. dt_select;
+  let dt_select = if env.tracing then Clock.elapsed_s t_select else 0.0 in
   (* --- sequential glue between rounds -------------------------------
      [defeated] still says which tasks were selected: defeat flags only
      change during inspect. One pass collects the committed ids and the
@@ -811,15 +806,13 @@ let round env st =
 (* The run's [Stats.t]: the real workers plus the counters carried over
    a resume boundary; rounds, generations, buckets and the digest are
    already cumulative in the state. *)
-let finish env st ~t0 =
-  let time_s = Clock.elapsed_s t0 in
+let finish env st =
   Stats.book_sync env.workers ~before:env.sync0
     ~after:(Parallel.Domain_pool.sync_counters env.pool);
   if env.tracing then Array.iter (fun c -> env.emit (Stats.counters_event c)) env.workers;
   let stats =
     Stats.merge ~digest:st.digest ~threads:env.threads ~rounds:st.rounds
-      ~generations:st.generations ~buckets:st.buckets ~time_s
-      ~phases:(Stats.breakdown ~inspect_s:st.inspect_s ~select_s:st.select_s ~time_s)
+      ~generations:st.generations ~buckets:st.buckets
       (Array.append [| st.carry |] env.workers)
   in
   (stats, if env.record then Some (Schedule.Rounds (List.rev st.records)) else None)
@@ -855,9 +848,8 @@ let run ?(record = false) ?(sink = Obs.null) ?audit ?checkpoint ?resume ?stop_af
          generation). *)
       prio_of = Option.value priority ~default:(fun _ -> 0);
       defeat = defeat st;
-      tracing = sink != Obs.null;
-      (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
-      emit = (fun event -> sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event });
+      tracing = not (Obs.Sink.is_null sink);
+      emit = (fun event -> sink.Obs.emit (Clock.stamp event));
       sync0 = Parallel.Domain_pool.sync_counters pool }
   in
   (match resume with
@@ -866,7 +858,6 @@ let run ?(record = false) ?(sink = Obs.null) ?audit ?checkpoint ?resume ?stop_af
         (fun i item -> Child_buffer.push env.child_buffers.(0) ~parent:0 ~birth:i item)
         items
   | Some b -> of_boundary env st b);
-  let t0 = Clock.now_s () in
   (* One iteration per round. A generation boundary is just a round
      whose pending deque starts empty: [form] then lays out the next
      generation first, so an uninterrupted run and a resumed one take
@@ -879,4 +870,4 @@ let run ?(record = false) ?(sink = Obs.null) ?audit ?checkpoint ?resume ?stop_af
     round env st;
     match stop_after with Some r when st.rounds >= r -> stopped := true | _ -> ()
   done;
-  finish env st ~t0
+  finish env st

@@ -80,8 +80,8 @@ type 'item boundary = {
     original round 1: [b_counters] carries exactly the worker counters
     whose {!Obs.counter_table} entry is deterministic (committed,
     aborted, acquires, atomics, work, pushes, inspections). The
-    thread- and timing-dependent ones (chunks, spins, parks) and
-    wall-clock restart from zero on resume. *)
+    thread- and timing-dependent ones (chunks, spins, parks) restart
+    from zero on resume. *)
 
 val run :
   ?record:bool ->
@@ -123,7 +123,9 @@ val run :
     [Window_adapted] when the adaptive controller resizes; and final
     per-worker [Worker_counters]. Events are emitted from sequential
     sections only, and every field outside [Phase_time] / [Chunk_sized] /
-    [Worker_counters] is deterministic. The sink is not closed.
+    [Worker_counters] is deterministic. The sink is not closed. The
+    [Phase_time]s are the only clock readings: with {!Obs.null} the
+    scheduler reads no clock.
 
     [audit] attaches a dynamic determinism recorder ({!Audit}): worker
     contexts record acquire/touch footprints on per-worker tapes, and

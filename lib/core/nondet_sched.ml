@@ -26,7 +26,8 @@ let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
      but stamped claims keep the fast path shared with the DIG rounds. *)
   let stamp = Lock.new_epoch () in
   let sync0 = Parallel.Domain_pool.sync_counters pool in
-  let t0 = Clock.now_s () in
+  let tracing = not (Obs.Sink.is_null sink) in
+  let t0 = if tracing then Clock.now_s () else 0.0 in
   Parallel.Domain_pool.run pool (fun w ->
       if w >= threads then ()
       else
@@ -80,21 +81,24 @@ let run ?(record = false) ?(sink = Obs.null) ?threads ~pool ~operator items =
                 Context.release_all ctx;
                 stats.aborted <- stats.aborted + 1;
                 Workset.requeue ws item;
-                backoff ());
+                backoff ()
+            | exception e ->
+                (* The task will never complete: release the other
+                   workers from [take] so [Domain_pool.run] returns and
+                   re-raises [e]. *)
+                let bt = Printexc.get_raw_backtrace () in
+                Workset.abort ws;
+                Printexc.raise_with_backtrace e bt);
             loop ()
       in
       loop ());
-  let time_s = Clock.elapsed_s t0 in
   Stats.book_sync workers ~before:sync0 ~after:(Parallel.Domain_pool.sync_counters pool);
-  (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
-  let emit event = sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event } in
-  emit (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s = time_s });
-  Array.iter (fun st -> emit (Stats.counters_event st)) workers;
-  let stats =
-    Stats.merge ~threads ~rounds:0 ~generations:0 ~time_s
-      ~phases:(Stats.breakdown ~inspect_s:0.0 ~select_s:time_s ~time_s)
-      workers
-  in
+  if tracing then begin
+    let dt_s = Clock.elapsed_s t0 in
+    sink.Obs.emit (Clock.stamp (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s }));
+    Array.iter (fun st -> sink.Obs.emit (Clock.stamp (Stats.counters_event st))) workers
+  end;
+  let stats = Stats.merge ~threads ~rounds:0 ~generations:0 workers in
   let schedule =
     if record then
       Some (Schedule.Flat (List.concat_map (fun l -> List.rev l) (Array.to_list records)))

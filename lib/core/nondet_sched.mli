@@ -15,4 +15,9 @@ val run :
   'item array ->
   Stats.t * Schedule.t option
 (** [sink] receives one [Phase_time] ([Execute]) and per-worker
-    [Worker_counters] events at the end of the run; it is not closed. *)
+    [Worker_counters] events at the end of the run; it is not closed.
+    With {!Obs.null} the run reads no clock.
+
+    An exception raised by [operator] ends the run for every worker and
+    is re-raised; when several workers raise, which exception wins is
+    unspecified. *)

@@ -182,10 +182,7 @@ let exec t =
     | None -> t.sink_
   in
   let tracing = not (Obs.Sink.is_null sink) in
-  let emit event =
-    (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
-    if tracing then sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event }
-  in
+  let emit event = if tracing then sink.Obs.emit (Clock.stamp event) in
   emit
     (Obs.Run_begin
        {

@@ -4,7 +4,7 @@
    parallel schedulers are tested against, and as the single-thread
    baseline of the evaluation. Observability events are emitted once at
    the end: there are no rounds, so the whole run is one Execute
-   phase. *)
+   phase, timed only when a sink is attached. *)
 
 let run ?(record = false) ?(sink = Obs.null) ~operator items =
   let stats = Obs.counters 0 in
@@ -15,7 +15,8 @@ let run ?(record = false) ?(sink = Obs.null) ~operator items =
   let records = ref [] in
   (* One lock epoch for the whole run; no pool, so spins/parks stay 0. *)
   let stamp = Lock.new_epoch () in
-  let t0 = Clock.now_s () in
+  let tracing = not (Obs.Sink.is_null sink) in
+  let t0 = if tracing then Clock.now_s () else 0.0 in
   while not (Queue.is_empty queue) do
     let item = Queue.pop queue in
     Context.reset ctx ~phase:Direct ~task_id:1 ~stamp ~saved:None;
@@ -39,15 +40,11 @@ let run ?(record = false) ?(sink = Obs.null) ~operator items =
     stats.work <- stats.work + Context.work_units ctx;
     stats.committed <- stats.committed + 1
   done;
-  let time_s = Clock.elapsed_s t0 in
-  (* detlint: allow wall-clock — Obs.at_s is an absolute wall-clock timestamp; durations use Clock *)
-  let emit event = sink.Obs.emit { Obs.at_s = Unix.gettimeofday (); event } in
-  emit (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s = time_s });
-  emit (Stats.counters_event stats);
-  let stats =
-    Stats.merge ~threads:1 ~rounds:0 ~generations:0 ~time_s
-      ~phases:(Stats.breakdown ~inspect_s:0.0 ~select_s:time_s ~time_s)
-      [| stats |]
-  in
+  if tracing then begin
+    let dt_s = Clock.elapsed_s t0 in
+    sink.Obs.emit (Clock.stamp (Obs.Phase_time { round = 0; phase = Obs.Execute; dt_s }));
+    sink.Obs.emit (Clock.stamp (Stats.counters_event stats))
+  end;
+  let stats = Stats.merge ~threads:1 ~rounds:0 ~generations:0 [| stats |] in
   let schedule = if record then Some (Schedule.Flat (List.rev !records)) else None in
   (stats, schedule)

@@ -8,4 +8,5 @@ val run :
   'item array ->
   Stats.t * Schedule.t option
 (** [sink] receives one [Phase_time] ([Execute]) and one
-    [Worker_counters] event at the end of the run; it is not closed. *)
+    [Worker_counters] event at the end of the run; it is not closed.
+    With {!Obs.null} the run reads no clock. *)

@@ -3,7 +3,12 @@
    Workers own private counter records (no sharing, no false-sharing
    hazards beyond allocation placement); the runtime merges them after
    the parallel phase. These counters feed the paper's Figures 4 and 5
-   (task rates, abort ratios, rounds, atomic update rates). *)
+   (task rates, abort ratios, rounds, atomic update rates).
+
+   A report holds counts and the digest only: no clock reading. Wall
+   and phase times are timing, not schedule, and travel on one channel,
+   the [Obs.Phase_time] events a traced run emits; a caller that wants
+   a run's wall time measures around the call. *)
 
 type worker = Obs.counters
 
@@ -20,21 +25,6 @@ let book_sync workers ~before ~after =
 
 (* A copy, so the event cannot change under a sink that keeps it. *)
 let counters_event (c : worker) = Obs.Worker_counters { c with worker = c.worker }
-
-(* Wall-clock breakdown of a run across scheduler phases. For the DIG
-   scheduler [inspect_s]/[select_s] accumulate the two parallel phases
-   and [other_s] is everything else (generation sort, sequential round
-   glue, window adaptation); serial and speculative runs book all their
-   time under [select_s] (execution). The three fields always sum to
-   [time_s]. *)
-type phase_times = { inspect_s : float; select_s : float; other_s : float }
-
-let breakdown ~inspect_s ~select_s ~time_s =
-  let inspect_s = Float.max 0.0 inspect_s
-  and select_s = Float.max 0.0 select_s in
-  { inspect_s; select_s; other_s = Float.max 0.0 (time_s -. inspect_s -. select_s) }
-
-let phase_total p = p.inspect_s +. p.select_s +. p.other_s
 
 type t = {
   threads : int;
@@ -59,12 +49,10 @@ type t = {
          every round's window size, commit count and committed task ids.
          Two deterministic runs took the same schedule iff their digests
          agree — the O(1) comparison the determinism audit relies on. *)
-  time_s : float;  (* wall-clock of the parallel section *)
-  phases : phase_times;  (* where [time_s] went, per scheduler phase *)
 }
 
-let merge ?(digest = Trace_digest.absent) ?phases ?(buckets = 0) ~threads ~rounds
-    ~generations ~time_s workers =
+let merge ?(digest = Trace_digest.absent) ?(buckets = 0) ~threads ~rounds ~generations
+    workers =
   let c = Obs.sum_counters workers in
   {
     threads;
@@ -82,11 +70,6 @@ let merge ?(digest = Trace_digest.absent) ?phases ?(buckets = 0) ~threads ~round
     generations;
     buckets;
     digest;
-    time_s;
-    phases =
-      (match phases with
-      | Some p -> p
-      | None -> breakdown ~inspect_s:0.0 ~select_s:0.0 ~time_s);
   }
 
 (* The inverse of [merge]'s projection: [t]'s counters as one record. *)
@@ -98,36 +81,21 @@ let totals t : worker =
 (* Combine reports of consecutive executions (e.g. the epochs of
    preflow-push) into one summary. *)
 let add a b =
-  let sum f = f a.phases +. f b.phases in
   merge
     ~digest:(Trace_digest.combine a.digest b.digest)
-    ~phases:
-      {
-        inspect_s = sum (fun p -> p.inspect_s);
-        select_s = sum (fun p -> p.select_s);
-        other_s = sum (fun p -> p.other_s);
-      }
     ~buckets:(a.buckets + b.buckets) ~threads:(max a.threads b.threads)
     ~rounds:(a.rounds + b.rounds) ~generations:(a.generations + b.generations)
-    ~time_s:(a.time_s +. b.time_s) [| totals a; totals b |]
+    [| totals a; totals b |]
 
-let zero threads = merge ~threads ~rounds:0 ~generations:0 ~time_s:0.0 [||]
+let zero threads = merge ~threads ~rounds:0 ~generations:0 [||]
 
 let abort_ratio t =
   let attempts = t.commits + t.aborts in
   if attempts = 0 then 0.0 else float_of_int t.aborts /. float_of_int attempts
 
-let commits_per_us t = if t.time_s <= 0.0 then 0.0 else float_of_int t.commits /. (t.time_s *. 1e6)
-
-let atomics_per_us t = if t.time_s <= 0.0 then 0.0 else float_of_int t.atomics /. (t.time_s *. 1e6)
-
-let pp_phases ppf p =
-  Fmt.pf ppf "phases inspect=%.4fs select=%.4fs other=%.4fs" p.inspect_s
-    p.select_s p.other_s
-
-(* The digest line only means something for deterministic runs; for
-   serial/nondet ([Trace_digest.absent]) show the phase breakdown
-   without a misleading "digest=-". *)
+(* The digest only means something for deterministic runs; for
+   serial/nondet ([Trace_digest.absent]) omit it rather than print a
+   misleading "digest=-". *)
 let pp_digest ppf d =
   if not (Trace_digest.is_absent d) then Fmt.pf ppf " digest=%a" Trace_digest.pp d
 
@@ -138,7 +106,7 @@ let pp_buckets ppf b = if b > 0 then Fmt.pf ppf " buckets=%d" b
 let pp ppf t =
   Fmt.pf ppf
     "@[<v>threads=%d commits=%d aborts=%d (ratio %.4f)@ acquires=%d atomics=%d work=%d created=%d@ \
-     inspections=%d rounds=%d generations=%d%a spins=%d parks=%d%a time=%.4fs@ %a@]"
+     inspections=%d rounds=%d generations=%d%a spins=%d parks=%d%a@]"
     t.threads t.commits t.aborts (abort_ratio t) t.acquired t.atomics t.work_units t.created
     t.inspected t.rounds t.generations pp_buckets t.buckets t.spins t.parks pp_digest
-    t.digest t.time_s pp_phases t.phases
+    t.digest

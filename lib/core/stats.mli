@@ -2,7 +2,10 @@
 
     These back the paper's application-characteristics study (Figures 4
     and 5: task commit rates, abort ratios, rounds, atomic update
-    rates). *)
+    rates). A report is counts and a digest, with no time in it: a
+    run's per-phase times are the {!Obs.Phase_time} events of a traced
+    run, and its wall time is measured around the call by whoever wants
+    it. *)
 
 type worker = Obs.counters
 (** Per-worker mutable counters, owned exclusively by one worker during
@@ -15,21 +18,6 @@ val book_sync : worker array -> before:(int * int) array -> after:(int * int) ar
 val counters_event : worker -> Obs.event
 (** The [Worker_counters] observability event of a worker: a copy of
     its counters as they are now. *)
-
-type phase_times = { inspect_s : float; select_s : float; other_s : float }
-(** Wall-clock breakdown of {!t.time_s} across scheduler phases. The DIG
-    scheduler reports its two parallel phases in [inspect_s]/[select_s]
-    with sequential glue (generation sort, mark resolution, window
-    adaptation) in [other_s]; serial and speculative executions book all
-    their time under [select_s]. Always sums to {!t.time_s} (up to float
-    rounding). *)
-
-val breakdown : inspect_s:float -> select_s:float -> time_s:float -> phase_times
-(** Clamp the measured phase times to [\[0, ∞)] and attribute the
-    remainder of [time_s] to [other_s] (clamped at 0). *)
-
-val phase_total : phase_times -> float
-(** Sum of the three components. *)
 
 type t = {
   threads : int;
@@ -58,35 +46,32 @@ type t = {
           ({!Trace_digest.absent} for nondet/serial). Two deterministic
           runs of the same program took the same schedule iff their
           digests agree. *)
-  time_s : float;
-  phases : phase_times;  (** where [time_s] went, per scheduler phase *)
 }
 (** Aggregated result of one {!Run.exec}. The counters from [commits]
     to [parks] are the workers' {!Obs.counters} summed ([acquired] is
     [acquires], [work_units] is [work], [created] is [pushes],
     [inspected] is [inspections]); under [det], the sums of the
-    {!Obs.det_counters} are thread-invariant and survive a resume. *)
+    {!Obs.det_counters} are thread-invariant and survive a resume.
+    Every field but [threads], [chunks], [spins] and [parks] is then a
+    function of the input and the det options alone. *)
 
 val merge :
   ?digest:Trace_digest.t ->
-  ?phases:phase_times ->
   ?buckets:int ->
   threads:int ->
   rounds:int ->
   generations:int ->
-  time_s:float ->
   worker array ->
   t
-(** When [phases] is omitted the whole of [time_s] is booked under
-    [other_s]; [buckets] defaults to 0 (unordered execution). *)
+(** [buckets] defaults to 0 (unordered execution). *)
 
 val totals : t -> worker
 (** [t]'s counters as one record (worker 0): the inverse of {!merge}'s
     projection of the summed workers onto {!t}. *)
 
 val add : t -> t -> t
-(** Combine consecutive executions (counters sum, times add, digests
-    chain with {!Trace_digest.combine}). *)
+(** Combine consecutive executions (counters sum, digests chain with
+    {!Trace_digest.combine}). *)
 
 val zero : int -> t
 (** Neutral element of {!add} for a given thread count. *)
@@ -94,15 +79,6 @@ val zero : int -> t
 val abort_ratio : t -> float
 (** Aborts / (commits + aborts); the paper's abort ratio (Fig. 4). *)
 
-val commits_per_us : t -> float
-(** Committed tasks per microsecond (Fig. 4's task rate). *)
-
-val atomics_per_us : t -> float
-(** Atomic updates per microsecond (Fig. 5). *)
-
-val pp_phases : Format.formatter -> phase_times -> unit
-
 val pp : Format.formatter -> t -> unit
 (** Multi-line summary. The digest is printed only when present
-    (deterministic runs); serial/nondet runs show the phase-time
-    breakdown without a digest line. *)
+    (deterministic runs). *)

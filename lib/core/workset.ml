@@ -14,17 +14,20 @@ type 'a t = {
   nonempty : Condition.t;
   queue : 'a Queue.t;
   mutable pending : int;
+  mutable aborted : bool;  (* a task raised: every [take] now returns [None] *)
 }
 
 let create items =
   let queue = Queue.create () in
   Array.iter (fun x -> Queue.add x queue) items;
-  { mutex = Mutex.create (); nonempty = Condition.create (); queue; pending = Array.length items }
+  { mutex = Mutex.create (); nonempty = Condition.create (); queue; pending = Array.length items;
+    aborted = false }
 
 let take t =
   Mutex.lock t.mutex;
   let rec go () =
-    if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
+    if t.aborted then None
+    else if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
     else if t.pending = 0 then None
     else begin
       Condition.wait t.nonempty t.mutex;
@@ -69,4 +72,12 @@ let complete t =
   Mutex.lock t.mutex;
   t.pending <- t.pending - 1;
   if t.pending = 0 then Condition.broadcast t.nonempty;
+  Mutex.unlock t.mutex
+
+(* A task raised and will never complete, so [pending] can no longer
+   reach zero: wake every blocked worker and end the run for all. *)
+let abort t =
+  Mutex.lock t.mutex;
+  t.aborted <- true;
+  Condition.broadcast t.nonempty;
   Mutex.unlock t.mutex

@@ -7,7 +7,8 @@ val create : 'a array -> 'a t
 
 val take : 'a t -> 'a option
 (** Blocks until a task is available ([Some]) or every task has completed
-    ([None], the termination signal for the calling worker). *)
+    or the set was aborted ([None], the termination signal for the
+    calling worker). *)
 
 val push_new : 'a t -> 'a list -> unit
 (** Add freshly created tasks (increases the pending count). *)
@@ -17,3 +18,7 @@ val requeue : 'a t -> 'a -> unit
 
 val complete : 'a t -> unit
 (** Mark one task as successfully finished. *)
+
+val abort : 'a t -> unit
+(** End the run for every worker: blocked and later [take]s return
+    [None]. Called by a worker whose task raised. *)

@@ -499,7 +499,7 @@ let test_epochs_monotone () =
   check_bool "strictly increasing" true (a < b && b < c);
   check_bool "within stamp range" true (a >= 1 && c <= Galois.Lock.max_stamp)
 
-(* --- spin-then-park pool/barrier under oversubscription ---------------- *)
+(* --- spin-then-park pool under oversubscription ------------------------ *)
 
 let test_pool_spin_hammer () =
   (* More domains than this container has cores, tiny spin budget: every
@@ -534,30 +534,6 @@ let test_pool_park_only () =
       Array.iter (fun (s, p) -> check_int "accounted" 20 (s + p))
         (Parallel.Domain_pool.sync_counters pool))
 
-let test_barrier_spin_hammer () =
-  (* Oversubscribed reusable barrier with a small spin budget: parties
-     cycle many rounds; after each crossing every cell is within one
-     round of our own (nobody passed a barrier early, nobody got
-     stuck). *)
-  let parties = 5 and rounds = 100 in
-  let b = Parallel.Barrier.create ~spin:8 parties in
-  let cells = Array.make parties 0 in
-  let body me () =
-    for r = 1 to rounds do
-      cells.(me) <- cells.(me) + 1;
-      Parallel.Barrier.wait b;
-      for o = 0 to parties - 1 do
-        let v = cells.(o) in
-        if v < r || v > r + 1 then
-          Alcotest.failf "party %d saw cell %d = %d in round %d" me o v r
-      done
-    done
-  in
-  let ds = List.init (parties - 1) (fun i -> Domain.spawn (body (i + 1))) in
-  body 0 ();
-  List.iter Domain.join ds;
-  Array.iteri (fun i c -> check_int (Printf.sprintf "party %d rounds" i) rounds c) cells
-
 let suite =
   [
     Alcotest.test_case "spread: identity cases" `Quick test_spread_identity_cases;
@@ -584,6 +560,4 @@ let suite =
     Alcotest.test_case "pool: oversubscribed spin-then-park hammer" `Quick
       test_pool_spin_hammer;
     Alcotest.test_case "pool: park-only (spin=0)" `Quick test_pool_park_only;
-    Alcotest.test_case "barrier: oversubscribed spin hammer" `Quick
-      test_barrier_spin_hammer;
   ]

@@ -69,26 +69,6 @@ let test_many_jobs () =
       done;
       check_int "all jobs ran on all workers" 800 (Atomic.get total))
 
-let test_barrier_rounds () =
-  let parties = 4 in
-  let b = Parallel.Barrier.create parties in
-  let rounds = 50 in
-  let log = Array.make parties 0 in
-  Parallel.Domain_pool.with_pool parties (fun pool ->
-      Parallel.Domain_pool.run pool (fun w ->
-          for r = 1 to rounds do
-            log.(w) <- r;
-            Parallel.Barrier.wait b;
-            (* After the barrier every worker must have logged round r. *)
-            Array.iter (fun v -> if v < r then failwith "barrier violated") log;
-            Parallel.Barrier.wait b
-          done));
-  check_int "parties" parties (Parallel.Barrier.parties b)
-
-let test_barrier_rejects_zero () =
-  Alcotest.check_raises "zero parties" (Invalid_argument "Barrier.create: parties must be positive")
-    (fun () -> ignore (Parallel.Barrier.create 0))
-
 let suite =
   [
     Alcotest.test_case "pool runs every worker" `Quick test_pool_runs_all_workers;
@@ -101,6 +81,4 @@ let suite =
     Alcotest.test_case "parallel_for_workers partitions contiguously" `Quick
       test_parallel_for_workers_partition;
     Alcotest.test_case "pool handles many sequential jobs" `Quick test_many_jobs;
-    Alcotest.test_case "barrier synchronizes rounds" `Quick test_barrier_rounds;
-    Alcotest.test_case "barrier rejects zero parties" `Quick test_barrier_rejects_zero;
   ]

@@ -336,20 +336,41 @@ let test_no_trace_by_default () =
   Alcotest.(check bool) "no trace" true (report.trace = None);
   Alcotest.(check bool) "no schedule" true (report.schedule = None)
 
-let test_phase_times_sum_to_wall_time () =
+(* Phase times travel only as [Phase_time] events: a traced det run
+   emits one non-negative Inspect and one Select per [Round_begin], each
+   naming that round; serial and nondet runs emit a single Execute. *)
+let test_phase_time_events () =
+  let phases policy =
+    let b = make_buckets 7 in
+    let report =
+      Galois.Run.make ~operator:(bucket_operator b 7) (Array.init 300 Fun.id)
+      |> Galois.Run.policy policy
+      |> Galois.Run.trace
+      |> Galois.Run.exec
+    in
+    let events = List.map (fun (s : Obs.stamped) -> s.event) (Option.get report.trace) in
+    let rounds = List.filter_map (function Obs.Round_begin r -> Some r.round | _ -> None) events in
+    let times =
+      List.filter_map
+        (function
+          | Obs.Phase_time p ->
+              Alcotest.(check bool) "non-negative phase time" true (p.dt_s >= 0.0);
+              Some (p.round, p.phase)
+          | _ -> None)
+        events
+    in
+    (rounds, times)
+  in
+  let rounds, times = phases (Galois.Policy.det 2) in
+  Alcotest.(check bool) "det ran rounds" true (List.length rounds > 1);
+  let expected = List.concat_map (fun r -> [ (r, Obs.Inspect); (r, Obs.Select) ]) rounds in
+  Alcotest.(check bool) "det: one Inspect and one Select per round" true (times = expected);
   List.iter
     (fun policy ->
-      let b = make_buckets 7 in
-      let report =
-        Galois.Run.make ~operator:(bucket_operator b 7) (Array.init 300 Fun.id)
-        |> Galois.Run.policy policy
-        |> Galois.Run.exec
-      in
-      let total = Galois.Stats.phase_total report.stats.phases in
-      Alcotest.(check (float 1e-6))
-        (Fmt.str "phase total tracks time_s under %a" Galois.Policy.pp policy)
-        report.stats.time_s total)
-    [ Galois.Policy.serial; Galois.Policy.nondet 2; Galois.Policy.det 2 ]
+      let what = Fmt.str "%a: one Execute" Galois.Policy.pp policy in
+      let rounds, times = phases policy in
+      Alcotest.(check bool) what true (rounds = [] && times = [ (0, Obs.Execute) ]))
+    [ Galois.Policy.serial; Galois.Policy.nondet 2 ]
 
 let test_trace_stream_thread_invariant () =
   (* The deterministic subset of the event stream is byte-identical for
@@ -488,7 +509,7 @@ let suite =
     Alcotest.test_case "Run trace fails on a truncated ring" `Quick
       test_run_trace_truncation_fails;
     Alcotest.test_case "no trace or schedule by default" `Quick test_no_trace_by_default;
-    Alcotest.test_case "phase times sum to wall time" `Quick test_phase_times_sum_to_wall_time;
+    Alcotest.test_case "phase time events per round" `Quick test_phase_time_events;
     Alcotest.test_case "deterministic trace stream thread-invariant" `Quick
       test_trace_stream_thread_invariant;
     Alcotest.test_case "sinks receive events and are not closed" `Quick

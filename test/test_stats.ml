@@ -20,9 +20,7 @@ let test_zero_is_empty () =
   check_int "inspected" 0 z.inspected;
   check_int "rounds" 0 z.rounds;
   check_int "generations" 0 z.generations;
-  check_bool "digest absent" true (D.is_absent z.digest);
-  check_float "time" 0.0 z.time_s;
-  check_float "no phase time" 0.0 (Stats.phase_total z.phases)
+  check_bool "digest absent" true (D.is_absent z.digest)
 
 let test_zero_commit_abort_ratio () =
   (* No attempts at all: the ratio must be 0, not NaN. *)
@@ -34,39 +32,31 @@ let test_zero_commit_abort_ratio () =
   let only_commits = { (Stats.zero 2) with commits = 9 } in
   check_float "no aborts" 0.0 (Stats.abort_ratio only_commits)
 
-let test_zero_time_rates () =
-  let s = { (Stats.zero 1) with commits = 100; atomics = 50 } in
-  (* time_s = 0: rates must degrade to 0, not infinity. *)
-  check_float "commit rate" 0.0 (Stats.commits_per_us s);
-  check_float "atomics rate" 0.0 (Stats.atomics_per_us s)
-
 let test_zero_is_neutral_for_add () =
   let worker = Obs.counters 0 in
   worker.committed <- 5;
   worker.aborted <- 2;
   worker.work <- 11;
   let s =
-    Stats.merge ~digest:(D.fold_int D.seed 42) ~threads:4 ~rounds:3 ~generations:1 ~time_s:0.5
-      [| worker |]
+    Stats.merge ~digest:(D.fold_int D.seed 42) ~threads:4 ~rounds:3 ~generations:1 [| worker |]
   in
   check_bool "right zero" true (Stats.add s (Stats.zero 4) = s);
   check_bool "left zero" true (Stats.add (Stats.zero 4) s = s)
 
 let test_add_heterogeneous_threads () =
   (* Combining a 1-thread epoch with a 4-thread epoch (preflow-push
-     style): counters sum, thread count is the max, times add. *)
-  let mk ~threads ~commits ~time_s =
+     style): counters sum, thread count is the max. *)
+  let mk ~threads ~commits =
     let w = Obs.counters 0 in
     w.committed <- commits;
-    Stats.merge ~threads ~rounds:1 ~generations:1 ~time_s [| w |]
+    Stats.merge ~threads ~rounds:1 ~generations:1 [| w |]
   in
-  let a = mk ~threads:1 ~commits:10 ~time_s:0.25 in
-  let b = mk ~threads:4 ~commits:30 ~time_s:0.5 in
+  let a = mk ~threads:1 ~commits:10 in
+  let b = mk ~threads:4 ~commits:30 in
   let s = Stats.add a b in
   check_int "threads is max" 4 s.threads;
   check_int "commits sum" 40 s.commits;
   check_int "rounds sum" 2 s.rounds;
-  check_float "times add" 0.75 s.time_s;
   check_int "order-insensitive counters" 40 (Stats.add b a).commits
 
 let test_merge_sums_workers () =
@@ -79,7 +69,7 @@ let test_merge_sums_workers () =
     c
   in
   let s =
-    Stats.merge ~threads:3 ~rounds:5 ~generations:2 ~time_s:1.0 [| mk 0; mk 1; mk 2 |]
+    Stats.merge ~threads:3 ~rounds:5 ~generations:2 [| mk 0; mk 1; mk 2 |]
   in
   let sum name =
     match List.find_index (fun f -> f.Obs.name = name) Obs.counter_table with
@@ -114,45 +104,9 @@ let test_digest_monoid () =
   check_bool "seed not absent" false (D.is_absent D.seed);
   Alcotest.(check string) "hex format" "cbf29ce484222325" (D.to_hex D.seed)
 
-let test_phase_breakdown () =
-  (* The common case: inspect + select measured, the remainder booked
-     under other; the three slices sum to the wall time exactly. *)
-  let p = Stats.breakdown ~inspect_s:0.3 ~select_s:0.5 ~time_s:1.0 in
-  check_float "inspect" 0.3 p.Stats.inspect_s;
-  check_float "select" 0.5 p.Stats.select_s;
-  check_float "other" 0.2 p.Stats.other_s;
-  check_float "sums to wall time" 1.0 (Stats.phase_total p);
-  (* Measured phases can overshoot a coarse wall time by timer skew; the
-     remainder clamps at 0 rather than going negative. *)
-  let over = Stats.breakdown ~inspect_s:0.8 ~select_s:0.5 ~time_s:1.0 in
-  check_float "other clamps" 0.0 over.Stats.other_s;
-  (* Negative inputs are clamped away. *)
-  let neg = Stats.breakdown ~inspect_s:(-1.0) ~select_s:0.25 ~time_s:0.5 in
-  check_float "negative inspect clamps" 0.0 neg.Stats.inspect_s;
-  check_float "remainder still non-negative" 0.25 neg.Stats.other_s
-
-let test_phases_add_and_merge () =
-  let mk phases time_s =
-    Stats.merge ~phases ~threads:1 ~rounds:1 ~generations:1 ~time_s [| Obs.counters 0 |]
-  in
-  let a = mk (Stats.breakdown ~inspect_s:0.1 ~select_s:0.2 ~time_s:0.4) 0.4 in
-  let b = mk (Stats.breakdown ~inspect_s:0.3 ~select_s:0.1 ~time_s:0.6) 0.6 in
-  let s = Stats.add a b in
-  check_float "inspect sums" 0.4 s.phases.Stats.inspect_s;
-  check_float "select sums" 0.3 s.phases.Stats.select_s;
-  check_float "phase total tracks time" s.time_s (Stats.phase_total s.phases);
-  (* merge without ~phases books everything under other, keeping the
-     total consistent. *)
-  let plain =
-    Stats.merge ~threads:1 ~rounds:1 ~generations:1 ~time_s:0.7 [| Obs.counters 0 |]
-  in
-  check_float "default books under other" 0.7 plain.phases.Stats.other_s;
-  check_float "default total" 0.7 (Stats.phase_total plain.phases)
-
 let test_add_chains_digests () =
   let mk d =
-    Stats.merge ~digest:d ~threads:1 ~rounds:1 ~generations:1 ~time_s:0.0
-      [| Obs.counters 0 |]
+    Stats.merge ~digest:d ~threads:1 ~rounds:1 ~generations:1 [| Obs.counters 0 |]
   in
   let a = mk (D.fold_int D.seed 7) and b = mk (D.fold_int D.seed 8) in
   let s = Stats.add a b in
@@ -161,6 +115,30 @@ let test_add_chains_digests () =
   (* Adding a digest-less run (serial epoch between det epochs) keeps the
      digest. *)
   check_bool "absent passthrough" true (D.equal (Stats.add a (Stats.zero 1)).digest a.digest)
+
+(* A det report holds no time, so apart from the pool-dependent fields
+   it is a function of the input alone: the whole record, not just the
+   digest, agrees at every thread count. *)
+let test_det_stats_thread_invariant () =
+  let schedule_part (s : Stats.t) = { s with threads = 0; chunks = 0; spins = 0; parks = 0 } in
+  Galois.Pool.with_pool ~domains:4 @@ fun pool ->
+  List.iter
+    (fun (Detcheck.Replay_cases.Case c) ->
+      let stats threads =
+        let run, _ = c.fresh ~static_id:false () in
+        let report =
+          run |> Galois.Run.policy (Galois.Policy.det threads) |> Galois.Run.pool pool
+          |> Galois.Run.exec
+        in
+        schedule_part report.stats
+      in
+      let reference = stats 1 in
+      List.iter
+        (fun t ->
+          check_bool (Printf.sprintf "%s: det:%d stats equal det:1" c.name t) true
+            (stats t = reference))
+        [ 2; 4 ])
+    [ Detcheck.Replay_cases.gen ~seed:7; Detcheck.Replay_cases.bfs ~n:300 ~seed:7 ]
 
 (* --- digest edge cases: empty runs, single rounds, text round-trips -- *)
 
@@ -284,14 +262,12 @@ let suite =
   [
     Alcotest.test_case "zero is the empty report" `Quick test_zero_is_empty;
     Alcotest.test_case "abort ratio without commits" `Quick test_zero_commit_abort_ratio;
-    Alcotest.test_case "rates at zero time" `Quick test_zero_time_rates;
     Alcotest.test_case "zero neutral for add" `Quick test_zero_is_neutral_for_add;
     Alcotest.test_case "add across thread counts" `Quick test_add_heterogeneous_threads;
     Alcotest.test_case "merge sums worker counters" `Quick test_merge_sums_workers;
-    Alcotest.test_case "phase breakdown clamps and sums" `Quick test_phase_breakdown;
-    Alcotest.test_case "phases add and merge" `Quick test_phases_add_and_merge;
     Alcotest.test_case "trace digest monoid" `Quick test_digest_monoid;
     Alcotest.test_case "add chains digests" `Quick test_add_chains_digests;
+    Alcotest.test_case "det stats thread-invariant" `Quick test_det_stats_thread_invariant;
     Alcotest.test_case "of_hex round-trips" `Quick test_of_hex_roundtrip;
     Alcotest.test_case "fold_ints matches fold_int" `Quick test_fold_ints_matches_fold_int;
     Alcotest.test_case "empty run digest" `Quick test_empty_run_digest;
