@@ -100,57 +100,42 @@ let run_audit ~seed ~threads ~size ~points ~verbose =
   let v = Verdict.start "audit" in
   let tlist = String.concat "," (List.map string_of_int threads) in
   let tmax = List.fold_left max 1 threads in
+  let show tag = List.iter (fun f -> Fmt.pr "      %s%a@." tag Galois.Audit.pp_finding f) in
+  (* One row at every thread count. [run] returns the report and the
+     findings it was wrong about: any finding of an app, the unflagged
+     witnesses of a control. *)
+  let sweep what name ~passed run =
+    let before = v.failures in
+    List.iter
+      (fun t ->
+        let (report : Galois.Audit.report), wrong = run ~policy:(Galois.Policy.det t) in
+        if wrong <> [] then begin
+          Verdict.fail v "%s %s det:%d: %d finding(s), %d wrong" what name t
+            (List.length report.findings) (List.length wrong);
+          show "wrong " wrong;
+          show "got   " (List.filter (fun f -> not (List.mem f wrong)) report.findings)
+        end
+        else if verbose then begin
+          Verdict.pass "%s %s det:%d (%d rounds, %d tasks, %d finding(s))" what name t
+            report.rounds report.tasks (List.length report.findings);
+          show "" report.findings
+        end)
+      threads;
+    if v.failures = before && not verbose then
+      Verdict.pass "%s %s %s at det:{%s}" what name passed tlist
+  in
   Galois.Pool.with_pool ~domains:tmax (fun pool ->
       List.iter
         (fun (c : Detcheck.Audit_cases.t) ->
-          let before = v.failures in
-          List.iter
-            (fun t ->
-              let report = c.run ~policy:(Galois.Policy.det t) ~pool in
-              if Galois.Audit.clean report then begin
-                if verbose then
-                  Verdict.pass "audit %s det:%d (%d rounds, %d tasks)" c.name t
-                    report.Galois.Audit.rounds report.Galois.Audit.tasks
-              end
-              else begin
-                Verdict.fail v "audit %s det:%d: %d finding(s)" c.name t
-                  (List.length report.Galois.Audit.findings);
-                List.iter
-                  (fun f -> Fmt.pr "      %a@." Galois.Audit.pp_finding f)
-                  report.Galois.Audit.findings
-              end)
-            threads;
-          if v.failures = before && not verbose then
-            Verdict.pass "audit %s clean at det:{%s}" c.name tlist)
+          sweep "audit" c.name ~passed:"clean" (fun ~policy ->
+              let report = c.run ~policy ~pool in
+              (report, report.Galois.Audit.findings)))
         (Detcheck.Audit_cases.apps ~n:size ~points ~seed);
       List.iter
         (fun (c : Detcheck.Audit_cases.control) ->
-          let before = v.failures in
-          List.iter
-            (fun t ->
-              let report, witnesses = c.crun ~policy:(Galois.Policy.det t) ~pool in
-              let missing =
-                List.filter
-                  (fun w -> not (List.mem w report.Galois.Audit.findings))
-                  witnesses
-              in
-              if missing <> [] then begin
-                Verdict.fail v "control %s det:%d: expected finding(s) not flagged" c.cname t;
-                List.iter (fun f -> Fmt.pr "      want %a@." Galois.Audit.pp_finding f) missing;
-                List.iter
-                  (fun f -> Fmt.pr "      got  %a@." Galois.Audit.pp_finding f)
-                  report.Galois.Audit.findings
-              end
-              else if verbose then begin
-                Verdict.pass "control %s det:%d flagged (%d finding(s))" c.cname t
-                  (List.length report.Galois.Audit.findings);
-                List.iter
-                  (fun f -> Fmt.pr "      %a@." Galois.Audit.pp_finding f)
-                  report.Galois.Audit.findings
-              end)
-            threads;
-          if v.failures = before && not verbose then
-            Verdict.pass "control %s flagged at det:{%s}" c.cname tlist)
+          sweep "control" c.cname ~passed:"flagged" (fun ~policy ->
+              let report, witnesses = c.crun ~policy ~pool in
+              (report, List.filter (fun w -> not (List.mem w report.findings)) witnesses)))
         (Detcheck.Audit_cases.controls ~n:size ~seed));
   Verdict.finish v
 
@@ -342,7 +327,10 @@ let seed_arg =
   Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let apps_arg =
-  let doc = "Comma-separated benchmarks to audit (bfs | sssp | mst | dmr); empty to skip." in
+  let doc =
+    "Comma-separated rows of the app table to check (bfs | sssp | cc | mst | mis | triangles \
+     | pagerank | dt | dmr | kcore); empty to skip."
+  in
   let parse s =
     Ok (List.filter (fun x -> x <> "") (String.split_on_char ',' (String.trim s)))
   in

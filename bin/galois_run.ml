@@ -4,10 +4,12 @@
    picks the scheduler at run time, and [--trace FILE] streams the
    runtime's observability events (lib/obs) to a JSONL file.
 
-   The checkpoint/replay flags (--checkpoint, --resume, --replay-to,
-   --crash-resume, --schedule-out) drive det-policy runs of
-   bfs | sssp | mst | dmr through the replay harness instead of the
-   plain benchmark path. *)
+   Every app but pfp is a row of detcheck's app table
+   (Detcheck.Replay_cases): its input, plan, output digest and summary
+   line all come from there, and one path runs any row. The
+   checkpoint/replay flags (--checkpoint, --resume, --replay-to,
+   --crash-resume, --schedule-out) ride on that path under a det
+   policy. *)
 
 module D = Galois.Trace_digest
 
@@ -45,175 +47,93 @@ let dump_schedule_prefix ~out report =
   match out with
   | None -> List.iter print_endline lines
   | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (Printf.fprintf oc "%s\n") lines)
 
-let run_replay ~app ~policy ~size ~seed ~sink r =
-  match Detcheck.Replay_cases.of_app app ~n:size ~points:size ~seed with
-  | Error _ ->
-      `Error
-        (false, "checkpoint/replay flags support the bfs | sssp | mst | dmr benchmarks only")
-  | Ok (Detcheck.Replay_cases.Case c) -> (
-      try
-        if
-          (Option.is_some r.checkpoint || Option.is_some r.resume)
-          && not c.snapshot_capable
-        then
-          `Error
-            ( false,
-              Printf.sprintf
-                "%s has no serializable world state; use --crash-resume (live in-process \
-                 resume) instead"
-                app )
-        else
+(* Two fresh worlds: run one to completion, crash and resume the
+   other, then require digest & output equality. *)
+let crash_resume ~app ~policy ~at (Detcheck.Replay_cases.Case c) =
+  let full, full_out = c.fresh ~static_id:false () in
+  let crash, crash_out = c.fresh ~static_id:false () in
+  let outcome =
+    Replay.crash_resume ~at
+      ~full:(full |> Galois.Run.policy policy)
+      ~crash:(crash |> Galois.Run.policy policy)
+      ()
+  in
+  let pp_line tag (rep : Galois.Run.report) =
+    Fmt.pr "  %s digest=%a rounds=%d commits=%d@." tag D.pp rep.stats.digest
+      rep.stats.rounds rep.stats.commits
+  in
+  Fmt.pr "crash-resume %s (%a): crashed after round %d of %d@." app Galois.Policy.pp
+    policy outcome.crash_round outcome.full.stats.rounds;
+  pp_line "full   " outcome.full;
+  pp_line "resumed" outcome.resumed;
+  let ok =
+    D.equal outcome.full.stats.digest outcome.resumed.stats.digest
+    && D.equal (c.output_digest (full_out ())) (c.output_digest (crash_out ()))
+  in
+  Fmt.pr "  verdict=%s@." (if ok then "identical" else "DIVERGED");
+  if ok then `Ok () else `Error (false, "crash-resume replay diverged")
+
+(* One run of a table row: the replay flags ride on the description,
+   and asking for any of them adds the output digest (and the schedule
+   dump, if one was asked for) to the report. A run stopped by
+   --replay-to holds a partial answer, so it gets no summary line. *)
+let run_row ~app ~policy ~sink r (Detcheck.Replay_cases.Case c) =
+  let dump = Option.is_some r.replay_to || Option.is_some r.schedule_out in
+  let run, out = c.fresh ~static_id:false () in
+  let run =
+    run
+    |> Galois.Run.policy policy
+    |> Galois.Run.sink sink
+    |> Galois.Run.opt Galois.Run.checkpoint_to r.checkpoint
+    |> Galois.Run.opt Galois.Run.checkpoint_every r.every
+    |> Galois.Run.opt Galois.Run.resume_from r.resume
+    |> Galois.Run.opt Galois.Run.stop_after r.replay_to
+    |> if dump then Galois.Run.record else Fun.id
+  in
+  let report, wall_s = timed (fun () -> Galois.Run.exec run) in
+  let output = out () in
+  pp_stats app ~policy ~wall_s report.stats;
+  if Option.is_none r.replay_to then Fmt.pr "  %s@." (c.summary output);
+  if replay_requested r then Fmt.pr "  output digest=%s@." (D.to_hex (c.output_digest output));
+  if dump then dump_schedule_prefix ~out:r.schedule_out report;
+  `Ok ()
+
+(* pfp runs one plan per epoch, so it has no table row and no replay. *)
+let run_pfp ~policy ~size ~seed ~sink =
+  let g, caps, source, sink_node = Graphlib.Generators.flow_network ~seed ~n:size ~k:4 () in
+  let net = Apps.Flow_network.of_graph g caps ~source ~sink:sink_node in
+  let result, wall_s = timed (fun () -> Apps.Pfp.galois ~sink ~policy net) in
+  pp_stats "pfp" ~policy ~wall_s result.stats;
+  let ok, _ = Apps.Flow_network.check_flow net in
+  Fmt.pr "  max flow=%d; epochs=%d; global relabels=%d; conservation=%b@." result.flow_value
+    result.epochs result.global_relabels ok;
+  `Ok ()
+
+let run_app ~app ~policy ~size ~seed ~sink r =
+  if app = "pfp" then
+    if replay_requested r then
+      `Error (false, "pfp runs one plan per epoch; the checkpoint/replay flags do not apply")
+    else run_pfp ~policy ~size ~seed ~sink
+  else
+    match Detcheck.Replay_cases.of_app app ~n:size ~points:size ~seed with
+    | Error msg -> `Error (false, msg ^ ", or pfp")
+    | Ok (Case c) when
+        (Option.is_some r.checkpoint || Option.is_some r.resume) && not c.snapshot_capable ->
+        `Error
+          ( false,
+            Printf.sprintf
+              "%s has no serializable world state; use --crash-resume (live in-process \
+               resume) instead"
+              app )
+    | Ok row -> (
+        try
           match r.crash_at with
-          | Some at ->
-              (* Two fresh worlds: run one to completion, crash and
-                 resume the other, then require digest & output equality. *)
-              let full, full_out = c.fresh ~static_id:false () in
-              let crash, crash_out = c.fresh ~static_id:false () in
-              let outcome =
-                Replay.crash_resume ~at
-                  ~full:(full |> Galois.Run.policy policy)
-                  ~crash:(crash |> Galois.Run.policy policy)
-                  ()
-              in
-              let pp_line tag (rep : Galois.Run.report) =
-                Fmt.pr "  %s digest=%a rounds=%d commits=%d@." tag D.pp rep.stats.digest
-                  rep.stats.rounds rep.stats.commits
-              in
-              Fmt.pr "crash-resume %s (%a): crashed after round %d of %d@." app
-                Galois.Policy.pp policy outcome.crash_round outcome.full.stats.rounds;
-              pp_line "full   " outcome.full;
-              pp_line "resumed" outcome.resumed;
-              let ok =
-                D.equal outcome.full.stats.digest outcome.resumed.stats.digest
-                && D.equal (c.output_digest (full_out ())) (c.output_digest (crash_out ()))
-              in
-              Fmt.pr "  verdict=%s@." (if ok then "identical" else "DIVERGED");
-              if ok then `Ok () else `Error (false, "crash-resume replay diverged")
-          | None ->
-              let run, out = c.fresh ~static_id:false () in
-              let run =
-                run
-                |> Galois.Run.policy policy
-                |> Galois.Run.sink sink
-                |> Galois.Run.opt Galois.Run.checkpoint_to r.checkpoint
-                |> Galois.Run.opt Galois.Run.checkpoint_every r.every
-                |> Galois.Run.opt Galois.Run.resume_from r.resume
-                |> Galois.Run.opt Galois.Run.stop_after r.replay_to
-                |> (if Option.is_some r.replay_to || Option.is_some r.schedule_out then
-                      Galois.Run.record
-                    else Fun.id)
-              in
-              let report, wall_s = timed (fun () -> Galois.Run.exec run) in
-              pp_stats app ~policy ~wall_s report.stats;
-              Fmt.pr "  output digest=%s@." (D.to_hex (c.output_digest (out ())));
-              if Option.is_some r.replay_to || Option.is_some r.schedule_out then
-                dump_schedule_prefix ~out:r.schedule_out report;
-              `Ok ()
-      with
-      | Invalid_argument msg | Failure msg -> `Error (false, msg))
-
-let run_app ~app ~policy ~size ~seed ~verbose ~sink =
-  let pp_stats name = pp_stats name ~policy in
-  match app with
-  | "bfs" ->
-      let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-      let (dist, report), wall_s = timed (fun () -> Apps.Bfs.galois ~sink ~policy g ~source:0) in
-      pp_stats "bfs" ~wall_s report.stats;
-      let reached = Array.fold_left (fun a d -> if d <> Apps.Bfs.unreached then a + 1 else a) 0 dist in
-      Fmt.pr "  reached %d of %d nodes; valid=%b@." reached size
-        (Apps.Bfs.validate g ~source:0 dist);
-      if verbose then
-        Fmt.pr "  first distances: %a@."
-          Fmt.(list ~sep:sp int)
-          (Array.to_list (Array.sub dist 0 (min 20 size)));
-      `Ok ()
-  | "mis" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:5 ()) in
-      let (in_mis, report), wall_s = timed (fun () -> Apps.Mis.galois ~sink ~policy g) in
-      pp_stats "mis" ~wall_s report.stats;
-      let members = Array.fold_left (fun a b -> if b then a + 1 else a) 0 in_mis in
-      Fmt.pr "  |MIS| = %d; valid=%b@." members (Apps.Mis.is_maximal_independent g in_mis);
-      `Ok ()
-  | "dt" ->
-      let pts = Geometry.Point.random_unit_square ~seed size in
-      let (mesh, report), wall_s = timed (fun () -> Apps.Dt.galois ~sink ~policy pts) in
-      pp_stats "dt" ~wall_s report.stats;
-      Fmt.pr "  triangles=%d, delaunay violations=%d@." (Mesh.triangle_count mesh)
-        (Mesh.delaunay_violations mesh);
-      `Ok ()
-  | "dmr" ->
-      let pts = Geometry.Point.random_unit_square ~seed size in
-      let mesh = Apps.Dt.serial pts in
-      let before = Mesh.triangle_count mesh in
-      let report, wall_s = timed (fun () -> Apps.Dmr.galois ~sink ~policy mesh) in
-      pp_stats "dmr" ~wall_s report.stats;
-      Fmt.pr "  triangles %d -> %d; refined=%b@." before (Mesh.triangle_count mesh)
-        (Apps.Dmr.refined Apps.Dmr.default_config mesh);
-      `Ok ()
-  | "pfp" ->
-      let g, caps, source, sink_node = Graphlib.Generators.flow_network ~seed ~n:size ~k:4 () in
-      let net = Apps.Flow_network.of_graph g caps ~source ~sink:sink_node in
-      let result, wall_s = timed (fun () -> Apps.Pfp.galois ~sink ~policy net) in
-      pp_stats "pfp" ~wall_s result.stats;
-      let ok, _ = Apps.Flow_network.check_flow net in
-      Fmt.pr "  max flow=%d; epochs=%d; global relabels=%d; conservation=%b@."
-        result.flow_value result.epochs result.global_relabels ok;
-      `Ok ()
-  | "cc" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:5 ()) in
-      let (label, report), wall_s = timed (fun () -> Apps.Cc.galois ~sink ~policy g) in
-      pp_stats "cc" ~wall_s report.stats;
-      Fmt.pr "  %d components; valid=%b@." (Apps.Cc.count_components label)
-        (Apps.Cc.validate g label);
-      `Ok ()
-  | "sssp" ->
-      let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-      let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-      let (dist, report), wall_s =
-        timed (fun () -> Apps.Sssp.galois ~sink ~policy g w ~source:0)
-      in
-      pp_stats "sssp" ~wall_s report.stats;
-      let reached =
-        Array.fold_left (fun a d -> if d <> Apps.Sssp.unreached then a + 1 else a) 0 dist
-      in
-      Fmt.pr "  reached %d of %d; valid=%b@." reached size (Apps.Sssp.validate g w ~source:0 dist);
-      `Ok ()
-  | "mst" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:4 ()) in
-      let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
-      let (forest, report), wall_s = timed (fun () -> Apps.Boruvka.galois ~sink ~policy g w) in
-      pp_stats "mst (boruvka)" ~wall_s report.stats;
-      Fmt.pr "  forest: %d edges, total weight %d; valid=%b@."
-        (List.length forest.Apps.Boruvka.parent_edge) forest.Apps.Boruvka.total_weight
-        (Apps.Boruvka.validate g forest);
-      `Ok ()
-  | "triangles" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.rmat ~seed ~scale:11 ~edge_factor:8 ()) in
-      let (total, report), wall_s = timed (fun () -> Apps.Triangles.galois ~sink ~policy g) in
-      pp_stats "triangles" ~wall_s report.stats;
-      Fmt.pr "  %d triangles@." total;
-      `Ok ()
-  | "kcore" ->
-      let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n:size ~k:5 ()) in
-      let (core, report), wall_s = timed (fun () -> Apps.Kcore.galois ~sink ~policy g) in
-      pp_stats "kcore" ~wall_s report.stats;
-      let kmax = Array.fold_left max 0 core in
-      Fmt.pr "  max coreness=%d; valid=%b@." kmax (Apps.Kcore.validate g core);
-      `Ok ()
-  | "pagerank" ->
-      let g = Graphlib.Generators.kout ~seed ~n:size ~k:5 () in
-      let (ranks, report), wall_s = timed (fun () -> Apps.Pagerank.galois ~sink ~policy g) in
-      pp_stats "pagerank" ~wall_s report.stats;
-      let reference = Apps.Pagerank.serial g in
-      Fmt.pr "  max deviation from power iteration: %.5f@."
-        (Apps.Pagerank.max_abs_diff ranks reference);
-      `Ok ()
-  | other -> `Error (false, Printf.sprintf "unknown app %S" other)
+          | Some at -> crash_resume ~app ~policy ~at row
+          | None -> run_row ~app ~policy ~sink r row
+        with Invalid_argument msg | Failure msg -> `Error (false, msg))
 
 open Cmdliner
 
@@ -249,10 +169,6 @@ let seed_arg =
   let doc = "Input generator seed (same seed = same input everywhere)." in
   Arg.(value & opt int 2014 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let verbose_arg =
-  let doc = "Print sample output values." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
 let trace_arg =
   let doc =
     "Write the runtime's observability event stream (round/phase events, per-worker \
@@ -264,8 +180,8 @@ let trace_arg =
 let checkpoint_arg =
   let doc =
     "Write round-boundary snapshots to $(docv) (atomically; the file always holds the \
-     latest complete snapshot). Requires a det policy; bfs and sssp only (their world \
-     state is serializable)."
+     latest complete snapshot). Requires a det policy and an app whose world state is \
+     serializable: bfs, sssp or kcore."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
@@ -291,7 +207,7 @@ let crash_resume_arg =
   let doc =
     "Crash-injection self-check: run the benchmark to completion, run a second fresh \
      world that is stopped at round $(docv) and resumed live, and verify both digests \
-     and outputs agree. Exits non-zero on divergence. Supports bfs | sssp | mst | dmr."
+     and outputs agree. Exits non-zero on divergence. Supports every app but pfp."
   in
   Arg.(value & opt (some int) None & info [ "crash-resume" ] ~docv:"ROUND" ~doc)
 
@@ -319,13 +235,9 @@ let cmd =
       `P "galois-run dmr -n 2000 --policy det:4 --crash-resume 5";
     ]
   in
-  let run_traced app policy size seed verbose trace checkpoint every resume replay_to
-      crash_at schedule_out =
+  let run_traced app policy size seed trace checkpoint every resume replay_to crash_at
+      schedule_out =
     let r = { checkpoint; every; resume; replay_to; crash_at; schedule_out } in
-    let dispatch sink =
-      if replay_requested r then run_replay ~app ~policy ~size ~seed ~sink r
-      else run_app ~app ~policy ~size ~seed ~verbose ~sink
-    in
     (* The sink is assembled with the combinators: [of_list] collapses
        to [Obs.null] when no trace was requested, and teeing/closing a
        null sink is free, so dispatch never branches on an option. *)
@@ -333,14 +245,16 @@ let cmd =
       Obs.Sink.of_list
         (match trace with None -> [] | Some path -> [ Obs.Jsonl.file path ])
     in
-    Fun.protect ~finally:(fun () -> Obs.close sink) (fun () -> dispatch sink)
+    Fun.protect
+      ~finally:(fun () -> Obs.close sink)
+      (fun () -> run_app ~app ~policy ~size ~seed ~sink r)
   in
   let term =
     Term.(
       ret
-        (const run_traced $ app_arg $ policy_arg $ size_arg $ seed_arg $ verbose_arg
-       $ trace_arg $ checkpoint_arg $ every_arg $ resume_arg $ replay_to_arg
-       $ crash_resume_arg $ schedule_out_arg))
+        (const run_traced $ app_arg $ policy_arg $ size_arg $ seed_arg $ trace_arg
+       $ checkpoint_arg $ every_arg $ resume_arg $ replay_to_arg $ crash_resume_arg
+       $ schedule_out_arg))
   in
   Cmd.v (Cmd.info "galois-run" ~version:"1.0.0" ~doc ~man) term
 

@@ -489,12 +489,13 @@ let prio_salt_distinguished ?(threads = 2) ~seed () =
 (* ------------------------------------------------------------------ *)
 
 (* Each row is an app's plan over inputs built once per row, plus how
-   to digest the output it reads back. [fresh] builds a brand-new world
-   per call: crash/resume needs one world for the uninterrupted
-   reference and another to crash, and every lattice point starts from
-   scratch. The item/state/output types differ per app, hence the
-   existential. The lattice cases ([App_cases]), the checkpoint/replay
-   harness and the audit rows ([Audit_cases]) all run these rows. *)
+   to digest the output it reads back and how galois-run reports it.
+   [fresh] builds a brand-new world per call: crash/resume needs one
+   world for the uninterrupted reference and another to crash, and every
+   lattice point starts from scratch. The item/state/output types differ
+   per app, hence the existential. galois-run, the lattice cases
+   ([App_cases]), the checkpoint/replay harness and the audit rows
+   ([Audit_cases]) all run these rows. *)
 module Replay_cases = struct
   type t =
     | Case : {
@@ -507,12 +508,9 @@ module Replay_cases = struct
         fresh : static_id:bool -> unit -> ('i, 's) Galois.Run.t * (unit -> 'o);
         output_digest : 'o -> D.t;
         canonical_digest : 'o -> commits:int -> D.t;
+        summary : 'o -> string;
       }
         -> t
-
-  let name (Case c) = c.name
-  let static_id_capable (Case c) = c.static_id_capable
-  let snapshot_capable (Case c) = c.snapshot_capable
 
   let gen ~seed =
     let p = Gen.random_params ~seed in
@@ -524,11 +522,13 @@ module Replay_cases = struct
         fresh = (fun ~static_id () -> Gen.plan ~static_id p);
         output_digest = Gen.output_digest;
         canonical_digest = Gen.canonical_digest;
+        summary = (fun cells -> Printf.sprintf "%d cells" (Array.length cells));
       }
 
   (* A benchmark row: no static ids, and an answer that does not depend
-     on the commit count. *)
-  let app name ~snapshot plan ~output ~canonical =
+     on the commit count — the output itself unless [canonical] says
+     otherwise. *)
+  let app name ?(snapshot = false) plan ~output ?(canonical = output) summary =
     Case
       {
         name;
@@ -537,31 +537,51 @@ module Replay_cases = struct
         fresh = (fun ~static_id:_ () -> plan ());
         output_digest = output;
         canonical_digest = (fun o ~commits:_ -> canonical o);
+        summary;
       }
 
-  (* The directed input the bfs and sssp rows and the audit rows share. *)
+  (* The directed input of the bfs, sssp and pagerank rows; cc, mis,
+     triangles and kcore run its symmetrisation. *)
   let graph ~n ~seed = Graphlib.Generators.kout ~seed ~n ~k:5 ()
-
+  let sym ~n ~seed = Graphlib.Csr.symmetrize (graph ~n ~seed)
   let digest_ints arr = Array.fold_left D.fold_int D.seed arr
+  let count p arr = Array.fold_left (fun a x -> if p x then a + 1 else a) 0 arr
+  let named app n seed = Printf.sprintf "%s(n=%d,seed=%d)" app n seed
 
-  (* BFS and SSSP distances are unique: the output is its own canonical
-     form across the whole lattice. *)
+  (* BFS and SSSP distances, component labels, triangle counts and
+     coreness are unique: the output is its own canonical form across
+     the whole lattice. *)
   let bfs ~n ~seed =
     let g = graph ~n ~seed in
-    app
-      (Printf.sprintf "bfs(n=%d,seed=%d)" n seed)
-      ~snapshot:true
+    app (named "bfs" n seed) ~snapshot:true
       (fun () -> Apps.Bfs.plan g ~source:0)
-      ~output:digest_ints ~canonical:digest_ints
+      ~output:digest_ints
+      (fun dist ->
+        Printf.sprintf "reached %d of %d nodes; valid=%b"
+          (count (( <> ) Apps.Bfs.unreached) dist)
+          n
+          (Apps.Bfs.validate g ~source:0 dist))
 
   let sssp ~n ~seed =
     let g = graph ~n ~seed in
     let w = Graphlib.Graph_io.random_weights ~seed:(seed + 1) g in
-    app
-      (Printf.sprintf "sssp(n=%d,seed=%d)" n seed)
-      ~snapshot:true
+    app (named "sssp" n seed) ~snapshot:true
       (fun () -> Apps.Sssp.plan g w ~source:0)
-      ~output:digest_ints ~canonical:digest_ints
+      ~output:digest_ints
+      (fun dist ->
+        Printf.sprintf "reached %d of %d nodes; valid=%b"
+          (count (( <> ) Apps.Sssp.unreached) dist)
+          n
+          (Apps.Sssp.validate g w ~source:0 dist))
+
+  let cc ~n ~seed =
+    let g = sym ~n ~seed in
+    app (named "cc" n seed)
+      (fun () -> Apps.Cc.plan g)
+      ~output:digest_ints
+      (fun label ->
+        Printf.sprintf "%d components; valid=%b" (Apps.Cc.count_components label)
+          (Apps.Cc.validate g label))
 
   (* The MSF weight and size are unique; the edge ids are not canonical
      across configurations (the same undirected edge carries two directed
@@ -571,14 +591,76 @@ module Replay_cases = struct
   let boruvka ~n ~seed =
     let g = Graphlib.Csr.symmetrize (Graphlib.Generators.kout ~seed ~n ~k:4 ()) in
     let w = Graphlib.Graph_io.undirected_random_weights ~seed:(seed + 1) g in
-    app
-      (Printf.sprintf "boruvka(n=%d,seed=%d)" n seed)
-      ~snapshot:false
+    app (named "boruvka" n seed)
       (fun () -> Apps.Boruvka.plan g w)
       ~output:(fun (f : Apps.Boruvka.forest) ->
         D.fold_int (List.fold_left D.fold_int D.seed f.parent_edge) f.total_weight)
       ~canonical:(fun f ->
         D.fold_int (D.fold_int D.seed (List.length f.parent_edge)) f.total_weight)
+      (fun f ->
+        Printf.sprintf "forest: %d edges, total weight %d; valid=%b" (List.length f.parent_edge)
+          f.total_weight (Apps.Boruvka.validate g f))
+
+  (* Which maximal independent set a det run finds depends on its
+     configuration: only its validity is canonical. *)
+  let mis ~n ~seed =
+    let g = sym ~n ~seed in
+    let valid = Apps.Mis.is_maximal_independent g in
+    app (named "mis" n seed)
+      (fun () -> Apps.Mis.plan g)
+      ~output:(Array.fold_left D.fold_bool D.seed)
+      ~canonical:(fun m -> D.fold_bool D.seed (valid m))
+      (fun m -> Printf.sprintf "|MIS| = %d; valid=%b" (count Fun.id m) (valid m))
+
+  let triangles ~n ~seed =
+    let g = sym ~n ~seed in
+    app (named "triangles" n seed)
+      (fun () -> Apps.Triangles.plan g)
+      ~output:(D.fold_int D.seed)
+      (fun total -> Printf.sprintf "%d triangles; valid=%b" total (total = Apps.Triangles.serial g))
+
+  (* The residual push reaches its fixed point along a
+     configuration-dependent path, so the ranks are only thread-invariant.
+     What every configuration shares is the bound on the shortfall: the
+     residual left at each node is below the tolerance, so a rank falls
+     short of the true one by at most tolerance / (1 - damping) of it
+     (0.67% at the defaults), and every rank lies within 1% of the power
+     iteration's. *)
+  let pagerank ~n ~seed =
+    let g = graph ~n ~seed in
+    let reference = Apps.Pagerank.serial g in
+    app (named "pagerank" n seed)
+      (fun () -> Apps.Pagerank.plan g)
+      ~output:(Array.fold_left D.fold_float D.seed)
+      ~canonical:(fun ranks ->
+        D.fold_bool D.seed
+          (Array.for_all2 (fun r x -> Float.abs (x -. r) <= 0.01 *. r) reference ranks))
+      (fun ranks ->
+        Printf.sprintf "max deviation from power iteration: %.5f"
+          (Apps.Pagerank.max_abs_diff ranks reference))
+
+  (* A mesh's canonical triangle list: order-independent, so equal
+     meshes digest equally whatever order they were built in. *)
+  let digest_mesh mesh =
+    List.fold_left
+      (fun d tri -> List.fold_left (fun d (x, y) -> D.fold_float (D.fold_float d x) y) d tri)
+      D.seed (Apps.Dt.canonical mesh)
+
+  let consistent mesh = Result.is_ok (Mesh.check_consistency mesh)
+
+  (* The Delaunay triangulation of points in general position is
+     unique. *)
+  let dt ~points ~seed =
+    let pts = Geometry.Point.random_unit_square ~seed (max 4 points) in
+    app
+      (Printf.sprintf "dt(points=%d,seed=%d)" points seed)
+      (fun () -> Apps.Dt.plan pts)
+      ~output:digest_mesh
+      (fun mesh ->
+        let bad = Mesh.delaunay_violations mesh in
+        Printf.sprintf "triangles=%d, delaunay violations=%d; valid=%b"
+          (Mesh.triangle_count mesh) bad
+          (bad = 0 && consistent mesh))
 
   (* Refinement's full output (the refined mesh) is schedule-dependent
      across configurations — different insertion orders pick different
@@ -587,27 +669,51 @@ module Replay_cases = struct
      its canonical triangle list. *)
   let dmr ~points ~seed =
     let pts = Geometry.Point.random_unit_square ~seed points in
+    let refined = Apps.Dmr.refined Apps.Dmr.default_config in
     app
       (Printf.sprintf "dmr(points=%d,seed=%d)" points seed)
-      ~snapshot:false
       (fun () -> Apps.Dmr.plan (Apps.Dt.serial pts))
-      ~output:(fun mesh ->
-        List.fold_left
-          (fun d tri ->
-            List.fold_left (fun d (x, y) -> D.fold_float (D.fold_float d x) y) d tri)
-          D.seed (Apps.Dt.canonical mesh))
-      ~canonical:(fun mesh ->
-        D.fold_bool
-          (D.fold_bool D.seed (Result.is_ok (Mesh.check_consistency mesh)))
-          (Apps.Dmr.refined Apps.Dmr.default_config mesh))
+      ~output:digest_mesh
+      ~canonical:(fun mesh -> D.fold_bool (D.fold_bool D.seed (consistent mesh)) (refined mesh))
+      (fun mesh ->
+        Printf.sprintf "triangles=%d; valid=%b" (Mesh.triangle_count mesh)
+          (consistent mesh && refined mesh))
+
+  let kcore ~n ~seed =
+    let g = sym ~n ~seed in
+    app (named "kcore" n seed) ~snapshot:true
+      (fun () -> Apps.Kcore.plan g)
+      ~output:digest_ints
+      (fun core ->
+        Printf.sprintf "max coreness=%d; valid=%b" (Array.fold_left max 0 core)
+          (Apps.Kcore.validate g core))
+
+  (* Command-line names, in table order. *)
+  let rows =
+    let graph row ~n ~points:_ ~seed = row ~n ~seed
+    and mesh row ~n:_ ~points ~seed = row ~points ~seed in
+    [
+      ("bfs", graph bfs);
+      ("sssp", graph sssp);
+      ("cc", graph cc);
+      ("boruvka", graph boruvka);
+      ("mis", graph mis);
+      ("triangles", graph triangles);
+      ("pagerank", graph pagerank);
+      ("dt", mesh dt);
+      ("dmr", mesh dmr);
+      ("kcore", graph kcore);
+    ]
+
+  let all ~n ~points ~seed = List.map (fun (_, row) -> row ~n ~points ~seed) rows
 
   let of_app name ~n ~points ~seed =
-    match name with
-    | "bfs" -> Ok (bfs ~n ~seed)
-    | "sssp" -> Ok (sssp ~n ~seed)
-    | "mst" | "boruvka" -> Ok (boruvka ~n ~seed)
-    | "dmr" -> Ok (dmr ~points ~seed)
-    | _ -> Error (Printf.sprintf "unknown app %S (expected bfs | sssp | mst | dmr)" name)
+    match List.assoc_opt (if name = "mst" then "boruvka" else name) rows with
+    | Some row -> Ok (row ~n ~points ~seed)
+    | None ->
+        Error
+          (Printf.sprintf "unknown app %S (expected %s | mst)" name
+             (String.concat " | " (List.map fst rows)))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -643,44 +749,34 @@ module Audit_cases = struct
      cautious by construction, so the audit must come back clean; the
      race check also re-verifies the scheduler's disjoint-neighborhood
      invariant (acquires count as writes), which bites even though the
-     operators carry no [Context.touch] instrumentation. Every row solves
-     a fresh plan, so worlds the operator mutates (mesh, flow network)
-     are rebuilt per run; pfp keeps its own row because it runs one
-     plan per epoch. *)
+     operators carry no [Context.touch] instrumentation. Every table row
+     solves a fresh plan, so worlds the operator mutates (mesh, flow
+     network) are rebuilt per run; pfp keeps its own row because it runs
+     one plan per epoch. *)
   let apps ~n ~points ~seed =
-    let row name fresh =
-      {
-        name;
-        run =
-          (fun ~policy ~pool ->
-            need (snd (Galois.Run.solve ~audit:true ~pool ~policy (fresh ()))).audit);
-      }
-    in
-    let table name (Replay_cases.Case c) = row name (c.fresh ~static_id:false) in
-    let g = Replay_cases.graph ~n ~seed in
-    let sym = Graphlib.Csr.symmetrize g in
-    let pts = Geometry.Point.random_unit_square ~seed (max 4 points) in
-    [
-      table "bfs" (Replay_cases.bfs ~n ~seed);
-      table "sssp" (Replay_cases.sssp ~n ~seed);
-      row "cc" (fun () -> Apps.Cc.plan sym);
-      table "boruvka" (Replay_cases.boruvka ~n ~seed);
-      row "mis" (fun () -> Apps.Mis.plan sym);
-      row "triangles" (fun () -> Apps.Triangles.plan sym);
-      row "pagerank" (fun () -> Apps.Pagerank.plan g);
-      row "dt" (fun () -> Apps.Dt.plan pts);
-      table "dmr" (Replay_cases.dmr ~points ~seed);
-      {
-        name = "pfp";
-        run =
-          (fun ~policy ~pool ->
-            let fg, caps, source, sink =
-              Graphlib.Generators.flow_network ~seed:(seed + 3) ~n ~k:4 ()
-            in
-            let net = Apps.Flow_network.of_graph fg caps ~source ~sink in
-            need (Apps.Pfp.galois ~audit:true ~policy ~pool net).Apps.Pfp.audit);
-      };
-    ]
+    List.map
+      (fun (Replay_cases.Case c) ->
+        {
+          name = c.name;
+          run =
+            (fun ~policy ~pool ->
+              need
+                (snd (Galois.Run.solve ~audit:true ~pool ~policy (c.fresh ~static_id:false ())))
+                  .audit);
+        })
+      (Replay_cases.all ~n ~points ~seed)
+    @ [
+        {
+          name = "pfp";
+          run =
+            (fun ~policy ~pool ->
+              let fg, caps, source, sink =
+                Graphlib.Generators.flow_network ~seed:(seed + 3) ~n ~k:4 ()
+              in
+              let net = Apps.Flow_network.of_graph fg caps ~source ~sink in
+              need (Apps.Pfp.galois ~audit:true ~policy ~pool net).Apps.Pfp.audit);
+        };
+      ]
 
   (* Positive controls: deliberately broken operators proving the audit
      can fail at all, with findings localized to (rule, round, task). *)

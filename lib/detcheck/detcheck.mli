@@ -154,15 +154,16 @@ module Gen : sig
   (** [case_of_params (random_params ~seed)]. *)
 end
 
-(** The per-app table: each row is an app's plan over inputs generated
-    once at row construction, plus how to digest the output its plan
-    reads back. [fresh] builds a brand-new world per call — crash/resume
-    tests need one world for the uninterrupted reference and a separate
-    one to crash. The lattice cases ({!App_cases}), the checkpoint/replay
-    harness (lib/replay, test_replay) and the audit rows
-    ({!Audit_cases.apps}) all run these rows. Names match the {!Gen} /
-    {!App_cases} names for the same parameters, so pinned fixture
-    entries can be cross-referenced. *)
+(** The one table of apps: each row is an app's plan over inputs
+    generated once at row construction, plus how to digest the output
+    its plan reads back and how to report it. [fresh] builds a
+    brand-new world per call — crash/resume tests need one world for the
+    uninterrupted reference and a separate one to crash. galois-run, the
+    lattice cases ({!App_cases}), the checkpoint/replay harness
+    (lib/replay, test_replay) and the audit rows ({!Audit_cases.apps})
+    all run these rows. Names match the {!Gen} / {!App_cases} names for
+    the same parameters, so pinned fixture entries can be
+    cross-referenced. *)
 module Replay_cases : sig
   type t =
     | Case : {
@@ -173,18 +174,18 @@ module Replay_cases : sig
                 resume works, not just live in-process resume *)
         fresh : static_id:bool -> unit -> ('i, 's) Galois.Run.t * (unit -> 'o);
             (** a fresh world's plan: its description plus a reader of
-                the output (call after executing) *)
+                the output (call once, after executing) *)
         output_digest : 'o -> Galois.Trace_digest.t;
             (** order-sensitive: thread-invariant at a fixed
                 configuration *)
         canonical_digest : 'o -> commits:int -> Galois.Trace_digest.t;
             (** the configuration-invariant answer *)
+        summary : 'o -> string;
+            (** galois-run's one-line result, with its [valid=] check
+                (pagerank: its deviation from the power iteration) *)
       }
         -> t
 
-  val name : t -> string
-  val static_id_capable : t -> bool
-  val snapshot_capable : t -> bool
   val gen : seed:int -> t
   val bfs : n:int -> seed:int -> t
   val sssp : n:int -> seed:int -> t
@@ -197,10 +198,19 @@ module Replay_cases : sig
       configuration (its canonical triangle list is the output
       digest). *)
 
+  val all : n:int -> points:int -> seed:int -> t list
+  (** Every app row: bfs, sssp, cc, boruvka, mis, triangles, pagerank,
+      dt, dmr, kcore. bfs, sssp and pagerank run [kout n k=5]; cc, mis,
+      triangles and kcore its symmetrisation; boruvka a symmetrised,
+      weighted [kout n k=4]; dt and dmr [points] unit-square points (dt
+      at least 4). bfs, sssp and kcore carry snapshot hooks. mis's
+      canonical digest is the set's validity and pagerank's is every rank
+      lying within 1% of the power iteration's: both answers depend on
+      the configuration. *)
+
   val of_app : string -> n:int -> points:int -> seed:int -> (t, string) result
-  (** The row for a command-line app name: [bfs], [sssp], [mst] (alias
-      [boruvka]) over [n] nodes, or [dmr] over [points] points. The
-      error names the accepted apps. *)
+  (** The row of {!all} for a command-line app name, [mst] naming
+      boruvka. The error names the accepted apps. *)
 end
 
 (** The paper's benchmarks as lattice cases, each derived from its
@@ -231,11 +241,9 @@ module Audit_cases : sig
   }
 
   val apps : n:int -> points:int -> seed:int -> t list
-  (** The ten Run-based benchmarks (bfs, sssp, cc, boruvka, mis,
-      triangles, pagerank, dt, dmr, pfp). Every row but pfp solves a
-      fresh [plan] per run with [~audit:true] — bfs, sssp, boruvka and
-      dmr take theirs from {!Replay_cases}; pfp runs one plan per epoch
-      and keeps its own row. *)
+  (** Every {!Replay_cases.all} row, named as the row is, solving a
+      fresh plan per run with [~audit:true]; then pfp, which runs one
+      plan per epoch and keeps its own row. *)
 
   type control = {
     cname : string;

@@ -34,77 +34,62 @@ let det_nocont_policy =
   Galois.Policy.det run_threads
     ~options:{ Galois.Policy.default_det with continuation = false }
 
-let collect_bfs pool (s : Scale.t) =
-  let g = Gen.kout ~seed:s.seed ~n:s.bfs_nodes ~k:s.bfs_degree () in
-  let run policy =
-    let _, report = Apps.Bfs.galois ~record:true ~policy ~pool g ~source:0 in
-    report
-  in
+(* The four recorded variants of one app, in the order serial, nondet,
+   det, det-nocont; [pbbs] runs after them. *)
+let variants name (run : Galois.Policy.t -> Galois.Run.report) ~pbbs =
   let serial = run Galois.Policy.serial in
   let nondet = run nondet_policy in
   let det = run det_policy in
   let det_nocont = run det_nocont_policy in
-  (* detBFS has no speculation; represent its rounds via level count. *)
-  let _, _, levels = Apps.Bfs.pbbs ~pool:(Galois.Pool.domain_pool pool) g ~source:0 in
-  let commits = s.bfs_nodes in
-  let pbbs = Some { Detreserve.rounds = levels; commits; retries = 0; time_s = 0.0 } in
-  { name = "bfs"; serial; nondet; det; det_nocont; pbbs }
+  { name; serial; nondet; det; det_nocont; pbbs = pbbs () }
+
+let collect_bfs pool (s : Scale.t) =
+  let g = Gen.kout ~seed:s.seed ~n:s.bfs_nodes ~k:s.bfs_degree () in
+  variants "bfs"
+    (fun policy -> snd (Apps.Bfs.galois ~record:true ~policy ~pool g ~source:0))
+    ~pbbs:(fun () ->
+      (* detBFS has no speculation; represent its rounds via level count. *)
+      let _, _, levels = Apps.Bfs.pbbs ~pool:(Galois.Pool.domain_pool pool) g ~source:0 in
+      Some { Detreserve.rounds = levels; commits = s.bfs_nodes; retries = 0; time_s = 0.0 })
 
 let collect_mis pool (s : Scale.t) =
   let g = Graphlib.Csr.symmetrize (Gen.kout ~seed:(s.seed + 1) ~n:s.mis_nodes ~k:s.mis_degree ()) in
-  let run policy =
-    let _, report = Apps.Mis.galois ~record:true ~policy ~pool g in
-    report
-  in
-  let serial = run Galois.Policy.serial in
-  let nondet = run nondet_policy in
-  let det = run det_policy in
-  let det_nocont = run det_nocont_policy in
-  let _, stats = Apps.Mis.pbbs ~granularity:(max 64 (s.mis_nodes / 20)) ~pool:(Galois.Pool.domain_pool pool) g in
-  { name = "mis"; serial; nondet; det; det_nocont; pbbs = Some stats }
+  variants "mis"
+    (fun policy -> snd (Apps.Mis.galois ~record:true ~policy ~pool g))
+    ~pbbs:(fun () ->
+      let granularity = max 64 (s.mis_nodes / 20) in
+      Some (snd (Apps.Mis.pbbs ~granularity ~pool:(Galois.Pool.domain_pool pool) g)))
 
 let collect_dt pool (s : Scale.t) =
   let pts = Point.random_unit_square ~seed:(s.seed + 2) s.dt_points in
-  let run policy =
-    let _, report = Apps.Dt.galois ~record:true ~policy ~pool pts in
-    report
-  in
-  let serial = run Galois.Policy.serial in
-  let nondet = run nondet_policy in
-  let det = run det_policy in
-  let det_nocont = run det_nocont_policy in
-  let _, stats = Apps.Dt.pbbs ~granularity:(max 64 (s.dt_points / 20)) ~pool:(Galois.Pool.domain_pool pool) pts in
-  { name = "dt"; serial; nondet; det; det_nocont; pbbs = Some stats }
+  variants "dt"
+    (fun policy -> snd (Apps.Dt.galois ~record:true ~policy ~pool pts))
+    ~pbbs:(fun () ->
+      let granularity = max 64 (s.dt_points / 20) in
+      Some (snd (Apps.Dt.pbbs ~granularity ~pool:(Galois.Pool.domain_pool pool) pts)))
 
 let collect_dmr pool (s : Scale.t) =
   let fresh_mesh () =
     Apps.Dt.serial (Point.random_unit_square ~seed:(s.seed + 3) s.dmr_points)
   in
-  let run policy = Apps.Dmr.galois ~record:true ~policy ~pool (fresh_mesh ()) in
-  let serial = run Galois.Policy.serial in
-  let nondet = run nondet_policy in
-  let det = run det_policy in
-  let det_nocont = run det_nocont_policy in
-  let stats = Apps.Dmr.pbbs ~granularity:256 ~pool:(Galois.Pool.domain_pool pool) (fresh_mesh ()) in
-  { name = "dmr"; serial; nondet; det; det_nocont; pbbs = Some stats }
+  variants "dmr"
+    (fun policy -> Apps.Dmr.galois ~record:true ~policy ~pool (fresh_mesh ()))
+    ~pbbs:(fun () ->
+      Some (Apps.Dmr.pbbs ~granularity:256 ~pool:(Galois.Pool.domain_pool pool) (fresh_mesh ())))
 
 let collect_pfp pool (s : Scale.t) =
   let instance () = Gen.flow_network ~seed:(s.seed + 4) ~n:s.pfp_nodes ~k:s.pfp_degree () in
-  let run policy =
-    let g, caps, source, sink = instance () in
-    let net = Apps.Flow_network.of_graph g caps ~source ~sink in
-    let result = Apps.Pfp.galois ~record:true ~policy ~pool net in
-    { Galois.Run.stats = result.Apps.Pfp.stats;
-      schedule = result.Apps.Pfp.schedule;
-      trace = None;
-      audit = None }
-  in
-  let serial = run Galois.Policy.serial in
-  let nondet = run nondet_policy in
-  let det = run det_policy in
-  let det_nocont = run det_nocont_policy in
-  (* The PBBS suite has no preflow-push program (paper §4.1). *)
-  { name = "pfp"; serial; nondet; det; det_nocont; pbbs = None }
+  variants "pfp"
+    (fun policy ->
+      let g, caps, source, sink = instance () in
+      let net = Apps.Flow_network.of_graph g caps ~source ~sink in
+      let result = Apps.Pfp.galois ~record:true ~policy ~pool net in
+      { Galois.Run.stats = result.Apps.Pfp.stats;
+        schedule = result.Apps.Pfp.schedule;
+        trace = None;
+        audit = None })
+    (* The PBBS suite has no preflow-push program (paper §4.1). *)
+    ~pbbs:(fun () -> None)
 
 let collect_kernels pool (s : Scale.t) =
   let _, bs = Apps.Blackscholes.run ~pool:(Galois.Pool.domain_pool pool) (Apps.Blackscholes.generate ~seed:s.seed s.blackscholes_options) in

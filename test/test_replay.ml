@@ -1,7 +1,7 @@
 (* Checkpoint/replay equivalence: the paper's determinism claim extended
    across process boundaries. The core property, checked over the
-   detcheck fuzz generator and all four benchmarks across the
-   configuration lattice:
+   detcheck fuzz generator across the configuration lattice and over
+   every row of the app table:
 
      digest (run p) = digest (resume (checkpoint_at r (run p)))
 
@@ -87,8 +87,8 @@ let test_gen_crash_resume_lattice () =
     [ 2014; 2015; 2016 ]
 
 let test_apps_crash_resume () =
-  (* All four benchmarks, including the hook-less live-resume-only ones
-     (boruvka's union-find, dmr's in-place mesh). *)
+  (* Every row of the app table, including the hook-less
+     live-resume-only ones (boruvka's union-find, dmr's in-place mesh). *)
   let rng = Sm.create 0xbeef in
   List.iter
     (fun case ->
@@ -101,12 +101,7 @@ let test_apps_crash_resume () =
           ~policy:(Galois.Policy.det 2) ~at case
       in
       check_bool "crashed mid-run" true (crash_round >= 1))
-    [
-      Detcheck.Replay_cases.bfs ~n:300 ~seed:7;
-      Detcheck.Replay_cases.sssp ~n:300 ~seed:7;
-      Detcheck.Replay_cases.boruvka ~n:300 ~seed:7;
-      Detcheck.Replay_cases.dmr ~points:90 ~seed:7;
-    ]
+    (Detcheck.Replay_cases.all ~n:300 ~points:90 ~seed:7)
 
 let test_crash_past_end_degrades () =
   (* A crash round past the end of the run: the "crashed" run completes,
