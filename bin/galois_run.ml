@@ -27,7 +27,7 @@ let pp_stats name ~policy ~wall_s stats =
 
 type replay_opts = {
   checkpoint : string option;  (* write round-boundary snapshots here *)
-  every : int option;  (* checkpoint cadence (default 1) *)
+  every : int option;  (* checkpoint cadence (default 1); needs [checkpoint] *)
   resume : string option;  (* resume from this snapshot file *)
   replay_to : int option;  (* stop after this round, dump the schedule prefix *)
   crash_at : int option;  (* in-process crash/resume verification round *)
@@ -54,27 +54,29 @@ let dump_schedule_prefix ~out report =
    other, then require digest & output equality. *)
 let crash_resume ~app ~policy ~at (Detcheck.Replay_cases.Case c) =
   let full, full_out = c.fresh ~static_id:false () in
+  let full = full |> Galois.Run.policy policy |> Galois.Run.exec in
   let crash, crash_out = c.fresh ~static_id:false () in
-  let outcome =
-    Replay.crash_resume ~at
-      ~full:(full |> Galois.Run.policy policy)
-      ~crash:(crash |> Galois.Run.policy policy)
-      ()
-  in
+  let outcome = Replay.crash_resume ~at (crash |> Galois.Run.policy policy) in
   let pp_line tag (rep : Galois.Run.report) =
     Fmt.pr "  %s digest=%a rounds=%d commits=%d@." tag D.pp rep.stats.digest
       rep.stats.rounds rep.stats.commits
   in
   Fmt.pr "crash-resume %s (%a): crashed after round %d of %d@." app Galois.Policy.pp
-    policy outcome.crash_round outcome.full.stats.rounds;
-  pp_line "full   " outcome.full;
+    policy outcome.crash_round full.stats.rounds;
+  pp_line "full   " full;
   pp_line "resumed" outcome.resumed;
   let ok =
-    D.equal outcome.full.stats.digest outcome.resumed.stats.digest
+    D.equal full.stats.digest outcome.resumed.stats.digest
     && D.equal (c.output_digest (full_out ())) (c.output_digest (crash_out ()))
   in
   Fmt.pr "  verdict=%s@." (if ok then "identical" else "DIVERGED");
   if ok then `Ok () else `Error (false, "crash-resume replay diverged")
+
+(* Snapshot file I/O is the driver's: the run hands out and takes back
+   in-memory snapshots. *)
+let snapshot_or_fail path = function
+  | Ok v -> v
+  | Error e -> failwith (Printf.sprintf "%s: %s" path (Galois.Snapshot.error_to_string e))
 
 (* One run of a table row: the replay flags ride on the description,
    and asking for any of them adds the output digest (and the schedule
@@ -83,13 +85,17 @@ let crash_resume ~app ~policy ~at (Detcheck.Replay_cases.Case c) =
 let run_row ~app ~policy ~sink r (Detcheck.Replay_cases.Case c) =
   let dump = Option.is_some r.replay_to || Option.is_some r.schedule_out in
   let run, out = c.fresh ~static_id:false () in
+  let checkpoint path =
+    Galois.Run.checkpoint ~every:(Option.value r.every ~default:1) (fun snap ->
+        snapshot_or_fail path (Galois.Snapshot.save ~path snap))
+  in
+  let resume path = Galois.Run.resume (snapshot_or_fail path (Galois.Snapshot.load ~path)) in
   let run =
     run
     |> Galois.Run.policy policy
     |> Galois.Run.sink sink
-    |> Galois.Run.opt Galois.Run.checkpoint_to r.checkpoint
-    |> Galois.Run.opt Galois.Run.checkpoint_every r.every
-    |> Galois.Run.opt Galois.Run.resume_from r.resume
+    |> Galois.Run.opt checkpoint r.checkpoint
+    |> Galois.Run.opt resume r.resume
     |> Galois.Run.opt Galois.Run.stop_after r.replay_to
     |> if dump then Galois.Run.record else Fun.id
   in
@@ -120,6 +126,8 @@ let run_app ~app ~policy ~size ~seed ~sink r =
   else
     match Detcheck.Replay_cases.of_app app ~n:size ~points:size ~seed with
     | Error msg -> `Error (false, msg ^ ", or pfp")
+    | Ok _ when Option.is_some r.every && Option.is_none r.checkpoint ->
+        `Error (false, "--checkpoint-every needs --checkpoint FILE")
     | Ok (Case c) when
         (Option.is_some r.checkpoint || Option.is_some r.resume) && not c.snapshot_capable ->
         `Error
@@ -186,7 +194,7 @@ let checkpoint_arg =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
 let every_arg =
-  let doc = "Checkpoint cadence in rounds (default 1)." in
+  let doc = "Checkpoint cadence in rounds (default 1). Requires --checkpoint." in
   Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"K" ~doc)
 
 let resume_arg =

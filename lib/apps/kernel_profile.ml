@@ -15,7 +15,3 @@ type t = {
 }
 
 let total_work t = Array.fold_left ( + ) 0 t.task_costs
-
-let atomics_per_us t = if t.time_s <= 0.0 then 0.0 else float_of_int t.atomics /. (t.time_s *. 1e6)
-
-let tasks_per_us t = if t.time_s <= 0.0 then 0.0 else float_of_int t.tasks /. (t.time_s *. 1e6)

@@ -10,5 +10,3 @@ type t = {
 }
 
 val total_work : t -> int
-val atomics_per_us : t -> float
-val tasks_per_us : t -> float

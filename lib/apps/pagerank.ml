@@ -84,7 +84,9 @@ let serial ?(config = default_config) ?(max_iters = 200) g =
   done;
   rank
 
-let max_abs_diff a b =
+let max_rel_diff ~reference ranks =
   let m = ref 0.0 in
-  Array.iteri (fun i x -> m := Float.max !m (Float.abs (x -. b.(i)))) a;
+  Array.iteri
+    (fun i x -> m := Float.max !m (Float.abs (x -. reference.(i)) /. reference.(i)))
+    ranks;
   !m

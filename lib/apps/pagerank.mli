@@ -29,4 +29,9 @@ val galois :
 val serial : ?config:config -> ?max_iters:int -> Graphlib.Csr.t -> float array
 (** Synchronous power iteration (floating point) — the reference. *)
 
-val max_abs_diff : float array -> float array -> float
+val max_rel_diff : reference:float array -> float array -> float
+(** The largest deviation of a rank from its reference, relative to the
+    reference rank. The residual push stops with every residual below
+    the tolerance, so a rank falls short of the true one by at most
+    tolerance / (1 - damping) of it (0.67% at the defaults), at any
+    graph size; an absolute bound would grow with the ranks. *)

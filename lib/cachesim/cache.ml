@@ -59,7 +59,3 @@ let access t id =
 
 let hits t = t.hits
 let misses t = t.misses
-
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0

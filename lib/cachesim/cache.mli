@@ -12,4 +12,3 @@ val access : t -> int -> bool
 
 val hits : t -> int
 val misses : t -> int
-val reset_counters : t -> unit

@@ -99,7 +99,3 @@ let compare_layouts ?lines ?associativity ?threads g schedule =
       g schedule
   in
   (boxed, compact)
-
-let pp_summary ppf s =
-  Format.fprintf ppf "%-12s entry=%dB accesses=%d hits=%d misses=%d hit-rate=%.4f lines=%d"
-    s.label s.entry_bytes s.accesses s.hits s.misses (hit_rate s) s.lines_touched

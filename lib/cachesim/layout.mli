@@ -44,5 +44,3 @@ val compare_layouts :
   summary * summary
 (** [(boxed, compact)]: the stream replayed at 8 bytes per entry and at
     the graph's own plane width. *)
-
-val pp_summary : Format.formatter -> summary -> unit

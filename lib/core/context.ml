@@ -249,7 +249,6 @@ let pushed_into t prev =
 
 let pushed_count t = t.pushed_count
 let work_units t = t.work_units
-let reached_failsafe t = t.past_failsafe
 let set_on_defeat t f = t.on_defeat <- f
 let set_stats t stats = t.stats <- stats
 let set_tape t tape = t.tape <- tape

@@ -123,7 +123,6 @@ val pushed_into : ('item, _) t -> 'item array -> 'item array
 
 val pushed_count : (_, _) t -> int
 val work_units : (_, _) t -> int
-val reached_failsafe : (_, _) t -> bool
 val set_on_defeat : (_, _) t -> (int -> unit) -> unit
 val set_stats : (_, _) t -> Stats.worker -> unit
 

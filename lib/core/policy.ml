@@ -70,38 +70,18 @@ module Det_options = struct
 
   let default = default_det
 
-  let with_ratio target_ratio t =
-    if target_ratio <= 0.0 then invalid_arg "Det_options.with_ratio: ratio must be > 0";
-    { t with target_ratio }
-
-  let with_window initial_window t =
-    (match initial_window with
-    | Some w when w < 1 -> invalid_arg "Det_options.with_window: window must be >= 1"
+  let make ?(ratio = default.target_ratio) ?(window = default.initial_window)
+      ?(spread = default.spread) ?(continuation = default.continuation)
+      ?(validate = default.validate) ?(priority = default.priority) () =
+    if ratio <= 0.0 then invalid_arg "Det_options.make: ratio must be > 0";
+    (match window with
+    | Some w when w < 1 -> invalid_arg "Det_options.make: window must be >= 1"
     | _ -> ());
-    { t with initial_window }
-
-  let with_spread spread t =
-    if spread < 1 then invalid_arg "Det_options.with_spread: spread must be >= 1";
-    { t with spread }
-
-  let with_continuation continuation t = { t with continuation }
-  let with_validate validate t = { t with validate }
-
-  let with_priority priority t =
+    if spread < 1 then invalid_arg "Det_options.make: spread must be >= 1";
     (match priority with
-    | Prio_delta d when d < 1 -> invalid_arg "Det_options.with_priority: delta must be >= 1"
+    | Prio_delta d when d < 1 -> invalid_arg "Det_options.make: delta must be >= 1"
     | _ -> ());
-    { t with priority }
-
-  let make ?ratio ?window ?spread ?continuation ?validate ?priority () =
-    let apply f o t = match o with Some v -> f v t | None -> t in
-    default
-    |> apply with_ratio ratio
-    |> (match window with Some w -> with_window w | None -> Fun.id)
-    |> apply with_spread spread
-    |> apply with_continuation continuation
-    |> apply with_validate validate
-    |> apply with_priority priority
+    { target_ratio = ratio; initial_window = window; spread; continuation; validate; priority }
 
   (* Keyed option grammar: "window=64,spread=1,ratio=0.95,cont=off,
      validate=on". [to_string] emits only the non-default keys, in that

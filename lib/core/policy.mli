@@ -34,8 +34,8 @@ type det_options = {
 
 val default_det : det_options
 
-(** Constructors, with-style setters and a keyed string grammar for
-    {!det_options}, replacing bare record literals at call sites. *)
+(** A validating constructor and a keyed string grammar for
+    {!det_options}. *)
 module Det_options : sig
   type t = det_options = {
     target_ratio : float;
@@ -58,29 +58,14 @@ module Det_options : sig
     ?priority:priority_mode ->
     unit ->
     t
-  (** Build from {!default}; each argument behaves like the
-      corresponding setter. [window] is the full option: pass
-      [~window:(Some 64)] for a fixed first window, [~window:None] for
-      the task-count-derived default. *)
-
-  val with_ratio : float -> t -> t
-  (** Raises [Invalid_argument] unless the ratio is [> 0]. Values above
+  (** Build from {!default}, overriding the fields given. [window] is
+      the full option: pass [~window:(Some 64)] for a fixed first
+      window, [~window:None] for the task-count-derived default
+      ([window=auto] in the string grammar). Raises [Invalid_argument]
+      unless [ratio > 0], a fixed [window >= 1], [spread >= 1] ([1]
+      disables spreading) and a [Prio_delta] width [>= 1]. Ratios above
       1 are allowed: they make the target unreachable, pinning the
       window (used by the §3.3 ablations). *)
-
-  val with_window : int option -> t -> t
-  (** [Some w] fixes the first-round window ([w >= 1], or
-      [Invalid_argument]); [None] restores the task-count-derived
-      default ([window=auto] in the string grammar). *)
-
-  val with_spread : int -> t -> t
-  (** Raises [Invalid_argument] unless [>= 1]; [1] disables spreading. *)
-
-  val with_continuation : bool -> t -> t
-  val with_validate : bool -> t -> t
-
-  val with_priority : priority_mode -> t -> t
-  (** Raises [Invalid_argument] on [Prio_delta d] with [d < 1]. *)
 
   val to_string : t -> string
   (** Keyed form, e.g. ["window=64,spread=1,ratio=0.95,cont=off"]. Only

@@ -23,11 +23,6 @@ type report = {
    pair — which the GADT enforces. *)
 type state_hook = Hook : { save : unit -> 'st; restore : 'st -> unit } -> state_hook
 
-type 'item resume_src =
-  | From_boundary of 'item Det_sched.boundary
-  | From_file of string
-  | From_bytes of string
-
 type ('item, 'state) t = {
   operator : ('item, 'state) operator;
   items : 'item array;
@@ -40,10 +35,8 @@ type ('item, 'state) t = {
   capture_ : bool;
   app_ : string;
   hook_ : state_hook option;
-  checkpoint_every_ : int option;
-  checkpoint_path_ : string option;
-  on_checkpoint_ : ('item Snapshot.t -> unit) option;
-  resume_ : 'item resume_src option;
+  checkpoint_ : (int * ('item Snapshot.t -> unit)) option;
+  resume_ : 'item Snapshot.t option;
   stop_after_ : int option;
   audit_ : bool;
 }
@@ -61,9 +54,7 @@ let make ~operator items =
     capture_ = false;
     app_ = "";
     hook_ = None;
-    checkpoint_every_ = None;
-    checkpoint_path_ = None;
-    on_checkpoint_ = None;
+    checkpoint_ = None;
     resume_ = None;
     stop_after_ = None;
     audit_ = false;
@@ -83,12 +74,8 @@ let opt f o t = match o with Some v -> f v t | None -> t
 
 let app name t = { t with app_ = name }
 let snapshot_state ~save ~restore t = { t with hook_ = Some (Hook { save; restore }) }
-let checkpoint_every k t = { t with checkpoint_every_ = Some k }
-let checkpoint_to path t = { t with checkpoint_path_ = Some path }
-let on_checkpoint f t = { t with on_checkpoint_ = Some f }
-let resume b t = { t with resume_ = Some (From_boundary b) }
-let resume_from path t = { t with resume_ = Some (From_file path) }
-let resume_from_bytes bytes t = { t with resume_ = Some (From_bytes bytes) }
+let checkpoint ~every f t = { t with checkpoint_ = Some (every, f) }
+let resume snap t = { t with resume_ = Some snap }
 let stop_after r t = { t with stop_after_ = Some r }
 let audit t = { t with audit_ = true }
 
@@ -107,9 +94,11 @@ let snapshot_of_boundary t boundary =
     state = Option.map (fun (Hook h) -> Obj.repr (h.save ())) t.hook_;
   }
 
-(* Validate a decoded snapshot against the run description it is being
-   resumed into, restore the application state it carries, and hand the
-   boundary to the scheduler. *)
+(* Validate a snapshot against the run description it is being resumed
+   into, restore the application state it carries, and hand the boundary
+   to the scheduler. Every resume comes through here: a snapshot decoded
+   from a file and one kept in memory from this process are checked
+   alike. *)
 let accept_snapshot t (snap : _ Snapshot.t) =
   if snap.app <> "" && t.app_ <> "" && not (String.equal snap.app t.app_) then
     invalid_arg
@@ -132,37 +121,6 @@ let accept_snapshot t (snap : _ Snapshot.t) =
          has no snapshot_state hook"
   | None, _ -> ());
   snap.boundary
-
-let fail_snapshot what = function
-  | Ok v -> v
-  | Error e -> failwith (Printf.sprintf "%s: %s" what (Snapshot.error_to_string e))
-
-let resume_boundary t =
-  match t.resume_ with
-  | None -> None
-  | Some (From_boundary b) -> Some b
-  | Some (From_file path) ->
-      Some (accept_snapshot t (fail_snapshot path (Snapshot.load ~path)))
-  | Some (From_bytes bytes) ->
-      Some (accept_snapshot t (fail_snapshot "snapshot" (Snapshot.decode bytes)))
-
-let checkpoint_hook t =
-  match (t.checkpoint_every_, t.checkpoint_path_, t.on_checkpoint_) with
-  | None, None, None -> None
-  | every, path, callback ->
-      if Option.is_none path && Option.is_none callback then
-        invalid_arg
-          "Galois.Run.checkpoint_every: no destination (add checkpoint_to or \
-           on_checkpoint)";
-      let every = Option.value every ~default:1 in
-      Some
-        ( every,
-          fun boundary ->
-            let snap = snapshot_of_boundary t boundary in
-            (match path with
-            | Some p -> fail_snapshot p (Snapshot.save ~path:p snap)
-            | None -> ());
-            match callback with Some f -> f snap | None -> () )
 
 let with_pool ?pool threads f =
   match pool with
@@ -191,11 +149,7 @@ let exec t =
          tasks = Array.length t.items;
        });
   let replay_features =
-    Option.is_some t.checkpoint_every_
-    || Option.is_some t.checkpoint_path_
-    || Option.is_some t.on_checkpoint_
-    || Option.is_some t.resume_
-    || Option.is_some t.stop_after_
+    Option.is_some t.checkpoint_ || Option.is_some t.resume_ || Option.is_some t.stop_after_
   in
   let audit_state = if t.audit_ then Some (Audit.create ()) else None in
   let stats, schedule =
@@ -210,8 +164,12 @@ let exec t =
             Nondet_sched.run ~record:t.record_ ~sink ~threads ~pool ~operator:t.operator
               t.items)
     | Policy.Det { threads; options } ->
-        let checkpoint = checkpoint_hook t in
-        let resume = resume_boundary t in
+        let checkpoint =
+          Option.map
+            (fun (every, f) -> (every, fun boundary -> f (snapshot_of_boundary t boundary)))
+            t.checkpoint_
+        in
+        let resume = Option.map (accept_snapshot t) t.resume_ in
         with_pool ?pool:t.pool_ threads (fun pool ->
             Det_sched.run ~record:t.record_ ~sink ?audit:audit_state ?checkpoint ?resume
               ?stop_after:t.stop_after_ ~threads ?priority:t.priority_ ~pool ~options

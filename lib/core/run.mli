@@ -47,8 +47,8 @@ val static_id : ('item -> int) -> ('item, 'state) t -> ('item, 'state) t
 val priority : ('item -> int) -> ('item, 'state) t -> ('item, 'state) t
 (** Soft-priority hint: map each task to a (lower-is-sooner) integer
     priority. Only consulted by det policies whose options carry
-    [prio=delta:<n>] or [prio=auto] ({!Policy.with_priority}) — the
-    scheduler then lays each generation out as delta-stepping bucket
+    [prio=delta:<n>] or [prio=auto] ([Policy.Det_options.make ~priority])
+    — the scheduler then lays each generation out as delta-stepping bucket
     runs and draws windows from the lowest non-empty bucket. Under the
     default [prio=off] (and under serial/nondet policies) the hint is
     ignored and schedules are byte-identical to runs without it. *)
@@ -80,12 +80,16 @@ val audit : ('item, 'state) t -> ('item, 'state) t
 
 (** {1 Checkpoint & replay}
 
+    A round-boundary {!Snapshot.t} is the one currency: {!checkpoint}
+    hands one out every few rounds, {!resume} takes one back. A det
+    schedule depends only on the input and the det options, so a
+    snapshot resumes at any thread count and the completed run's digest
+    equals the uninterrupted run's. Files and bytes are the caller's:
+    {!Snapshot.save}/{!Snapshot.load} and
+    {!Snapshot.encode}/{!Snapshot.decode}.
+
     All of these require a det policy: {!exec} raises
-    [Invalid_argument] if any is combined with serial or nondet.
-    Validation failures (option/app/static-id mismatches, cadence
-    without destination) also raise [Invalid_argument]; snapshot
-    decode/io failures raise [Failure] with the {!Snapshot.error}
-    rendering. *)
+    [Invalid_argument] if any is combined with serial or nondet. *)
 
 val app : string -> ('item, 'state) t -> ('item, 'state) t
 (** Tag the description with an application name, recorded in
@@ -95,44 +99,29 @@ val app : string -> ('item, 'state) t -> ('item, 'state) t
 val snapshot_state :
   save:(unit -> 'st) -> restore:('st -> unit) -> ('item, 'state) t -> ('item, 'state) t
 (** Register the application's world state with the snapshot machinery:
-    [save ()] captures it (called at each checkpoint; the result is
+    [save ()] captures it (called at each checkpoint; the result may be
     marshalled, so it must be plain data — copy your arrays), [restore]
-    writes a captured value back (called once when resuming from a
-    serialized snapshot, before the first round). Without a hook,
-    snapshots carry scheduler state only and can resume {e live} (in
-    the same process, against the already-advanced world via {!resume})
-    but not from a file in a fresh process. *)
+    writes a captured value back (called once by {!resume}, before the
+    first round). Without a hook, snapshots carry scheduler state only:
+    they can resume only against a world that already reflects the
+    captured rounds, such as the one that was stopped there in this
+    process. *)
 
-val checkpoint_every : int -> ('item, 'state) t -> ('item, 'state) t
-(** Capture a snapshot after every [k]-th round. Requires a
-    destination: {!checkpoint_to}, {!on_checkpoint} or both. Either
-    destination alone implies a cadence of 1. *)
+val checkpoint :
+  every:int -> ('item Snapshot.t -> unit) -> ('item, 'state) t -> ('item, 'state) t
+(** Call the function with a snapshot after every [every]-th round
+    ({!exec} raises [Invalid_argument] if [every < 1]). It runs in the
+    scheduler's sequential glue and must not call back into the run. *)
 
-val checkpoint_to : string -> ('item, 'state) t -> ('item, 'state) t
-(** Write each snapshot to this path (atomically — the file always
-    holds the latest complete snapshot). *)
-
-val on_checkpoint : ('item Snapshot.t -> unit) -> ('item, 'state) t -> ('item, 'state) t
-(** Receive each snapshot in-process (e.g. to keep the latest boundary
-    for a live resume, or to ship it elsewhere). Runs in the scheduler's
-    sequential glue; must not call back into the run. *)
-
-val resume : 'item Det_sched.boundary -> ('item, 'state) t -> ('item, 'state) t
-(** Live resume: restart the scheduler from a boundary captured in this
-    process against a world that already reflects rounds
-    [1 .. boundary.b_rounds]. No validation — the caller vouches that
-    the description and world are the ones the boundary came from. *)
-
-val resume_from : string -> ('item, 'state) t -> ('item, 'state) t
-(** Resume from a snapshot file: validate it against this description
-    (options, app tag, static-id flag), restore the application state
-    it carries through the {!snapshot_state} hook, and continue at the
-    captured round. The initial items of the description are ignored.
-    The digest of the completed resumed run equals the uninterrupted
-    run's — at any thread count. *)
-
-val resume_from_bytes : string -> ('item, 'state) t -> ('item, 'state) t
-(** {!resume_from} for an in-memory encoded snapshot. *)
+val resume : 'item Snapshot.t -> ('item, 'state) t -> ('item, 'state) t
+(** Continue from a snapshot at its captured round; the initial items
+    of the description are ignored. {!exec} first validates it against
+    this description — det options, app tag and static-id flag, raising
+    [Invalid_argument] on a mismatch (or if the snapshot carries state
+    and the description has no {!snapshot_state} hook) — then restores
+    the state it carries through the hook. A snapshot kept in memory
+    from a stopped run passes the same checks as one loaded from a
+    file. *)
 
 val stop_after : int -> ('item, 'state) t -> ('item, 'state) t
 (** Stop at the first round boundary [>= r] (replay-to). A no-op if the

@@ -621,11 +621,9 @@ module Replay_cases = struct
 
   (* The residual push reaches its fixed point along a
      configuration-dependent path, so the ranks are only thread-invariant.
-     What every configuration shares is the bound on the shortfall: the
-     residual left at each node is below the tolerance, so a rank falls
-     short of the true one by at most tolerance / (1 - damping) of it
-     (0.67% at the defaults), and every rank lies within 1% of the power
-     iteration's. *)
+     What every configuration shares is the bound on the shortfall
+     (Apps.Pagerank.max_rel_diff): every rank lies within 1% of the
+     power iteration's. *)
   let pagerank ~n ~seed =
     let g = graph ~n ~seed in
     let reference = Apps.Pagerank.serial g in
@@ -633,11 +631,10 @@ module Replay_cases = struct
       (fun () -> Apps.Pagerank.plan g)
       ~output:(Array.fold_left D.fold_float D.seed)
       ~canonical:(fun ranks ->
-        D.fold_bool D.seed
-          (Array.for_all2 (fun r x -> Float.abs (x -. r) <= 0.01 *. r) reference ranks))
+        D.fold_bool D.seed (Apps.Pagerank.max_rel_diff ~reference ranks <= 0.01))
       (fun ranks ->
-        Printf.sprintf "max deviation from power iteration: %.5f"
-          (Apps.Pagerank.max_abs_diff ranks reference))
+        Printf.sprintf "max relative deviation from power iteration: %.5f"
+          (Apps.Pagerank.max_rel_diff ~reference ranks))
 
   (* A mesh's canonical triangle list: order-independent, so equal
      meshes digest equally whatever order they were built in. *)
@@ -798,11 +795,7 @@ module Audit_cases = struct
   let widen policy =
     match policy with
     | Galois.Policy.Det { threads; options } ->
-        Galois.Policy.Det
-          {
-            threads;
-            options = Galois.Policy.Det_options.with_window (Some 8) options;
-          }
+        Galois.Policy.Det { threads; options = { options with initial_window = Some 8 } }
     | p -> p
 
   (* BFS whose distance write lands while the neighborhood is still

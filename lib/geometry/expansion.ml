@@ -78,5 +78,3 @@ let sign (e : t) =
   let s = ref 0 in
   Array.iter (fun x -> if x > 0.0 then s := 1 else if x < 0.0 then s := -1) e;
   !s
-
-let approx (e : t) = Array.fold_left ( +. ) 0.0 e

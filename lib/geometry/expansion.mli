@@ -20,5 +20,3 @@ val mul : t -> t -> t
 
 val sign : t -> int
 (** Exact sign of the represented real: -1, 0 or 1. *)
-
-val approx : t -> float

@@ -171,8 +171,6 @@ let with_weight_plane t w =
   if Plane.length w <> t.m then invalid_arg "Csr.with_weight_plane: weight plane size mismatch";
   { t with weights = Some w }
 
-let drop_weights t = { t with weights = None }
-
 let weights_array t = Option.map Plane.to_array t.weights
 
 (* ------------------------------------------------------------------ *)
@@ -225,8 +223,6 @@ let exists_succ t u p =
   let hi = Plane.unsafe_get t.offsets (u + 1) in
   let rec go e = e < hi && (p (Plane.unsafe_get t.targets e) || go (e + 1)) in
   go (Plane.unsafe_get t.offsets u)
-
-let succ_sorted t = t.sorted
 
 (* Membership: binary search over the adjacency range when every range
    is sorted (symmetrize output, sorted builders), linear scan
@@ -399,7 +395,6 @@ module Builder = struct
     { n; src = Plane.Buf.create capacity; dst = Plane.Buf.create capacity; wts = None }
 
   let nodes b = b.n
-  let edge_count b = Plane.Buf.length b.src
 
   let check_endpoints b u v =
     if u < 0 || u >= b.n || v < 0 || v >= b.n then

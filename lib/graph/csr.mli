@@ -45,7 +45,6 @@ module Builder : sig
 
   val create : ?capacity:int -> n:int -> unit -> t
   val nodes : t -> int
-  val edge_count : t -> int
 
   val add_edge : t -> int -> int -> unit
   (** Raises [Invalid_argument] on out-of-range endpoints, or if the
@@ -75,7 +74,6 @@ val with_weights : t -> int array -> t
     length mismatch. *)
 
 val with_weight_plane : t -> Plane.t -> t
-val drop_weights : t -> t
 val weights_array : t -> int array option
 (** Materialize the weight plane back to a heap array (compatibility
     with [int array] consumers). *)
@@ -98,13 +96,11 @@ val fold_succ : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
 val exists_succ : t -> int -> (int -> bool) -> bool
 
-val succ_sorted : t -> bool
-(** Every adjacency range is ascending (computed at construction;
-    always true for {!symmetrize} output). *)
-
 val mem_edge : t -> int -> int -> bool
 (** [mem_edge g u v]: is there an edge [u -> v]? Binary search when
-    {!succ_sorted}, linear scan otherwise — same verdict either way. *)
+    every adjacency range is ascending (checked at construction; always
+    true for {!symmetrize} output), linear scan otherwise — same verdict
+    either way. *)
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** All edges in edge-index order, without materializing tuples. *)

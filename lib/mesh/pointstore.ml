@@ -51,5 +51,3 @@ let add t p =
 let get t id =
   if id < 0 || id >= Atomic.get t.next then invalid_arg "Pointstore.get: id out of range";
   t.chunks.(id lsr chunk_bits).(id land (chunk_size - 1))
-
-let add_all t points = Array.map (fun p -> add t p) points

@@ -13,5 +13,3 @@ val add : t -> Geometry.Point.t -> int
 
 val get : t -> int -> Geometry.Point.t
 (** Raises [Invalid_argument] for ids never allocated. *)
-
-val add_all : t -> Geometry.Point.t array -> int array

@@ -181,7 +181,6 @@ module Sink = struct
 end
 
 let null = Sink.null
-let tee = Sink.tee
 let close s = s.close ()
 
 let pretty ?ppf () =
@@ -554,8 +553,6 @@ module Jsonl = struct
     with
     | s -> Ok s
     | exception Bad msg -> Error msg
-
-  let validate_line line = Result.map ignore (of_line line)
 
   let load path =
     match open_in path with

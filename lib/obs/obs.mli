@@ -186,9 +186,6 @@ end
 val null : sink
 (** [Sink.null]. *)
 
-val tee : sink -> sink -> sink
-(** [Sink.tee]. *)
-
 val close : sink -> unit
 (** [close s = s.close ()]. *)
 
@@ -231,8 +228,6 @@ module Jsonl : sig
   (** Parse and schema-check one line: must be a flat JSON object with
       an [at_s] number, a known [ev] name, exactly that event's fields
       with the right types, and nothing else. *)
-
-  val validate_line : string -> (unit, string) result
 
   val load : string -> (stamped list, string) result
   (** Read a trace file; the error names the file and the first

@@ -1,11 +1,10 @@
 (* Checkpoint/replay harnesses over the Galois.Run replay primitives.
 
-   The primitives (Run.checkpoint_every / resume / stop_after, the
-   Snapshot codec) live in lib/core where the builder can reach them;
-   this layer composes them into the verification workflows: lockstep
-   dual-run digest cross-checking (the DMR-style verifier), and
-   crash-injection (run, kill at a round, resume, compare against the
-   uninterrupted run). *)
+   The primitives (Run.checkpoint / resume / stop_after, the Snapshot
+   codec) live in lib/core where the builder can reach them; this layer
+   composes them into the verification workflows: lockstep dual-run
+   digest cross-checking (the DMR-style verifier), and crash-injection
+   (run, kill at a round, resume). *)
 
 module D = Galois.Trace_digest
 module Snapshot = Galois.Snapshot
@@ -26,8 +25,7 @@ module Lockstep = struct
     let acc = ref [] in
     let report =
       run
-      |> Galois.Run.checkpoint_every every
-      |> Galois.Run.on_checkpoint (fun snap ->
+      |> Galois.Run.checkpoint ~every (fun snap ->
              let b = snap.Snapshot.boundary in
              acc := (b.Galois.Det_sched.b_rounds, b.Galois.Det_sched.b_digest) :: !acc)
       |> Galois.Run.exec
@@ -62,41 +60,37 @@ end
 (* ------------------------------------------------------------------ *)
 
 type crash_outcome = {
-  full : Galois.Run.report;  (* the uninterrupted run *)
   resumed : Galois.Run.report;  (* crash at [crash_round], then resume *)
   crash_round : int;  (* 0: the run finished before taking any boundary *)
 }
 
-(* Execute [full] to completion; execute [crash] (a description over a
-   *separate* world) with per-round checkpointing and a stop at [at];
-   then re-execute the same description with [Run.resume] from the last
-   boundary — the world object is shared between the crashed and
-   resumed exec, which is exactly the live-resume contract. If [at] is
-   past the end, the "crashed" run completes and the resume is a no-op
-   replay of the final boundary. The deterministic halves of the two
-   reports must then agree: digest, rounds, commits, output. *)
-let crash_resume ?resume_policy ~at ~full ~crash () =
-  let full_report = Galois.Run.exec full in
+(* Execute [run] with a snapshot after every round and a stop at [at],
+   then execute the same description again, resumed from the last
+   snapshot. The world is shared between the two execs and already
+   reflects every round up to that boundary, so restoring the state the
+   snapshot carries writes back what is there. If [at] is past the end,
+   the "crashed" run completes and the resume is a no-op replay of the
+   final boundary. *)
+let crash_resume ?resume_policy ~at run =
   let last = ref None in
   let crashed =
-    crash
-    |> Galois.Run.checkpoint_every 1
-    |> Galois.Run.on_checkpoint (fun snap -> last := Some snap.Snapshot.boundary)
+    run
+    |> Galois.Run.checkpoint ~every:1 (fun snap -> last := Some snap)
     |> Galois.Run.stop_after at
     |> Galois.Run.exec
   in
   match !last with
   | None ->
       (* Zero rounds executed (empty task pool): nothing to resume. *)
-      { full = full_report; resumed = crashed; crash_round = 0 }
-  | Some b ->
+      { resumed = crashed; crash_round = 0 }
+  | Some snap ->
       let resumed =
-        crash
-        |> (match resume_policy with Some p -> Galois.Run.policy p | None -> Fun.id)
-        |> Galois.Run.resume b
+        run
+        |> Galois.Run.opt Galois.Run.policy resume_policy
+        |> Galois.Run.resume snap
         |> Galois.Run.exec
       in
-      { full = full_report; resumed; crash_round = b.Galois.Det_sched.b_rounds }
+      { resumed; crash_round = snap.Snapshot.boundary.Galois.Det_sched.b_rounds }
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection on snapshots                                        *)

@@ -1,10 +1,9 @@
 (** Checkpoint/replay harnesses over the {!Galois.Run} replay
     primitives: lockstep dual-run digest cross-checking (the DMR-style
-    verifier behind [detcheck lockstep]) and crash-injection
-    (run, kill at a round, resume, compare with the uninterrupted
-    run). The primitives themselves — [Run.checkpoint_every],
-    [Run.resume_from], [Run.stop_after] and the snapshot codec — live
-    in lib/core; this layer only composes them. *)
+    verifier behind [detcheck lockstep]) and crash-injection (run, kill
+    at a round, resume). The primitives themselves — [Run.checkpoint],
+    [Run.resume], [Run.stop_after] and the snapshot codec — live in
+    lib/core; this layer only composes them. *)
 
 (** Run a job twice (any two thread counts / pools) and cross-check the
     deterministic digest prefix at every shared round boundary —
@@ -35,31 +34,26 @@ module Lockstep : sig
 end
 
 type crash_outcome = {
-  full : Galois.Run.report;  (** the uninterrupted reference run *)
   resumed : Galois.Run.report;
       (** the run that was stopped at [crash_round] and resumed to
           completion; its deterministic stats (digest, rounds, commits)
-          must equal [full]'s *)
+          must equal an uninterrupted run's *)
   crash_round : int;
       (** the round the crash boundary was taken after; 0 if the run
           finished without taking any boundary (empty task pool) *)
 }
 
 val crash_resume :
-  ?resume_policy:Galois.Policy.t ->
-  at:int ->
-  full:('i, 'sa) Galois.Run.t ->
-  crash:('j, 'sb) Galois.Run.t ->
-  unit ->
-  crash_outcome
-(** Crash-injection harness. [full] and [crash] must be the same job
-    over two {e separate} worlds (both with det policies applied):
-    [full] runs uninterrupted; [crash] is executed with per-round
-    checkpointing and stopped at the first boundary [>= at], then
-    resumed live from the last boundary — under [resume_policy] if
-    given (e.g. a different thread count; determinism says the digest
-    must not care). [at] past the end of the run degrades to a
-    complete run plus a no-op resume. *)
+  ?resume_policy:Galois.Policy.t -> at:int -> ('i, 's) Galois.Run.t -> crash_outcome
+(** Crash-injection harness, the one crash-and-resume in the tree. The
+    description (with a det policy applied) is executed with a snapshot
+    after every round and stopped at the first boundary [>= at], then
+    executed again over the same world, resumed from the last snapshot
+    through {!Galois.Run.resume} — under [resume_policy] if given (e.g.
+    a different thread count; determinism says the digest must not
+    care). [at] past the end of the run degrades to a complete run plus
+    a no-op resume. The caller runs its own uninterrupted reference
+    over a separate world to compare against. *)
 
 val swap_pending_ids :
   int -> int -> 'item Galois.Det_sched.boundary -> 'item Galois.Det_sched.boundary

@@ -299,23 +299,13 @@ let test_resume_reproduces_pinned () =
             Alcotest.failf "%s: uninterrupted run missed the pinned digest" what;
           let at = max 1 (full.Galois.Run.stats.rounds / 2) in
           let crash_run, _ = c.fresh ~static_id:false () in
-          let crash_run = crash_run |> Galois.Run.policy policy in
-          let last = ref None in
-          let _ =
-            crash_run
-            |> Galois.Run.checkpoint_every 1
-            |> Galois.Run.on_checkpoint (fun snap ->
-                   last := Some snap.Galois.Snapshot.boundary)
-            |> Galois.Run.stop_after at
-            |> Galois.Run.exec
-          in
-          match !last with
-          | None -> Alcotest.failf "%s: no boundary captured by round %d" what at
-          | Some b ->
-              let resumed = crash_run |> Galois.Run.resume b |> Galois.Run.exec in
+          match Replay.crash_resume ~at (crash_run |> Galois.Run.policy policy) with
+          | { Replay.crash_round = 0; _ } ->
+              Alcotest.failf "%s: no boundary captured by round %d" what at
+          | { Replay.resumed; crash_round } ->
               if not (D.equal pinned resumed.Galois.Run.stats.digest) then
                 Alcotest.failf "%s: resume from round %d missed the pinned digest" what
-                  b.Galois.Det_sched.b_rounds)
+                  crash_round)
         resume_rows)
     [
       Detcheck.Replay_cases.gen ~seed:1;

@@ -85,9 +85,9 @@ let test_jsonl_phase_names () =
 
 let test_jsonl_rejects () =
   let reject label line =
-    match Obs.Jsonl.validate_line line with
+    match Obs.Jsonl.of_line line with
     | Error _ -> ()
-    | Ok () -> Alcotest.failf "%s: accepted %S" label line
+    | Ok _ -> Alcotest.failf "%s: accepted %S" label line
   in
   reject "empty" "";
   reject "not an object" "42";
@@ -152,7 +152,7 @@ let test_memory_ring () =
 
 let test_tee_and_null () =
   let a = Obs.Memory.create () and b = Obs.Memory.create () in
-  let t = Obs.tee (Obs.Memory.sink a) (Obs.tee Obs.null (Obs.Memory.sink b)) in
+  let t = Obs.Sink.tee (Obs.Memory.sink a) (Obs.Sink.tee Obs.null (Obs.Memory.sink b)) in
   t.Obs.emit (stamp (Obs.Run_end { commits = 1; rounds = 1; generations = 1 }));
   Obs.close t;
   check_int "left arm" 1 (List.length (Obs.Memory.contents a));

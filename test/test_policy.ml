@@ -76,7 +76,7 @@ let test_rejects () =
   (* duplicate key *)
   reject "serial[window=8]" (* options only make sense for det *)
 
-let test_make_and_setters () =
+let test_make () =
   check_bool "make () is default" true (O.make () = O.default);
   let o = O.make ~ratio:0.5 ~window:(Some 32) ~spread:1 ~continuation:false ~validate:true () in
   check_bool "ratio" true (o.P.target_ratio = 0.5);
@@ -84,35 +84,31 @@ let test_make_and_setters () =
   check_bool "spread" true (o.P.spread = 1);
   check_bool "continuation" true (not o.P.continuation);
   check_bool "validate" true o.P.validate;
-  check_bool "setters compose" true
-    (O.default |> O.with_ratio 0.5 |> O.with_window (Some 32) |> O.with_spread 1
-    |> O.with_continuation false |> O.with_validate true
-    = o);
-  check_bool "with_window None restores auto" true
-    ((o |> O.with_window None).P.initial_window = None);
+  check_bool "other fields default" true
+    (O.make ~spread:1 () = { O.default with P.spread = 1 });
+  check_bool "window None is auto" true ((O.make ~window:None ()).P.initial_window = None);
   (* Ratios above 1 pin the window (ablation use) and are allowed. *)
-  check_bool "ratio > 1 allowed" true ((O.with_ratio 2.0 O.default).P.target_ratio = 2.0);
+  check_bool "ratio > 1 allowed" true ((O.make ~ratio:2.0 ()).P.target_ratio = 2.0);
   let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
-  check_bool "ratio 0 rejected" true (raises (fun () -> O.with_ratio 0.0 O.default));
-  check_bool "negative ratio rejected" true (raises (fun () -> O.with_ratio (-1.0) O.default));
-  check_bool "window 0 rejected" true (raises (fun () -> O.with_window (Some 0) O.default));
-  check_bool "spread 0 rejected" true (raises (fun () -> O.with_spread 0 O.default));
+  check_bool "ratio 0 rejected" true (raises (fun () -> O.make ~ratio:0.0 ()));
+  check_bool "negative ratio rejected" true (raises (fun () -> O.make ~ratio:(-1.0) ()));
+  check_bool "window 0 rejected" true (raises (fun () -> O.make ~window:(Some 0) ()));
+  check_bool "spread 0 rejected" true (raises (fun () -> O.make ~spread:0 ()));
   check_bool "priority via make" true
     ((O.make ~priority:(P.Prio_delta 8) ()).P.priority = P.Prio_delta 8);
-  check_bool "with_priority composes" true
-    ((O.default |> O.with_priority P.Prio_auto).P.priority = P.Prio_auto);
-  check_bool "delta 0 rejected" true
-    (raises (fun () -> O.with_priority (P.Prio_delta 0) O.default));
+  check_bool "auto priority via make" true
+    ((O.make ~priority:P.Prio_auto ()).P.priority = P.Prio_auto);
+  check_bool "delta 0 rejected" true (raises (fun () -> O.make ~priority:(P.Prio_delta 0) ()));
   check_bool "negative delta rejected" true
-    (raises (fun () -> O.with_priority (P.Prio_delta (-1)) O.default))
+    (raises (fun () -> O.make ~priority:(P.Prio_delta (-1)) ()))
 
 let test_options_to_string () =
   check_string "default is empty" "" (O.to_string O.default);
-  check_string "single key" "spread=1" (O.to_string (O.with_spread 1 O.default));
+  check_string "single key" "spread=1" (O.to_string (O.make ~spread:1 ()));
   check_string "fixed order" "window=16,cont=off"
-    (O.to_string (O.default |> O.with_continuation false |> O.with_window (Some 16)));
+    (O.to_string (O.make ~continuation:false ~window:(Some 16) ()));
   (* Float ratios survive the 12-significant-digit rendering. *)
-  let o = O.with_ratio 0.925 O.default in
+  let o = O.make ~ratio:0.925 () in
   match O.of_string (O.to_string o) with
   | Ok o' -> check_bool "float round-trip" true (o'.P.target_ratio = 0.925)
   | Error e -> Alcotest.fail e
@@ -171,7 +167,7 @@ let suite =
   [
     Alcotest.test_case "policy string round-trips" `Quick test_roundtrips;
     Alcotest.test_case "policy string rejects" `Quick test_rejects;
-    Alcotest.test_case "Det_options.make and setters" `Quick test_make_and_setters;
+    Alcotest.test_case "Det_options.make validates" `Quick test_make;
     Alcotest.test_case "Det_options.to_string" `Quick test_options_to_string;
     Alcotest.test_case "round-trip property fuzz" `Quick test_roundtrip_fuzz;
     Alcotest.test_case "grammar and pp" `Quick test_grammar_and_pp;

@@ -48,15 +48,11 @@ let check_reports what (full : Galois.Run.report) (resumed : Galois.Run.report) 
    equal output digests. *)
 let audit_case ?resume_policy ~policy ~at (Detcheck.Replay_cases.Case c) =
   let full_run, full_out = c.fresh ~static_id:false () in
+  let full = full_run |> Galois.Run.policy policy |> Galois.Run.exec in
   let crash_run, crash_out = c.fresh ~static_id:false () in
-  let outcome =
-    Replay.crash_resume ?resume_policy ~at
-      ~full:(full_run |> Galois.Run.policy policy)
-      ~crash:(crash_run |> Galois.Run.policy policy)
-      ()
-  in
+  let outcome = Replay.crash_resume ?resume_policy ~at (crash_run |> Galois.Run.policy policy) in
   let what = Printf.sprintf "%s at=%d" c.name at in
-  check_reports what outcome.Replay.full outcome.Replay.resumed;
+  check_reports what full outcome.Replay.resumed;
   check_digest (what ^ ": output") (c.output_digest (full_out ())) (c.output_digest (crash_out ()));
   outcome.Replay.crash_round
 
@@ -115,6 +111,11 @@ let test_crash_past_end_degrades () =
 (* Serialized (cross-process-shaped) resume                            *)
 (* ------------------------------------------------------------------ *)
 
+let decoded bytes =
+  match Snapshot.decode bytes with
+  | Ok snap -> snap
+  | Error e -> Alcotest.failf "decode: %s" (Snapshot.error_to_string e)
+
 (* Run bfs with checkpoints, encode the midpoint snapshot to bytes,
    then resume from the bytes into a *fresh* world — the hook must
    restore the dist array, and the resumed run must reproduce the
@@ -129,8 +130,7 @@ let test_bytes_resume_fresh_world () =
   let at = max 1 (full.stats.rounds / 2) in
   let _ =
     crash_run
-    |> Galois.Run.checkpoint_every 1
-    |> Galois.Run.on_checkpoint (fun snap -> bytes := Some (Snapshot.encode snap))
+    |> Galois.Run.checkpoint ~every:1 (fun snap -> bytes := Some (Snapshot.encode snap))
     |> Galois.Run.stop_after at
     |> Galois.Run.exec
   in
@@ -140,7 +140,7 @@ let test_bytes_resume_fresh_world () =
   let resumed =
     fresh_run
     |> Galois.Run.policy (Galois.Policy.det 4)
-    |> Galois.Run.resume_from_bytes bytes
+    |> Galois.Run.resume (decoded bytes)
     |> Galois.Run.exec
   in
   check_reports "bytes resume" full resumed;
@@ -159,8 +159,7 @@ let test_checkpoint_bytes_thread_invariant () =
     let _ =
       run
       |> Galois.Run.policy (Galois.Policy.det threads)
-      |> Galois.Run.checkpoint_every 1
-      |> Galois.Run.on_checkpoint (fun snap -> snaps := Snapshot.encode snap :: !snaps)
+      |> Galois.Run.checkpoint ~every:1 (fun snap -> snaps := Snapshot.encode snap :: !snaps)
       |> Galois.Run.exec
     in
     Array.of_list (List.rev !snaps)
@@ -175,8 +174,8 @@ let test_checkpoint_bytes_thread_invariant () =
     one
 
 let test_checkpoint_file_roundtrip () =
-  (* checkpoint_to writes a loadable file whose decoded snapshot resumes
-     (via resume_from) to the uninterrupted digest. *)
+  (* Snapshots saved to a file load back and resume to the
+     uninterrupted digest. *)
   let g = Graphlib.Generators.kout ~seed:13 ~n:400 ~k:5 () in
   let full_run, _ = Apps.Bfs.plan g ~source:0 in
   let full = full_run |> Galois.Run.policy (Galois.Policy.det 2) |> Galois.Run.exec in
@@ -188,22 +187,26 @@ let test_checkpoint_file_roundtrip () =
       let _ =
         crash_run
         |> Galois.Run.policy (Galois.Policy.det 2)
-        |> Galois.Run.checkpoint_every 2
-        |> Galois.Run.checkpoint_to path
+        |> Galois.Run.checkpoint ~every:2 (fun snap ->
+               match Snapshot.save ~path snap with
+               | Ok () -> ()
+               | Error e -> Alcotest.failf "save: %s" (Snapshot.error_to_string e))
         |> Galois.Run.stop_after (max 2 (full.stats.rounds / 2))
         |> Galois.Run.exec
       in
       (* The file decodes, and its metadata describes the run. *)
-      (match Snapshot.load ~path with
-      | Ok snap ->
-          Alcotest.(check string) "app tag" "bfs" snap.Snapshot.app;
-          check_bool "carries state" true (Option.is_some snap.Snapshot.state)
-      | Error e -> Alcotest.failf "load: %s" (Snapshot.error_to_string e));
+      let snap =
+        match Snapshot.load ~path with
+        | Ok snap -> snap
+        | Error e -> Alcotest.failf "load: %s" (Snapshot.error_to_string e)
+      in
+      Alcotest.(check string) "app tag" "bfs" snap.Snapshot.app;
+      check_bool "carries state" true (Option.is_some snap.Snapshot.state);
       let fresh_run, _ = Apps.Bfs.plan g ~source:0 in
       let resumed =
         fresh_run
         |> Galois.Run.policy (Galois.Policy.det 2)
-        |> Galois.Run.resume_from path
+        |> Galois.Run.resume snap
         |> Galois.Run.exec
       in
       check_reports "file resume" full resumed)
@@ -368,8 +371,7 @@ let test_checkpoint_cadence () =
       let rounds = ref [] in
       let report =
         no_conflict_run ()
-        |> Galois.Run.checkpoint_every every
-        |> Galois.Run.on_checkpoint (fun snap ->
+        |> Galois.Run.checkpoint ~every (fun snap ->
                rounds := snap.Snapshot.boundary.Galois.Det_sched.b_rounds :: !rounds)
         |> Galois.Run.exec
       in
@@ -430,16 +432,15 @@ let test_perturbed_snapshot_localized () =
   let captured = ref None in
   let _ =
     no_conflict_run ()
-    |> Galois.Run.checkpoint_every 1
-    |> Galois.Run.on_checkpoint (fun snap ->
-           let b = snap.Snapshot.boundary in
-           if b.Galois.Det_sched.b_rounds = 2 then captured := Some b)
+    |> Galois.Run.checkpoint ~every:1 (fun snap ->
+           if snap.Snapshot.boundary.Galois.Det_sched.b_rounds = 2 then captured := Some snap)
     |> Galois.Run.exec
   in
-  let b = match !captured with Some b -> b | None -> Alcotest.fail "no round-2 boundary" in
+  let snap = match !captured with Some s -> s | None -> Alcotest.fail "no round-2 boundary" in
+  let b = snap.Snapshot.boundary in
   check_bool "enough pending to swap" true
     (Array.length b.Galois.Det_sched.b_pending_ids >= 2);
-  let perturbed = Replay.swap_pending_ids 0 1 b in
+  let perturbed = { snap with Snapshot.boundary = Replay.swap_pending_ids 0 1 b } in
   let trail_bad, _ =
     Replay.Lockstep.collect ~every:1 (no_conflict_run () |> Galois.Run.resume perturbed)
   in
@@ -449,7 +450,7 @@ let test_perturbed_snapshot_localized () =
   (* Control of the control: resuming from the *unperturbed* boundary
      agrees everywhere. *)
   let trail_good, _ =
-    Replay.Lockstep.collect ~every:1 (no_conflict_run () |> Galois.Run.resume b)
+    Replay.Lockstep.collect ~every:1 (no_conflict_run () |> Galois.Run.resume snap)
   in
   match Replay.Lockstep.first_divergence trail_ref trail_good with
   | Replay.Lockstep.Agree _ -> ()
@@ -466,28 +467,20 @@ let test_swap_bounds () =
 (* ------------------------------------------------------------------ *)
 
 (* The @replay-smoke comparison in process: a bfs run recorded through
-   round 6, against a run checkpointed at round 4 and resumed through
-   round 6. The comparator accepts the pair and rejects each way a
-   resumed dump can fail to be the full dump's suffix. *)
+   round 6, against a run crashed at round 4 and resumed through round
+   6. The comparator accepts the pair and rejects each way a resumed
+   dump can fail to be the full dump's suffix. *)
 let test_schedule_dump_suffix () =
   let module Dump = Detcheck.Schedule_dump in
   let g = Graphlib.Generators.kout ~seed:17 ~n:2000 ~k:5 () in
   let bfs () =
-    fst (Apps.Bfs.plan g ~source:0) |> Galois.Run.policy (Galois.Policy.det 2)
+    fst (Apps.Bfs.plan g ~source:0)
+    |> Galois.Run.policy (Galois.Policy.det 2)
+    |> Galois.Run.stop_after 6
+    |> Galois.Run.record
   in
-  let dump run =
-    Dump.lines (run |> Galois.Run.stop_after 6 |> Galois.Run.record |> Galois.Run.exec)
-  in
-  let full = dump (bfs ()) in
-  let snap = ref None in
-  let _ =
-    bfs ()
-    |> Galois.Run.checkpoint_every 2
-    |> Galois.Run.on_checkpoint (fun s -> snap := Some s.Snapshot.boundary)
-    |> Galois.Run.stop_after 4
-    |> Galois.Run.exec
-  in
-  let resumed = dump (bfs () |> Galois.Run.resume (Option.get !snap)) in
+  let full = Dump.lines (Galois.Run.exec (bfs ())) in
+  let resumed = Dump.lines (Replay.crash_resume ~at:4 (bfs ())).Replay.resumed in
   (match Dump.check_suffix ~full ~resumed with
   | Ok rounds -> check_int "resumed rounds compared" 2 rounds
   | Error es -> Alcotest.failf "resumed dump rejected: %s" (String.concat "; " es));
@@ -518,57 +511,60 @@ let expect_invalid what f =
 let test_builder_validation () =
   let base () = no_conflict_run () in
   expect_invalid "cadence < 1" (fun () ->
-      base () |> Galois.Run.checkpoint_every 0 |> Galois.Run.exec);
+      base () |> Galois.Run.checkpoint ~every:0 ignore |> Galois.Run.exec);
   expect_invalid "stop_after < 1" (fun () ->
       base () |> Galois.Run.stop_after 0 |> Galois.Run.exec);
-  expect_invalid "cadence without destination" (fun () ->
-      base () |> Galois.Run.checkpoint_every 2 |> Galois.Run.exec);
   expect_invalid "checkpoint under serial" (fun () ->
       Galois.Run.make ~operator:(fun _ _ -> ()) [| 0 |]
-      |> Galois.Run.checkpoint_every 1
-      |> Galois.Run.on_checkpoint ignore
+      |> Galois.Run.checkpoint ~every:1 ignore
       |> Galois.Run.exec);
   expect_invalid "checkpoint under nondet" (fun () ->
       Galois.Run.make ~operator:(fun _ _ -> ()) [| 0 |]
       |> Galois.Run.policy (Galois.Policy.nondet 2)
-      |> Galois.Run.checkpoint_every 1
-      |> Galois.Run.on_checkpoint ignore
+      |> Galois.Run.checkpoint ~every:1 ignore
       |> Galois.Run.exec)
+
+(* The round-1 snapshot of a run, kept in memory. *)
+let round_one_snapshot run =
+  let s = ref None in
+  let _ =
+    run
+    |> Galois.Run.checkpoint ~every:1 (fun snap -> s := Some snap)
+    |> Galois.Run.stop_after 1
+    |> Galois.Run.exec
+  in
+  Option.get !s
 
 let test_resume_validation () =
   (* A snapshot taken under one set of det options must be refused by a
-     description running under another, and by a mismatched app tag. *)
-  let snap_of run =
-    let s = ref None in
-    let _ =
-      run
-      |> Galois.Run.checkpoint_every 1
-      |> Galois.Run.on_checkpoint (fun snap -> s := Some (Snapshot.encode snap))
-      |> Galois.Run.stop_after 1
-      |> Galois.Run.exec
-    in
-    Option.get !s
-  in
-  let bytes = snap_of (no_conflict_run ~window:8 ()) in
+     description running under another, and by a mismatched app tag —
+     here after an encode/decode round trip. *)
+  let bytes_of run = Snapshot.encode (round_one_snapshot run) in
+  let bytes = bytes_of (no_conflict_run ~window:8 ()) in
   expect_invalid "options mismatch" (fun () ->
-      no_conflict_run ~window:16 ()
-      |> Galois.Run.resume_from_bytes bytes
-      |> Galois.Run.exec);
+      no_conflict_run ~window:16 () |> Galois.Run.resume (decoded bytes) |> Galois.Run.exec);
   (* App tags are validated only when both sides carry one (an untagged
      snapshot resumes anywhere), so mismatch needs a tagged snapshot. *)
-  let tagged = snap_of (no_conflict_run ~window:8 () |> Galois.Run.app "control-a") in
+  let tagged = bytes_of (no_conflict_run ~window:8 () |> Galois.Run.app "control-a") in
   expect_invalid "app mismatch" (fun () ->
       no_conflict_run ~window:8 ()
       |> Galois.Run.app "control-b"
-      |> Galois.Run.resume_from_bytes tagged
+      |> Galois.Run.resume (decoded tagged)
       |> Galois.Run.exec);
   (* Same options, same (empty) app: accepted and completes. *)
   let report =
-    no_conflict_run ~window:8 ()
-    |> Galois.Run.resume_from_bytes bytes
-    |> Galois.Run.exec
+    no_conflict_run ~window:8 () |> Galois.Run.resume (decoded bytes) |> Galois.Run.exec
   in
   check_int "resumed to completion" 100 report.Galois.Run.stats.commits
+
+let test_live_resume_validation () =
+  (* A snapshot that never left the process is checked like a decoded
+     one: resumed under another window it would run a different
+     schedule, so it is refused. *)
+  let snap = round_one_snapshot (no_conflict_run ~window:8 ()) in
+  match no_conflict_run ~window:16 () |> Galois.Run.resume snap |> Galois.Run.exec with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "live resume under other det options: accepted"
 
 (* A malformed boundary must be refused by [Det_sched.run] itself,
    before anything is loaded or run, with its own [Invalid_argument]
@@ -649,6 +645,7 @@ let suite =
     Alcotest.test_case "schedule dump suffix check" `Quick test_schedule_dump_suffix;
     Alcotest.test_case "builder validation" `Quick test_builder_validation;
     Alcotest.test_case "resume validation" `Quick test_resume_validation;
+    Alcotest.test_case "live resume validation" `Quick test_live_resume_validation;
     Alcotest.test_case "resume: sample boundary accepted" `Quick test_resume_sample_accepted;
     Alcotest.test_case "resume: short births refused" `Quick test_resume_short_births;
     Alcotest.test_case "resume: short parents refused" `Quick test_resume_short_parents;
