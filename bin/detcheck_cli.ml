@@ -257,7 +257,7 @@ let run_ordered () =
   in
   let reference = Apps.Sssp.serial g weights ~source:0 in
   let run_sssp policy =
-    let dist, report = Apps.Sssp.galois_weighted ~policy g ~source:0 in
+    let dist, report = Galois.Run.solve ~policy (Apps.Sssp.plan_weighted g ~source:0) in
     (dist, report.Galois.Run.stats)
   in
   Fmt.pr "sssp: weighted rmat scale=%d (%d nodes, %d edges)@." ordered_scale

@@ -13,7 +13,7 @@ let refine_at threads =
   let points = Geometry.Point.random_unit_square ~seed:99 800 in
   let mesh = Apps.Dt.serial points in
   let before = Mesh.triangle_count mesh in
-  let report = Apps.Dmr.galois ~policy:(Galois.Policy.det threads) mesh in
+  let _, report = Galois.Run.solve ~policy:(Galois.Policy.det threads) (Apps.Dmr.plan mesh) in
   (mesh, before, report)
 
 let () =

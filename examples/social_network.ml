@@ -27,7 +27,7 @@ let () =
     (Graphlib.Csr.edges g) (Graphlib.Csr.edges sym);
 
   Fmt.pr "@.BFS from user 0 under %a:@." Galois.Policy.pp policy;
-  let dist, report = Apps.Bfs.galois ~policy sym ~source:0 in
+  let dist, report = Galois.Run.solve ~policy (Apps.Bfs.plan sym ~source:0) in
   let histogram = Hashtbl.create 16 in
   Array.iter
     (fun d ->
@@ -39,7 +39,7 @@ let () =
   Fmt.pr "  (%d tasks committed, %d aborted)@." report.stats.commits report.stats.aborts;
 
   Fmt.pr "@.Maximal independent set under %a:@." Galois.Policy.pp policy;
-  let in_mis, report = Apps.Mis.galois ~policy sym in
+  let in_mis, report = Galois.Run.solve ~policy (Apps.Mis.plan sym) in
   let size = Array.fold_left (fun a b -> if b then a + 1 else a) 0 in_mis in
   Fmt.pr "  %d mutually non-adjacent users selected (valid=%b)@." size
     (Apps.Mis.is_maximal_independent sym in_mis);

@@ -1,6 +1,6 @@
 (* Breadth-first search (paper §4.1).
 
-   - [galois]: the Lonestar-style unordered label-correcting program. A
+   - [plan]: the Lonestar-style unordered label-correcting program. A
      task (u, d) claims u and its successors, improves dist(u), and
      creates tasks for improvable successors. Runs non-deterministically
      or deterministically depending on the policy (g-n / g-d).
@@ -16,7 +16,7 @@ let unreached = max_int
 
 (* The app's one definition: the run description plus a reader of the
    world (distance array) it executes against, without executing it —
-   [galois] solves it under a policy, and the checkpoint/replay layer
+   callers solve it under a policy, and the checkpoint/replay layer
    composes its own policies, checkpoints and resumes onto it. The
    distance array is the app's entire mutable state, so the snapshot
    hook is a plain copy in / copy out. *)

@@ -5,12 +5,14 @@ val unreached : int
 
 val plan :
   Graphlib.Csr.t -> source:int -> ((int * int), unit) Galois.Run.t * (unit -> int array)
-(** The app's single definition: the unexecuted run description plus a
-    reader of the distance array it fills. {!galois} is
-    {!Galois.Run.solve} over it; the checkpoint/replay layer composes
-    its own policies onto it. The description is tagged [app "bfs"] and
-    carries a [Run.snapshot_state] hook over the distance array, so
-    snapshots can resume in a fresh process. *)
+(** Lonestar-style unordered label-correcting BFS, the app's single
+    definition: the unexecuted run description plus a reader of the
+    distance array it fills. It runs non-deterministically or
+    deterministically by the policy it is solved under (the paper's
+    g-n / g-d variants); the checkpoint/replay layer composes its own
+    policies onto it. The description is tagged [app "bfs"] and carries
+    a [Run.snapshot_state] hook over the distance array, so snapshots
+    can resume in a fresh process. *)
 
 val galois :
   ?record:bool ->
@@ -21,9 +23,9 @@ val galois :
   Graphlib.Csr.t ->
   source:int ->
   int array * Galois.Run.report
-(** Lonestar-style unordered label-correcting BFS: runs
-    non-deterministically or deterministically by policy (the paper's
-    g-n / g-d variants). Returns the distance array. *)
+(** [Galois.Run.solve] over {!plan}. It stays only because
+    costbench/workload.ml names it, and ROADMAP direction 1 deletes
+    it; code in the tree solves {!plan} directly. *)
 
 val serial : Graphlib.Csr.t -> source:int -> int array
 (** Optimized sequential queue BFS (the Fig. 8 baseline role). *)

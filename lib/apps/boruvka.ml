@@ -63,7 +63,7 @@ end
    snapshot files. *)
 let plan g weights =
   if Array.length weights <> Csr.edges g then
-    invalid_arg "Boruvka.galois: weight array size mismatch";
+    invalid_arg "Boruvka.plan: weight array size mismatch";
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
   let uf = Uf.create n in

@@ -14,8 +14,9 @@ type forest = { parent_edge : int list; total_weight : int }
 
 val plan :
   Graphlib.Csr.t -> int array -> (int, unit) Galois.Run.t * (unit -> forest)
-(** The unexecuted {!galois} description plus a closure reading the
-    forest off the world after (each) exec. Tagged [app "boruvka"];
+(** The unexecuted run description plus a closure reading the
+    forest off the world after (each) exec. Raises [Invalid_argument]
+    on weight-array size mismatch. Tagged [app "boruvka"];
     carries no snapshot-state hook (union-find is not serializable), so
     it supports live in-process resume only. *)
 
@@ -28,6 +29,9 @@ val galois :
   Graphlib.Csr.t ->
   int array ->
   forest * Galois.Run.report
+(** [Galois.Run.solve] over {!plan}. It stays only because
+    costbench/workload.ml names it, and ROADMAP direction 1 deletes
+    it; code in the tree solves {!plan} directly. *)
 
 val serial : Graphlib.Csr.t -> int array -> forest
 (** Kruskal with (weight, edge id) ordering — defines the deterministic

@@ -2,8 +2,9 @@
     union-find (sequential baseline). The graph must be symmetric. *)
 
 val plan : Graphlib.Csr.t -> (int, unit) Galois.Run.t * (unit -> int array)
-(** The unexecuted {!galois} description plus a reader of its label
-    array; {!galois} is {!Galois.Run.solve} over it. *)
+(** Minimum-label propagation: the unexecuted run description plus a
+    reader of its label array. The labels — minimum node id per
+    component — are unique, so every policy agrees. *)
 
 val galois :
   ?record:bool ->
@@ -13,8 +14,9 @@ val galois :
   ?pool:Galois.Pool.t ->
   Graphlib.Csr.t ->
   int array * Galois.Run.report
-(** Minimum-label propagation. The result — minimum node id per
-    component — is unique, so every policy agrees. *)
+(** [Galois.Run.solve] over {!plan}. It stays only because
+    costbench/workload.ml names it, and ROADMAP direction 1 deletes
+    it; code in the tree solves {!plan} directly. *)
 
 val serial : Graphlib.Csr.t -> int array
 

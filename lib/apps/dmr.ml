@@ -10,8 +10,9 @@
    termination regardless of the angle threshold and floating-point
    placement of circumcenters.
 
-   - [galois]: operator under any policy (g-n / g-d); new bad triangles
-     are pushed as child tasks, exercising deterministic id assignment.
+   - [plan]: the operator, solved under any policy (g-n / g-d); new bad
+     triangles are pushed as child tasks, exercising deterministic id
+     assignment.
    - [pbbs]: deterministic reservations with dynamic work.
    - [serial]: worklist refinement. *)
 
@@ -118,10 +119,7 @@ let plan ?(config = default_config) mesh =
   let bad = Array.of_list (bad_triangles config mesh) in
   (Galois.Run.make ~operator:(operator config mesh) bad |> Galois.Run.app "dmr", fun () -> mesh)
 
-let galois ?config ?record ?audit ?sink ~policy ?pool mesh =
-  snd (Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan ?config mesh))
-
-let serial ?(config = default_config) mesh = galois ~config ~policy:Galois.Policy.serial mesh
+let serial ?config mesh = snd (Galois.Run.solve ~policy:Galois.Policy.serial (plan ?config mesh))
 
 (* PBBS-style deterministic variant: dynamic deterministic reservations,
    triangle mark words as min-reservation cells. *)

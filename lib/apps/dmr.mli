@@ -24,24 +24,14 @@ type op_state
 
 val plan :
   ?config:config -> Mesh.t -> (Mesh.triangle, op_state) Galois.Run.t * (unit -> Mesh.t)
-(** The unexecuted {!galois} description over the mesh's current bad
-    triangles, tagged [app "dmr"], plus a reader of the mesh it refines
-    in place. {!galois} is {!Galois.Run.solve} over it. No
-    snapshot-state hook — triangles live inside the mesh, so dmr
-    supports live in-process resume only. *)
-
-val galois :
-  ?config:config ->
-  ?record:bool ->
-  ?audit:bool ->
-  ?sink:Obs.sink ->
-  policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
-  Mesh.t ->
-  Galois.Run.report
-(** Refine all bad triangles in place under any policy. *)
+(** Refine all bad triangles in place under any policy: the unexecuted
+    run description over the mesh's current bad triangles, tagged
+    [app "dmr"], plus a reader of the mesh it refines. No snapshot-state
+    hook — triangles live inside the mesh, so dmr supports live
+    in-process resume only. *)
 
 val serial : ?config:config -> Mesh.t -> Galois.Run.report
+(** {!plan} solved under {!Galois.Policy.serial}. *)
 
 val pbbs :
   ?config:config ->

@@ -11,7 +11,7 @@
    The continuation optimization (§3.3) saves the computed cavity at the
    failsafe point and reuses it at commit.
 
-   - [galois]: the operator above under any policy (g-n / g-d).
+   - [plan]: the operator above, solved under any policy (g-n / g-d).
    - [pbbs]: deterministic reservations over insertion priorities —
      the handwritten deterministic variant.
    - [serial]: sequential incremental insertion. *)
@@ -101,10 +101,7 @@ let plan points =
       Mesh.strip_vertices st.mesh fakes;
       st.mesh )
 
-let galois ?record ?audit ?sink ~policy ?pool points =
-  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan points)
-
-let serial points = fst (galois ~policy:Galois.Policy.serial points)
+let serial points = fst (Galois.Run.solve ~policy:Galois.Policy.serial (plan points))
 
 (* PBBS-style deterministic variant: deterministic reservations over
    insertion priorities, reusing the triangle mark words as

@@ -6,23 +6,13 @@ type state
 
 val plan :
   Geometry.Point.t array -> (int, Mesh.cavity) Galois.Run.t * (unit -> Mesh.t)
-(** The unexecuted {!galois} description plus the mesh reader, which
-    strips the synthetic bounding vertices — call it once, after the
-    run. {!galois} is {!Galois.Run.solve} over it. *)
-
-val galois :
-  ?record:bool ->
-  ?audit:bool ->
-  ?sink:Obs.sink ->
-  policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
-  Geometry.Point.t array ->
-  Mesh.t * Galois.Run.report
-(** Triangulate the points under any policy. The synthetic bounding
-    vertices are stripped before returning; the result is the Delaunay
-    triangulation of the points' convex hull. *)
+(** Triangulate the points under any policy: the unexecuted run
+    description plus the mesh reader, which strips the synthetic
+    bounding vertices — call it once, after the run. The mesh read back
+    is the Delaunay triangulation of the points' convex hull. *)
 
 val serial : Geometry.Point.t array -> Mesh.t
+(** {!plan} solved under {!Galois.Policy.serial}. *)
 
 val pbbs :
   ?granularity:int ->

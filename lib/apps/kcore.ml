@@ -1,6 +1,6 @@
 (* k-core decomposition (coreness) — the repo's ordered app.
 
-   [galois] runs Montresor-style h-index local updates: every vertex
+   [plan] runs Montresor-style h-index local updates: every vertex
    carries a coreness estimate, initially its degree; processing a
    vertex lowers the estimate to the h-index of its neighbors'
    estimates and wakes the neighbors whose estimate exceeds the new
@@ -72,9 +72,6 @@ let plan g =
          ~restore:(fun saved -> Array.blit saved 0 est 0 n)
   in
   (run, fun () -> est)
-
-let galois ?record ?audit ?sink ~policy ?pool g =
-  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g)
 
 (* Matula–Beck peeling: bin-sort vertices by degree, repeatedly remove
    a minimum-degree vertex, assign it the current degree as coreness

@@ -8,25 +8,15 @@
     produces the same array. *)
 
 val plan : Graphlib.Csr.t -> (int * int, unit) Galois.Run.t * (unit -> int array)
-(** The unexecuted {!galois} description plus a reader of its estimate
-    array (which converges to the coreness), tagged [app "kcore"], with the
-    task's push-time estimate as its {!Galois.Run.priority} and a
-    [Run.snapshot_state] hook over the estimates. *)
-
-val galois :
-  ?record:bool ->
-  ?audit:bool ->
-  ?sink:Obs.sink ->
-  policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
-  Graphlib.Csr.t ->
-  int array * Galois.Run.report
 (** Montresor-style h-index local updates: a task lowers its vertex's
     estimate to the h-index of its neighbors' estimates and wakes the
-    neighbors whose estimate exceeds the new value. The fixpoint is the
-    coreness, so the result equals {!serial} under every policy; an
-    ordered policy ([prio=delta:<n>]/[prio=auto]) merely reaches it
-    with fewer re-evaluations. *)
+    neighbors whose estimate exceeds the new value. The unexecuted run
+    description, tagged [app "kcore"], with the task's push-time
+    estimate as its {!Galois.Run.priority} and a [Run.snapshot_state]
+    hook over the estimates, plus a reader of the estimate array. The
+    fixpoint is the coreness, so the array read back equals {!serial}
+    under every policy; an ordered policy ([prio=delta:<n>]/[prio=auto])
+    merely reaches it with fewer re-evaluations. *)
 
 val serial : Graphlib.Csr.t -> int array
 (** Matula–Beck bin-sort peeling, O(n + m). *)

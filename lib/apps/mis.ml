@@ -1,6 +1,6 @@
 (* Maximal independent set (paper §4.1).
 
-   - [galois]: the Lonestar non-deterministic greedy program — any node
+   - [plan]: the Lonestar non-deterministic greedy program — any node
      whose neighbors are not yet in the set joins it. The result is a
      valid MIS but depends on execution order (unless run under the
      deterministic policy).
@@ -23,9 +23,6 @@ let plan g =
     if not (Csr.exists_succ g u (fun v -> in_mis.(v))) then in_mis.(u) <- true
   in
   (Galois.Run.make ~operator (Array.init n Fun.id), fun () -> in_mis)
-
-let galois ?record ?audit ?sink ~policy ?pool g =
-  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g)
 
 let serial g =
   let n = Csr.nodes g in

@@ -52,9 +52,6 @@ let plan ?(config = default_config) g =
   ( Galois.Run.make ~operator (Array.init n Fun.id),
     fun () -> Array.map (fun r -> float_of_int r /. float_of_int one) rank )
 
-let galois ?config ?record ?audit ?sink ~policy ?pool g =
-  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan ?config g)
-
 (* Synchronous power iteration in floats: the reference answer. *)
 let serial ?(config = default_config) ?(max_iters = 200) g =
   let n = Csr.nodes g in

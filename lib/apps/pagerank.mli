@@ -11,19 +11,8 @@ type config = { damping : int; tolerance : int }
 val default_config : config
 
 val plan : ?config:config -> Graphlib.Csr.t -> (int, unit) Galois.Run.t * (unit -> float array)
-(** The unexecuted {!galois} description plus a reader of the ranks;
-    {!galois} is {!Galois.Run.solve} over it. *)
-
-val galois :
-  ?config:config ->
-  ?record:bool ->
-  ?audit:bool ->
-  ?sink:Obs.sink ->
-  policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
-  Graphlib.Csr.t ->
-  float array * Galois.Run.report
-(** Ranks (converted to floats). Ranks are un-normalized (PageRank's
+(** The unexecuted run description plus a reader of the ranks
+    (converted to floats). Ranks are un-normalized (PageRank's
     (1-d) + d·Σ formulation). *)
 
 val serial : ?config:config -> ?max_iters:int -> Graphlib.Csr.t -> float array

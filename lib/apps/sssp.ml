@@ -45,13 +45,13 @@ let plan_with ~weight g ~source =
 
 let plan g weights ~source =
   if Array.length weights <> Csr.edges g then
-    invalid_arg "Sssp.galois: weight array size mismatch";
+    invalid_arg "Sssp.plan: weight array size mismatch";
   plan_with ~weight:(fun e -> weights.(e)) g ~source
 
 (* The run description over the graph's own weight plane (no heap-side
    weight array at all). *)
 let plan_weighted g ~source =
-  if not (Csr.weighted g) then invalid_arg "Sssp.galois_weighted: graph has no weight plane";
+  if not (Csr.weighted g) then invalid_arg "Sssp.plan_weighted: graph has no weight plane";
   plan_with ~weight:(fun e -> Csr.unsafe_weight g e) g ~source
 
 let galois_weighted ?record ?audit ?sink ~policy ?pool g ~source =

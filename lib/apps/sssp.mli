@@ -7,9 +7,12 @@ val plan :
   int array ->
   source:int ->
   ((int * int), unit) Galois.Run.t * (unit -> int array)
-(** The unexecuted {!galois} description plus a reader of its distance
-    array, tagged [app "sssp"] with a [Run.snapshot_state] hook — see
-    {!Bfs.plan}. *)
+(** Unordered label-correcting SSSP (weights indexed by edge id): the
+    unexecuted run description plus a reader of its distance array,
+    tagged [app "sssp"] with a [Run.snapshot_state] hook — see
+    {!Bfs.plan}. The distances are unique, so every policy agrees with
+    {!serial}. Raises [Invalid_argument] on weight-array size
+    mismatch. *)
 
 val plan_weighted :
   Graphlib.Csr.t ->
@@ -31,9 +34,9 @@ val galois :
   int array ->
   source:int ->
   int array * Galois.Run.report
-(** Unordered label-correcting SSSP (weights indexed by edge id). The
-    distances are unique, so every policy agrees with {!serial}. Raises
-    [Invalid_argument] on weight-array size mismatch. *)
+(** [Galois.Run.solve] over {!plan}. It stays only because
+    costbench/workload.ml names it, and ROADMAP direction 1 deletes
+    it; code in the tree solves {!plan} directly. *)
 
 val galois_weighted :
   ?record:bool ->
@@ -44,7 +47,9 @@ val galois_weighted :
   Graphlib.Csr.t ->
   source:int ->
   int array * Galois.Run.report
-(** {!galois} over {!plan_weighted}: the embedded-weight-plane run. *)
+(** [Galois.Run.solve] over {!plan_weighted}. It stays only because
+    costbench/workload.ml names it, and ROADMAP direction 1 deletes
+    it; code in the tree solves {!plan_weighted} directly. *)
 
 val serial : Graphlib.Csr.t -> int array -> source:int -> int array
 (** Dijkstra. *)

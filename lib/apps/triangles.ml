@@ -38,9 +38,6 @@ let plan g =
   in
   (Galois.Run.make ~operator (Array.init n Fun.id), fun () -> Array.fold_left ( + ) 0 per_node)
 
-let galois ?record ?audit ?sink ~policy ?pool g =
-  Galois.Run.solve ?record ?audit ?sink ?pool ~policy (plan g)
-
 let serial g =
   let total = ref 0 in
   for u = 0 to Csr.nodes g - 1 do

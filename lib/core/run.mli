@@ -141,5 +141,6 @@ val solve :
   'a * report
 (** Execute an app's plan — its run description plus a reader of the
     output — under [policy], adding {!record}, {!audit}, a {!pool} and a
-    {!sink} when asked, and return [(result (), report)]. Every app's
-    [galois] is [solve] applied to its [plan]. *)
+    {!sink} when asked, and return [(result (), report)]. Each app in
+    [lib/apps] is defined once by its [plan], and this is how code runs
+    it: [solve ~policy (App.plan input)]. *)

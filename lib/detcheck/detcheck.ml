@@ -721,11 +721,6 @@ module App_cases = struct
   let of_replay (Replay_cases.Case c) =
     case_of ~name:c.name ~static_id_capable:c.static_id_capable ~fresh:c.fresh
       ~output_digest:c.output_digest ~canonical_digest:c.canonical_digest
-
-  let bfs ~n ~seed = of_replay (Replay_cases.bfs ~n ~seed)
-  let sssp ~n ~seed = of_replay (Replay_cases.sssp ~n ~seed)
-  let boruvka ~n ~seed = of_replay (Replay_cases.boruvka ~n ~seed)
-  let dmr ~points ~seed = of_replay (Replay_cases.dmr ~points ~seed)
 end
 
 (* ------------------------------------------------------------------ *)

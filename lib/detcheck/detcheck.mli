@@ -218,11 +218,6 @@ end
     sink. *)
 module App_cases : sig
   val of_replay : Replay_cases.t -> case
-
-  val bfs : n:int -> seed:int -> case
-  val sssp : n:int -> seed:int -> case
-  val boruvka : n:int -> seed:int -> case
-  val dmr : points:int -> seed:int -> case
 end
 
 (** Cases for the dynamic neighborhood/race audit ({!Galois.Run.audit}).

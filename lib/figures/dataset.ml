@@ -46,7 +46,7 @@ let variants name (run : Galois.Policy.t -> Galois.Run.report) ~pbbs =
 let collect_bfs pool (s : Scale.t) =
   let g = Gen.kout ~seed:s.seed ~n:s.bfs_nodes ~k:s.bfs_degree () in
   variants "bfs"
-    (fun policy -> snd (Apps.Bfs.galois ~record:true ~policy ~pool g ~source:0))
+    (fun policy -> snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Bfs.plan g ~source:0)))
     ~pbbs:(fun () ->
       (* detBFS has no speculation; represent its rounds via level count. *)
       let _, _, levels = Apps.Bfs.pbbs ~pool:(Galois.Pool.domain_pool pool) g ~source:0 in
@@ -55,7 +55,7 @@ let collect_bfs pool (s : Scale.t) =
 let collect_mis pool (s : Scale.t) =
   let g = Graphlib.Csr.symmetrize (Gen.kout ~seed:(s.seed + 1) ~n:s.mis_nodes ~k:s.mis_degree ()) in
   variants "mis"
-    (fun policy -> snd (Apps.Mis.galois ~record:true ~policy ~pool g))
+    (fun policy -> snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Mis.plan g)))
     ~pbbs:(fun () ->
       let granularity = max 64 (s.mis_nodes / 20) in
       Some (snd (Apps.Mis.pbbs ~granularity ~pool:(Galois.Pool.domain_pool pool) g)))
@@ -63,7 +63,7 @@ let collect_mis pool (s : Scale.t) =
 let collect_dt pool (s : Scale.t) =
   let pts = Point.random_unit_square ~seed:(s.seed + 2) s.dt_points in
   variants "dt"
-    (fun policy -> snd (Apps.Dt.galois ~record:true ~policy ~pool pts))
+    (fun policy -> snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Dt.plan pts)))
     ~pbbs:(fun () ->
       let granularity = max 64 (s.dt_points / 20) in
       Some (snd (Apps.Dt.pbbs ~granularity ~pool:(Galois.Pool.domain_pool pool) pts)))
@@ -73,7 +73,8 @@ let collect_dmr pool (s : Scale.t) =
     Apps.Dt.serial (Point.random_unit_square ~seed:(s.seed + 3) s.dmr_points)
   in
   variants "dmr"
-    (fun policy -> Apps.Dmr.galois ~record:true ~policy ~pool (fresh_mesh ()))
+    (fun policy ->
+      snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Dmr.plan (fresh_mesh ()))))
     ~pbbs:(fun () ->
       Some (Apps.Dmr.pbbs ~granularity:256 ~pool:(Galois.Pool.domain_pool pool) (fresh_mesh ())))
 

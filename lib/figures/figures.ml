@@ -518,12 +518,11 @@ let ablation t =
       in
       let run_bfs options =
         let policy = Galois.Policy.det Dataset.run_threads ~options in
-        let _, report = Apps.Bfs.galois ~record:true ~policy ~pool bfs_graph ~source:0 in
-        report
+        snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Bfs.plan bfs_graph ~source:0))
       in
       let run_dmr options =
         let policy = Galois.Policy.det Dataset.run_threads ~options in
-        Apps.Dmr.galois ~record:true ~policy ~pool (dmr_mesh ())
+        snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Dmr.plan (dmr_mesh ())))
       in
       let row name (report : Galois.Run.report) =
         let time =
@@ -682,9 +681,9 @@ let obs_phases t =
       in
       let mem = Obs.Memory.create () in
       let _, _report =
-        Apps.Bfs.galois ~sink:(Obs.Memory.sink mem)
+        Galois.Run.solve ~sink:(Obs.Memory.sink mem)
           ~policy:(Galois.Policy.det Dataset.run_threads)
-          ~pool g ~source:0
+          ~pool (Apps.Bfs.plan g ~source:0)
       in
       phase_breakdown (Obs.Memory.contents mem))
 

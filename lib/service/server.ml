@@ -161,7 +161,7 @@ let run_query t ~sink (q : Query.t) =
           if source < 0 || source >= n then Failed { reason = "source-out-of-range" }
           else
             let dist, report =
-              Apps.Bfs.galois ~policy ~pool:t.pool ~sink g ~source
+              Galois.Run.solve ~policy ~pool:t.pool ~sink (Apps.Bfs.plan g ~source)
             in
             let reached =
               Array.fold_left
@@ -178,17 +178,16 @@ let run_query t ~sink (q : Query.t) =
                off-heap weight plane (disk-loaded entries); the schedule
                depends on the values only, so the two sources answer
                identically. *)
-            let run =
+            let plan =
               match entry.Catalog.weights with
-              | Some w -> Some (fun () -> Apps.Sssp.galois ~policy ~pool:t.pool ~sink g w ~source)
-              | None when Graphlib.Csr.weighted g ->
-                  Some (fun () -> Apps.Sssp.galois_weighted ~policy ~pool:t.pool ~sink g ~source)
+              | Some w -> Some (Apps.Sssp.plan g w ~source)
+              | None when Graphlib.Csr.weighted g -> Some (Apps.Sssp.plan_weighted g ~source)
               | None -> None
             in
-            match run with
+            match plan with
             | None -> Failed { reason = "graph-has-no-weights" }
-            | Some run ->
-                let dist, report = run () in
+            | Some plan ->
+                let dist, report = Galois.Run.solve ~policy ~pool:t.pool ~sink plan in
                 let reached =
                   Array.fold_left
                     (fun acc d -> if d = Apps.Sssp.unreached then acc else acc + 1)
@@ -201,7 +200,7 @@ let run_query t ~sink (q : Query.t) =
           if not entry.Catalog.symmetric then
             Failed { reason = "graph-not-symmetric" }
           else
-            let labels, report = Apps.Cc.galois ~policy ~pool:t.pool ~sink g in
+            let labels, report = Galois.Run.solve ~policy ~pool:t.pool ~sink (Apps.Cc.plan g) in
             done_
               ~summary:
                 (Printf.sprintf "components=%d" (Apps.Cc.count_components labels))

@@ -1,8 +1,8 @@
-(* End-to-end application tests: each benchmark's Galois program (under
-   serial, non-deterministic and deterministic policies), its PBBS-style
-   deterministic variant, and its sequential baseline must all agree on
-   the problem's answer — and the deterministic variants must be
-   thread-portable. *)
+(* End-to-end application tests: each benchmark's Galois program (its
+   [plan], solved under det:3), its PBBS-style deterministic variant and
+   its sequential baseline must all agree on the problem's answer. That
+   every app gives one answer under every policy, and one output at
+   every det thread count, is one table test over every app row. *)
 
 module Csr = Graphlib.Csr
 module Gen = Graphlib.Generators
@@ -12,6 +12,33 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let policies = [ ("serial", Galois.Policy.serial); ("nondet", Galois.Policy.nondet 3); ("det", Galois.Policy.det 3) ]
+let det = Galois.Policy.det 3
+
+(* --- every app row ------------------------------------------------------ *)
+
+(* Every row of the shared app table under serial, nondet:3, det:1 and
+   det:3 on one pool: all four runs give the same answer (canonical
+   digest), and the two det runs the same output, bit for bit. *)
+let test_table_policies_agree () =
+  let module D = Galois.Trace_digest in
+  Galois.Pool.with_pool ~domains:3 @@ fun pool ->
+  List.iter
+    (fun (Detcheck.Replay_cases.Case c) ->
+      let run policy =
+        let out, report = Galois.Run.solve ~pool ~policy (c.fresh ~static_id:false ()) in
+        (c.canonical_digest out ~commits:report.stats.commits, c.output_digest out)
+      in
+      let serial, _ = run Galois.Policy.serial in
+      let nondet, _ = run (Galois.Policy.nondet 3) in
+      let det1, out1 = run (Galois.Policy.det 1) in
+      let det3, out3 = run (Galois.Policy.det 3) in
+      List.iter
+        (fun (name, answer) ->
+          if not (D.equal serial answer) then
+            Alcotest.failf "%s: the %s answer differs from serial" c.name name)
+        [ ("nondet:3", nondet); ("det:1", det1); ("det:3", det3) ];
+      if not (D.equal out1 out3) then Alcotest.failf "%s: det:1 and det:3 outputs differ" c.name)
+    (Detcheck.Replay_cases.all ~n:300 ~points:90 ~seed:2014)
 
 (* --- bfs -------------------------------------------------------------- *)
 
@@ -21,12 +48,9 @@ let test_bfs_all_variants_agree () =
   let g = bfs_graph () in
   let reference = Apps.Bfs.serial g ~source:0 in
   check_bool "serial result validates" true (Apps.Bfs.validate g ~source:0 reference);
-  List.iter
-    (fun (name, policy) ->
-      let dist, report = Apps.Bfs.galois ~policy g ~source:0 in
-      check_bool (name ^ " commits > 0") true (report.stats.commits > 0);
-      if dist <> reference then Alcotest.failf "bfs %s differs from serial" name)
-    policies;
+  let dist, report = Galois.Run.solve ~policy:det (Apps.Bfs.plan g ~source:0) in
+  check_bool "det commits > 0" true (report.stats.commits > 0);
+  if dist <> reference then Alcotest.fail "bfs det differs from serial";
   Parallel.Domain_pool.with_pool 3 (fun pool ->
       let dist, _, _ = Apps.Bfs.pbbs ~pool g ~source:0 in
       if dist <> reference then Alcotest.fail "pbbs bfs differs from serial")
@@ -41,7 +65,7 @@ let test_bfs_allocation () =
   let g = Gen.kout ~seed:2014 ~n:8192 ~k:5 () in
   Galois.Pool.with_pool ~domains:1 @@ fun pool ->
   let g0 = Gc.quick_stat () in
-  let _, report = Apps.Bfs.galois ~pool ~policy:(Galois.Policy.det 1) g ~source:0 in
+  let _, report = Galois.Run.solve ~pool ~policy:(Galois.Policy.det 1) (Apps.Bfs.plan g ~source:0) in
   let g1 = Gc.quick_stat () in
   let per_commit = (g1.minor_words -. g0.minor_words) /. float_of_int report.stats.commits in
   if per_commit >= 32.0 then
@@ -62,7 +86,7 @@ let test_boruvka_hotspot_waste () =
   let g = Csr.symmetrize (Gen.kout ~seed:2014 ~n:400 ~k:4 ()) in
   let w = Graphlib.Graph_io.undirected_random_weights ~seed:2015 g in
   Galois.Pool.with_pool ~domains:2 @@ fun pool ->
-  let forest, report = Apps.Boruvka.galois ~pool ~policy:(Galois.Policy.det 2) g w in
+  let forest, report = Galois.Run.solve ~pool ~policy:(Galois.Policy.det 2) (Apps.Boruvka.plan g w) in
   check_bool "forest valid" true (Apps.Boruvka.validate g forest);
   let stats = report.stats in
   let per_commit = float_of_int stats.inspected /. float_of_int stats.commits in
@@ -81,7 +105,7 @@ let test_bfs_disconnected () =
   check_bool "unreached" true (dist.(3) = Apps.Bfs.unreached && dist.(4) = Apps.Bfs.unreached);
   List.iter
     (fun (name, policy) ->
-      let d, _ = Apps.Bfs.galois ~policy g ~source:0 in
+      let d, _ = Galois.Run.solve ~policy (Apps.Bfs.plan g ~source:0) in
       if d <> dist then Alcotest.failf "bfs %s differs on disconnected graph" name)
     policies
 
@@ -95,9 +119,8 @@ let test_sssp_weight_plane_equivalent () =
   let g = Gen.kout ~seed:7 ~n:2000 ~k:5 () in
   let w = Graphlib.Graph_io.random_weights ~seed:8 g in
   let gw = Graphlib.Graph_io.attach_random_weights ~seed:8 g in
-  let policy = Galois.Policy.det 3 in
-  let dist_arr, rep_arr = Apps.Sssp.galois ~policy g w ~source:0 in
-  let dist_pl, rep_pl = Apps.Sssp.galois_weighted ~policy gw ~source:0 in
+  let dist_arr, rep_arr = Galois.Run.solve ~policy:det (Apps.Sssp.plan g w ~source:0) in
+  let dist_pl, rep_pl = Galois.Run.solve ~policy:det (Apps.Sssp.plan_weighted gw ~source:0) in
   if dist_arr <> dist_pl then Alcotest.fail "sssp distances differ by weight source";
   check_bool "schedule digests equal" true
     (Galois.Trace_digest.equal rep_arr.stats.digest rep_pl.stats.digest)
@@ -110,11 +133,8 @@ let test_mis_all_valid () =
   let g = mis_graph () in
   let serial_mis = Apps.Mis.serial g in
   check_bool "serial maximal independent" true (Apps.Mis.is_maximal_independent g serial_mis);
-  List.iter
-    (fun (name, policy) ->
-      let in_mis, _ = Apps.Mis.galois ~policy g in
-      check_bool (name ^ " maximal independent") true (Apps.Mis.is_maximal_independent g in_mis))
-    policies
+  let in_mis, _ = Galois.Run.solve ~policy:det (Apps.Mis.plan g) in
+  check_bool "det maximal independent" true (Apps.Mis.is_maximal_independent g in_mis)
 
 let test_mis_pbbs_lexicographic () =
   (* PBBS deterministic reservations = sequential greedy in index
@@ -124,15 +144,6 @@ let test_mis_pbbs_lexicographic () =
   Parallel.Domain_pool.with_pool 4 (fun pool ->
       let in_mis, _ = Apps.Mis.pbbs ~pool g in
       if in_mis <> serial_mis then Alcotest.fail "pbbs MIS differs from lexicographic greedy")
-
-let test_mis_det_portable () =
-  let g = mis_graph () in
-  let ref_mis, _ = Apps.Mis.galois ~policy:(Galois.Policy.det 1) g in
-  List.iter
-    (fun t ->
-      let m, _ = Apps.Mis.galois ~policy:(Galois.Policy.det t) g in
-      if m <> ref_mis then Alcotest.failf "det MIS differs at %d threads" t)
-    [ 2; 4 ]
 
 (* --- pfp -------------------------------------------------------------- *)
 
@@ -183,14 +194,11 @@ let test_dt_variants () =
   let serial_mesh = Apps.Dt.serial pts in
   assert_mesh_good "serial" serial_mesh n;
   let canon = Apps.Dt.canonical serial_mesh in
-  List.iter
-    (fun (name, policy) ->
-      let mesh, _ = Apps.Dt.galois ~policy pts in
-      assert_mesh_good name mesh n;
-      (* The Delaunay triangulation of points in general position is
-         unique, so every variant must produce the same triangles. *)
-      if Apps.Dt.canonical mesh <> canon then Alcotest.failf "dt %s differs" name)
-    policies;
+  let mesh, _ = Galois.Run.solve ~policy:det (Apps.Dt.plan pts) in
+  assert_mesh_good "det" mesh n;
+  (* The Delaunay triangulation of points in general position is
+     unique, so every variant must produce the same triangles. *)
+  if Apps.Dt.canonical mesh <> canon then Alcotest.fail "dt det differs";
   Parallel.Domain_pool.with_pool 3 (fun pool ->
       let mesh, _ = Apps.Dt.pbbs ~pool pts in
       assert_mesh_good "pbbs" mesh n;
@@ -214,22 +222,9 @@ let test_dmr_variants () =
     check_bool (name ^ ": refined") true (Apps.Dmr.refined cfg mesh);
     check_bool (name ^ ": grew") true (Mesh.triangle_count mesh >= before)
   in
-  List.iter
-    (fun (name, policy) -> run_one name (fun mesh -> ignore (Apps.Dmr.galois ~policy mesh)))
-    policies;
+  run_one "det" (fun mesh -> ignore (Galois.Run.solve ~policy:det (Apps.Dmr.plan mesh)));
   run_one "pbbs" (fun mesh ->
       Parallel.Domain_pool.with_pool 3 (fun pool -> ignore (Apps.Dmr.pbbs ~pool mesh)))
-
-let test_dmr_det_portable () =
-  let canon_at threads =
-    let mesh = dmr_input () in
-    ignore (Apps.Dmr.galois ~policy:(Galois.Policy.det threads) mesh);
-    Apps.Dt.canonical mesh
-  in
-  let reference = canon_at 1 in
-  List.iter
-    (fun t -> if canon_at t <> reference then Alcotest.failf "dmr det differs at %d threads" t)
-    [ 2; 4 ]
 
 (* --- PARSEC kernels --------------------------------------------------- *)
 
@@ -302,6 +297,7 @@ let test_freqmine_pinned_output () =
 
 let suite =
   [
+    Alcotest.test_case "table: every app agrees across policies" `Quick test_table_policies_agree;
     Alcotest.test_case "bfs: all variants agree" `Quick test_bfs_all_variants_agree;
     Alcotest.test_case "bfs: disconnected graph" `Quick test_bfs_disconnected;
     Alcotest.test_case "bfs: det:1 allocation per commit" `Quick test_bfs_allocation;
@@ -311,12 +307,10 @@ let suite =
       test_sssp_weight_plane_equivalent;
     Alcotest.test_case "mis: all variants valid" `Quick test_mis_all_valid;
     Alcotest.test_case "mis: pbbs is lexicographic greedy" `Quick test_mis_pbbs_lexicographic;
-    Alcotest.test_case "mis: det portable" `Quick test_mis_det_portable;
     Alcotest.test_case "pfp: flow values agree" `Quick test_pfp_flow_value;
     Alcotest.test_case "pfp: known small instance" `Quick test_pfp_small_known;
     Alcotest.test_case "dt: all variants produce the Delaunay mesh" `Quick test_dt_variants;
     Alcotest.test_case "dmr: all variants refine" `Quick test_dmr_variants;
-    Alcotest.test_case "dmr: det portable" `Quick test_dmr_det_portable;
     Alcotest.test_case "blackscholes" `Quick test_blackscholes;
     Alcotest.test_case "blackscholes put-call parity" `Quick test_blackscholes_put_call_parity;
     Alcotest.test_case "bodytrack particle filter" `Quick test_bodytrack;

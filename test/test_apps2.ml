@@ -12,6 +12,8 @@ let check_bool = Alcotest.(check bool)
 let policies =
   [ ("serial", Galois.Policy.serial); ("nondet", Galois.Policy.nondet 3); ("det", Galois.Policy.det 3) ]
 
+let det = Galois.Policy.det 3
+
 (* --- union-find ------------------------------------------------------ *)
 
 let test_union_find_basics () =
@@ -112,11 +114,8 @@ let test_cc_variants_agree () =
   let g = cc_graph () in
   let reference = Apps.Cc.serial g in
   check_bool "serial validates" true (Apps.Cc.validate g reference);
-  List.iter
-    (fun (name, policy) ->
-      let label, _ = Apps.Cc.galois ~policy g in
-      if label <> reference then Alcotest.failf "cc %s differs from union-find" name)
-    policies
+  let label, _ = Galois.Run.solve ~policy:det (Apps.Cc.plan g) in
+  if label <> reference then Alcotest.fail "cc det differs from union-find"
 
 let test_cc_counts_components () =
   let g = cc_graph () in
@@ -134,17 +133,16 @@ let test_sssp_variants_agree () =
   let w = Graphlib.Graph_io.random_weights ~seed:22 ~max_weight:20 g in
   let reference = Apps.Sssp.serial g w ~source:0 in
   check_bool "dijkstra validates" true (Apps.Sssp.validate g w ~source:0 reference);
-  List.iter
-    (fun (name, policy) ->
-      let dist, _ = Apps.Sssp.galois ~policy g w ~source:0 in
-      if dist <> reference then Alcotest.failf "sssp %s differs from dijkstra" name)
-    policies
+  let dist, _ = Galois.Run.solve ~policy:det (Apps.Sssp.plan g w ~source:0) in
+  if dist <> reference then Alcotest.fail "sssp det differs from dijkstra"
 
 let test_sssp_weight_mismatch () =
   let g = Gen.kout ~seed:21 ~n:10 ~k:2 () in
-  Alcotest.check_raises "bad weights" (Invalid_argument "Sssp.galois: weight array size mismatch")
-    (fun () ->
-      ignore (Apps.Sssp.galois ~policy:Galois.Policy.serial g [| 1 |] ~source:0))
+  Alcotest.check_raises "bad weights" (Invalid_argument "Sssp.plan: weight array size mismatch")
+    (fun () -> ignore (Apps.Sssp.plan g [| 1 |] ~source:0));
+  Alcotest.check_raises "no weight plane"
+    (Invalid_argument "Sssp.plan_weighted: graph has no weight plane") (fun () ->
+      ignore (Apps.Sssp.plan_weighted g ~source:0))
 
 let test_sssp_unit_weights_equal_bfs () =
   let g = Gen.kout ~seed:25 ~n:500 ~k:5 () in
@@ -162,13 +160,15 @@ let test_boruvka_weight_matches_kruskal () =
   let w = Graphlib.Graph_io.undirected_random_weights ~seed:32 ~max_weight:50 g in
   let reference = Apps.Boruvka.serial g w in
   check_bool "kruskal forest valid" true (Apps.Boruvka.validate g reference);
-  List.iter
-    (fun (name, policy) ->
-      let forest, _ = Apps.Boruvka.galois ~policy g w in
-      check_bool (name ^ " forest valid") true (Apps.Boruvka.validate g forest);
-      check_int (name ^ " total weight")
-        reference.Apps.Boruvka.total_weight forest.Apps.Boruvka.total_weight)
-    policies
+  let forest, _ = Galois.Run.solve ~policy:det (Apps.Boruvka.plan g w) in
+  check_bool "det forest valid" true (Apps.Boruvka.validate g forest);
+  check_int "det total weight" reference.Apps.Boruvka.total_weight forest.Apps.Boruvka.total_weight
+
+let test_boruvka_weight_mismatch () =
+  let g = msf_graph () in
+  Alcotest.check_raises "short weights"
+    (Invalid_argument "Boruvka.plan: weight array size mismatch") (fun () ->
+      ignore (Apps.Boruvka.plan g [| 1 |]))
 
 let test_boruvka_edge_count () =
   let g = msf_graph () in
@@ -192,7 +192,7 @@ let test_boruvka_edge_cases () =
   check_int "kruskal picks n - components edges" 4 (List.length reference.Apps.Boruvka.parent_edge);
   List.iter
     (fun (name, policy) ->
-      let forest, _ = Apps.Boruvka.galois ~policy g w in
+      let forest, _ = Galois.Run.solve ~policy (Apps.Boruvka.plan g w) in
       check_bool (name ^ " forest valid") true (Apps.Boruvka.validate g forest);
       check_int (name ^ " total weight")
         reference.Apps.Boruvka.total_weight forest.Apps.Boruvka.total_weight)
@@ -209,7 +209,9 @@ let test_boruvka_edge_cases () =
 let test_boruvka_random_graphs () =
   Galois.Pool.with_pool ~domains:4 @@ fun pool ->
   let solve t g w =
-    let forest, report = Apps.Boruvka.galois ~record:true ~pool ~policy:(Galois.Policy.det t) g w in
+    let forest, report =
+      Galois.Run.solve ~record:true ~pool ~policy:(Galois.Policy.det t) (Apps.Boruvka.plan g w)
+    in
     (forest, Galois.Schedule.digest (Option.get report.schedule))
   in
   let prop (n, k, seed) =
@@ -235,7 +237,7 @@ let test_boruvka_allocation () =
   let w = Graphlib.Graph_io.undirected_random_weights ~seed:2015 g in
   Galois.Pool.with_pool ~domains:1 @@ fun pool ->
   let g0 = Gc.quick_stat () in
-  let _, report = Apps.Boruvka.galois ~pool ~policy:(Galois.Policy.det 1) g w in
+  let _, report = Galois.Run.solve ~pool ~policy:(Galois.Policy.det 1) (Apps.Boruvka.plan g w) in
   let g1 = Gc.quick_stat () in
   let per_commit = (g1.minor_words -. g0.minor_words) /. float_of_int report.stats.commits in
   if per_commit >= 2_000.0 then
@@ -252,32 +254,18 @@ let test_pagerank_converges () =
       let reference = Apps.Pagerank.serial g in
       List.iter
         (fun (name, policy) ->
-          let ranks, report = Apps.Pagerank.galois ~policy g in
+          let ranks, report = Galois.Run.solve ~policy (Apps.Pagerank.plan g) in
           check_bool (name ^ " all tasks processed") true (report.stats.commits >= n);
           let diff = Apps.Pagerank.max_rel_diff ~reference ranks in
           if diff > 0.01 then Alcotest.failf "pagerank %s n=%d off by %.4f of a rank" name n diff)
         policies)
     [ 500; 10_000 ]
 
-let test_pagerank_det_portable () =
-  let g = Gen.kout ~seed:52 ~n:400 ~k:4 () in
-  let run t =
-    let r, _ = Apps.Pagerank.galois ~policy:(Galois.Policy.det t) g in
-    r
-  in
-  let reference = run 1 in
-  List.iter
-    (fun t ->
-      (* Fixed-point arithmetic: deterministic runs must agree exactly,
-         bit for bit. *)
-      if run t <> reference then Alcotest.failf "pagerank det differs at %d threads" t)
-    [ 2; 4 ]
-
 let test_pagerank_sink_nodes () =
   (* Graph with a sink (no out-edges): residual there accumulates into
      rank and propagation still terminates. *)
   let g = Csr.of_edges ~n:3 [| (0, 2); (1, 2) |] in
-  let ranks, _ = Apps.Pagerank.galois ~policy:Galois.Policy.serial g in
+  let ranks, _ = Galois.Run.solve ~policy:Galois.Policy.serial (Apps.Pagerank.plan g) in
   check_bool "sink has the largest rank" true (ranks.(2) > ranks.(0) && ranks.(2) > ranks.(1))
 
 (* --- triangle counting ------------------------------------------------- *)
@@ -296,12 +284,9 @@ let test_triangles_variants_agree () =
   let g = Csr.symmetrize (Gen.rmat ~seed:35 ~scale:8 ~edge_factor:6 ()) in
   let reference = Apps.Triangles.serial g in
   check_bool "some triangles exist" true (reference > 0);
-  List.iter
-    (fun (name, policy) ->
-      let total, report = Apps.Triangles.galois ~policy g in
-      check_int (name ^ " count") reference total;
-      check_int (name ^ " all commit") (Csr.nodes g) report.stats.commits)
-    policies
+  let total, report = Galois.Run.solve ~policy:det (Apps.Triangles.plan g) in
+  check_int "det count" reference total;
+  check_int "det all commit" (Csr.nodes g) report.stats.commits
 
 let suite =
   [
@@ -319,12 +304,12 @@ let suite =
     Alcotest.test_case "sssp: unit weights = bfs" `Quick test_sssp_unit_weights_equal_bfs;
     Alcotest.test_case "boruvka: weight matches kruskal" `Quick
       test_boruvka_weight_matches_kruskal;
+    Alcotest.test_case "boruvka: weight validation" `Quick test_boruvka_weight_mismatch;
     Alcotest.test_case "boruvka: forest size" `Quick test_boruvka_edge_count;
     Alcotest.test_case "boruvka: loops, parallel edges, ties" `Quick test_boruvka_edge_cases;
     Alcotest.test_case "boruvka: random graphs, det:1 = det:4" `Quick test_boruvka_random_graphs;
     Alcotest.test_case "boruvka: det:1 allocation per commit" `Quick test_boruvka_allocation;
     Alcotest.test_case "pagerank: converges to power iteration" `Quick test_pagerank_converges;
-    Alcotest.test_case "pagerank: det bit-portable" `Quick test_pagerank_det_portable;
     Alcotest.test_case "pagerank: sink nodes" `Quick test_pagerank_sink_nodes;
     Alcotest.test_case "triangles: known graphs" `Quick test_triangles_known;
     Alcotest.test_case "triangles: variants agree" `Quick test_triangles_variants_agree;

@@ -322,7 +322,9 @@ let test_det_inline_phases () =
   let det1 = exec_on pool (Galois.Policy.det 1) ~operator:chain [| 0 |] in
   check_int "det:1 chain waits on 2 domains" 0 (waits det1.stats);
   let g = Graphlib.Generators.kout ~seed:5 ~n:2000 ~k:5 () in
-  let bfs threads = snd (Apps.Bfs.galois ~pool ~policy:(Galois.Policy.det threads) g ~source:0) in
+  let bfs threads =
+    snd (Galois.Run.solve ~pool ~policy:(Galois.Policy.det threads) (Apps.Bfs.plan g ~source:0))
+  in
   let b1 = bfs 1 and b2 = bfs 2 in
   check_int "det:1 bfs waits" 0 (waits b1.stats);
   check_bool "det:2 bfs dispatches" true (waits b2.stats > 0);

@@ -25,7 +25,8 @@ let test_fuzz_cases_invariant () =
 
 let test_bfs_case_invariant () =
   let report =
-    Detcheck.check_invariance ~threads:quick_threads (Detcheck.App_cases.bfs ~n:150 ~seed:7)
+    Detcheck.check_invariance ~threads:quick_threads
+      (Detcheck.App_cases.of_replay (Detcheck.Replay_cases.bfs ~n:150 ~seed:7))
   in
   if not (Detcheck.ok report) then Alcotest.failf "%a" Detcheck.pp_report report
 

@@ -44,11 +44,14 @@ let cases () =
     Detcheck.Gen.case ~seed:2;
     Detcheck.Gen.case ~seed:3;
     Detcheck.Gen.case ~seed:42;
-    Detcheck.App_cases.bfs ~n:300 ~seed:7;
-    Detcheck.App_cases.sssp ~n:300 ~seed:7;
-    Detcheck.App_cases.boruvka ~n:300 ~seed:7;
-    Detcheck.App_cases.dmr ~points:90 ~seed:7;
   ]
+  @ List.map Detcheck.App_cases.of_replay
+      [
+        Detcheck.Replay_cases.bfs ~n:300 ~seed:7;
+        Detcheck.Replay_cases.sssp ~n:300 ~seed:7;
+        Detcheck.Replay_cases.boruvka ~n:300 ~seed:7;
+        Detcheck.Replay_cases.dmr ~points:90 ~seed:7;
+      ]
 
 let observe_configs configs pool =
   List.concat_map

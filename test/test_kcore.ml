@@ -68,7 +68,7 @@ let test_galois_matches_serial () =
   let reference = K.serial g in
   List.iter
     (fun (name, policy) ->
-      let core, _ = K.galois ~policy g in
+      let core, _ = Galois.Run.solve ~policy (K.plan g) in
       check_cores (name ^ " equals peeling") reference core)
     policies;
   check_bool "validate agrees" true (K.validate g reference)
@@ -77,10 +77,10 @@ let test_ordered_digests_thread_invariant () =
   let g = Csr.symmetrize (Graphlib.Generators.kout ~seed:13 ~n:800 ~k:4 ()) in
   let digest ?(priority = Galois.Policy.Prio_auto) t =
     let _, report =
-      K.galois
+      Galois.Run.solve
         ~policy:
           (Galois.Policy.det ~options:(Galois.Policy.Det_options.make ~priority ()) t)
-        g
+        (K.plan g)
     in
     (report.Galois.Run.stats.digest, report.Galois.Run.stats.buckets)
   in

@@ -9,7 +9,6 @@ let () =
       ("stats", Test_stats.suite);
       ("obs", Test_obs.suite);
       ("policy", Test_policy.suite);
-      ("determinism", Test_determinism.suite);
       ("detcheck", Test_detcheck.suite);
       ("replay", Test_replay.suite);
       ("digest-fixture", Test_digest_fixture.suite);

@@ -34,7 +34,7 @@ let test_pool_use_after_shutdown () =
   let g = Graphlib.Generators.kout ~seed ~n:50 ~k:3 () in
   Alcotest.check_raises "run on a dead pool"
     (Invalid_argument "Galois.Pool: pool is shut down") (fun () ->
-      ignore (Apps.Bfs.galois ~pool:p ~policy:(Galois.Policy.det 2) g ~source:0))
+      ignore (Galois.Run.solve ~pool:p ~policy:(Galois.Policy.det 2) (Apps.Bfs.plan g ~source:0)))
 
 let test_pool_bad_domains () =
   Alcotest.check_raises "domains=0"
@@ -57,7 +57,7 @@ let test_pool_idle_wake_stress () =
   Galois.Pool.with_pool ~domains:2 (fun pool ->
       let run () =
         let dist, report =
-          Apps.Bfs.galois ~pool ~policy:(Galois.Policy.det 2) g ~source:0
+          Galois.Run.solve ~pool ~policy:(Galois.Policy.det 2) (Apps.Bfs.plan g ~source:0)
         in
         (Array.to_list dist, Galois.Trace_digest.to_hex report.stats.digest)
       in

@@ -152,7 +152,7 @@ let test_layout_compact_wins () =
   let g = Graphlib.Generators.kout ~seed:9 ~n:3000 ~k:5 () in
   Galois.Lock.reset_lids ();
   let _, report =
-    Apps.Bfs.galois ~record:true ~policy:(Galois.Policy.det 2) g ~source:0
+    Galois.Run.solve ~record:true ~policy:(Galois.Policy.det 2) (Apps.Bfs.plan g ~source:0)
   in
   match report.Galois.Run.schedule with
   | None -> Alcotest.fail "no schedule recorded"
