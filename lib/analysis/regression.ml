@@ -26,5 +26,3 @@ let fit points =
   in
   let r2 = if ss_tot <= 0.0 then 1.0 else 1.0 -. (ss_res /. ss_tot) in
   { b0; b1; r2; n }
-
-let predict f x = f.b0 +. (f.b1 *. x)

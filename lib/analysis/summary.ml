@@ -13,12 +13,6 @@ let median = function
       let nth i = List.nth sorted i in
       if n mod 2 = 1 then nth (n / 2) else (nth ((n / 2) - 1) +. nth (n / 2)) /. 2.0
 
-let geomean = function
-  | [] -> invalid_arg "Summary.geomean: empty"
-  | l ->
-      if List.exists (fun x -> x <= 0.0) l then invalid_arg "Summary.geomean: non-positive value";
-      exp (List.fold_left (fun acc x -> acc +. log x) 0.0 l /. float_of_int (List.length l))
-
 let maximum = function
   | [] -> invalid_arg "Summary.maximum: empty"
   | x :: rest -> List.fold_left Float.max x rest

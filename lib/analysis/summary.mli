@@ -1,9 +1,7 @@
 (** Summary statistics (medians etc.) for result tables. All raise
-    [Invalid_argument] on empty input; {!geomean} also on non-positive
-    values. *)
+    [Invalid_argument] on empty input. *)
 
 val mean : float list -> float
 val median : float list -> float
-val geomean : float list -> float
 val maximum : float list -> float
 val minimum : float list -> float

@@ -48,24 +48,22 @@ let price o =
   if o.call then (o.spot *. cndf d1) -. (discounted *. cndf d2)
   else (discounted *. cndf (-.d2)) -. (o.spot *. cndf (-.d1))
 
-let run ?(iterations = 1) ~pool options =
+let run ~pool options =
   let n = Array.length options in
   let out = Array.make n 0.0 in
   let atomics = Atomic.make 0 in
   let t0 = Galois.Clock.now_s () in
-  for _ = 1 to iterations do
-    (* One dynamic chunk grab per 1024 options is the only shared-memory
-       synchronization — the kernel's defining characteristic. *)
-    Parallel.Domain_pool.parallel_for ~chunk:1024 pool 0 n (fun i ->
-        if i land 1023 = 0 then Atomic.incr atomics;
-        out.(i) <- price options.(i))
-  done;
+  (* One dynamic chunk grab per 1024 options is the only shared-memory
+     synchronization — the kernel's defining characteristic. *)
+  Parallel.Domain_pool.parallel_for ~chunk:1024 pool 0 n (fun i ->
+      if i land 1023 = 0 then Atomic.incr atomics;
+      out.(i) <- price options.(i));
   let time_s = Galois.Clock.elapsed_s t0 in
   ( out,
     {
-      Kernel_profile.tasks = n * iterations;
+      Kernel_profile.tasks = n;
       atomics = Atomic.get atomics;
-      barriers = iterations;
+      barriers = 1;
       time_s;
-      task_costs = Array.make (n * iterations) 1;
+      task_costs = Array.make n 1;
     } )

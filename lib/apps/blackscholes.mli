@@ -11,11 +11,8 @@ type option_data = {
 }
 
 val generate : ?seed:int -> int -> option_data array
-val cndf : float -> float
-val price : option_data -> float
 
 val run :
-  ?iterations:int ->
   pool:Parallel.Domain_pool.t ->
   option_data array ->
   float array * Kernel_profile.t

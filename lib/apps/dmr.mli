@@ -6,19 +6,6 @@ type config = { min_angle : float; min_edge : float }
 
 val default_config : config
 
-val shortest_edge : Mesh.t -> Mesh.triangle -> float
-val is_bad : config -> Mesh.t -> Mesh.triangle -> bool
-val bad_triangles : config -> Mesh.t -> Mesh.triangle list
-
-val plan_cavity :
-  Mesh.t ->
-  acquire:(Mesh.triangle -> unit) ->
-  Mesh.triangle ->
-  (Geometry.Point.t * Mesh.cavity * (int * int) option) option
-(** The insertion plan for a bad triangle: circumcenter — or, when that
-    encroaches or escapes the domain, a border-segment midpoint with the
-    segment to split. [None]: drop the task (mesh untouched). *)
-
 type op_state
 (** The operator's saved-continuation state (an insertion plan). *)
 

@@ -52,8 +52,10 @@ let plan ?(config = default_config) g =
   ( Galois.Run.make ~operator (Array.init n Fun.id),
     fun () -> Array.map (fun r -> float_of_int r /. float_of_int one) rank )
 
-(* Synchronous power iteration in floats: the reference answer. *)
-let serial ?(config = default_config) ?(max_iters = 200) g =
+(* Synchronous power iteration in floats: the reference answer, capped
+   at 200 iterations. *)
+let serial ?(config = default_config) g =
+  let max_iters = 200 in
   let n = Csr.nodes g in
   let d = float_of_int config.damping /. float_of_int one in
   let tol = float_of_int config.tolerance /. float_of_int one in

@@ -15,8 +15,9 @@ val plan : ?config:config -> Graphlib.Csr.t -> (int, unit) Galois.Run.t * (unit 
     (converted to floats). Ranks are un-normalized (PageRank's
     (1-d) + d·Σ formulation). *)
 
-val serial : ?config:config -> ?max_iters:int -> Graphlib.Csr.t -> float array
-(** Synchronous power iteration (floating point) — the reference. *)
+val serial : ?config:config -> Graphlib.Csr.t -> float array
+(** Synchronous power iteration (floating point), at most 200
+    iterations — the reference. *)
 
 val max_rel_diff : reference:float array -> float array -> float
 (** The largest deviation of a rank from its reference, relative to the

@@ -9,12 +9,6 @@ type result = {
   audit : Galois.Audit.report option;
 }
 
-val discharge :
-  Flow_network.t -> int array -> int array -> activated:(int -> unit) -> int -> int * int
-(** Discharge one node to zero excess; returns (relabels, steps). *)
-
-val saturate_source : Flow_network.t -> int array -> activated:(int -> unit) -> unit
-
 val galois :
   ?record:bool ->
   ?audit:bool ->

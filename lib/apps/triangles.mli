@@ -2,9 +2,6 @@
     read-only up to their single result-cell write — a stress of the
     runtime's near-pure task handling. *)
 
-val count_at : Graphlib.Csr.t -> int -> int
-(** Triangles whose minimum vertex is [u]. *)
-
 val plan : Graphlib.Csr.t -> (int, unit) Galois.Run.t * (unit -> int)
 (** The unexecuted run description plus a reader of the total count. *)
 

@@ -7,8 +7,6 @@
 type t = {
   sets : int array array;  (* sets.(s) = lines in LRU order, most recent first; -1 = empty *)
   set_bits : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~lines ~associativity =
@@ -23,8 +21,6 @@ let create ~lines ~associativity =
   {
     sets = Array.init nsets (fun _ -> Array.make associativity (-1));
     set_bits;
-    hits = 0;
-    misses = 0;
   }
 
 (* Mix the id so neighboring ids spread across sets (ids are dense
@@ -45,7 +41,6 @@ let access t id =
       set.(j) <- set.(j - 1)
     done;
     set.(0) <- id;
-    t.hits <- t.hits + 1;
     true
   end
   else begin
@@ -53,9 +48,5 @@ let access t id =
       set.(j) <- set.(j - 1)
     done;
     set.(0) <- id;
-    t.misses <- t.misses + 1;
     false
   end
-
-let hits t = t.hits
-let misses t = t.misses

@@ -9,6 +9,3 @@ val create : lines:int -> associativity:int -> t
 
 val access : t -> int -> bool
 (** Touch a line; [true] = hit. *)
-
-val hits : t -> int
-val misses : t -> int

@@ -32,8 +32,8 @@
    Findings are deterministic: per-task event sets are deduplicated and
    sorted by (location id, flags), tasks and locations are visited in
    ascending id order, so the finding sequence is a pure function of
-   the schedule (which is itself deterministic) and the lid namespace
-   (see [Lock.reset_lids]). *)
+   the schedule (which is itself deterministic) and the location ids,
+   which follow the order in which the process created its locations. *)
 
 type kind = Acquire | Read | Write
 
@@ -113,11 +113,12 @@ type t = {
   mutable dropped : int;
   mutable rounds : int;
   mutable tasks : int;
-  limit : int;
 }
 
-let create ?(limit = 10_000) () =
-  if limit < 1 then invalid_arg "Audit.create: limit must be >= 1";
+(* Findings retained per run; the excess is counted in [dropped]. *)
+let limit = 10_000
+
+let create () =
   {
     tapes = [||];
     findings_rev = [];
@@ -125,7 +126,6 @@ let create ?(limit = 10_000) () =
     dropped = 0;
     rounds = 0;
     tasks = 0;
-    limit;
   }
 
 (* The scheduler asks for one tape per worker slot in its sequential
@@ -194,7 +194,7 @@ let end_round t ~round ~inspected ~committed =
   let fresh_rev = ref [] in
   let n_fresh = ref 0 in
   let emit rule ~task ~other ~lid =
-    if t.n_findings + !n_fresh >= t.limit then t.dropped <- t.dropped + 1
+    if t.n_findings + !n_fresh >= limit then t.dropped <- t.dropped + 1
     else begin
       fresh_rev := { rule; round; task; other; lid } :: !fresh_rev;
       incr n_fresh

@@ -19,8 +19,8 @@
 
     Auditing is zero-cost when disabled: no recorder is allocated and
     the hot path pays one branch per acquire/touch. Findings are a
-    deterministic function of the schedule and the location-id
-    namespace ({!Lock.reset_lids}). *)
+    deterministic function of the schedule and the location ids (see
+    {!Lock.create}). *)
 
 type kind = Acquire | Read | Write
 
@@ -68,9 +68,9 @@ type t
     recorder serves exactly one run (tapes are drained per round,
     findings accumulate across rounds). *)
 
-val create : ?limit:int -> unit -> t
-(** [limit] (default 10000) bounds retained findings; excess findings
-    are counted in [report.dropped] rather than silently lost. *)
+val create : unit -> t
+(** A recorder that retains at most 10000 findings; excess findings are
+    counted in [report.dropped] rather than silently lost. *)
 
 type tape
 (** A per-worker flat event buffer. Recording never allocates beyond

@@ -57,15 +57,7 @@ let next_lid = Atomic.make 0
 (* Location ids come from a process-global counter, so a second run in
    the same process sees different lids for the same program — which is
    why lids are excluded from every digest (Trace_digest folds ids, not
-   lids). [reset_lids] re-bases the counter so a harness that fully owns
-   the setup phase (tests, the bench harness, CLI drivers) can make lids
-   reproducible run-to-run and fold them into debug output safely. It
-   must only be called between runs, when no locks from the previous
-   namespace are still live: lid uniqueness is only per-namespace. *)
-let reset_lids ?(base = 0) () =
-  if base < 0 then invalid_arg "Lock.reset_lids: base must be >= 0";
-  Atomic.set next_lid base
-
+   lids). *)
 let create () = { word = 0; lid = Atomic.fetch_and_add next_lid 1 }
 
 (* One [fetch_and_add] reserves the whole lid range, so an array's lids
@@ -135,5 +127,3 @@ let release t ~stamp task_id =
   let packed = pack ~stamp task_id in
   if Atomic.get (cell t) = packed then
     ignore (Atomic.compare_and_set (cell t) packed 0)
-
-let force_clear t = Atomic.set (cell t) 0

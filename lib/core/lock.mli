@@ -14,16 +14,9 @@
 type t
 
 val create : unit -> t
-(** A fresh location (word 0) with a location id unique within the
-    current lid namespace (process-unique unless {!reset_lids} is
-    used). *)
-
-val reset_lids : ?base:int -> unit -> unit
-(** Re-base the process-global lid counter (default 0) so location ids
-    are reproducible from one run to the next within a process. Call
-    only between runs, when no locks created under the previous
-    namespace remain live — lid uniqueness holds per namespace only.
-    Lids stay excluded from all schedule/trace digests regardless. *)
+(** A fresh location (word 0) with a process-unique location id, drawn
+    from a process-global counter. Lids are excluded from all
+    schedule/trace digests. *)
 
 val create_array : int -> t array
 (** [create_array n] is [n] fresh locations whose lids are the
@@ -87,6 +80,3 @@ val holds : t -> stamp:int -> int -> bool
 
 val release : t -> stamp:int -> int -> unit
 (** Reset the mark to 0 if held by this task id under this epoch. *)
-
-val force_clear : t -> unit
-(** Unconditionally reset; only for (re)initializing data structures. *)

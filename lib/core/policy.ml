@@ -207,8 +207,6 @@ let det ?(options = default_det) threads = Det { threads; options }
 
 let threads = function Serial -> 1 | Nondet { threads } | Det { threads; _ } -> threads
 
-let is_deterministic = function Serial | Det _ -> true | Nondet _ -> false
-
 let grammar = "serial | nondet[:T] | det[:T][k=v,...]"
 
 let of_string s =

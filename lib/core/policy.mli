@@ -46,9 +46,6 @@ module Det_options : sig
     priority : priority_mode;
   }
 
-  val default : t
-  (** = {!default_det}. *)
-
   val make :
     ?ratio:float ->
     ?window:int option ->
@@ -58,7 +55,7 @@ module Det_options : sig
     ?priority:priority_mode ->
     unit ->
     t
-  (** Build from {!default}, overriding the fields given. [window] is
+  (** Build from {!default_det}, overriding the fields given. [window] is
       the full option: pass [~window:(Some 64)] for a fixed first
       window, [~window:None] for the task-count-derived default
       ([window=auto] in the string grammar). Raises [Invalid_argument]
@@ -80,7 +77,7 @@ module Det_options : sig
       [spread=<int>=1..], [ratio=<float>0..], [cont=on|off],
       [validate=on|off], [prio=off|auto|delta:<int>=1..]. Unknown keys,
       duplicate keys and out-of-range values are rejected; [""] is
-      {!default}. *)
+      {!default_det}. *)
 end
 
 type t =
@@ -94,14 +91,6 @@ val nondet : int -> t
 val det : ?options:det_options -> int -> t
 
 val threads : t -> int
-
-val is_deterministic : t -> bool
-(** True for [Serial] and [Det]: the output is a function of the input
-    only, not of timing or thread count. *)
-
-val grammar : string
-(** One-line grammar summary for help text:
-    ["serial | nondet[:T] | det[:T][k=v,...]"]. *)
 
 val of_string : string -> (t, string) result
 (** Parses ["serial"], ["nondet\[:T\]"] and ["det\[:T\]\[k=v,...\]"]

@@ -23,7 +23,6 @@ let create ?domains () =
   { dp = Parallel.Domain_pool.create domains; state = `Live }
 
 let size t = Parallel.Domain_pool.size t.dp
-let is_shut_down t = t.state = `Down
 
 let domain_pool t =
   match t.state with

@@ -30,8 +30,6 @@ val create : ?domains:int -> unit -> t
 val size : t -> int
 (** Worker count, including the caller's slot. *)
 
-val is_shut_down : t -> bool
-
 val domain_pool : t -> Parallel.Domain_pool.t
 (** The underlying SPMD pool, for code driving [Parallel] primitives
     ([parallel_for], the pbbs kernels) directly. Raises

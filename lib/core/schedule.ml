@@ -23,17 +23,11 @@ type t =
       (* Non-deterministic / serial execution: attempts in completion
          order (aborted attempts marked uncommitted). *)
 
-let rounds_count = function Rounds l -> List.length l | Flat _ -> 0
-
 let tasks = function
   | Rounds l -> List.concat_map Array.to_list l
   | Flat l -> l
 
 let committed_tasks t = List.filter (fun r -> r.committed) (tasks t)
-
-let task_cost r = r.acquires + r.inspect_work + r.commit_work
-
-let total_work t = List.fold_left (fun acc r -> acc + task_cost r) 0 (committed_tasks t)
 
 (* Structural digest of a recorded schedule: folds round boundaries and
    every task record's shape. Raw location ids are excluded (they come

@@ -19,15 +19,8 @@ type t =
   | Flat of task_record list
       (** Asynchronous execution: attempts in completion order. *)
 
-val rounds_count : t -> int
-val tasks : t -> task_record list
 val committed_tasks : t -> task_record list
-
-val task_cost : task_record -> int
-(** Acquires + all work units of one task. *)
-
-val total_work : t -> int
-(** Sum of {!task_cost} over committed tasks. *)
+(** Every committed record, in round (or completion) order. *)
 
 val digest : t -> Trace_digest.t
 (** Structural digest: round boundaries plus every record's costs and

@@ -88,6 +88,7 @@ let lattice ~static_id_capable =
         static_id = false;
       };
       { label = "validate"; options = { base with validate = true }; static_id = false };
+      { label = "ratio=0.5"; options = { base with target_ratio = 0.5 }; static_id = false };
       {
         label = "prio=delta:8";
         options = { base with priority = Galois.Policy.Prio_delta 8 };
@@ -152,10 +153,8 @@ let pp_report ppf r =
       (Fmt.list ~sep:Fmt.cut pp_divergence)
       r.divergences
 
-let check_invariance ?(threads = default_threads) ?configs case =
-  let configs =
-    match configs with Some c -> c | None -> lattice ~static_id_capable:case.static_id_capable
-  in
+let check_invariance ?(threads = default_threads) case =
+  let configs = lattice ~static_id_capable:case.static_id_capable in
   let tmax = List.fold_left max 1 threads in
   Galois.Pool.with_pool ~domains:tmax (fun pool ->
       let runs = ref 0 and divergences = ref [] in

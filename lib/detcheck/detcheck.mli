@@ -59,7 +59,8 @@ type config = { label : string; options : Galois.Policy.det_options; static_id :
 val lattice : static_id_capable:bool -> config list
 (** The default configuration lattice: adaptive and pinned initial
     windows, locality spread on/off, continuation on/off, mark
-    validation, soft-priority bucketing ([prio=delta:8], [prio=auto],
+    validation, a non-default window target ratio ([ratio=0.5]),
+    soft-priority bucketing ([prio=delta:8], [prio=auto],
     [prio=auto] with a pinned small window), and (when the case
     permits) static ids. *)
 
@@ -78,11 +79,10 @@ type divergence = {
 type report = { case_name : string; runs : int; divergences : divergence list }
 
 val ok : report -> bool
-val pp_divergence : Format.formatter -> divergence -> unit
 val pp_report : Format.formatter -> report -> unit
 
-val check_invariance : ?threads:int list -> ?configs:config list -> case -> report
-(** Run the case at every (configuration, thread count) lattice point —
+val check_invariance : ?threads:int list -> case -> report
+(** Run the case at every ({!lattice} configuration, thread count) point —
     one shared domain pool sized to the largest thread count — and
     collect every digest divergence. An empty divergence list is the
     audit passing. *)
@@ -107,51 +107,11 @@ val prio_salt_distinguished : ?threads:int -> seed:int -> unit -> bool
     acquire sets, failsafe placement, continuation saves, work reports
     and task pushes). Everything is a function of the seed. *)
 module Gen : sig
-  type topology = Ring | Clusters | Bipartite | Subsets | Star
-
-  val topology_name : topology -> string
-
-  type params = {
-    seed : int;
-    tasks : int;
-    locks : int;
-    topology : topology;
-    max_neigh : int;
-    push_prob : float;
-    max_children : int;
-    max_depth : int;
-    pure_prob : float;
-    save_prob : float;
-    work_max : int;
-    unique_children : bool;
-    prio_salt : int;
-        (** seeds the per-task priority hash; perturbing it moves tasks
-            between delta-stepping buckets (see
-            {!prio_salt_distinguished}) *)
-    prio_range : int;  (** priorities span [\[0, prio_range)] *)
-  }
-
-  val random_params : seed:int -> params
-  (** The priority draws are appended after every pre-existing draw, so
-      names, schedules and digests of cases pinned before the
-      soft-priority axis are unchanged. *)
-
-  val name_of_params : params -> string
-  (** The case name [case_of_params] would report. *)
-
-  val priority_of : params -> int * int -> int
-  (** The per-task priority hash: pure in (params, item), in
-      [\[0, prio_range)] (0 when [prio_range <= 1]). Attached to every
-      generated run via {!Galois.Run.priority} — inert under the
-      default [prio=off] configurations. *)
-
-  val case_of_params : params -> case
+  val case : seed:int -> case
   (** Runs a fresh plan of the generated operator (the one
       {!Replay_cases.gen} hands out) at every lattice point, like every
-      {!App_cases} case. *)
-
-  val case : seed:int -> case
-  (** [case_of_params (random_params ~seed)]. *)
+      {!App_cases} case. Its name records the seed, the lock topology
+      and the task, lock and push-depth counts. *)
 end
 
 (** The one table of apps: each row is an app's plan over inputs
@@ -248,16 +208,13 @@ module Audit_cases : sig
       Galois.Audit.report * Galois.Audit.finding list;
   }
 
-  val non_cautious_bfs : n:int -> seed:int -> control
-  (** BFS whose distance write precedes the failsafe point: flagged as
-      (cautiousness, round 1, task 1) on the source node's location. *)
-
-  val racy_sssp : unit -> control
-  (** Two tasks with disjoint neighborhoods both writing an unacquired
-      shared location: two containment findings plus one write/write
-      race, all in round 1. *)
-
   val controls : n:int -> seed:int -> control list
+  (** [non-cautious-bfs]: BFS whose distance write precedes the failsafe
+      point, flagged as (cautiousness, round 1, task 1) on the source
+      node's location. [racy-sssp]: two tasks with disjoint
+      neighborhoods both writing an unacquired shared location, giving
+      two containment findings plus one write/write race, all in
+      round 1. *)
 end
 
 (** The service lattice: determinism at the service boundary. An

@@ -334,15 +334,13 @@ let scan_source ~path source =
   in
   List.sort compare_findings (bad @ List.filter (fun f -> not (suppressed f)) raw)
 
-let read_file real_path =
-  let ic = open_in_bin real_path in
+let read_file path =
+  let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let scan_file ?as_path real_path =
-  let path = Option.value as_path ~default:real_path in
-  scan_source ~path (read_file real_path)
+let scan_file path = scan_source ~path (read_file path)
 
 let rec walk path acc =
   if Sys.is_directory path then begin
@@ -359,7 +357,7 @@ let rec walk path acc =
 
 let scan_path path =
   if Sys.is_directory path then
-    List.concat_map (fun f -> scan_file f) (List.rev (walk path []))
+    List.concat_map scan_file (List.rev (walk path []))
   else scan_file path
 
 let scan_paths paths = List.concat_map scan_path paths

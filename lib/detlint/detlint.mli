@@ -29,10 +29,6 @@ val scan_source : path:string -> string -> finding list
     [bin] segment, and [clock.ml], may read the wall clock).
     Findings are sorted by (file, line, col, rule). *)
 
-val scan_file : ?as_path:string -> string -> finding list
-(** Read and lint one file. [as_path] overrides the path used for
-    reporting/allowlisting (for tests linting temp files). *)
-
 val scan_paths : string list -> finding list
 (** Lint every [.ml] under the given files/directories (recursive,
     lexicographic order; skips dotfiles and [_build]). *)

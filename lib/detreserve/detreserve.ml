@@ -14,7 +14,6 @@ module Cell = struct
   (* A priority-min reservation cell. [max_int] = free. *)
   type t = int Atomic.t
 
-  let create () : t = Atomic.make max_int
   let create_array n = Array.init n (fun _ -> Atomic.make max_int)
 
   (* Deterministic: the surviving value is the min of all writers,

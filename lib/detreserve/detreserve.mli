@@ -5,7 +5,6 @@
 module Cell : sig
   type t
 
-  val create : unit -> t
   val create_array : int -> t array
 
   val reserve : t -> int -> unit

@@ -221,14 +221,14 @@ let fig6 t =
         name
         :: List.map
              (fun threads ->
-               Analysis.Table.xf (Coredet_model.slowdown m ~threads ~work ~atomics ()))
+               Analysis.Table.xf (Coredet_model.slowdown m ~threads ~work ~atomics))
              sweep)
       (fig6_workloads t)
   in
   let summary =
     let at_max =
       List.map
-        (fun (_, work, atomics) -> Coredet_model.slowdown m ~threads:40 ~work ~atomics ())
+        (fun (_, work, atomics) -> Coredet_model.slowdown m ~threads:40 ~work ~atomics)
         (fig6_workloads t)
     in
     [

@@ -24,8 +24,6 @@ let two_prod a b =
 type t = float array
 (* components in increasing magnitude order; zeros allowed *)
 
-let of_float f : t = [| f |]
-
 (* Shewchuk's GROW-EXPANSION: add one float to an expansion. *)
 let grow (e : t) b : t =
   let n = Array.length e in

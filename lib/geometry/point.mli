@@ -12,7 +12,6 @@ val add : t -> t -> t
 val scale : float -> t -> t
 val dot : t -> t -> float
 val cross : t -> t -> float
-val norm2 : t -> float
 val dist2 : t -> t -> float
 val dist : t -> t -> float
 val midpoint : t -> t -> t

@@ -163,10 +163,6 @@ let weight t e =
 let unsafe_weight t e =
   match t.weights with None -> 0 | Some w -> Plane.unsafe_get w e
 
-let with_weights t arr =
-  if Array.length arr <> t.m then invalid_arg "Csr.with_weights: weight array size mismatch";
-  { t with weights = Some (Plane.of_array arr) }
-
 let with_weight_plane t w =
   if Plane.length w <> t.m then invalid_arg "Csr.with_weight_plane: weight plane size mismatch";
   { t with weights = Some w }
@@ -183,14 +179,6 @@ let check_node t u name =
 let out_degree t u =
   check_node t u "Csr.out_degree";
   Plane.unsafe_get t.offsets (u + 1) - Plane.unsafe_get t.offsets u
-
-let edge_range t u =
-  check_node t u "Csr.edge_range";
-  (Plane.unsafe_get t.offsets u, Plane.unsafe_get t.offsets (u + 1))
-
-let edge_target t e =
-  if e < 0 || e >= t.m then invalid_arg "Csr.edge_target: edge index out of bounds";
-  Plane.unsafe_get t.targets e
 
 let iter_succ t u f =
   check_node t u "Csr.iter_succ";
@@ -262,13 +250,6 @@ let all_edges t =
     iter_succ_edges t u (fun e v -> out.(e) <- (u, v))
   done;
   out
-
-let transpose t =
-  let src = Plane.Buf.create t.m and dst = Plane.Buf.create t.m in
-  iter_edges t (fun u v ->
-      Plane.Buf.push src v;
-      Plane.Buf.push dst u);
-  of_edge_buffers ~n:t.n ~m:t.m ~src ~dst ()
 
 (* Make the graph symmetric and simple: for every edge (u,v), both
    directions exist, self-loops dropped, duplicates removed, adjacency
@@ -363,7 +344,7 @@ let equal a b =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Internal plane access (Graph_io serialization, cachesim layouts)    *)
+(* Internal plane access (Graph_io serialization)                      *)
 (* ------------------------------------------------------------------ *)
 
 let offsets_plane t = t.offsets

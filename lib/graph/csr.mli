@@ -69,10 +69,6 @@ val unsafe_weight : t -> int -> int
 (** No checks; [0] on unweighted graphs. For traversal loops over
     verified edge ranges. *)
 
-val with_weights : t -> int array -> t
-(** Attach per-edge weights (copied into a sized plane). Raises on a
-    length mismatch. *)
-
 val with_weight_plane : t -> Plane.t -> t
 val weights_array : t -> int array option
 (** Materialize the weight plane back to a heap array (compatibility
@@ -81,12 +77,6 @@ val weights_array : t -> int array option
 (** {2 Traversal} *)
 
 val out_degree : t -> int -> int
-
-val edge_range : t -> int -> int * int
-(** [edge_range g u] is the half-open interval of edge indices leaving
-    [u]. *)
-
-val edge_target : t -> int -> int
 
 val iter_succ : t -> int -> (int -> unit) -> unit
 val iter_succ_edges : t -> int -> (int -> int -> unit) -> unit
@@ -110,7 +100,6 @@ val iter_edges_i : t -> (int -> int -> int -> unit) -> unit
     order. *)
 
 val all_edges : t -> (int * int) array
-val transpose : t -> t
 
 val symmetrize : t -> t
 (** Undirected, simple version: both directions present, no self-loops,
@@ -128,7 +117,7 @@ val validate : t -> (unit, string) result
 val equal : t -> t -> bool
 (** Same topology and weights, independent of element sizing. *)
 
-(** {2 Internal plane access} (serialization and layout modelling) *)
+(** {2 Internal plane access} (serialization) *)
 
 val offsets_plane : t -> Plane.t
 val targets_plane : t -> Plane.t

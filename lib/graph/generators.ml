@@ -126,10 +126,10 @@ let uniform ?(seed = 1) ~n ~m () =
   Csr.Builder.build builder
 
 (* The paper's pfp input shape: random graph with a designated source and
-   sink and uniform random capacities. Returns (graph, capacities,
-   source, sink). *)
-let flow_network ?(seed = 1) ?(max_capacity = 100) ~n ~k () =
+   sink and uniform random capacities in [1, 100]. Returns (graph,
+   capacities, source, sink). *)
+let flow_network ?(seed = 1) ~n ~k () =
   let g = kout ~seed ~n ~k () in
   let rng = Parallel.Splitmix.create (seed + 17) in
-  let caps = Array.init (Csr.edges g) (fun _ -> 1 + Parallel.Splitmix.int rng max_capacity) in
+  let caps = Array.init (Csr.edges g) (fun _ -> 1 + Parallel.Splitmix.int rng 100) in
   (g, caps, 0, n - 1)

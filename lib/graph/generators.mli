@@ -22,5 +22,6 @@ val uniform : ?seed:int -> n:int -> m:int -> unit -> Csr.t
     self-loops. *)
 
 val flow_network :
-  ?seed:int -> ?max_capacity:int -> n:int -> k:int -> unit -> Csr.t * int array * int * int
-(** Random flow instance: (graph, edge capacities, source, sink). *)
+  ?seed:int -> n:int -> k:int -> unit -> Csr.t * int array * int * int
+(** Random flow instance: (graph, edge capacities in [\[1, 100\]],
+    source, sink). *)

@@ -2,38 +2,25 @@
     generation. *)
 
 (** {2 Text format} — one ["u v [w]"] edge per line, ['#'] comments,
-    header line ["n m"]. *)
-
-val write_edges : out_channel -> Csr.t -> unit
-(** Weighted graphs emit a third column per edge. *)
+    header line ["n m"]. Weighted graphs carry a third column per edge;
+    a weight column on the first edge line makes it mandatory on all of
+    them. *)
 
 val save_edges : string -> Csr.t -> unit
-
-val read_edges : in_channel -> Csr.t
-(** Raises [Failure] with a line number on malformed input. A weight
-    column on the first edge line makes it mandatory on all of them and
-    yields a weighted graph. *)
-
-val load_edges : string -> Csr.t
 
 (** {2 Binary format} — ["GCSR1"]: fixed header, raw little-endian
     planes at their in-memory element width, FNV-1a-64 checksum
     trailer. The catalog/bench path for million-vertex inputs: no
     parsing, loads straight into off-heap planes. *)
 
-val write_binary : out_channel -> Csr.t -> unit
 val save_binary : string -> Csr.t -> unit
-
-val read_binary : in_channel -> Csr.t
-(** Raises [Failure "Graph_io: corrupt binary graph: ..."] on a bad
-    magic, truncation, checksum mismatch, or any CSR-invariant
-    violation the payload encodes. *)
-
-val load_binary : string -> Csr.t
 
 val load : string -> Csr.t
 (** Format-sniffing load: binary when the file starts with the GCSR
-    magic, text otherwise. *)
+    magic, text otherwise. Raises [Failure] with a line number on
+    malformed text, and [Failure "Graph_io: corrupt binary graph: ..."]
+    on a truncated binary file, a checksum mismatch or any
+    CSR-invariant violation the payload encodes. *)
 
 (** {2 Deterministic weights} *)
 

@@ -59,24 +59,6 @@ let get t i =
   if i < 0 || i >= length t then invalid_arg "Plane.get: index out of bounds";
   unsafe_get t i
 
-let set t i v =
-  if i < 0 || i >= length t then invalid_arg "Plane.set: index out of bounds";
-  if v < 0 then invalid_arg "Plane.set: negative value";
-  (match t with
-  | I32 _ -> if v > i32_max then invalid_arg "Plane.set: value exceeds 32-bit plane"
-  | I64 _ -> ());
-  unsafe_set t i v
-
-let of_array arr =
-  let max_value = Array.fold_left max 0 arr in
-  let t = create ~max_value (Array.length arr) in
-  Array.iteri
-    (fun i v ->
-      if v < 0 then invalid_arg "Plane.of_array: negative value";
-      unsafe_set t i v)
-    arr;
-  t
-
 let to_array t = Array.init (length t) (fun i -> unsafe_get t i)
 
 let iter f t =

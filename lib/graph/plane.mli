@@ -22,18 +22,13 @@ val memory_bytes : t -> int
 (** Off-heap payload size in bytes. *)
 
 val get : t -> int -> int
-val set : t -> int -> int -> unit
-(** Bounds- and range-checked. [set] rejects negative values and values
-    beyond the plane's element width. *)
+(** Bounds-checked. *)
 
 val unsafe_get : t -> int -> int
 val unsafe_set : t -> int -> int -> unit
 (** No bounds checks — for loops whose ranges are established
     invariants (CSR offsets are monotone and in-range by
     construction). *)
-
-val of_array : int array -> t
-(** Sized by the array's maximum value. Raises on negative entries. *)
 
 val to_array : t -> int array
 val iter : (int -> unit) -> t -> unit

@@ -29,8 +29,6 @@ let union t a b =
     true
   end
 
-let same t a b = find t a = find t b
-
 let components t =
   let seen = Hashtbl.create 16 in
   Array.iteri (fun x _ -> Hashtbl.replace seen (find t x) ()) t.parent;

@@ -13,5 +13,4 @@ val find_readonly : t -> int -> int
 val union : t -> int -> int -> bool
 (** [false] when already in the same set. *)
 
-val same : t -> int -> int -> bool
 val components : t -> int

@@ -202,7 +202,8 @@ let circumcenter t tri =
 (* A triangle with far-away corners enclosing the working region; its
    three synthetic vertices are returned so callers can strip them
    later. *)
-let bounding_triangle ?(span = 1.0e4) t =
+let bounding_triangle t =
+  let span = 1.0e4 in
   let f1 = add_point t (Point.make (-.span) (-.span)) in
   let f2 = add_point t (Point.make span (-.span)) in
   let f3 = add_point t (Point.make 0.0 span) in

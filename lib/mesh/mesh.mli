@@ -84,9 +84,9 @@ val contains_point : t -> triangle -> Geometry.Point.t -> bool
 val min_angle : t -> triangle -> float
 val circumcenter : t -> triangle -> Geometry.Point.t option
 
-val bounding_triangle : ?span:float -> t -> triangle * int list
-(** A far-away enclosing triangle; returns it and its three synthetic
-    vertex ids (to strip later). *)
+val bounding_triangle : t -> triangle * int list
+(** A far-away enclosing triangle (corners at distance [1e4]); returns
+    it and its three synthetic vertex ids (to strip later). *)
 
 val strip_vertices : t -> int list -> unit
 (** Kill all triangles touching the given vertex ids, turning the

@@ -183,17 +183,6 @@ end
 let null = Sink.null
 let close s = s.close ()
 
-let pretty ?ppf () =
-  let ppf = match ppf with Some p -> p | None -> Fmt.stderr in
-  let t0 = ref None in
-  {
-    emit =
-      (fun { at_s; event } ->
-        let base = match !t0 with Some b -> b | None -> t0 := Some at_s; at_s in
-        Fmt.pf ppf "[%8.4fs] %a@." (at_s -. base) pp_event event);
-    close = (fun () -> Format.pp_print_flush ppf ());
-  }
-
 module Memory = struct
   type t = {
     mutable ring : stamped array;
@@ -228,11 +217,6 @@ module Memory = struct
     List.init n (fun i -> t.ring.((start + i) mod t.capacity))
 
   let dropped t = t.dropped
-
-  let clear t =
-    t.head <- 0;
-    t.length <- 0;
-    t.dropped <- 0
 end
 
 (* JSONL encoding *)

@@ -62,13 +62,9 @@ val sum_counters : ?fields:counter list -> counters array -> counters
 (** {1 Events} *)
 
 (** The two instrumented phases of a DIG round, plus [Execute] for
-    schedulers that run tasks directly (serial, speculative). *)
+    schedulers that run tasks directly (serial, speculative). Traces
+    name them ["inspect"], ["select"] and ["execute"]. *)
 type phase = Inspect | Select | Execute
-
-val phase_name : phase -> string
-(** ["inspect"], ["select"] or ["execute"]. *)
-
-val phase_of_name : string -> phase option
 
 type event =
   | Run_begin of { policy : string; threads : int; tasks : int }
@@ -129,8 +125,8 @@ type event =
           [task] in [round]: [rule] is ["containment"],
           ["cautiousness"] or ["race"] (see [Galois.Audit]); [other] is
           the race partner's task id (0 otherwise); [lid] the location.
-          Deterministic given a fixed location-id namespace
-          ([Lock.reset_lids]). *)
+          Deterministic given the order in which the process created
+          its locations (lids come from a process-global counter). *)
   | Run_end of { commits : int; rounds : int; generations : int }
       (** Last event of a run. *)
 
@@ -167,11 +163,8 @@ type sink = { emit : stamped -> unit; close : unit -> unit }
 module Sink : sig
   type t = sink
 
-  val null : t
-  (** Discards everything. *)
-
   val is_null : t -> bool
-  (** Physical test against {!null} — the combinators guarantee any
+  (** Physical test against {!Obs.null} — the combinators guarantee any
       composition that would discard everything {e is} [null]. *)
 
   val tee : t -> t -> t
@@ -180,18 +173,14 @@ module Sink : sig
 
   val of_list : t list -> t
   (** Emits into every sink, in list order; [close] closes all. [null]
-      elements are dropped; an empty (or all-[null]) list is {!null}. *)
+      elements are dropped; an empty (or all-[null]) list is {!Obs.null}. *)
 end
 
 val null : sink
-(** [Sink.null]. *)
+(** Discards everything. *)
 
 val close : sink -> unit
 (** [close s = s.close ()]. *)
-
-val pretty : ?ppf:Format.formatter -> unit -> sink
-(** Human-readable printer (default {!Fmt.stderr}); each line is
-    prefixed with seconds elapsed since the sink's first event. *)
 
 (** In-memory ring buffer, the sink used by tests and [detcheck]. *)
 module Memory : sig
@@ -211,8 +200,6 @@ module Memory : sig
 
   val dropped : t -> int
   (** Number of events evicted due to capacity. *)
-
-  val clear : t -> unit
 end
 
 (** Line-oriented JSON encoding of stamped events: one flat object per

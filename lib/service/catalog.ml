@@ -38,17 +38,8 @@ let add t ~name ?weights graph =
   t.order <- name :: t.order;
   entry
 
-(* Load-once-from-disk: binary GCSR (preferred — planes map straight
-   into off-heap storage, weights stay in the graph's own plane) or
-   text edge lists. Raises [Failure]/[Invalid_argument] on corrupt or
-   unreadable files; the caller decides whether that is fatal. *)
-let add_file t ~name path =
-  let graph = Graphlib.Graph_io.load path in
-  add t ~name graph
-
 let find t name = Hashtbl.find_opt t.by_name name
 let names t = List.rev t.order
-let size t = Hashtbl.length t.by_name
 
 let total_graph_bytes t =
   List.fold_left

@@ -20,17 +20,9 @@ val add : t -> name:string -> ?weights:int array -> Graphlib.Csr.t -> entry
     (reserved by the query grammar), a duplicate name, or a weight
     array that does not match the graph's edge count. *)
 
-val add_file : t -> name:string -> string -> entry
-(** Load a graph from disk (binary GCSR or text edge list, sniffed by
-    magic) and {!add} it. Weights embedded in a binary file stay in the
-    graph's off-heap weight plane. Raises [Failure] on a corrupt file,
-    [Invalid_argument] as {!add} does. *)
-
 val find : t -> string -> entry option
 val names : t -> string list
 (** Insertion order. *)
-
-val size : t -> int
 
 val total_graph_bytes : t -> int
 (** Off-heap bytes held by all catalog graphs. *)

@@ -89,9 +89,6 @@ val digest : t -> Galois.Trace_digest.t
 val responses : t -> response list
 (** Every recorded response, in record order. *)
 
-val latencies : t -> float array
-(** Completed-job latencies, sorted ascending. *)
-
 val percentile_latency_s : t -> float -> float
 (** [percentile_latency_s t 99.0] is the p99 latency (nearest-rank);
     [0.0] when nothing completed. *)

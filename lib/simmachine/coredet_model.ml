@@ -14,17 +14,16 @@
    instructions advance only that far per round and then serialize,
    so threads buy almost nothing. *)
 
-type config = {
-  quantum_cycles : float;  (* parallel-mode quantum (~1000 instructions) *)
-  token_cycles : float;  (* serialized commit per thread per round *)
-  round_barrier_cycles : float;
-}
-
-let default_config = { quantum_cycles = 1000.0; token_cycles = 30.0; round_barrier_cycles = 600.0 }
+(* Model constants, in cycles: the parallel-mode quantum (~1000
+   instructions), the serialized commit per thread per round, and the
+   round barrier. *)
+let quantum_cycles = 1000.0
+let token_cycles = 30.0
+let round_barrier_cycles = 600.0
 
 (* [work] total work units, [atomics] shared atomic updates performed,
    spread through the work. All arithmetic is in cycles. *)
-let time (m : Machine.t) ?(config = default_config) ~threads ~work ~atomics () =
+let time (m : Machine.t) ~threads ~work ~atomics =
   let work_cycles = float_of_int work *. m.Machine.work_cycles in
   let remote = Machine.remote_fraction m ~threads in
   let atomic_cycles =
@@ -32,20 +31,20 @@ let time (m : Machine.t) ?(config = default_config) ~threads ~work ~atomics () =
   in
   (* Mean distance between atomics, in cycles of useful work. *)
   let distance = if atomics = 0 then work_cycles else work_cycles /. float_of_int atomics in
-  let advance = Float.min config.quantum_cycles distance in
+  let advance = Float.min quantum_cycles distance in
   (* Rounds needed: total work split across threads advancing [advance]
      cycles per round each. *)
   let per_round_parallel = advance *. float_of_int threads in
   let rounds = Float.max 1.0 (work_cycles /. per_round_parallel) in
   (* Per round: parallel part + serial token phase: threads that ended
      on an atomic commit serially. *)
-  let enders = if distance <= config.quantum_cycles then float_of_int threads else 0.0 in
-  let serial = enders *. (config.token_cycles +. atomic_cycles) in
-  let round_cycles = advance +. serial +. config.round_barrier_cycles in
+  let enders = if distance <= quantum_cycles then float_of_int threads else 0.0 in
+  let serial = enders *. (token_cycles +. atomic_cycles) in
+  let round_cycles = advance +. serial +. round_barrier_cycles in
   Exec_model.seconds m (rounds *. round_cycles)
 
 (* Baseline (no CoreDet): plain parallel execution of the same work. *)
-let baseline_time (m : Machine.t) ~threads ~work ~atomics () =
+let baseline_time (m : Machine.t) ~threads ~work ~atomics =
   let remote = Machine.remote_fraction m ~threads in
   let atomic_cycles =
     m.Machine.atomic_cycles *. (1.0 +. (remote *. (m.Machine.remote_multiplier -. 1.0)))
@@ -56,5 +55,5 @@ let baseline_time (m : Machine.t) ~threads ~work ~atomics () =
   in
   Exec_model.seconds m cycles
 
-let slowdown m ?config ~threads ~work ~atomics () =
-  time m ?config ~threads ~work ~atomics () /. baseline_time m ~threads ~work ~atomics ()
+let slowdown m ~threads ~work ~atomics =
+  time m ~threads ~work ~atomics /. baseline_time m ~threads ~work ~atomics

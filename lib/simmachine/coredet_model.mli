@@ -1,19 +1,7 @@
 (** Model of CoreDet-style deterministic thread scheduling (quantum
     rounds with serialized communication), for the Fig. 6 comparison. *)
 
-type config = {
-  quantum_cycles : float;
-  token_cycles : float;
-  round_barrier_cycles : float;
-}
-
-val default_config : config
-
-val time : Machine.t -> ?config:config -> threads:int -> work:int -> atomics:int -> unit -> float
+val slowdown : Machine.t -> threads:int -> work:int -> atomics:int -> float
 (** Simulated CoreDet execution time of a workload with the given total
-    work and atomic-update count. *)
-
-val baseline_time : Machine.t -> threads:int -> work:int -> atomics:int -> unit -> float
-(** The same workload under plain parallel execution. *)
-
-val slowdown : Machine.t -> ?config:config -> threads:int -> work:int -> atomics:int -> unit -> float
+    work and atomic-update count, over the time of the same workload
+    under plain parallel execution. *)

@@ -13,6 +13,10 @@
    operation is a shared-memory access that crosses nodes with the
    probability induced by how many nodes the threads span. *)
 
+(* [tuning] scales the per-task scheduling overhead (1.0 = the generic
+   Galois runtime; 0.3 models PBBS's hand-optimized code paths). [miss]
+   adds a per-acquire memory penalty (the deterministic schedulers'
+   inspect/commit locality loss, §5.4). *)
 let cycles_of_task ?(tuning = 1.0) ?(miss = 0.0) (m : Machine.t) ~remote ~work ~acquires =
   let atomic = m.atomic_cycles *. (1.0 +. (remote *. (m.remote_multiplier -. 1.0))) in
   (float_of_int work *. m.work_cycles)
@@ -71,12 +75,12 @@ let seconds (m : Machine.t) cycles = cycles /. (m.ghz *. 1e9)
 
 (* Asynchronous schedule: tasks (including aborted attempts, whose work
    was also burned) flow through the workers. *)
-let time_flat ?tuning ?amplify (m : Machine.t) ~threads records =
+let time_flat ?amplify (m : Machine.t) ~threads records =
   let remote = Machine.remote_fraction m ~threads in
   let costs =
     List.map
       (fun r ->
-        cycles_of_task ?tuning m ~remote
+        cycles_of_task m ~remote
           ~work:(r.Galois.Schedule.inspect_work + r.Galois.Schedule.commit_work)
           ~acquires:r.Galois.Schedule.acquires)
       records
@@ -87,7 +91,7 @@ let time_flat ?tuning ?amplify (m : Machine.t) ~threads records =
    makespan + barrier, per round. The deterministic scheduler touches
    every mark twice more than the speculative one (mark, verify, clear),
    and pays the window glue; fold that into the per-phase costs. *)
-let time_rounds ?tuning ?amplify (m : Machine.t) ~threads rounds =
+let time_rounds ?amplify (m : Machine.t) ~threads rounds =
   let remote = Machine.remote_fraction m ~threads in
   let barrier = barrier_cycles m ~threads in
   let total = ref 0.0 in
@@ -97,7 +101,7 @@ let time_rounds ?tuning ?amplify (m : Machine.t) ~threads rounds =
         Array.to_list
           (Array.map
              (fun r ->
-               cycles_of_task ?tuning m ~remote ~work:r.Galois.Schedule.inspect_work
+               cycles_of_task m ~remote ~work:r.Galois.Schedule.inspect_work
                  ~acquires:r.Galois.Schedule.acquires)
              round)
       in
@@ -108,11 +112,11 @@ let time_rounds ?tuning ?amplify (m : Machine.t) ~threads rounds =
                if r.Galois.Schedule.committed then
                  (* verify + clear, plus the §5.4 locality cost: the
                     neighborhood was last touched a whole window ago *)
-                 cycles_of_task ?tuning ~miss:m.Machine.reread_miss_cycles m ~remote
+                 cycles_of_task ~miss:m.Machine.reread_miss_cycles m ~remote
                    ~work:r.Galois.Schedule.commit_work ~acquires:r.Galois.Schedule.acquires
                else
                  (* failed selection still clears its marks *)
-                 cycles_of_task ?tuning m ~remote ~work:0 ~acquires:r.Galois.Schedule.acquires)
+                 cycles_of_task m ~remote ~work:0 ~acquires:r.Galois.Schedule.acquires)
              round)
       in
       total :=
@@ -125,8 +129,9 @@ let time_rounds ?tuning ?amplify (m : Machine.t) ~threads rounds =
    structure, but reservations are bare min-CAS writes, the commit phase
    resumes the task instead of re-executing its prefix
    (application-specific continuations), and the per-task scheduling
-   constants are hand-tuned ([tuning], default 0.3). *)
-let time_rounds_pbbs ?(tuning = 0.3) ?amplify (m : Machine.t) ~threads rounds =
+   constants are hand-tuned ([tuning] 0.3). *)
+let time_rounds_pbbs ?amplify (m : Machine.t) ~threads rounds =
+  let tuning = 0.3 in
   let remote = Machine.remote_fraction m ~threads in
   let barrier = barrier_cycles m ~threads in
   let total = ref 0.0 in
@@ -161,10 +166,10 @@ let time_rounds_pbbs ?(tuning = 0.3) ?amplify (m : Machine.t) ~threads rounds =
     rounds;
   seconds m !total
 
-let time_schedule ?tuning ?amplify (m : Machine.t) ~threads schedule =
+let time_schedule ?amplify (m : Machine.t) ~threads schedule =
   match schedule with
-  | Galois.Schedule.Flat records -> time_flat ?tuning ?amplify m ~threads records
-  | Galois.Schedule.Rounds rounds -> time_rounds ?tuning ?amplify m ~threads rounds
+  | Galois.Schedule.Flat records -> time_flat ?amplify m ~threads records
+  | Galois.Schedule.Rounds rounds -> time_rounds ?amplify m ~threads rounds
 
 (* A hand-optimized sequential baseline (Fig. 8's role): the algorithmic
    work without any synchronization — no mark operations, minimal

@@ -2,15 +2,6 @@
     simulated execution times at arbitrary thread counts — the engine
     behind the reproduction's scaling figures (Figs. 6, 7, 9, 10). *)
 
-val cycles_of_task :
-  ?tuning:float -> ?miss:float -> Machine.t -> remote:float -> work:int -> acquires:int -> float
-(** [tuning] scales the per-task scheduling overhead (1.0 = the generic
-    Galois runtime; ~0.3 models PBBS's hand-optimized code paths).
-    [miss] adds a per-acquire memory penalty (the deterministic
-    schedulers' inspect/commit locality loss, §5.4). *)
-
-val barrier_cycles : Machine.t -> threads:int -> float
-
 val makespan : ?amplify:int -> threads:int -> float list -> float
 (** Greedy list-scheduling makespan. [amplify] models the same schedule
     at K times the input size (balanced bound, clamped by the longest
@@ -18,34 +9,16 @@ val makespan : ?amplify:int -> threads:int -> float list -> float
 
 val seconds : Machine.t -> float -> float
 
-val time_flat :
-  ?tuning:float ->
-  ?amplify:int ->
-  Machine.t ->
-  threads:int ->
-  Galois.Schedule.task_record list ->
-  float
-
-val time_rounds :
-  ?tuning:float ->
-  ?amplify:int ->
-  Machine.t ->
-  threads:int ->
-  Galois.Schedule.task_record array list ->
-  float
+val time_schedule : ?amplify:int -> Machine.t -> threads:int -> Galois.Schedule.t -> float
+(** Generic Galois runtime cost: a [Flat] (serial or speculative)
+    schedule is list-scheduled task by task; a [Rounds] (deterministic)
+    schedule pays, per round, an inspect and a commit makespan, each
+    followed by a barrier, with a re-read miss per committed acquire. *)
 
 val time_rounds_pbbs :
-  ?tuning:float ->
-  ?amplify:int ->
-  Machine.t ->
-  threads:int ->
-  Galois.Schedule.task_record array list ->
-  float
+  ?amplify:int -> Machine.t -> threads:int -> Galois.Schedule.task_record array list -> float
 (** Handwritten-DIG cost model (the PBBS variants, paper §5.3): bare
     reservations, hand-coded task resume, tuned constants. *)
-
-val time_schedule :
-  ?tuning:float -> ?amplify:int -> Machine.t -> threads:int -> Galois.Schedule.t -> float
 
 val time_serial_baseline : ?amplify:int -> Machine.t -> Galois.Schedule.task_record list -> float
 (** Best-sequential-implementation model: committed work only, no

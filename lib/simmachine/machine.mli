@@ -17,11 +17,9 @@ type t = {
 
 val max_threads : t -> int
 
-val nodes_used : t -> threads:int -> int
-(** NUMA nodes touched when threads fill nodes in order. *)
-
 val remote_fraction : t -> threads:int -> float
-(** Probability that a shared access crosses nodes. *)
+(** Probability that a shared access crosses nodes, when threads fill
+    NUMA nodes in order: [(k - 1) / k] over the [k] nodes touched. *)
 
 val m4x10 : t
 val m4x6 : t

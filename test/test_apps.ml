@@ -243,8 +243,11 @@ let test_blackscholes () =
 let test_blackscholes_put_call_parity () =
   let base = Apps.Blackscholes.generate ~seed:4 1 in
   let o = base.(0) in
-  let call = Apps.Blackscholes.price { o with call = true } in
-  let put = Apps.Blackscholes.price { o with call = false } in
+  let prices, _ =
+    Parallel.Domain_pool.with_pool 1 (fun pool ->
+        Apps.Blackscholes.run ~pool [| { o with call = true }; { o with call = false } |])
+  in
+  let call = prices.(0) and put = prices.(1) in
   let parity =
     call -. put
     -. (o.Apps.Blackscholes.spot

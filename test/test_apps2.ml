@@ -21,11 +21,11 @@ let test_union_find_basics () =
   check_int "initially 10 components" 10 (Uf.components uf);
   check_bool "union joins" true (Uf.union uf 0 1);
   check_bool "redundant union" false (Uf.union uf 1 0);
-  check_bool "same" true (Uf.same uf 0 1);
-  check_bool "not same" false (Uf.same uf 0 2);
+  check_bool "same" true (Uf.find uf 0 = Uf.find uf 1);
+  check_bool "not same" false (Uf.find uf 0 = Uf.find uf 2);
   ignore (Uf.union uf 2 3);
   ignore (Uf.union uf 1 3);
-  check_bool "transitive" true (Uf.same uf 0 2);
+  check_bool "transitive" true (Uf.find uf 0 = Uf.find uf 2);
   check_int "components" 7 (Uf.components uf)
 
 let test_union_find_readonly () =
@@ -41,8 +41,8 @@ let prop_union_find_partition =
       let uf = Uf.create n in
       let pairs = List.map (fun (a, b) -> (a mod n, b mod n)) pairs in
       List.iter (fun (a, b) -> ignore (Uf.union uf a b)) pairs;
-      (* same is an equivalence relation consistent with find *)
-      List.for_all (fun (a, b) -> Uf.same uf a b = (Uf.find uf a = Uf.find uf b)) pairs)
+      (* every united pair shares a root *)
+      List.for_all (fun (a, b) -> Uf.find uf a = Uf.find uf b) pairs)
 
 (* --- graph I/O -------------------------------------------------------- *)
 
@@ -53,7 +53,7 @@ let test_graph_io_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Graphlib.Graph_io.save_edges path g;
-      let g' = Graphlib.Graph_io.load_edges path in
+      let g' = Graphlib.Graph_io.load path in
       check_int "nodes" (Csr.nodes g) (Csr.nodes g');
       check_int "edges" (Csr.edges g) (Csr.edges g');
       for u = 0 to Csr.nodes g - 1 do
@@ -69,7 +69,7 @@ let test_graph_io_rejects_garbage () =
       let oc = open_out path in
       output_string oc "# junk\nnot a header\n";
       close_out oc;
-      match Graphlib.Graph_io.load_edges path with
+      match Graphlib.Graph_io.load path with
       | _ -> Alcotest.fail "garbage accepted"
       | exception Failure _ -> ())
 

@@ -73,7 +73,11 @@ let test_controls_flagged () =
    order. *)
 let test_racy_sssp_exact () =
   Galois.Pool.with_pool ~domains:2 (fun pool ->
-      let c = Detcheck.Audit_cases.racy_sssp () in
+      let c =
+        List.find
+          (fun (c : Detcheck.Audit_cases.control) -> c.cname = "racy-sssp")
+          (Detcheck.Audit_cases.controls ~n:small_n ~seed)
+      in
       let report, witnesses = c.crun ~policy:(Galois.Policy.det 2) ~pool in
       Alcotest.(check int) "exactly the witnesses" (List.length witnesses)
         (List.length report.Audit.findings);

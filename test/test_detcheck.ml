@@ -81,11 +81,12 @@ let test_gen_is_pure () =
   check_bool "det run has a digest" false (D.is_absent a.Detcheck.sched_digest)
 
 let test_params_cover_topologies () =
-  (* The random parameter space actually reaches every topology. *)
+  (* The random parameter space actually reaches every topology: a
+     case is named "gen(seed=S,TOPOLOGY,...)". *)
   let seen = Hashtbl.create 8 in
   for seed = 0 to 63 do
-    let p = Detcheck.Gen.random_params ~seed in
-    Hashtbl.replace seen (Detcheck.Gen.topology_name p.Detcheck.Gen.topology) ()
+    let name = (Detcheck.Gen.case ~seed).Detcheck.name in
+    Hashtbl.replace seen (List.nth (String.split_on_char ',' name) 1) ()
   done;
   check_int "all five topologies" 5 (Hashtbl.length seen)
 

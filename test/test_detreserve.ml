@@ -1,7 +1,7 @@
 let check_int = Alcotest.(check int)
 
 let test_cell_min_semantics () =
-  let c = Detreserve.Cell.create () in
+  let c = (Detreserve.Cell.create_array 1).(0) in
   Detreserve.Cell.reserve c 10;
   Detreserve.Cell.reserve c 5;
   Detreserve.Cell.reserve c 8;
@@ -32,7 +32,7 @@ let test_sequential_semantics () =
      exactly, like a sequential loop. *)
   Parallel.Domain_pool.with_pool 4 (fun pool ->
       let n = 40 in
-      let cell = Detreserve.Cell.create () in
+      let cell = (Detreserve.Cell.create_array 1).(0) in
       let log = ref [] in
       let stats =
         Detreserve.speculative_for ~granularity:8 ~pool ~n

@@ -83,7 +83,9 @@ let observed =
 (* case|config|sched-digest|det-event-stream-digest — captured from the
    DIG scheduler 2026-08-06, re-pinned 2026-10-17 when the window
    controller's shrink floor became the previous round's commit count
-   instead of the constant 32 (ROADMAP direction 4(b)). *)
+   instead of the constant 32 (ROADMAP direction 4(b)). The ratio=0.5
+   rows (a non-default window target ratio) were added 2026-10-19; no
+   other row moved. *)
 let expected =
   [
     "gen(seed=1,subsets,tasks=42,locks=16,depth=1)|default|534606af406d06de|a6f3b3c9ed1def70";
@@ -92,12 +94,14 @@ let expected =
     "gen(seed=1,subsets,tasks=42,locks=16,depth=1)|spread=1|371ca1cdc7d9d053|4ae1a7c9576da30a";
     "gen(seed=1,subsets,tasks=42,locks=16,depth=1)|no-continuation|534606af406d06de|c0c4a0a62af60de0";
     "gen(seed=1,subsets,tasks=42,locks=16,depth=1)|validate|534606af406d06de|a6f3b3c9ed1def70";
+    "gen(seed=1,subsets,tasks=42,locks=16,depth=1)|ratio=0.5|f800bcb6b1915820|b5e24cc76e9dbb82";
     "gen(seed=2,subsets,tasks=125,locks=31,depth=2)|default|1a4e77480b051b9a|beb83b74b1114c5b";
     "gen(seed=2,subsets,tasks=125,locks=31,depth=2)|window=8|c8c51652b16119be|a39039eeef063322";
     "gen(seed=2,subsets,tasks=125,locks=31,depth=2)|window=256|0383e6f4e099e181|ad7e9a872bc01736";
     "gen(seed=2,subsets,tasks=125,locks=31,depth=2)|spread=1|a7392c33c58cbcf3|ab1ed354535c3949";
     "gen(seed=2,subsets,tasks=125,locks=31,depth=2)|no-continuation|1a4e77480b051b9a|79f45daab725e8b2";
     "gen(seed=2,subsets,tasks=125,locks=31,depth=2)|validate|1a4e77480b051b9a|beb83b74b1114c5b";
+    "gen(seed=2,subsets,tasks=125,locks=31,depth=2)|ratio=0.5|66228a998fea09f4|d08c48be40f83047";
     "gen(seed=2,subsets,tasks=125,locks=31,depth=2)|static-id|1a4e77480b051b9a|beb83b74b1114c5b";
     "gen(seed=2,subsets,tasks=125,locks=31,depth=2)|static-id+window=8|c8c51652b16119be|a39039eeef063322";
     "gen(seed=3,bipartite,tasks=63,locks=36,depth=2)|default|2d9dc0112b6d1fe1|2c0b683efea0070d";
@@ -106,36 +110,42 @@ let expected =
     "gen(seed=3,bipartite,tasks=63,locks=36,depth=2)|spread=1|bc29db6bb319c958|5c3fac6aa678ce19";
     "gen(seed=3,bipartite,tasks=63,locks=36,depth=2)|no-continuation|2d9dc0112b6d1fe1|3972d8c16f38ca47";
     "gen(seed=3,bipartite,tasks=63,locks=36,depth=2)|validate|2d9dc0112b6d1fe1|2c0b683efea0070d";
+    "gen(seed=3,bipartite,tasks=63,locks=36,depth=2)|ratio=0.5|ecf0074deda58c9e|cf938268b2e490a3";
     "gen(seed=42,clusters,tasks=43,locks=31,depth=0)|default|81ac2205fb8644ad|afbb3484d1c59fff";
     "gen(seed=42,clusters,tasks=43,locks=31,depth=0)|window=8|128f13bab15d0b69|37d5742d74eb5276";
     "gen(seed=42,clusters,tasks=43,locks=31,depth=0)|window=256|cb6c47f0c7edb2ae|bd3d20fea09aa99a";
     "gen(seed=42,clusters,tasks=43,locks=31,depth=0)|spread=1|cdda6670f4710689|5d7144e5a301940e";
     "gen(seed=42,clusters,tasks=43,locks=31,depth=0)|no-continuation|81ac2205fb8644ad|87fa430f8b6ec75c";
     "gen(seed=42,clusters,tasks=43,locks=31,depth=0)|validate|81ac2205fb8644ad|afbb3484d1c59fff";
+    "gen(seed=42,clusters,tasks=43,locks=31,depth=0)|ratio=0.5|34a9078b8cce13ed|f30244c960f795cf";
     "bfs(n=300,seed=7)|default|d4e6c300355680ef|e5a5528debe6b72c";
     "bfs(n=300,seed=7)|window=8|60a4bec3d639a50f|3a253ed97691a5cd";
     "bfs(n=300,seed=7)|window=256|c2529553a0b3f284|b8a5b0a352dbe20d";
     "bfs(n=300,seed=7)|spread=1|d599d4e5d201a58e|b9ed78f0975f34f9";
     "bfs(n=300,seed=7)|no-continuation|d4e6c300355680ef|e5a5528debe6b72c";
     "bfs(n=300,seed=7)|validate|d4e6c300355680ef|e5a5528debe6b72c";
+    "bfs(n=300,seed=7)|ratio=0.5|1b40d8f123631e1d|78dc6093c474780d";
     "sssp(n=300,seed=7)|default|d91627f2d08a907a|57c3c35a031c72e5";
     "sssp(n=300,seed=7)|window=8|a83b52b6509e4770|4775c2c3debc14b4";
     "sssp(n=300,seed=7)|window=256|d106b66b418690e3|5d7436660d49599f";
     "sssp(n=300,seed=7)|spread=1|a6eb6e42da28f0fc|0fd11ae531e63bca";
     "sssp(n=300,seed=7)|no-continuation|d91627f2d08a907a|57c3c35a031c72e5";
     "sssp(n=300,seed=7)|validate|d91627f2d08a907a|57c3c35a031c72e5";
+    "sssp(n=300,seed=7)|ratio=0.5|d0ec0d7f95957c3e|42e7913f56099532";
     "boruvka(n=300,seed=7)|default|a977eea10010f348|68c7b2be8f4870f3";
     "boruvka(n=300,seed=7)|window=8|c7e72a622f3f2bce|fcc28e4e26af899e";
     "boruvka(n=300,seed=7)|window=256|b8ee78853bf902c9|8b6641a8739cc240";
     "boruvka(n=300,seed=7)|spread=1|c875d2560295619c|d9a25a2c3c10c64b";
     "boruvka(n=300,seed=7)|no-continuation|a977eea10010f348|68c7b2be8f4870f3";
     "boruvka(n=300,seed=7)|validate|a977eea10010f348|68c7b2be8f4870f3";
+    "boruvka(n=300,seed=7)|ratio=0.5|4da4b71c73d89eaf|b112f3e5dcd41996";
     "dmr(points=90,seed=7)|default|db9dda662af3558b|8b7c152201886452";
     "dmr(points=90,seed=7)|window=8|5ff0ae9e52839ec1|bb1dad1c8ac203da";
     "dmr(points=90,seed=7)|window=256|af1309169d1d38db|b61ae84f7accebb7";
     "dmr(points=90,seed=7)|spread=1|0b642ad9b5b9f270|7f8b21e79fe5edbb";
     "dmr(points=90,seed=7)|no-continuation|db9dda662af3558b|217c872f03b40294";
     "dmr(points=90,seed=7)|validate|db9dda662af3558b|8b7c152201886452";
+    "dmr(points=90,seed=7)|ratio=0.5|d794d7cfeea3fab7|11393bd7df24b744";
   ]
 
 let test_fixture () =

@@ -57,7 +57,7 @@ let test_coredet_contrast_in_fig6 () =
   let workloads = Figures.fig6_workloads t in
   let slow name =
     let _, work, atomics = List.find (fun (n, _, _) -> n = name) workloads in
-    Figures.Coredet_model.slowdown Figures.Machine.m4x10 ~threads:40 ~work ~atomics ()
+    Figures.Coredet_model.slowdown Figures.Machine.m4x10 ~threads:40 ~work ~atomics
   in
   Alcotest.(check bool) "blackscholes mild" true (slow "blackscholes" < 5.0);
   Alcotest.(check bool) "bfs heavy" true (slow "bfs" > 5.0);

@@ -125,13 +125,6 @@ let test_claim_max_loser_reported_exactly_once () =
   check_int "losses" 4 !losses;
   check_int "final mark" 40000 (Galois.Lock.mark l)
 
-let test_force_clear () =
-  let stamp = Galois.Lock.new_epoch () in
-  let l = Galois.Lock.create () in
-  ignore (Galois.Lock.try_claim l ~stamp 77);
-  Galois.Lock.force_clear l;
-  check_int "cleared" 0 (Galois.Lock.mark l)
-
 let test_holds () =
   let stamp = Galois.Lock.new_epoch () in
   let l = Galois.Lock.create () in
@@ -274,7 +267,6 @@ let suite =
       test_claim_max_concurrent_is_max;
     Alcotest.test_case "claim_max reports victims once" `Quick
       test_claim_max_loser_reported_exactly_once;
-    Alcotest.test_case "force_clear" `Quick test_force_clear;
     Alcotest.test_case "holds" `Quick test_holds;
     Alcotest.test_case "stale mark is free" `Quick test_stale_mark_is_free;
     Alcotest.test_case "claim_max over stale mark" `Quick test_claim_max_over_stale_mark;

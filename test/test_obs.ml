@@ -77,11 +77,10 @@ let test_jsonl_phase_names () =
       let s = stamp (Obs.Phase_time { round = 1; phase; dt_s = 0.5 }) in
       match Obs.Jsonl.of_line (Obs.Jsonl.to_line s) with
       | Ok { Obs.event = Obs.Phase_time { phase = p; _ }; _ } ->
-          check_string "phase survives" (Obs.phase_name phase) (Obs.phase_name p)
+          check_bool "phase survives" true (p = phase)
       | Ok _ -> Alcotest.fail "wrong event back"
       | Error e -> Alcotest.fail e)
-    [ Obs.Inspect; Obs.Select; Obs.Execute ];
-  check_bool "unknown phase name" true (Obs.phase_of_name "commit" = None)
+    [ Obs.Inspect; Obs.Select; Obs.Execute ]
 
 let test_jsonl_rejects () =
   let reject label line =
@@ -145,10 +144,7 @@ let test_memory_ring () =
   Alcotest.(check (list int)) "keeps the most recent, oldest first" [ 3; 4; 5; 6 ] rounds;
   check_int "dropped" 2 (Obs.Memory.dropped mem);
   Obs.close sink;
-  check_int "close keeps contents" 4 (List.length (Obs.Memory.contents mem));
-  Obs.Memory.clear mem;
-  check_int "clear empties" 0 (List.length (Obs.Memory.contents mem));
-  check_int "clear resets dropped" 0 (Obs.Memory.dropped mem)
+  check_int "close keeps contents" 4 (List.length (Obs.Memory.contents mem))
 
 let test_tee_and_null () =
   let a = Obs.Memory.create () and b = Obs.Memory.create () in

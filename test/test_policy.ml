@@ -77,7 +77,7 @@ let test_rejects () =
   reject "serial[window=8]" (* options only make sense for det *)
 
 let test_make () =
-  check_bool "make () is default" true (O.make () = O.default);
+  check_bool "make () is default" true (O.make () = P.default_det);
   let o = O.make ~ratio:0.5 ~window:(Some 32) ~spread:1 ~continuation:false ~validate:true () in
   check_bool "ratio" true (o.P.target_ratio = 0.5);
   check_bool "window" true (o.P.initial_window = Some 32);
@@ -85,7 +85,7 @@ let test_make () =
   check_bool "continuation" true (not o.P.continuation);
   check_bool "validate" true o.P.validate;
   check_bool "other fields default" true
-    (O.make ~spread:1 () = { O.default with P.spread = 1 });
+    (O.make ~spread:1 () = { P.default_det with P.spread = 1 });
   check_bool "window None is auto" true ((O.make ~window:None ()).P.initial_window = None);
   (* Ratios above 1 pin the window (ablation use) and are allowed. *)
   check_bool "ratio > 1 allowed" true ((O.make ~ratio:2.0 ()).P.target_ratio = 2.0);
@@ -103,7 +103,7 @@ let test_make () =
     (raises (fun () -> O.make ~priority:(P.Prio_delta (-1)) ()))
 
 let test_options_to_string () =
-  check_string "default is empty" "" (O.to_string O.default);
+  check_string "default is empty" "" (O.to_string P.default_det);
   check_string "single key" "spread=1" (O.to_string (O.make ~spread:1 ()));
   check_string "fixed order" "window=16,cont=off"
     (O.to_string (O.make ~continuation:false ~window:(Some 16) ()));
@@ -160,7 +160,11 @@ let test_roundtrip_fuzz () =
   done
 
 let test_grammar_and_pp () =
-  check_string "grammar string" "serial | nondet[:T] | det[:T][k=v,...]" P.grammar;
+  (match P.of_string "bogus" with
+  | Error e ->
+      check_string "grammar in the error"
+        {|bad policy "bogus" (expected serial | nondet[:T] | det[:T][k=v,...])|} e
+  | Ok _ -> Alcotest.fail "bogus accepted");
   check_string "pp agrees with to_string" (P.to_string (P.det 2)) (Fmt.str "%a" P.pp (P.det 2))
 
 let suite =

@@ -63,7 +63,7 @@ let test_gen_crash_resume_lattice () =
   let rng = Sm.create 0xc4a5 in
   let configs =
     [
-      Galois.Policy.Det_options.default;
+      Galois.Policy.default_det;
       Galois.Policy.Det_options.make ~window:(Some 8) ();
       Galois.Policy.Det_options.make ~spread:1 ~continuation:false ();
       Galois.Policy.Det_options.make ~priority:Galois.Policy.Prio_auto ();

@@ -249,7 +249,7 @@ let test_record_validate_see_neighborhoods () =
   let base = Galois.Lock.id locks.(0) in
   let report = run |> Galois.Run.record |> Galois.Run.exec in
   (match report.schedule with
-  | Some (Galois.Schedule.Rounds _ as s) ->
+  | Some (Galois.Schedule.Rounds rounds as s) ->
       let first r =
         match Array.map (fun lid -> lid - base) r.Galois.Schedule.locks with
         | [| i; j |] when i >= 0 && i < n && j = (i + 1) mod n ->
@@ -259,7 +259,7 @@ let test_record_validate_see_neighborhoods () =
             Alcotest.failf "record locks [%s]"
               (String.concat ";" (Array.to_list (Array.map string_of_int lids)))
       in
-      List.iter (fun r -> ignore (first r)) (Galois.Schedule.tasks s);
+      List.iter (Array.iter (fun r -> ignore (first r))) rounds;
       Alcotest.(check (list int))
         "each item commits once with its own neighborhood" (List.init n Fun.id)
         (List.sort compare (List.map first (Galois.Schedule.committed_tasks s)))

@@ -15,15 +15,20 @@ let seed = 2014
 (* Galois.Pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let shut_down p =
+  match Galois.Pool.domain_pool p with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
 let test_pool_lifecycle () =
   let p = Galois.Pool.create ~domains:2 () in
   check_int "size" 2 (Galois.Pool.size p);
-  check_bool "live" false (Galois.Pool.is_shut_down p);
+  check_bool "live" false (shut_down p);
   Galois.Pool.shutdown p;
-  check_bool "down" true (Galois.Pool.is_shut_down p);
+  check_bool "down" true (shut_down p);
   (* Idempotent: a second shutdown is a no-op, not an error. *)
   Galois.Pool.shutdown p;
-  check_bool "still down" true (Galois.Pool.is_shut_down p)
+  check_bool "still down" true (shut_down p)
 
 let test_pool_use_after_shutdown () =
   let p = Galois.Pool.create ~domains:2 () in
@@ -44,7 +49,7 @@ let test_pool_bad_domains () =
 let test_with_pool () =
   let size =
     Galois.Pool.with_pool ~domains:3 (fun p ->
-        check_bool "live inside" false (Galois.Pool.is_shut_down p);
+        check_bool "live inside" false (shut_down p);
         Galois.Pool.size p)
   in
   check_int "returns the body's value" 3 size
@@ -88,15 +93,15 @@ let test_sink_tee () =
 let test_sink_null_collapse () =
   let m = Obs.Memory.create () in
   let s = Obs.Memory.sink m in
-  check_bool "tee null left" true (Obs.Sink.tee Obs.Sink.null s == s);
-  check_bool "tee null right" true (Obs.Sink.tee s Obs.Sink.null == s);
+  check_bool "tee null left" true (Obs.Sink.tee Obs.null s == s);
+  check_bool "tee null right" true (Obs.Sink.tee s Obs.null == s);
   check_bool "tee null null" true
-    (Obs.Sink.is_null (Obs.Sink.tee Obs.Sink.null Obs.Sink.null));
+    (Obs.Sink.is_null (Obs.Sink.tee Obs.null Obs.null));
   check_bool "of_list []" true (Obs.Sink.is_null (Obs.Sink.of_list []));
-  check_bool "of_list [null; s]" true (Obs.Sink.of_list [ Obs.Sink.null; s ] == s);
+  check_bool "of_list [null; s]" true (Obs.Sink.of_list [ Obs.null; s ] == s);
   (* The null sink swallows everything without error. *)
-  Obs.Sink.null.emit (round_begin 1);
-  Obs.close Obs.Sink.null
+  Obs.null.emit (round_begin 1);
+  Obs.close Obs.null
 
 let test_sink_of_list_fanout () =
   let ms = [ Obs.Memory.create (); Obs.Memory.create (); Obs.Memory.create () ] in
@@ -149,7 +154,7 @@ let test_catalog_add_find () =
   let e2 = Service.Catalog.add t ~name:"s" sym in
   check_bool "symmetrized is symmetric" true e2.Service.Catalog.symmetric;
   check_lines "insertion order" [ "g"; "s" ] (Service.Catalog.names t);
-  check_int "size" 2 (Service.Catalog.size t)
+  check_int "size" 2 (List.length (Service.Catalog.names t))
 
 let test_catalog_rejects () =
   let t = Service.Catalog.create () in
