@@ -4,7 +4,6 @@
      detcheck lattice --cases 25 --seed 2014 --apps bfs,sssp,mst,dmr
      detcheck service 120
      detcheck audit --threads 1,2,4
-     detcheck lockstep --cases 5 --every 2 --threads 2,4
      detcheck trace FILE.jsonl
      detcheck replay FULL.sched RESUMED.sched
      detcheck ordered
@@ -36,37 +35,32 @@ module Verdict = struct
     else `Error (false, Printf.sprintf "%s: %d failure(s)" v.cmd v.failures)
 end
 
-(* Run [f] on the table row of every --apps name; an unknown name is
+(* lattice: the table row of every --apps name and [cases] generated
+   rows over the configuration lattice, then the positive controls
+   proving the digests can diverge at all. An unknown app name is
    reported as a failure in place. *)
-let iter_apps v ~size ~points ~seed apps f =
-  List.iter
-    (fun name ->
-      match Detcheck.Replay_cases.of_app name ~n:size ~points ~seed with
-      | Ok case -> f case
-      | Error msg -> Verdict.fail v "%s" msg)
-    apps
-
-(* lattice: every case over the configuration lattice, then the positive
-   controls proving the digests can diverge at all. *)
 let run_lattice ~cases ~seed ~apps ~threads ~size ~points ~verbose =
   let v = Verdict.start "lattice" in
   let total_runs = ref 0 in
-  let audit case =
-    let report = Detcheck.check_invariance ~threads case in
+  let audit row =
+    let report = Detcheck.check_invariance ~threads row in
     total_runs := !total_runs + report.Detcheck.runs;
     if not (Detcheck.ok report) then Verdict.fail v "%a" Detcheck.pp_report report
     else if verbose then Verdict.pass "%a" Detcheck.pp_report report
     else Verdict.pass "%s (%d runs)" report.Detcheck.case_name report.Detcheck.runs
   in
-  iter_apps v ~size ~points ~seed apps (fun case ->
-      audit (Detcheck.App_cases.of_replay case));
+  List.iter
+    (fun name ->
+      match Detcheck.Replay_cases.of_app name ~n:size ~points ~seed with
+      | Ok row -> audit row
+      | Error msg -> Verdict.fail v "%s" msg)
+    apps;
   for i = 0 to cases - 1 do
-    audit (Detcheck.Gen.case ~seed:(seed + i))
+    audit (Detcheck.Replay_cases.gen ~seed:(seed + i))
   done;
   List.iter
     (fun policy ->
-      Verdict.check v
-        (Detcheck.seeds_distinguished ~gen:(fun s -> Detcheck.Gen.case ~seed:s) ~seed policy)
+      Verdict.check v (Detcheck.seeds_distinguished ~seed policy)
         ("positive control: seed perturbation diverges under "
         ^ Galois.Policy.to_string policy))
     [ Galois.Policy.det 2; Galois.Policy.nondet 2 ];
@@ -135,68 +129,10 @@ let run_audit ~seed ~threads ~size ~points ~verbose =
         (fun (c : Detcheck.Audit_cases.control) ->
           sweep "control" c.cname ~passed:"flagged" (fun ~policy ->
               let report, witnesses = c.crun ~policy ~pool in
+              let report = Option.get report.Galois.Run.audit in
               (report, List.filter (fun w -> not (List.mem w report.findings)) witnesses)))
         (Detcheck.Audit_cases.controls ~n:size ~seed));
   Verdict.finish v
-
-(* lockstep: dual-modular-redundancy-style verification. Run every case
-   twice — two fresh worlds, two thread counts — with a digest
-   checkpoint every K rounds, and cross-check the trails: the verdict
-   localizes any divergence to the first differing round boundary
-   instead of merely failing on the final digest. *)
-let run_lockstep ~cases ~seed ~apps ~threads ~size ~points ~every ~verbose =
-  let ta, tb =
-    match threads with
-    | a :: b :: _ -> (a, b)
-    | [ a ] -> (a, a + 1)
-    | [] -> (2, 4)
-  in
-  let v = Verdict.start "lockstep" in
-  let boundaries = ref 0 in
-  let audit (Detcheck.Replay_cases.Case c) =
-    let collect t =
-      let run, out = c.fresh ~static_id:false () in
-      let trail, report =
-        Replay.Lockstep.collect ~every
-          (run |> Galois.Run.policy (Galois.Policy.det t))
-      in
-      (trail, report.Galois.Run.stats, c.output_digest (out ()))
-    in
-    let trail_a, stats_a, out_a = collect ta in
-    let trail_b, stats_b, out_b = collect tb in
-    let verdict = Replay.Lockstep.first_divergence trail_a trail_b in
-    let final_agree =
-      Galois.Trace_digest.equal stats_a.Galois.Stats.digest stats_b.Galois.Stats.digest
-      && Galois.Trace_digest.equal out_a out_b
-      && stats_a.Galois.Stats.rounds = stats_b.Galois.Stats.rounds
-    in
-    (match verdict with
-    | Replay.Lockstep.Agree { compared } -> boundaries := !boundaries + compared
-    | _ -> ());
-    match (verdict, final_agree) with
-    | Replay.Lockstep.Diverge _, _ ->
-        Verdict.fail v "%s (det:%d vs det:%d): %a" c.name ta tb Replay.Lockstep.pp_verdict
-          verdict
-    | _, false ->
-        Verdict.fail v
-          "%s (det:%d vs det:%d): final state diverged (sched %a vs %a, output %a vs %a, \
-           rounds %d vs %d) yet no checkpoint caught it"
-          c.name ta tb Galois.Trace_digest.pp stats_a.Galois.Stats.digest
-          Galois.Trace_digest.pp stats_b.Galois.Stats.digest Galois.Trace_digest.pp out_a
-          Galois.Trace_digest.pp out_b stats_a.Galois.Stats.rounds
-          stats_b.Galois.Stats.rounds
-    | _, true ->
-        if verbose then
-          Verdict.pass "%s (det:%d vs det:%d): %a, final digest %a" c.name ta tb
-            Replay.Lockstep.pp_verdict verdict Galois.Trace_digest.pp
-            stats_a.Galois.Stats.digest
-        else Verdict.pass "%s: %a" c.name Replay.Lockstep.pp_verdict verdict
-  in
-  iter_apps v ~size ~points ~seed apps audit;
-  for i = 0 to cases - 1 do
-    audit (Detcheck.Replay_cases.gen ~seed:(seed + i))
-  done;
-  Verdict.finish v ~note:(Printf.sprintf "%d boundaries cross-checked" !boundaries)
 
 (* trace: every line of a JSONL observability trace must parse as
    exactly one known event with the right fields and types
@@ -324,8 +260,7 @@ let apps_arg =
 
 let threads_arg =
   let doc =
-    "Comma-separated thread counts (pool sizes for $(b,service); $(b,lockstep) pairs the \
-     first two)."
+    "Comma-separated thread counts (pool sizes for $(b,service))."
   in
   let parse s =
     match List.map int_of_string (String.split_on_char ',' s) with
@@ -353,10 +288,6 @@ let verbose_arg =
   let doc = "Print full per-case reports." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let every_arg =
-  let doc = "Checkpoint cadence (rounds) of the digest cross-checks." in
-  Arg.(value & opt int 4 & info [ "every" ] ~docv:"K" ~doc)
-
 let file_arg i docv = Arg.(required & pos i (some string) None & info [] ~docv)
 
 let lattice_cmd =
@@ -365,10 +296,11 @@ let lattice_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Sweeps every case over a configuration lattice (thread counts x initial windows x \
-         locality spread x continuation x static ids x priority bucketing) and compares \
-         round-trace digests, output digests and the deterministic observability event \
-         stream (timing events stripped, byte for byte) across the sweep. Any divergence \
+        "Sweeps every table row over a configuration lattice (thread counts x initial \
+         windows x locality spread x continuation x static ids x priority bucketing) and \
+         compares round-trace digests, output digests and the deterministic observability \
+         event stream (timing events stripped, byte for byte) across the sweep; a \
+         differing stream is reported at its first differing line and round. Any divergence \
          falsifies the paper's claim that deterministic output is a function of the input \
          alone. Lattice configurations correspond to policy strings like \
          det:T[window=8,spread=1] (see galois-run --policy). Positive controls then check \
@@ -425,27 +357,6 @@ let audit_cmd =
              run_audit ~seed ~threads ~size ~points ~verbose)
         $ seed_arg $ threads_arg $ size_arg $ points_arg $ verbose_arg))
 
-let lockstep_cmd =
-  let doc = "dual-run digest cross-checks with divergence localization" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Dual-modular-redundancy-style verification: runs each case twice at the first \
-         two thread counts of $(b,--threads), cross-checks digests at every \
-         $(b,--every)-th round boundary and reports the first divergent round instead of \
-         only the final digest.";
-    ]
-  in
-  Cmd.v (Cmd.info "lockstep" ~doc ~man)
-    Term.(
-      ret
-        (const (fun cases seed apps threads size points every verbose ->
-             if every < 1 then `Error (false, "--every must be >= 1")
-             else run_lockstep ~cases ~seed ~apps ~threads ~size ~points ~every ~verbose)
-        $ cases_arg $ seed_arg $ apps_arg $ threads_arg $ size_arg $ points_arg $ every_arg
-        $ verbose_arg))
-
 let trace_cmd =
   let doc = "validate a JSONL observability trace against the event schema" in
   Cmd.v (Cmd.info "trace" ~doc) Term.(ret (const run_trace $ file_arg 0 "FILE"))
@@ -475,7 +386,6 @@ let cmd =
       `P "detcheck lattice --apps dmr --cases 0 --threads 1,3,5 -v";
       `P "detcheck service 120 --size 300";
       `P "detcheck audit --size 300 --threads 1,2,4";
-      `P "detcheck lockstep --cases 5 --every 2 --threads 2,4";
       `P "detcheck trace trace.jsonl";
       `P "detcheck replay full.sched resumed.sched";
       `P "detcheck ordered";
@@ -483,6 +393,6 @@ let cmd =
   in
   Cmd.group
     (Cmd.info "detcheck" ~version:"1.0.0" ~doc ~man)
-    [ lattice_cmd; service_cmd; audit_cmd; lockstep_cmd; trace_cmd; replay_cmd; ordered_cmd ]
+    [ lattice_cmd; service_cmd; audit_cmd; trace_cmd; replay_cmd; ordered_cmd ]
 
 let () = exit (Cmd.eval ~term_err:1 cmd)

@@ -693,7 +693,7 @@ let audit_round env st a ~w_use ~ids ~n =
         env.emit
           (Obs.Audit_finding
              { round = f.Audit.round; rule = Audit.rule_name f.Audit.rule;
-               task = f.Audit.task; other = f.Audit.other; lid = f.Audit.lid }))
+               task = f.Audit.task; other = f.Audit.other }))
       fresh
 
 let record_round st ~w_use =

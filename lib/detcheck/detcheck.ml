@@ -5,17 +5,18 @@
    of claim that silently rots as the runtime grows. This module exists
    to falsify it cheaply and continuously:
 
-   - [check_invariance] sweeps a configuration lattice (thread counts ×
-     initial windows × locality spread × continuation × static ids) and
-     compares round-trace digests ([Stats.t.digest]) and output digests
-     across the sweep in O(1) per comparison;
+   - [check_invariance] sweeps one row of the app table [Replay_cases]
+     over a configuration lattice (thread counts × initial windows ×
+     locality spread × continuation × static ids) and compares
+     round-trace digests ([Stats.t.digest]), output digests and the
+     deterministic event stream across the sweep;
 
    - [Gen] generates random conflict topologies and random synthetic
      operators (randomized acquire sets, failsafe placement, continuation
-     saves, task pushes) so the audit covers operator shapes no
-     hand-written app exercises;
+     saves, task pushes), each the plan of one [Replay_cases.gen] row, so
+     the audit covers operator shapes no hand-written app exercises;
 
-   - [seeds_distinguished] is the positive control: perturbing the case
+   - [seeds_distinguished] is the positive control: perturbing the row's
      seed must change the digests, proving the machinery can actually
      signal divergence and is not vacuously green.
 
@@ -26,43 +27,16 @@
      is invariant: round-trace digest, deterministic worker-counter
      totals, output digest, and the rendered
      deterministic observability event stream (lib/obs, timing events
-     stripped) byte for byte;
+     stripped) byte for byte — a differing stream is reported at its
+     first differing line, with the round it falls in;
 
    - across configurations (window, spread, static ids), the schedule
      legitimately differs but the *answer* must not: only the
-     case-defined canonical digest (final distances; the committed-task
+     row-defined canonical digest (final distances; the committed-task
      multiset; the refinement postcondition) is compared. *)
 
 module D = Galois.Trace_digest
 module Splitmix = Parallel.Splitmix
-
-type run_result = {
-  sched_digest : D.t;  (* Stats.t.digest: absent for serial/nondet *)
-  det_counters : D.t;  (* the run's Obs.det_counters totals, folded in table order *)
-  output_digest : D.t;  (* order-sensitive digest of the final output *)
-  canonical_digest : D.t;  (* configuration-invariant digest of the answer *)
-  commits : int;
-  det_trace : string;
-      (* The rendered deterministic observability event stream
-         ([Obs.deterministic_lines] of the run's trace, timing fields
-         stripped): must be byte-identical across thread counts at a
-         fixed configuration, like the schedule digest — but checked at
-         the event level, so a divergence names the first differing
-         round rather than just "digests differ". *)
-}
-
-type case = {
-  name : string;
-  static_id_capable : bool;
-      (* true iff running the case with [Run.static_id]
-         preserves its semantics (task keys are unique, so duplicate
-         collapsing is a no-op) *)
-  run :
-    policy:Galois.Policy.t ->
-    pool:Galois.Pool.t ->
-    static_id:bool ->
-    run_result;
-}
 
 (* ------------------------------------------------------------------ *)
 (* The configuration lattice                                           *)
@@ -122,139 +96,7 @@ let lattice ~static_id_capable =
 let default_threads = [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* The invariance checker                                              *)
-(* ------------------------------------------------------------------ *)
-
-type divergence = {
-  case_name : string;
-  config : string;
-  threads : int;
-  quantity : string;
-      (* "sched-digest" | "det-counters" | "output-digest"
-         | "canonical-digest" | "trace-stream" (digests of the
-         deterministic event stream) *)
-  expected : D.t;
-  got : D.t;
-}
-
-type report = { case_name : string; runs : int; divergences : divergence list }
-
-let ok r = r.divergences = []
-
-let pp_divergence ppf (d : divergence) =
-  Fmt.pf ppf "%s [%s, %d threads]: %s %a, expected %a" d.case_name d.config d.threads
-    d.quantity D.pp d.got D.pp d.expected
-
-let pp_report ppf r =
-  if ok r then Fmt.pf ppf "%s: invariant over %d runs" r.case_name r.runs
-  else
-    Fmt.pf ppf "@[<v>%s: %d divergence(s) in %d runs:@ %a@]" r.case_name
-      (List.length r.divergences) r.runs
-      (Fmt.list ~sep:Fmt.cut pp_divergence)
-      r.divergences
-
-let check_invariance ?(threads = default_threads) case =
-  let configs = lattice ~static_id_capable:case.static_id_capable in
-  let tmax = List.fold_left max 1 threads in
-  Galois.Pool.with_pool ~domains:tmax (fun pool ->
-      let runs = ref 0 and divergences = ref [] in
-      let diverged ~config ~threads ~quantity ~expected ~got =
-        divergences :=
-          { case_name = case.name; config; threads; quantity; expected; got } :: !divergences
-      in
-      (* The canonical answer of the whole lattice is anchored at the
-         first configuration's single-thread run. *)
-      let canonical = ref None in
-      List.iter
-        (fun cfg ->
-          let run t =
-            incr runs;
-            case.run
-              ~policy:(Galois.Policy.det ~options:cfg.options t)
-              ~pool ~static_id:cfg.static_id
-          in
-          match List.map (fun t -> (t, run t)) threads with
-          | [] -> ()
-          | (_, reference) :: rest ->
-              (match !canonical with
-              | None -> canonical := Some reference.canonical_digest
-              | Some c ->
-                  if not (D.equal c reference.canonical_digest) then
-                    diverged ~config:cfg.label ~threads:(List.hd threads)
-                      ~quantity:"canonical-digest" ~expected:c
-                      ~got:reference.canonical_digest);
-              List.iter
-                (fun (t, r) ->
-                  let check quantity expected got =
-                    if not (D.equal expected got) then
-                      diverged ~config:cfg.label ~threads:t ~quantity ~expected ~got
-                  in
-                  check "sched-digest" reference.sched_digest r.sched_digest;
-                  check "det-counters" reference.det_counters r.det_counters;
-                  check "output-digest" reference.output_digest r.output_digest;
-                  check "canonical-digest" reference.canonical_digest r.canonical_digest;
-                  (* Byte-compare the deterministic event streams; report
-                     as digests (the strings are too long for a
-                     divergence record). *)
-                  if not (String.equal reference.det_trace r.det_trace) then
-                    check "trace-stream"
-                      (D.fold_string D.seed reference.det_trace)
-                      (D.fold_string D.seed r.det_trace))
-                rest)
-        configs;
-      { case_name = case.name; runs = !runs; divergences = List.rev !divergences })
-
-(* Positive control: the audit must be able to see a difference. Two
-   cases drawn from different seeds must produce different canonical
-   digests under [policy]; if they ever agree, the digest pipeline has
-   collapsed (and every invariance "pass" above is meaningless). *)
-let seeds_distinguished ?(threads = 2) ~gen ~seed policy =
-  Galois.Pool.with_pool ~domains:threads (fun pool ->
-      let digest s = ((gen s).run ~policy ~pool ~static_id:false).canonical_digest in
-      not (D.equal (digest seed) (digest (seed + 1))))
-
-(* A fresh in-memory ring for one run's event stream: the sink feeds it
-   and [lines ()] renders its deterministic lines. A ring that dropped
-   events holds only the tail of the stream, and comparing tails would
-   pass a divergence in the lost head, so [lines] fails the case
-   instead. *)
-let capture name =
-  let mem = Obs.Memory.create () in
-  let lines () =
-    match Obs.Memory.dropped mem with
-    | 0 -> Obs.deterministic_lines (Obs.Memory.contents mem)
-    | d -> failwith (Printf.sprintf "detcheck %s: trace ring dropped %d events" name d)
-  in
-  (Obs.Memory.sink mem, lines)
-
-(* The counters [Obs.counter_table] marks deterministic, as one digest:
-   the lattice holds the table to that claim across thread counts. *)
-let det_counters_digest stats =
-  let c = Galois.Stats.totals stats in
-  List.fold_left (fun d f -> D.fold_int d (f.Obs.get c)) D.seed Obs.det_counters
-
-(* The one function every lattice case comes from: each [run] solves a
-   fresh plan under the lattice point's policy with a capture sink, then
-   digests the output it reads back and the deterministic event
-   stream. *)
-let case_of ~name ~static_id_capable ~fresh ~output_digest ~canonical_digest =
-  let run ~policy ~pool ~static_id =
-    let sink, lines = capture name in
-    let out, report = Galois.Run.solve ~sink ~pool ~policy (fresh ~static_id ()) in
-    let commits = report.Galois.Run.stats.commits in
-    {
-      sched_digest = report.stats.digest;
-      det_counters = det_counters_digest report.stats;
-      output_digest = output_digest out;
-      canonical_digest = canonical_digest out ~commits;
-      commits;
-      det_trace = lines ();
-    }
-  in
-  { name; static_id_capable; run }
-
-(* ------------------------------------------------------------------ *)
-(* Property-based case generation                                      *)
+(* Property-based row generation                                       *)
 (* ------------------------------------------------------------------ *)
 
 module Gen = struct
@@ -322,14 +164,14 @@ module Gen = struct
       }
     in
     (* Priority draws are appended after every pre-existing draw so that
-       case names, schedules and pinned digests from before the
+       row names, schedules and pinned digests from before the
        soft-priority axis stay byte-identical. *)
     let prio_salt = Splitmix.int g 1_000_000 in
     let prio_range = 1 + Splitmix.int g 64 in
     { p with prio_salt; prio_range }
 
   (* Per-item generator: every random choice a task makes is a function
-     of (case seed, item) only, so re-executions of the task — inspect,
+     of (row seed, item) only, so re-executions of the task — inspect,
      retry after an abort, commit — replay identical decisions. *)
   let item_rng p (depth, key) = Splitmix.create ((((p.seed * 1_000_003) + depth) * 1_000_003) + key)
 
@@ -396,10 +238,10 @@ module Gen = struct
 
   (* A fresh world (locks + output cells), the unexecuted run
      description over it and a reader of the cells — the generated
-     operator's plan, which both the lattice ([case_of_params]) and the
-     checkpoint/replay layer ([Replay_cases.gen]) run. The cell array is
-     the world's entire state; the snapshot hook copies the lists in and
-     out, making gen cases cross-process resumable. *)
+     operator's plan, which every caller runs through its table row
+     [Replay_cases.gen]. The cell array is the world's entire state; the
+     snapshot hook copies the lists in and out, making gen rows
+     cross-process resumable. *)
   let plan ~static_id p =
     let locks = Galois.Lock.create_array p.locks in
     let cells = Array.init p.locks (fun _ -> ref []) in
@@ -449,39 +291,7 @@ module Gen = struct
         D.seed cells
     in
     D.fold_int d commits
-
-  let case_of_params p =
-    case_of ~name:(name_of_params p) ~static_id_capable:p.unique_children
-      ~fresh:(fun ~static_id () -> plan ~static_id p)
-      ~output_digest ~canonical_digest
-
-  let case ~seed = case_of_params (random_params ~seed)
 end
-
-(* Positive control for the soft-priority axis: perturbing the bucket
-   assignment (the priority salt) must change the ordered schedule
-   digest — buckets are folded into it — while leaving the unordered
-   (prio=off) schedule untouched, since that path never consults
-   priorities. Failure on either side means the bucket plumbing is
-   dead and the prio lattice rows above prove nothing. *)
-let prio_salt_distinguished ?(threads = 2) ~seed () =
-  Galois.Pool.with_pool ~domains:threads (fun pool ->
-      (* Force a non-trivial priority range: a drawn range of 1 would
-         make every salt equivalent. *)
-      let p = { (Gen.random_params ~seed) with Gen.prio_range = 64 } in
-      let digest ~salt policy =
-        let case = Gen.case_of_params { p with Gen.prio_salt = salt } in
-        (case.run ~policy ~pool ~static_id:false).sched_digest
-      in
-      let ordered =
-        Galois.Policy.det
-          ~options:{ Galois.Policy.default_det with priority = Galois.Policy.Prio_delta 1 }
-          threads
-      in
-      let unordered = Galois.Policy.det threads in
-      let s = p.Gen.prio_salt in
-      (not (D.equal (digest ~salt:s ordered) (digest ~salt:(s + 1) ordered)))
-      && D.equal (digest ~salt:s unordered) (digest ~salt:(s + 1) unordered))
 
 (* ------------------------------------------------------------------ *)
 (* The per-app table                                                   *)
@@ -492,8 +302,8 @@ let prio_salt_distinguished ?(threads = 2) ~seed () =
    [fresh] builds a brand-new world per call: crash/resume needs one
    world for the uninterrupted reference and another to crash, and every
    lattice point starts from scratch. The item/state/output types differ
-   per app, hence the existential. galois-run, the lattice cases
-   ([App_cases]), the checkpoint/replay harness and the audit rows
+   per app, hence the existential. galois-run, the lattice
+   ([check_invariance]), the checkpoint/replay harness and the audit rows
    ([Audit_cases]) all run these rows. *)
 module Replay_cases = struct
   type t =
@@ -713,14 +523,184 @@ module Replay_cases = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Existing applications as auditable cases                            *)
+(* The invariance checker                                              *)
 (* ------------------------------------------------------------------ *)
 
-module App_cases = struct
-  let of_replay (Replay_cases.Case c) =
-    case_of ~name:c.name ~static_id_capable:c.static_id_capable ~fresh:c.fresh
-      ~output_digest:c.output_digest ~canonical_digest:c.canonical_digest
-end
+type line_diff = { line : int; round : int; expected_line : string; got_line : string }
+
+type divergence = {
+  case_name : string;
+  config : string;
+  threads : int;
+  quantity : string;
+      (* "sched-digest" | "det-counters" | "output-digest"
+         | "canonical-digest" | "trace-stream" (digests of the
+         deterministic event stream) *)
+  expected : D.t;
+  got : D.t;
+  first_line : line_diff option;  (* trace-stream: where the streams part *)
+}
+
+type report = { case_name : string; runs : int; divergences : divergence list }
+
+let ok r = r.divergences = []
+
+let pp_divergence ppf (d : divergence) =
+  Fmt.pf ppf "%s [%s, %d threads]: %s %a, expected %a" d.case_name d.config d.threads
+    d.quantity D.pp d.got D.pp d.expected;
+  Option.iter
+    (fun l ->
+      Fmt.pf ppf "; first differing line %d (round %d): %S, expected %S" l.line l.round
+        l.got_line l.expected_line)
+    d.first_line
+
+let pp_report ppf r =
+  if ok r then Fmt.pf ppf "%s: invariant over %d runs" r.case_name r.runs
+  else
+    Fmt.pf ppf "@[<v>%s: %d divergence(s) in %d runs:@ %a@]" r.case_name
+      (List.length r.divergences) r.runs
+      (Fmt.list ~sep:Fmt.cut pp_divergence)
+      r.divergences
+
+(* The counters [Obs.counter_table] marks deterministic, as one digest:
+   the lattice holds the table to that claim across thread counts. *)
+let det_counters_digest stats =
+  let c = Galois.Stats.totals stats in
+  List.fold_left (fun d f -> D.fold_int d (f.Obs.get c)) D.seed Obs.det_counters
+
+(* What one lattice point observes of a row. *)
+type observed = {
+  sched_digest : D.t;  (* Stats.t.digest: absent for serial/nondet *)
+  det_counters : D.t;
+  output_digest : D.t;  (* order-sensitive digest of the final output *)
+  canonical_digest : D.t;  (* configuration-invariant digest of the answer *)
+  trace : Obs.stamped list;
+  det_trace : string;  (* Obs.deterministic_lines of [trace] *)
+}
+
+(* Solve a fresh world of the row under [policy] with [Run.trace], which
+   fails the run rather than return a stream its ring truncated. *)
+let observe (Replay_cases.Case c) ~pool ~policy ~static_id =
+  let run, out = c.fresh ~static_id () in
+  let o, report = Galois.Run.solve ~pool ~policy (Galois.Run.trace run, out) in
+  let trace = Option.get report.trace in
+  {
+    sched_digest = report.stats.digest;
+    det_counters = det_counters_digest report.stats;
+    output_digest = c.output_digest o;
+    canonical_digest = c.canonical_digest o ~commits:report.stats.commits;
+    trace;
+    det_trace = Obs.deterministic_lines trace;
+  }
+
+(* The first deterministic line two streams disagree on (1-based), with
+   the round in progress when the expected stream emitted it: 0 before
+   the first round. A stream that ends early reads "<end of stream>". *)
+let first_difference expected got =
+  let lines trace =
+    let round = ref 0 in
+    List.filter_map
+      (fun { Obs.event; _ } ->
+        (match event with Obs.Round_begin r -> round := r.round | _ -> ());
+        if Obs.deterministic event then Some (!round, Fmt.str "%a" Obs.pp_event event)
+        else None)
+      trace
+  in
+  let diff line round expected_line got_line =
+    Some { line; round; expected_line; got_line }
+  in
+  let rec go line = function
+    | (round, e) :: es, (_, g) :: gs ->
+        if String.equal e g then go (line + 1) (es, gs) else diff line round e g
+    | (round, e) :: _, [] -> diff line round e "<end of stream>"
+    | [], (round, g) :: _ -> diff line round "<end of stream>" g
+    | [], [] -> None
+  in
+  go 1 (lines expected, lines got)
+
+let check_invariance ?(threads = default_threads) (Replay_cases.Case c as row) =
+  let tmax = List.fold_left max 1 threads in
+  Galois.Pool.with_pool ~domains:tmax (fun pool ->
+      let runs = ref 0 and divergences = ref [] in
+      (* The canonical answer of the whole lattice is anchored at the
+         first configuration's first-thread-count run. *)
+      let canonical = ref None in
+      List.iter
+        (fun cfg ->
+          let diverged ?first_line threads quantity expected got =
+            divergences :=
+              { case_name = c.name; config = cfg.label; threads; quantity; expected; got;
+                first_line }
+              :: !divergences
+          in
+          let check threads quantity expected got =
+            if not (D.equal expected got) then diverged threads quantity expected got
+          in
+          let run t =
+            incr runs;
+            observe row ~pool
+              ~policy:(Galois.Policy.det ~options:cfg.options t)
+              ~static_id:cfg.static_id
+          in
+          match List.map (fun t -> (t, run t)) threads with
+          | [] -> ()
+          | (t0, reference) :: rest ->
+              (match !canonical with
+              | None -> canonical := Some reference.canonical_digest
+              | Some anchor -> check t0 "canonical-digest" anchor reference.canonical_digest);
+              List.iter
+                (fun (t, r) ->
+                  check t "sched-digest" reference.sched_digest r.sched_digest;
+                  check t "det-counters" reference.det_counters r.det_counters;
+                  check t "output-digest" reference.output_digest r.output_digest;
+                  check t "canonical-digest" reference.canonical_digest r.canonical_digest;
+                  (* Byte-compare the deterministic event streams; report
+                     them as digests plus their first differing line. *)
+                  if not (String.equal reference.det_trace r.det_trace) then
+                    diverged t "trace-stream"
+                      ?first_line:(first_difference reference.trace r.trace)
+                      (D.fold_string D.seed reference.det_trace)
+                      (D.fold_string D.seed r.det_trace))
+                rest)
+        (lattice ~static_id_capable:c.static_id_capable);
+      { case_name = c.name; runs = !runs; divergences = List.rev !divergences })
+
+(* Positive control: the audit must be able to see a difference. The
+   generated rows of [seed] and [seed + 1] must produce different
+   canonical digests under [policy]; if they ever agree, the digest
+   pipeline has collapsed (and every invariance "pass" above is
+   meaningless). *)
+let seeds_distinguished ?(threads = 2) ~seed policy =
+  Galois.Pool.with_pool ~domains:threads (fun pool ->
+      let digest s =
+        (observe (Replay_cases.gen ~seed:s) ~pool ~policy ~static_id:false).canonical_digest
+      in
+      not (D.equal (digest seed) (digest (seed + 1))))
+
+(* Positive control for the soft-priority axis: perturbing the bucket
+   assignment (the priority salt) must change the ordered schedule
+   digest — buckets are folded into it — while leaving the unordered
+   (prio=off) schedule untouched, since that path never consults
+   priorities. Failure on either side means the bucket plumbing is
+   dead and the prio lattice rows above prove nothing. *)
+let prio_salt_distinguished ?(threads = 2) ~seed () =
+  Galois.Pool.with_pool ~domains:threads (fun pool ->
+      (* Force a non-trivial priority range: a drawn range of 1 would
+         make every salt equivalent. *)
+      let p = { (Gen.random_params ~seed) with Gen.prio_range = 64 } in
+      let digest ~salt policy =
+        let run, _ = Gen.plan ~static_id:false { p with Gen.prio_salt = salt } in
+        (run |> Galois.Run.policy policy |> Galois.Run.pool pool |> Galois.Run.exec).stats.digest
+      in
+      let ordered =
+        Galois.Policy.det
+          ~options:{ Galois.Policy.default_det with priority = Galois.Policy.Prio_delta 1 }
+          threads
+      in
+      let unordered = Galois.Policy.det threads in
+      let s = p.Gen.prio_salt in
+      (not (D.equal (digest ~salt:s ordered) (digest ~salt:(s + 1) ordered)))
+      && D.equal (digest ~salt:s unordered) (digest ~salt:(s + 1) unordered))
 
 (* ------------------------------------------------------------------ *)
 (* Cases for the dynamic neighborhood/race audit                       *)
@@ -777,9 +757,10 @@ module Audit_cases = struct
     crun :
       policy:Galois.Policy.t ->
       pool:Galois.Pool.t ->
-      Galois.Audit.report * Galois.Audit.finding list;
-        (** (report, witnesses): every witness finding must appear
-            verbatim in the report. *)
+      Galois.Run.report * Galois.Audit.finding list;
+        (* (report, witnesses): the run's report carries its audit and
+           its event stream, and every witness finding must appear
+           verbatim in the audit. *)
   }
 
   (* Pin the first-round window wide enough that all initial tasks of a
@@ -820,9 +801,10 @@ module Audit_cases = struct
         |> Galois.Run.policy (widen policy)
         |> Galois.Run.pool pool
         |> Galois.Run.audit
+        |> Galois.Run.trace
         |> Galois.Run.exec
       in
-      ( need report.audit,
+      ( report,
         [
           {
             Galois.Audit.rule = Galois.Audit.Cautiousness;
@@ -857,10 +839,11 @@ module Audit_cases = struct
         |> Galois.Run.policy (widen policy)
         |> Galois.Run.pool pool
         |> Galois.Run.audit
+        |> Galois.Run.trace
         |> Galois.Run.exec
       in
       let lid = Galois.Lock.id locks.(2) in
-      ( need report.audit,
+      ( report,
         [
           { Galois.Audit.rule = Galois.Audit.Containment; round = 1; task = 1; other = 0; lid };
           { Galois.Audit.rule = Galois.Audit.Containment; round = 1; task = 2; other = 0; lid };
@@ -904,6 +887,20 @@ module Service_case = struct
            digest of the job's own deterministic event stream *)
     service_digest : D.t;
   }
+
+  (* A fresh in-memory ring for one job's event stream: the sink feeds
+     it and [lines ()] renders its deterministic lines. A ring that
+     dropped events holds only the tail of the stream, and comparing
+     tails would pass a divergence in the lost head, so [lines] fails
+     the session instead, as [Galois.Run.trace] fails a run. *)
+  let capture name =
+    let mem = Obs.Memory.create () in
+    let lines () =
+      match Obs.Memory.dropped mem with
+      | 0 -> Obs.deterministic_lines (Obs.Memory.contents mem)
+      | d -> failwith (Printf.sprintf "detcheck %s: trace ring dropped %d events" name d)
+    in
+    (Obs.Memory.sink mem, lines)
 
   (* One complete service session on a fresh pool: submit every query
      (each with its own memory sink), draining after every [chunk]
@@ -960,6 +957,7 @@ module Service_case = struct
                   quantity;
                   expected;
                   got = gotd;
+                  first_line = None;
                 }
                 :: !divergences
             in

@@ -1,58 +1,27 @@
 (** Determinism audit: falsify the paper's central claim on demand.
 
-    A {!case} is a runnable program whose results are summarized as three
-    digests. {!check_invariance} sweeps it over a configuration lattice
-    (thread counts × initial windows × locality spread × continuation ×
-    static ids), asserting:
+    {!check_invariance} sweeps a row of the app table {!Replay_cases}
+    over a configuration lattice (thread counts × initial windows ×
+    locality spread × continuation × static ids), asserting:
 
     - at a fixed configuration, the round-trace digest
       ({!Galois.Stats.t.digest}), the totals of the counters
       {!Obs.counter_table} marks deterministic, the order-sensitive
       output digest and
       the rendered deterministic observability event stream
-      ({!Obs.deterministic_lines}, timing events stripped) are identical
-      across all thread counts — the paper's portability claim, checked
-      in O(1) per comparison (byte-for-byte for the event stream);
-    - across configurations, the case's canonical digest (its notion of
+      ({!Obs.deterministic_lines} of the {!Galois.Run.trace} stream,
+      timing events stripped) are identical across all thread counts —
+      the paper's portability claim, checked in O(1) per comparison
+      (byte-for-byte for the event stream, whose divergence is reported
+      at its first differing line);
+    - across configurations, the row's canonical digest (its notion of
       "the answer") is identical — schedules may differ, answers may
       not.
 
-    {!Gen} supplies property-based random cases (random conflict
-    topologies, random operator shapes); {!App_cases} derives cases for
-    the real benchmarks from the per-app table {!Replay_cases}, whose
-    rows are the apps' [plan]s. {!seeds_distinguished} is the positive
-    control proving
-    the digests can diverge at all. *)
-
-type run_result = {
-  sched_digest : Galois.Trace_digest.t;
-      (** {!Galois.Stats.t.digest} of the run; absent for serial/nondet *)
-  det_counters : Galois.Trace_digest.t;
-      (** the run's totals of the {!Obs.det_counters}, folded in table
-          order: thread-invariant at a fixed configuration *)
-  output_digest : Galois.Trace_digest.t;
-      (** order-sensitive digest of the final output; thread-invariant at
-          a fixed configuration *)
-  canonical_digest : Galois.Trace_digest.t;
-      (** digest of the configuration-invariant answer *)
-  commits : int;
-  det_trace : string;
-      (** rendered deterministic event stream of the run
-          ({!Obs.deterministic_lines}): byte-identical across thread
-          counts at a fixed configuration *)
-}
-
-type case = {
-  name : string;
-  static_id_capable : bool;
-      (** whether running under [~static_id] preserves the case's
-          semantics (task keys unique, duplicate collapsing a no-op) *)
-  run :
-    policy:Galois.Policy.t ->
-    pool:Galois.Pool.t ->
-    static_id:bool ->
-    run_result;
-}
+    {!Replay_cases.gen} supplies property-based random rows (random
+    conflict topologies, random operator shapes) beside the real
+    benchmarks' rows. {!seeds_distinguished} is the positive control
+    proving the digests can diverge at all. *)
 
 type config = { label : string; options : Galois.Policy.det_options; static_id : bool }
 
@@ -61,69 +30,21 @@ val lattice : static_id_capable:bool -> config list
     windows, locality spread on/off, continuation on/off, mark
     validation, a non-default window target ratio ([ratio=0.5]),
     soft-priority bucketing ([prio=delta:8], [prio=auto],
-    [prio=auto] with a pinned small window), and (when the case
+    [prio=auto] with a pinned small window), and (when the row
     permits) static ids. *)
 
 val default_threads : int list
 (** [\[1; 2; 4; 8\]]. *)
 
-type divergence = {
-  case_name : string;
-  config : string;
-  threads : int;
-  quantity : string;
-  expected : Galois.Trace_digest.t;
-  got : Galois.Trace_digest.t;
-}
-
-type report = { case_name : string; runs : int; divergences : divergence list }
-
-val ok : report -> bool
-val pp_report : Format.formatter -> report -> unit
-
-val check_invariance : ?threads:int list -> case -> report
-(** Run the case at every ({!lattice} configuration, thread count) point —
-    one shared domain pool sized to the largest thread count — and
-    collect every digest divergence. An empty divergence list is the
-    audit passing. *)
-
-val seeds_distinguished :
-  ?threads:int -> gen:(int -> case) -> seed:int -> Galois.Policy.t -> bool
-(** Positive control: cases generated from [seed] and [seed + 1] must
-    have different canonical digests under the given policy. False means
-    the digest pipeline cannot signal divergence — every green audit is
-    then meaningless. *)
-
-val prio_salt_distinguished : ?threads:int -> seed:int -> unit -> bool
-(** Positive control for the soft-priority axis: with a forced
-    non-trivial priority range, perturbing the bucket-assignment salt
-    must change the [prio=delta:1] schedule digest (buckets are folded
-    into it) while leaving the [prio=off] digest untouched. False means
-    the bucket plumbing is inert and the prio lattice rows prove
-    nothing. *)
-
-(** Property-based random cases over {!Parallel.Splitmix}: random
-    conflict-lock topologies and random synthetic operators (randomized
-    acquire sets, failsafe placement, continuation saves, work reports
-    and task pushes). Everything is a function of the seed. *)
-module Gen : sig
-  val case : seed:int -> case
-  (** Runs a fresh plan of the generated operator (the one
-      {!Replay_cases.gen} hands out) at every lattice point, like every
-      {!App_cases} case. Its name records the seed, the lock topology
-      and the task, lock and push-depth counts. *)
-end
-
 (** The one table of apps: each row is an app's plan over inputs
     generated once at row construction, plus how to digest the output
     its plan reads back and how to report it. [fresh] builds a
     brand-new world per call — crash/resume tests need one world for the
-    uninterrupted reference and a separate one to crash. galois-run, the
-    lattice cases ({!App_cases}), the checkpoint/replay harness
-    (lib/replay, test_replay) and the audit rows ({!Audit_cases.apps})
-    all run these rows. Names match the {!Gen} / {!App_cases} names for
-    the same parameters, so pinned fixture entries can be
-    cross-referenced. *)
+    uninterrupted reference and a separate one to crash, and every
+    lattice point starts from scratch. galois-run, the lattice
+    ({!check_invariance}), the checkpoint/replay harness (lib/replay,
+    test_replay) and the audit rows ({!Audit_cases.apps}) all run these
+    rows. *)
 module Replay_cases : sig
   type t =
     | Case : {
@@ -147,6 +68,14 @@ module Replay_cases : sig
         -> t
 
   val gen : seed:int -> t
+  (** A property-based random row over {!Parallel.Splitmix}: a random
+      conflict-lock topology and a random synthetic operator (randomized
+      acquire sets, failsafe placement, continuation saves, work reports
+      and task pushes), everything a function of the seed. Its name
+      records the seed, the lock topology and the task, lock and
+      push-depth counts; it is static-id capable when its child keys
+      are unique. *)
+
   val bfs : n:int -> seed:int -> t
   val sssp : n:int -> seed:int -> t
   val boruvka : n:int -> seed:int -> t
@@ -173,12 +102,52 @@ module Replay_cases : sig
       boruvka. The error names the accepted apps. *)
 end
 
-(** The paper's benchmarks as lattice cases, each derived from its
-    {!Replay_cases} row: every [run] solves a fresh plan with a capture
-    sink. *)
-module App_cases : sig
-  val of_replay : Replay_cases.t -> case
-end
+type line_diff = {
+  line : int;  (** 1-based, counting deterministic lines only *)
+  round : int;  (** the round in progress in the expected stream; 0 before round 1 *)
+  expected_line : string;
+  got_line : string;  (** ["<end of stream>"] past a stream's last line *)
+}
+(** The first line two deterministic event streams disagree on. *)
+
+type divergence = {
+  case_name : string;
+  config : string;
+  threads : int;
+  quantity : string;
+  expected : Galois.Trace_digest.t;
+  got : Galois.Trace_digest.t;
+  first_line : line_diff option;  (** present on a ["trace-stream"] divergence *)
+}
+
+type report = { case_name : string; runs : int; divergences : divergence list }
+
+val ok : report -> bool
+
+val pp_report : Format.formatter -> report -> unit
+(** One line per divergence; a trace-stream divergence names its first
+    differing line and round. *)
+
+val check_invariance : ?threads:int list -> Replay_cases.t -> report
+(** Solve a fresh world of the row at every ({!lattice} configuration,
+    thread count) point with {!Galois.Run.trace} — one shared domain
+    pool sized to the largest thread count — and collect every digest
+    divergence. An empty divergence list is the audit passing. A run
+    whose capture ring overflows raises [Failure]. *)
+
+val seeds_distinguished : ?threads:int -> seed:int -> Galois.Policy.t -> bool
+(** Positive control: the {!Replay_cases.gen} rows of [seed] and
+    [seed + 1] must have different canonical digests under the given
+    policy. False means the digest pipeline cannot signal divergence —
+    every green audit is then meaningless. *)
+
+val prio_salt_distinguished : ?threads:int -> seed:int -> unit -> bool
+(** Positive control for the soft-priority axis: with a forced
+    non-trivial priority range, perturbing the bucket-assignment salt
+    must change the [prio=delta:1] schedule digest (buckets are folded
+    into it) while leaving the [prio=off] digest untouched. False means
+    the bucket plumbing is inert and the prio lattice rows prove
+    nothing. *)
 
 (** Cases for the dynamic neighborhood/race audit ({!Galois.Run.audit}).
 
@@ -205,7 +174,9 @@ module Audit_cases : sig
     crun :
       policy:Galois.Policy.t ->
       pool:Galois.Pool.t ->
-      Galois.Audit.report * Galois.Audit.finding list;
+      Galois.Run.report * Galois.Audit.finding list;
+        (** the run's report, with its audit and its {!Galois.Run.trace}
+            stream, and the witnesses its audit must flag verbatim *)
   }
 
   val controls : n:int -> seed:int -> control list

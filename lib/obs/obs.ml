@@ -80,7 +80,7 @@ type event =
   | Bucket_drained of { round : int; bucket : int }
   | Checkpoint_taken of { round : int; digest : string }
   | Resumed of { round : int; digest : string }
-  | Audit_finding of { round : int; rule : string; task : int; other : int; lid : int }
+  | Audit_finding of { round : int; rule : string; task : int; other : int }
   | Run_end of { commits : int; rounds : int; generations : int }
 
 type stamped = { at_s : float; event : event }
@@ -125,9 +125,9 @@ let pp_event ppf = function
   | Checkpoint_taken { round; digest } ->
       Fmt.pf ppf "checkpoint-taken round=%d digest=%s" round digest
   | Resumed { round; digest } -> Fmt.pf ppf "resumed round=%d digest=%s" round digest
-  | Audit_finding { round; rule; task; other; lid } ->
-      Fmt.pf ppf "audit-finding round=%d rule=%s task=%d other=%d lid=%d" round rule
-        task other lid
+  | Audit_finding { round; rule; task; other } ->
+      Fmt.pf ppf "audit-finding round=%d rule=%s task=%d other=%d" round rule task
+        other
   | Run_end { commits; rounds; generations } ->
       Fmt.pf ppf "run-end commits=%d rounds=%d generations=%d" commits rounds
         generations
@@ -268,10 +268,10 @@ module Jsonl = struct
         ("checkpoint_taken", [ ("round", I round); ("digest", S digest) ])
     | Resumed { round; digest } ->
         ("resumed", [ ("round", I round); ("digest", S digest) ])
-    | Audit_finding { round; rule; task; other; lid } ->
+    | Audit_finding { round; rule; task; other } ->
         ("audit_finding",
          [ ("round", I round); ("rule", S rule); ("task", I task);
-           ("other", I other); ("lid", I lid) ])
+           ("other", I other) ])
     | Run_end { commits; rounds; generations } ->
         ("run_end",
          [ ("commits", I commits); ("rounds", I rounds);
@@ -511,8 +511,7 @@ module Jsonl = struct
     | "audit_finding" ->
         Audit_finding
           { round = get_int fs "round"; rule = get_string fs "rule";
-            task = get_int fs "task"; other = get_int fs "other";
-            lid = get_int fs "lid" }
+            task = get_int fs "task"; other = get_int fs "other" }
     | "run_end" ->
         Run_end
           { commits = get_int fs "commits"; rounds = get_int fs "rounds";

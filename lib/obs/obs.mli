@@ -120,13 +120,14 @@ type event =
       (** The scheduler restarted from a round-boundary snapshot taken
           after [round] and will replay round [round + 1] next. Emitted
           only on resume. *)
-  | Audit_finding of { round : int; rule : string; task : int; other : int; lid : int }
+  | Audit_finding of { round : int; rule : string; task : int; other : int }
       (** The dynamic determinism audit ([Run.audit]) flagged task
           [task] in [round]: [rule] is ["containment"],
           ["cautiousness"] or ["race"] (see [Galois.Audit]); [other] is
-          the race partner's task id (0 otherwise); [lid] the location.
-          Deterministic given the order in which the process created
-          its locations (lids come from a process-global counter). *)
+          the race partner's task id (0 otherwise). The location is left
+          out: lids come from a process-global counter, so two identical
+          runs in one process flag different lids. [Audit.report]'s
+          findings keep it. *)
   | Run_end of { commits : int; rounds : int; generations : int }
       (** Last event of a run. *)
 

@@ -1,4 +1,4 @@
-(* SplitMix64: a small, fast, splittable PRNG with a fixed algorithm, so
+(* SplitMix64: a small, fast PRNG with a fixed algorithm, so
    random choices made through it are reproducible across machines and
    OCaml versions (unlike [Stdlib.Random], whose algorithm may change). *)
 
@@ -8,18 +8,12 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next_int64 t =
   let z = Int64.add t.state golden_gamma in
   t.state <- z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
 
 (* A non-negative int uniform in [0, bound). Uses the high bits, which are
    the best-distributed bits of SplitMix64, and rejection sampling to avoid

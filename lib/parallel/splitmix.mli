@@ -1,6 +1,6 @@
 (** SplitMix64 pseudo-random number generator.
 
-    Deterministic, splittable and portable: the same seed yields the same
+    Deterministic and portable: the same seed yields the same
     stream on every machine, which the reproduction needs for generating
     identical synthetic inputs everywhere. *)
 
@@ -9,15 +9,8 @@ type t
 val create : int -> t
 (** [create seed] makes a generator from an integer seed. *)
 
-val copy : t -> t
-(** Independent copy with the same state. *)
-
 val next_int64 : t -> int64
 (** Next 64 raw bits. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a statistically independent child
-    generator; used to give each parallel worker its own stream. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]

@@ -2,58 +2,14 @@
 
    The primitives (Run.checkpoint / resume / stop_after, the Snapshot
    codec) live in lib/core where the builder can reach them; this layer
-   composes them into the verification workflows: lockstep dual-run
-   digest cross-checking (the DMR-style verifier), and crash-injection
-   (run, kill at a round, resume). *)
+   composes them into crash injection (run, kill at a round, resume)
+   and the snapshot perturbation its negative control uses. Localizing
+   a divergence to a round is done elsewhere: detcheck's lattice names
+   the first differing deterministic event line and its round, and a
+   [Run.checkpoint ~every:1] digest trail names the first differing
+   round boundary. *)
 
-module D = Galois.Trace_digest
 module Snapshot = Galois.Snapshot
-
-(* ------------------------------------------------------------------ *)
-(* Lockstep verification                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Lockstep = struct
-  type trail = (int * D.t) list
-
-  type verdict =
-    | Agree of { compared : int }
-    | Diverge of { round : int; a : D.t; b : D.t }
-    | Disjoint
-
-  let collect ~every run =
-    let acc = ref [] in
-    let report =
-      run
-      |> Galois.Run.checkpoint ~every (fun snap ->
-             let b = snap.Snapshot.boundary in
-             acc := (b.Galois.Det_sched.b_rounds, b.Galois.Det_sched.b_digest) :: !acc)
-      |> Galois.Run.exec
-    in
-    (List.rev !acc, report)
-
-  (* Walk both trails in ascending round order; compare digests at
-     common rounds, skip rounds only one side sampled (different
-     cadences). The first unequal pair names the earliest round the two
-     executions are known to have diverged by. *)
-  let first_divergence a b =
-    let rec go compared a b =
-      match (a, b) with
-      | (ra, da) :: ta, (rb, db) :: tb ->
-          if ra < rb then go compared ta b
-          else if rb < ra then go compared a tb
-          else if D.equal da db then go (compared + 1) ta tb
-          else Diverge { round = ra; a = da; b = db }
-      | _, _ -> if compared = 0 then Disjoint else Agree { compared }
-    in
-    go 0 a b
-
-  let pp_verdict ppf = function
-    | Agree { compared } -> Fmt.pf ppf "agree (%d boundaries compared)" compared
-    | Diverge { round; a; b } ->
-        Fmt.pf ppf "diverge at round %d: %a vs %a" round D.pp a D.pp b
-    | Disjoint -> Fmt.pf ppf "no common boundaries"
-end
 
 (* ------------------------------------------------------------------ *)
 (* Crash injection                                                     *)
@@ -99,8 +55,8 @@ let crash_resume ?resume_policy ~at run =
 (* The negative-control perturbation: swapping two pending-deque
    entries preserves the task *set* but changes the deque order the
    window is drawn from, so the resumed schedule diverges at the first
-   round after the boundary — which the lockstep verifier must localize
-   to exactly that round. *)
+   round after the boundary — which a checkpoint digest trail must
+   localize to exactly that round. *)
 let swap_pending_ids i j (b : 'item Galois.Det_sched.boundary) =
   let n = Array.length b.Galois.Det_sched.b_pending_ids in
   if i < 0 || j < 0 || i >= n || j >= n then

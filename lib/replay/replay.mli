@@ -1,37 +1,11 @@
 (** Checkpoint/replay harnesses over the {!Galois.Run} replay
-    primitives: lockstep dual-run digest cross-checking (the DMR-style
-    verifier behind [detcheck lockstep]) and crash-injection (run, kill
-    at a round, resume). The primitives themselves — [Run.checkpoint],
-    [Run.resume], [Run.stop_after] and the snapshot codec — live in
-    lib/core; this layer only composes them. *)
-
-(** Run a job twice (any two thread counts / pools) and cross-check the
-    deterministic digest prefix at every shared round boundary —
-    dual-modular-redundancy-style execution, with divergence localized
-    to the first differing boundary. *)
-module Lockstep : sig
-  type trail = (int * Galois.Trace_digest.t) list
-  (** [(round, digest prefix through that round)] in ascending round
-      order. *)
-
-  type verdict =
-    | Agree of { compared : int }  (** all shared boundaries matched *)
-    | Diverge of { round : int; a : Galois.Trace_digest.t; b : Galois.Trace_digest.t }
-        (** earliest shared boundary where the digests differ *)
-    | Disjoint  (** no shared boundaries — nothing was compared *)
-
-  val collect :
-    every:int -> ('item, 'state) Galois.Run.t -> trail * Galois.Run.report
-  (** Execute the description with an [every]-round checkpoint hook
-      that records [(round, digest)] — the description must already
-      carry a det policy (and pool, if shared). *)
-
-  val first_divergence : trail -> trail -> verdict
-  (** Compare two trails at their common rounds (cadences may differ);
-      rounds sampled by only one side are skipped. *)
-
-  val pp_verdict : Format.formatter -> verdict -> unit
-end
+    primitives: crash injection (run, kill at a round, resume) and the
+    snapshot perturbation that is its negative control. The primitives
+    themselves — [Run.checkpoint], [Run.resume], [Run.stop_after] and
+    the snapshot codec — live in lib/core; this layer only composes
+    them. A divergence is localized to a round by detcheck's lattice
+    (the first differing deterministic event line, with its round) or by
+    a [Run.checkpoint ~every:1] trail of round-boundary digests. *)
 
 type crash_outcome = {
   resumed : Galois.Run.report;

@@ -1,8 +1,8 @@
-(* The service's request language: one line per query, referring to a
+(* The service's request language: one query per value, referring to a
    catalog graph by name. The grammar is deliberately tiny — the point
    of the service layer is deterministic execution, not expressiveness —
-   and round-trips through [to_string]/[of_string] so responses can
-   echo the query they answered verbatim. *)
+   and [to_string] spells it so responses can echo the query they
+   answered verbatim. *)
 
 type t =
   | Bfs of { graph : string; source : int }
@@ -15,19 +15,3 @@ let to_string = function
   | Bfs { graph; source } -> Printf.sprintf "bfs:%s:%d" graph source
   | Sssp { graph; source } -> Printf.sprintf "sssp:%s:%d" graph source
   | Cc { graph } -> Printf.sprintf "cc:%s" graph
-
-let of_string s =
-  let source_of src k =
-    match int_of_string_opt src with
-    | Some source when source >= 0 -> Ok (k source)
-    | _ -> Error (Printf.sprintf "query %S: bad source %S" s src)
-  in
-  match String.split_on_char ':' s with
-  | [ "bfs"; graph; src ] when graph <> "" ->
-      source_of src (fun source -> Bfs { graph; source })
-  | [ "sssp"; graph; src ] when graph <> "" ->
-      source_of src (fun source -> Sssp { graph; source })
-  | [ "cc"; graph ] when graph <> "" -> Ok (Cc { graph })
-  | _ ->
-      Error
-        (Printf.sprintf "query %S: expected bfs:GRAPH:SRC | sssp:GRAPH:SRC | cc:GRAPH" s)

@@ -11,6 +11,3 @@ val graph : t -> string
 
 val to_string : t -> string
 (** [bfs:GRAPH:SRC], [sssp:GRAPH:SRC] or [cc:GRAPH]. *)
-
-val of_string : string -> (t, string) result
-(** Inverse of {!to_string}; sources must be non-negative integers. *)

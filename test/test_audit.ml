@@ -51,13 +51,18 @@ let test_apps_clean_on_lattice () =
 let find_witnesses (report : Audit.report) witnesses =
   List.filter (fun w -> not (List.mem w report.Audit.findings)) witnesses
 
+(* A control's audit report: every control runs with [Run.audit]. *)
+let control_audit (c : Detcheck.Audit_cases.control) ~policy ~pool =
+  let report, witnesses = c.crun ~policy ~pool in
+  (Option.get report.Galois.Run.audit, witnesses)
+
 let test_controls_flagged () =
   Galois.Pool.with_pool ~domains:4 (fun pool ->
       List.iter
         (fun (c : Detcheck.Audit_cases.control) ->
           List.iter
             (fun t ->
-              let report, witnesses = c.crun ~policy:(Galois.Policy.det t) ~pool in
+              let report, witnesses = control_audit c ~policy:(Galois.Policy.det t) ~pool in
               Alcotest.(check bool)
                 (Printf.sprintf "%s det:%d not clean" c.cname t)
                 false (Audit.clean report);
@@ -78,7 +83,7 @@ let test_racy_sssp_exact () =
           (fun (c : Detcheck.Audit_cases.control) -> c.cname = "racy-sssp")
           (Detcheck.Audit_cases.controls ~n:small_n ~seed)
       in
-      let report, witnesses = c.crun ~policy:(Galois.Policy.det 2) ~pool in
+      let report, witnesses = control_audit c ~policy:(Galois.Policy.det 2) ~pool in
       Alcotest.(check int) "exactly the witnesses" (List.length witnesses)
         (List.length report.Audit.findings);
       Alcotest.(check int) "all present" 0
@@ -101,7 +106,7 @@ let test_localization_thread_invariant () =
       List.iter
         (fun (c : Detcheck.Audit_cases.control) ->
           let shape t =
-            let report, _ = c.crun ~policy:(Galois.Policy.det t) ~pool in
+            let report, _ = control_audit c ~policy:(Galois.Policy.det t) ~pool in
             List.map
               (fun (f : Audit.finding) ->
                 (Audit.rule_name f.Audit.rule, f.Audit.round, f.Audit.task, f.Audit.other))
@@ -229,6 +234,27 @@ let test_findings_traced () =
         (List.length (Option.get report.audit).Audit.findings)
         (List.length audit_events))
 
+(* Two identical audited runs in one process render identical
+   deterministic lines: the racy control's findings are events, and the
+   second run's locks have different lids than the first's. *)
+let test_audited_lines_repeat () =
+  Galois.Pool.with_pool ~domains:2 (fun pool ->
+      let c =
+        List.find
+          (fun (c : Detcheck.Audit_cases.control) -> c.cname = "racy-sssp")
+          (Detcheck.Audit_cases.controls ~n:small_n ~seed)
+      in
+      let lines () =
+        let report, _ = c.crun ~policy:(Galois.Policy.det 1) ~pool in
+        Obs.deterministic_lines (Option.get report.Galois.Run.trace)
+      in
+      let first = lines () in
+      Alcotest.(check bool) "findings are traced" true
+        (List.exists
+           (String.starts_with ~prefix:"audit-finding")
+           (String.split_on_char '\n' first));
+      Alcotest.(check string) "second run renders the same lines" first (lines ()))
+
 let suite =
   [
     Alcotest.test_case "apps audit clean across lattice" `Quick test_apps_clean_on_lattice;
@@ -245,4 +271,6 @@ let suite =
     Alcotest.test_case "no audit report unless requested" `Quick
       test_no_report_unless_requested;
     Alcotest.test_case "findings emitted as trace events" `Quick test_findings_traced;
+    Alcotest.test_case "audited runs repeat their deterministic lines" `Quick
+      test_audited_lines_repeat;
   ]

@@ -1,12 +1,12 @@
 (* The determinism audit, audited.
 
-   - the invariance checker passes on genuinely deterministic cases
+   - the invariance checker passes on genuinely deterministic table rows
      (fuzz-generated and real apps) over a reduced lattice;
-   - it *fails* on a deliberately nondeterministic case (detection is
-     live, not vacuous);
+   - it *fails* on a deliberately nondeterministic row (detection is
+     live, not vacuous) and names the first differing event line;
    - the round-trace digest in Stats and the structural Schedule digest
      are thread-invariant and seed-sensitive;
-   - generated cases are pure functions of their seed. *)
+   - generated rows are pure functions of their seed. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -16,77 +16,97 @@ module D = Galois.Trace_digest
 let quick_threads = [ 1; 2; 3 ]
 
 let test_fuzz_cases_invariant () =
-  (* A handful of fixed seeds; the 25-case sweep runs under @detcheck. *)
+  (* A handful of fixed seeds; the 25-row sweep runs under @detcheck. *)
   List.iter
     (fun seed ->
-      let report = Detcheck.check_invariance ~threads:quick_threads (Detcheck.Gen.case ~seed) in
+      let report =
+        Detcheck.check_invariance ~threads:quick_threads (Detcheck.Replay_cases.gen ~seed)
+      in
       if not (Detcheck.ok report) then Alcotest.failf "%a" Detcheck.pp_report report)
     [ 1; 2; 3; 4 ]
 
 let test_bfs_case_invariant () =
   let report =
-    Detcheck.check_invariance ~threads:quick_threads
-      (Detcheck.App_cases.of_replay (Detcheck.Replay_cases.bfs ~n:150 ~seed:7))
+    Detcheck.check_invariance ~threads:quick_threads (Detcheck.Replay_cases.bfs ~n:150 ~seed:7)
   in
   if not (Detcheck.ok report) then Alcotest.failf "%a" Detcheck.pp_report report
 
-let test_checker_detects_divergence () =
-  (* A case that changes its answer on every run: the checker must
-     report divergences on both axes (threads and configurations). *)
-  let counter = ref 0 in
-  let case =
+(* A table row whose world differs on every run: the k-th fresh world's
+   four tasks each report k work units, so every answer differs and the
+   event streams first part at round 1's execute-done line. *)
+let drifting_row () =
+  let worlds = ref 0 in
+  Detcheck.Replay_cases.Case
     {
-      Detcheck.name = "deliberately-nondeterministic";
+      name = "deliberately-nondeterministic";
       static_id_capable = false;
-      run =
-        (fun ~policy:_ ~pool:_ ~static_id:_ ->
-          incr counter;
-          let d = D.fold_int D.seed !counter in
-          {
-            Detcheck.sched_digest = d;
-            det_counters = d;
-            output_digest = d;
-            canonical_digest = d;
-            det_trace = D.to_hex d;
-            commits = 1;
-          });
+      snapshot_capable = false;
+      fresh =
+        (fun ~static_id:_ () ->
+          incr worlds;
+          let k = !worlds in
+          let locks = Galois.Lock.create_array 4 in
+          let operator ctx i =
+            Galois.Context.acquire ctx locks.(i);
+            Galois.Context.work ctx k;
+            Galois.Context.failsafe ctx
+          in
+          (Galois.Run.make ~operator (Array.init 4 Fun.id), fun () -> k));
+      output_digest = D.fold_int D.seed;
+      canonical_digest = (fun k ~commits:_ -> D.fold_int D.seed k);
+      summary = string_of_int;
     }
-  in
-  let report = Detcheck.check_invariance ~threads:[ 1; 2 ] case in
+
+let test_checker_detects_divergence () =
+  (* The checker must report divergences on both axes (threads and
+     configurations), and name where the event streams part. *)
+  let report = Detcheck.check_invariance ~threads:[ 1; 2 ] (drifting_row ()) in
   check_bool "divergence detected" false (Detcheck.ok report);
-  (* Every non-reference run diverges in every quantity, and the
-     second configuration's anchor also diverges canonically. *)
+  (* Every non-reference run diverges in its counters, output, answer
+     and stream, and the second configuration's anchor also diverges
+     canonically. *)
   check_bool "multiple divergences" true (List.length report.Detcheck.divergences > 3);
   check_bool "det-counters compared" true
-    (List.exists (fun d -> d.Detcheck.quantity = "det-counters") report.Detcheck.divergences)
+    (List.exists (fun d -> d.Detcheck.quantity = "det-counters") report.Detcheck.divergences);
+  match
+    List.find_opt (fun d -> d.Detcheck.quantity = "trace-stream") report.Detcheck.divergences
+  with
+  | Some { Detcheck.first_line = Some l; _ } ->
+      check_int "in round 1" 1 l.Detcheck.round;
+      check_bool "names the execute-done line" true
+        (String.starts_with ~prefix:"execute-done round=1 " l.Detcheck.got_line
+        && String.starts_with ~prefix:"execute-done round=1 " l.Detcheck.expected_line
+        && l.Detcheck.got_line <> l.Detcheck.expected_line)
+  | Some { Detcheck.first_line = None; _ } -> Alcotest.fail "trace-stream names no line"
+  | None -> Alcotest.fail "no trace-stream divergence"
 
 let test_positive_control () =
   check_bool "seed perturbation diverges (det)" true
-    (Detcheck.seeds_distinguished
-       ~gen:(fun s -> Detcheck.Gen.case ~seed:s)
-       ~seed:11 (Galois.Policy.det 2))
+    (Detcheck.seeds_distinguished ~seed:11 (Galois.Policy.det 2))
 
 let test_gen_is_pure () =
-  (* Same seed, fresh case values: identical digests run to run. *)
-  let digest () =
-    let case = Detcheck.Gen.case ~seed:42 in
+  (* Same seed, fresh rows: identical digests run to run. *)
+  let observe (Detcheck.Replay_cases.Case c) =
     Galois.Pool.with_pool ~domains:2 (fun pool ->
-        case.Detcheck.run ~policy:(Galois.Policy.det 2) ~pool ~static_id:false)
+        let out, report =
+          Galois.Run.solve ~pool ~policy:(Galois.Policy.det 2) (c.fresh ~static_id:false ())
+        in
+        (report.stats, c.output_digest out))
   in
-  let a = digest () and b = digest () in
-  check_bool "sched digest reproducible" true (D.equal a.Detcheck.sched_digest b.Detcheck.sched_digest);
-  check_bool "output digest reproducible" true
-    (D.equal a.Detcheck.output_digest b.Detcheck.output_digest);
-  check_int "commits reproducible" a.Detcheck.commits b.Detcheck.commits;
-  check_bool "det run has a digest" false (D.is_absent a.Detcheck.sched_digest)
+  let a, out_a = observe (Detcheck.Replay_cases.gen ~seed:42) in
+  let b, out_b = observe (Detcheck.Replay_cases.gen ~seed:42) in
+  check_bool "sched digest reproducible" true (D.equal a.digest b.digest);
+  check_bool "output digest reproducible" true (D.equal out_a out_b);
+  check_int "commits reproducible" a.commits b.commits;
+  check_bool "det run has a digest" false (D.is_absent a.digest)
 
 let test_params_cover_topologies () =
   (* The random parameter space actually reaches every topology: a
-     case is named "gen(seed=S,TOPOLOGY,...)". *)
+     generated row is named "gen(seed=S,TOPOLOGY,...)". *)
   let seen = Hashtbl.create 8 in
   for seed = 0 to 63 do
-    let name = (Detcheck.Gen.case ~seed).Detcheck.name in
-    Hashtbl.replace seen (List.nth (String.split_on_char ',' name) 1) ()
+    let (Detcheck.Replay_cases.Case c) = Detcheck.Replay_cases.gen ~seed in
+    Hashtbl.replace seen (List.nth (String.split_on_char ',' c.name) 1) ()
   done;
   check_int "all five topologies" 5 (Hashtbl.length seen)
 

@@ -7,7 +7,7 @@
    single window decision, commit choice or deterministic event shows
    up as a digest mismatch here.
 
-   Each entry is one (case, lattice configuration) point run at 2
+   Each entry is one (table row, lattice configuration) point run at 2
    threads (thread-count invariance is detcheck's job): the round-trace
    digest [Stats.t.digest] and an FNV digest of the rendered
    deterministic event stream [Obs.deterministic_lines].
@@ -38,36 +38,39 @@ let print_table name rows =
   List.iter (fun row -> line (Printf.sprintf "    %S;" row)) rows;
   line "  ]"
 
-let cases () =
+(* The fixture's eight table rows, shared by both tables and the
+   midpoint-resume test. *)
+let rows () =
   [
-    Detcheck.Gen.case ~seed:1;
-    Detcheck.Gen.case ~seed:2;
-    Detcheck.Gen.case ~seed:3;
-    Detcheck.Gen.case ~seed:42;
+    Detcheck.Replay_cases.gen ~seed:1;
+    Detcheck.Replay_cases.gen ~seed:2;
+    Detcheck.Replay_cases.gen ~seed:3;
+    Detcheck.Replay_cases.gen ~seed:42;
+    Detcheck.Replay_cases.bfs ~n:300 ~seed:7;
+    Detcheck.Replay_cases.sssp ~n:300 ~seed:7;
+    Detcheck.Replay_cases.boruvka ~n:300 ~seed:7;
+    Detcheck.Replay_cases.dmr ~points:90 ~seed:7;
   ]
-  @ List.map Detcheck.App_cases.of_replay
-      [
-        Detcheck.Replay_cases.bfs ~n:300 ~seed:7;
-        Detcheck.Replay_cases.sssp ~n:300 ~seed:7;
-        Detcheck.Replay_cases.boruvka ~n:300 ~seed:7;
-        Detcheck.Replay_cases.dmr ~points:90 ~seed:7;
-      ]
 
 let observe_configs configs pool =
   List.concat_map
-    (fun (case : Detcheck.case) ->
+    (fun (Detcheck.Replay_cases.Case c) ->
       List.map
         (fun (cfg : Detcheck.config) ->
-          let r =
-            case.run
-              ~policy:(Galois.Policy.det ~options:cfg.options 2)
-              ~pool ~static_id:cfg.static_id
+          let run, _ = c.fresh ~static_id:cfg.static_id () in
+          let report =
+            run
+            |> Galois.Run.policy (Galois.Policy.det ~options:cfg.options 2)
+            |> Galois.Run.pool pool
+            |> Galois.Run.trace
+            |> Galois.Run.exec
           in
-          Printf.sprintf "%s|%s|%s|%s" case.name cfg.label
-            (D.to_hex r.sched_digest)
-            (D.to_hex (D.fold_string D.seed r.det_trace)))
-        (configs ~static_id_capable:case.static_id_capable))
-    (cases ())
+          Printf.sprintf "%s|%s|%s|%s" c.name cfg.label
+            (D.to_hex report.stats.digest)
+            (D.to_hex
+               (D.fold_string D.seed (Obs.deterministic_lines (Option.get report.trace)))))
+        (configs ~static_id_capable:c.static_id_capable))
+    (rows ())
 
 (* The first table covers the unordered configurations only: the
    soft-priority axis landed later and has its own table below, so the
@@ -158,7 +161,7 @@ let test_fixture () =
       expected got
   end
 
-(* Soft-priority fixture: the same eight cases under ordered
+(* Soft-priority fixture: the same eight rows under ordered
    configurations, captured when the delta-stepping bucket axis landed.
    Pins the bucket layout (floor-division bucketing, id order within a
    bucket, per-run spread), the digest folds (generation length, delta,
@@ -272,7 +275,7 @@ let test_pool_reuse () =
           (fun e g -> Alcotest.(check string) "reused pool hits the pinned table" e g)
           expected first)
 
-(* Checkpoint/resume against the same tables: crash each fixture case
+(* Checkpoint/resume against the same tables: crash each fixture row
    at its midpoint round, resume live, and require the *pinned* digest —
    resume equivalence anchored to a cross-version constant, not merely
    to this build's own uninterrupted run. The prio=auto and prio=delta:8
@@ -320,16 +323,7 @@ let test_resume_reproduces_pinned () =
                 Alcotest.failf "%s: resume from round %d missed the pinned digest" what
                   crash_round)
         resume_rows)
-    [
-      Detcheck.Replay_cases.gen ~seed:1;
-      Detcheck.Replay_cases.gen ~seed:2;
-      Detcheck.Replay_cases.gen ~seed:3;
-      Detcheck.Replay_cases.gen ~seed:42;
-      Detcheck.Replay_cases.bfs ~n:300 ~seed:7;
-      Detcheck.Replay_cases.sssp ~n:300 ~seed:7;
-      Detcheck.Replay_cases.boruvka ~n:300 ~seed:7;
-      Detcheck.Replay_cases.dmr ~points:90 ~seed:7;
-    ]
+    (rows ())
 
 let suite =
   [

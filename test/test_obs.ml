@@ -42,7 +42,7 @@ let exemplars =
     Obs.Bucket_drained { round = 9; bucket = 5 };
     Obs.Checkpoint_taken { round = 8; digest = "04aeef9adef32405" };
     Obs.Resumed { round = 8; digest = "04aeef9adef32405" };
-    Obs.Audit_finding { round = 7; rule = "race"; task = 41; other = 17; lid = 1234 };
+    Obs.Audit_finding { round = 7; rule = "race"; task = 41; other = 17 };
     Obs.Run_end { commits = 1000; rounds = 19; generations = 3 };
   ]
 

@@ -350,7 +350,7 @@ let test_save_load_atomic () =
       | Ok (_ : (int * int) Snapshot.t) -> Alcotest.fail "loaded a missing file")
 
 (* ------------------------------------------------------------------ *)
-(* Cadence, stop_after, and the lockstep verifier                      *)
+(* Cadence, stop_after, and round-boundary digest trails               *)
 (* ------------------------------------------------------------------ *)
 
 (* A conflict-free run (each task its own lock) with a pinned window:
@@ -363,6 +363,19 @@ let no_conflict_run ?(n = 100) ?(window = 8) ?(threads = 2) () =
     ~operator:(fun ctx i -> Galois.Context.acquire ctx locks.(i))
     (Array.init n (fun i -> i))
   |> Galois.Run.policy (Galois.Policy.det ~options threads)
+
+(* The [(round, digest prefix through that round)] trail of a run, one
+   entry per round boundary, from a [Run.checkpoint ~every:1] hook. *)
+let digest_trail run =
+  let trail = ref [] in
+  let report =
+    run
+    |> Galois.Run.checkpoint ~every:1 (fun snap ->
+           let b = snap.Snapshot.boundary in
+           trail := (b.Galois.Det_sched.b_rounds, b.Galois.Det_sched.b_digest) :: !trail)
+    |> Galois.Run.exec
+  in
+  (List.rev !trail, report)
 
 let test_checkpoint_cadence () =
   (* Cadence k: boundaries at exactly the rounds divisible by k. *)
@@ -389,7 +402,7 @@ let test_stop_after_prefix () =
   (* stop_after r executes exactly min r total rounds, and its digest is
      the digest prefix of the full run at that round (checked via the
      full run's checkpoint trail). *)
-  let trail, full = Replay.Lockstep.collect ~every:1 (no_conflict_run ()) in
+  let trail, full = digest_trail (no_conflict_run ()) in
   check_int "trail covers the run" full.Galois.Run.stats.rounds (List.length trail);
   List.iter
     (fun r ->
@@ -403,32 +416,18 @@ let test_stop_after_prefix () =
         report.Galois.Run.stats.digest)
     [ 1; 2; 7; 1000 ]
 
-let test_lockstep_verdicts () =
-  (* Pure trail arithmetic: agreement, divergence localization, skipped
-     rounds under different cadences, and disjoint trails. *)
-  let d n = D.fold_int D.seed n in
-  let open Replay.Lockstep in
-  (match first_divergence [ (1, d 1); (2, d 2) ] [ (1, d 1); (2, d 2) ] with
-  | Agree { compared } -> check_int "both compared" 2 compared
-  | v -> Alcotest.failf "expected agree, got %a" pp_verdict v);
-  (match first_divergence [ (1, d 1); (2, d 2); (3, d 3) ] [ (2, d 99); (3, d 3) ] with
-  | Diverge { round; _ } -> check_int "localized" 2 round
-  | v -> Alcotest.failf "expected diverge, got %a" pp_verdict v);
-  (* Different cadences: only common rounds are compared. *)
-  (match first_divergence [ (2, d 2); (4, d 4); (6, d 6) ] [ (3, d 30); (6, d 6) ] with
-  | Agree { compared } -> check_int "only round 6 shared" 1 compared
-  | v -> Alcotest.failf "expected agree, got %a" pp_verdict v);
-  match first_divergence [ (1, d 1) ] [ (2, d 2) ] with
-  | Disjoint -> ()
-  | v -> Alcotest.failf "expected disjoint, got %a" pp_verdict v
-
 let test_perturbed_snapshot_localized () =
-  (* The negative control (ISSUE satellite): capture the round-2
-     boundary of the conflict-free run, swap two pending entries, and
-     resume — every window slot commits, so the swap is visible in the
-     round-3 digest fold, and the lockstep verifier must localize the
-     divergence to exactly round 3. *)
-  let trail_ref, _ = Replay.Lockstep.collect ~every:1 (no_conflict_run ()) in
+  (* The negative control: capture the round-2 boundary of the
+     conflict-free run, swap two pending entries, and resume — every
+     window slot commits, so the swap is visible in the round-3 digest
+     fold, and the resumed run's digest trail must first differ from the
+     reference trail at exactly round 3. *)
+  let trail_ref, _ = digest_trail (no_conflict_run ()) in
+  let first_divergence run =
+    List.find_map
+      (fun (round, d) -> if D.equal d (List.assoc round trail_ref) then None else Some round)
+      (fst (digest_trail run))
+  in
   let captured = ref None in
   let _ =
     no_conflict_run ()
@@ -441,20 +440,14 @@ let test_perturbed_snapshot_localized () =
   check_bool "enough pending to swap" true
     (Array.length b.Galois.Det_sched.b_pending_ids >= 2);
   let perturbed = { snap with Snapshot.boundary = Replay.swap_pending_ids 0 1 b } in
-  let trail_bad, _ =
-    Replay.Lockstep.collect ~every:1 (no_conflict_run () |> Galois.Run.resume perturbed)
-  in
-  (match Replay.Lockstep.first_divergence trail_ref trail_bad with
-  | Replay.Lockstep.Diverge { round; _ } -> check_int "localized to round 3" 3 round
-  | v -> Alcotest.failf "perturbation not localized: %a" Replay.Lockstep.pp_verdict v);
+  Alcotest.(check (option int))
+    "localized to round 3" (Some 3)
+    (first_divergence (no_conflict_run () |> Galois.Run.resume perturbed));
   (* Control of the control: resuming from the *unperturbed* boundary
      agrees everywhere. *)
-  let trail_good, _ =
-    Replay.Lockstep.collect ~every:1 (no_conflict_run () |> Galois.Run.resume snap)
-  in
-  match Replay.Lockstep.first_divergence trail_ref trail_good with
-  | Replay.Lockstep.Agree _ -> ()
-  | v -> Alcotest.failf "clean resume diverged: %a" Replay.Lockstep.pp_verdict v
+  Alcotest.(check (option int))
+    "clean resume agrees" None
+    (first_divergence (no_conflict_run () |> Galois.Run.resume snap))
 
 let test_swap_bounds () =
   let b = (sample_snapshot ()).Snapshot.boundary in
@@ -638,7 +631,6 @@ let suite =
     Alcotest.test_case "codec: atomic save/load" `Quick test_save_load_atomic;
     Alcotest.test_case "checkpoint cadence" `Quick test_checkpoint_cadence;
     Alcotest.test_case "stop_after is a digest prefix" `Quick test_stop_after_prefix;
-    Alcotest.test_case "lockstep verdict arithmetic" `Quick test_lockstep_verdicts;
     Alcotest.test_case "perturbed snapshot localized" `Quick
       test_perturbed_snapshot_localized;
     Alcotest.test_case "swap bounds checked" `Quick test_swap_bounds;

@@ -1,4 +1,3 @@
-let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let test_reproducible () =
@@ -36,12 +35,6 @@ let test_float_range () =
     check_bool "in [0,1)" true (v >= 0.0 && v < 1.0)
   done
 
-let test_split_independent () =
-  let g = Parallel.Splitmix.create 5 in
-  let child = Parallel.Splitmix.split g in
-  let a = Parallel.Splitmix.next_int64 g and b = Parallel.Splitmix.next_int64 child in
-  check_bool "streams diverge" true (a <> b)
-
 let test_int_distribution () =
   (* Coarse uniformity: each of 8 buckets should get 12.5% +- 3%. *)
   let g = Parallel.Splitmix.create 2024 in
@@ -58,12 +51,6 @@ let test_int_distribution () =
         Alcotest.failf "bucket %d has fraction %f" i frac)
     counts
 
-let test_copy () =
-  let g = Parallel.Splitmix.create 11 in
-  ignore (Parallel.Splitmix.next_int64 g);
-  let h = Parallel.Splitmix.copy g in
-  check_int "copies agree" (Parallel.Splitmix.int g 1000) (Parallel.Splitmix.int h 1000)
-
 let suite =
   [
     Alcotest.test_case "same seed, same stream" `Quick test_reproducible;
@@ -71,7 +58,5 @@ let suite =
     Alcotest.test_case "int stays in bounds" `Quick test_int_bounds;
     Alcotest.test_case "int rejects bound <= 0" `Quick test_int_rejects_nonpositive;
     Alcotest.test_case "float stays in [0,1)" `Quick test_float_range;
-    Alcotest.test_case "split gives independent stream" `Quick test_split_independent;
     Alcotest.test_case "int roughly uniform" `Quick test_int_distribution;
-    Alcotest.test_case "copy preserves state" `Quick test_copy;
   ]
