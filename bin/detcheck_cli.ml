@@ -42,12 +42,23 @@ end
 let run_lattice ~cases ~seed ~apps ~threads ~size ~points ~verbose =
   let v = Verdict.start "lattice" in
   let total_runs = ref 0 in
+  (* A failing row prints one line, so that dune's cut of a long log
+     keeps every row's FAIL header: the first divergence that names a
+     differing line (else the first), and how many more there are. *)
   let audit row =
     let report = Detcheck.check_invariance ~threads row in
     total_runs := !total_runs + report.Detcheck.runs;
-    if not (Detcheck.ok report) then Verdict.fail v "%a" Detcheck.pp_report report
-    else if verbose then Verdict.pass "%a" Detcheck.pp_report report
-    else Verdict.pass "%s (%d runs)" report.Detcheck.case_name report.Detcheck.runs
+    match report.Detcheck.divergences with
+    | [] when verbose -> Verdict.pass "%a" Detcheck.pp_report report
+    | [] -> Verdict.pass "%s (%d runs)" report.Detcheck.case_name report.Detcheck.runs
+    | _ when verbose -> Verdict.fail v "%a" Detcheck.pp_report report
+    | d :: _ as ds ->
+        let d =
+          Option.value ~default:d
+            (List.find_opt (fun (d : Detcheck.divergence) -> d.first_line <> None) ds)
+        in
+        Verdict.fail v "%a (+%d more divergence(s); -v lists them)" Detcheck.pp_divergence d
+          (List.length ds - 1)
   in
   List.iter
     (fun name ->
@@ -58,6 +69,7 @@ let run_lattice ~cases ~seed ~apps ~threads ~size ~points ~verbose =
   for i = 0 to cases - 1 do
     audit (Detcheck.Replay_cases.gen ~seed:(seed + i))
   done;
+  audit (Detcheck.Replay_cases.gen_repeated ~seed);
   List.iter
     (fun policy ->
       Verdict.check v (Detcheck.seeds_distinguished ~seed policy)
@@ -285,7 +297,9 @@ let points_arg =
   Arg.(value & opt int 110 & info [ "points" ] ~docv:"N" ~doc)
 
 let verbose_arg =
-  let doc = "Print full per-case reports." in
+  let doc =
+    "Print full per-case reports: every divergence of a failing row, not just its first."
+  in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
 let file_arg i docv = Arg.(required & pos i (some string) None & info [] ~docv)

@@ -2,10 +2,11 @@
 
    Builds the synthetic catalog once, spawns one persistent domain
    pool, and pushes a mixed bfs/sssp/cc workload through the
-   deterministic job server in fixed-size arrival batches. Reports
-   queries/sec, latency percentiles and the service digest — which is a
-   function of the submission sequence only, so the same invocation
-   prints the same digest at any --domains. *)
+   deterministic job server in fixed-size arrival batches; each batch
+   runs on up to --threads lanes, one det:1 query per lane at a time.
+   Reports queries/sec, latency percentiles and the service digest —
+   which is a function of the submission sequence only, so the same
+   invocation prints the same digest at any --domains. *)
 
 open Cmdliner
 
@@ -27,13 +28,13 @@ let run nodes seed requests batch domains threads max_pending trace verbose =
       in
       Fun.protect ~finally:(fun () -> Obs.close sink) @@ fun () ->
       Galois.Pool.with_pool ?domains @@ fun pool ->
-      let threads =
+      let lanes =
         match threads with Some t -> t | None -> Galois.Pool.size pool
       in
       let catalog = Service.Catalog.synthetic ~seed ~nodes () in
       let queries = Detcheck.Service_case.queries ~seed ~nodes ~count:requests in
       let server =
-        Service.Server.create ~threads ~max_pending ~sink ~catalog pool
+        Service.Server.create ~threads:lanes ~max_pending ~sink ~catalog pool
       in
       let show rs =
         if verbose then
@@ -52,8 +53,8 @@ let run nodes seed requests batch domains threads max_pending trace verbose =
         if wall_s <= 0.0 then 0.0 else float_of_int stats.completed /. wall_s
       in
       let pct = Service.Server.percentile_latency_s server in
-      Fmt.pr "galois-serve: pool=%d det:%d catalog=[%s] %a@."
-        (Galois.Pool.size pool) threads
+      Fmt.pr "galois-serve: pool=%d lanes=%d det:1 catalog=[%s] %a@."
+        (Galois.Pool.size pool) lanes
         (String.concat "," (Service.Catalog.names catalog))
         pp_stats stats;
       Fmt.pr "  wall=%.4fs queries/s=%.1f p50=%.3fms p99=%.3fms digest=%a@."
@@ -88,7 +89,10 @@ let domains_arg =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D" ~doc)
 
 let threads_arg =
-  let doc = "det:$(docv) policy for each query (default: the pool size)." in
+  let doc =
+    "Queries in flight: each batch runs on $(docv) lanes, one det:1 query per lane at a \
+     time (default: the pool size)."
+  in
   Arg.(value & opt (some int) None & info [ "threads" ] ~docv:"T" ~doc)
 
 let max_pending_arg =

@@ -434,7 +434,7 @@ type ('item, 'state) env = {
   audit : Audit.t option;
   record : bool;
   checkpoint : (int * ('item boundary -> unit)) option;
-  sync0 : (int * int) array;  (* pool sync counters at run start *)
+  sync0 : (int * int) array;  (* pool sync counters at run start; unread at one thread *)
 }
 
 let empty_state () =
@@ -807,8 +807,12 @@ let round env st =
    a resume boundary; rounds, generations, buckets and the digest are
    already cumulative in the state. *)
 let finish env st =
-  Stats.book_sync env.workers ~before:env.sync0
-    ~after:(Parallel.Domain_pool.sync_counters env.pool);
+  (* A one-thread run never dispatches, so the pool's waits in the
+     meantime belong to someone else: the caller's joins, or the run
+     whose worker this run occupies. *)
+  if env.threads > 1 then
+    Stats.book_sync env.workers ~before:env.sync0
+      ~after:(Parallel.Domain_pool.sync_counters env.pool);
   if env.tracing then Array.iter (fun c -> env.emit (Stats.counters_event c)) env.workers;
   let stats =
     Stats.merge ~digest:st.digest ~threads:env.threads ~rounds:st.rounds
@@ -850,7 +854,7 @@ let run ?(record = false) ?(sink = Obs.null) ?audit ?checkpoint ?resume ?stop_af
       defeat = defeat st;
       tracing = not (Obs.Sink.is_null sink);
       emit = (fun event -> sink.Obs.emit (Clock.stamp event));
-      sync0 = Parallel.Domain_pool.sync_counters pool }
+      sync0 = (if threads > 1 then Parallel.Domain_pool.sync_counters pool else [||]) }
   in
   (match resume with
   | None ->

@@ -127,6 +127,7 @@ module Gen = struct
     save_prob : float;  (* chance a task uses the continuation save *)
     work_max : int;  (* abstract work units bound *)
     unique_children : bool;  (* injective child keys: static_id-safe *)
+    key_range : int;  (* other child keys are drawn from [0, key_range) *)
     prio_salt : int;  (* perturbing it moves tasks between buckets *)
     prio_range : int;  (* priorities span [0, prio_range) *)
   }
@@ -159,6 +160,7 @@ module Gen = struct
         save_prob = Splitmix.float g;
         work_max = 1 + Splitmix.int g 8;
         unique_children = Splitmix.bool g;
+        key_range = tasks;
         prio_salt = 0;
         prio_range = 0;
       }
@@ -212,7 +214,7 @@ module Gen = struct
         let n = 1 + Splitmix.int g p.max_children in
         List.init n (fun c ->
             if p.unique_children then (depth + 1, (key * (p.max_children + 1)) + c + 1)
-            else (depth + 1, Splitmix.int g p.tasks))
+            else (depth + 1, Splitmix.int g p.key_range))
 
   let token (depth, key) = (depth * 1_000_003) + key
 
@@ -291,6 +293,21 @@ module Gen = struct
         D.seed cells
     in
     D.fold_int d commits
+
+  (* The answer of a row whose children repeat keys: the set of values
+     each cell received. Without static ids a repeated item is a task
+     per push, and every copy writes the same values; with them the
+     copies collapse into one task (§3.3), so a value written twice
+     into one cell under static ids folds a mark no other run has. *)
+  let repeated_digest ~static_id cells =
+    Array.fold_left
+      (fun d cell ->
+        let all = List.sort Int.compare !cell in
+        let set = List.sort_uniq Int.compare all in
+        let d = List.fold_left D.fold_int (D.fold_int d (List.length set)) set in
+        if static_id && List.compare_lengths set all <> 0 then D.fold_string d "uncollapsed"
+        else d)
+      D.seed cells
 end
 
 (* ------------------------------------------------------------------ *)
@@ -332,6 +349,30 @@ module Replay_cases = struct
         output_digest = Gen.output_digest;
         canonical_digest = Gen.canonical_digest;
         summary = (fun cells -> Printf.sprintf "%d cells" (Array.length cells));
+      }
+
+  let gen_repeated ~seed =
+    let p = Gen.random_params ~seed in
+    (* Tasks of the first two generations push with at least even
+       odds, and children draw their keys from an eighth of the task
+       range, so many pushes repeat an item. *)
+    let p =
+      { p with Gen.unique_children = false; key_range = max 2 (p.tasks / 8);
+        push_prob = Float.max 0.5 p.push_prob; max_depth = max 2 p.max_depth }
+    in
+    Case
+      {
+        name = "repeated-" ^ Gen.name_of_params p;
+        static_id_capable = true;
+        snapshot_capable = true;
+        fresh =
+          (fun ~static_id () ->
+            let run, cells = Gen.plan ~static_id p in
+            (run, fun () -> (static_id, cells ())));
+        output_digest = (fun (_, cells) -> Gen.output_digest cells);
+        canonical_digest =
+          (fun (static_id, cells) ~commits:_ -> Gen.repeated_digest ~static_id cells);
+        summary = (fun (_, cells) -> Printf.sprintf "%d cells" (Array.length cells));
       }
 
   (* A benchmark row: no static ids, and an answer that does not depend

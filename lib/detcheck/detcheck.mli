@@ -76,6 +76,16 @@ module Replay_cases : sig
       push-depth counts; it is static-id capable when its child keys
       are unique. *)
 
+  val gen_repeated : seed:int -> t
+  (** The {!gen} row of [seed] made to repeat items: its children draw
+      their keys from an eighth of the task range, so many pushes name
+      an item already pushed. It is static-id capable: with static ids
+      the copies of an item collapse into one task, without them each
+      copy runs. Its answer is the set of values each cell received,
+      the same either way, except that a value written twice into one
+      cell under static ids (a collapse that did not happen) changes
+      it. *)
+
   val bfs : n:int -> seed:int -> t
   val sssp : n:int -> seed:int -> t
   val boruvka : n:int -> seed:int -> t
@@ -123,6 +133,10 @@ type divergence = {
 type report = { case_name : string; runs : int; divergences : divergence list }
 
 val ok : report -> bool
+
+val pp_divergence : Format.formatter -> divergence -> unit
+(** One line; a trace-stream divergence names its first differing line
+    and round. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One line per divergence; a trace-stream divergence names its first

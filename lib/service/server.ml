@@ -7,21 +7,39 @@
 
    - job ids are assigned in submission order and are the only ordering
      the server ever uses;
-   - [drain] executes one arrival batch — everything pending — in job-id
-     order, each job as one deterministic Galois run on the shared
-     pool (jobs are serialized; parallelism lives *inside* each run,
-     where the DIG scheduler makes it schedule-deterministic);
+   - [drain] takes one arrival batch — everything pending — and deals
+     its jobs to [min lanes batch] lanes, one lane per pool worker in a
+     single pool dispatch. A lane takes the next job index from an
+     atomic counter and solves that job as one det:1 Galois run on the
+     shared pool. Which lane runs which job depends on timing; nothing
+     a job computes does, because a det run's output and schedule are
+     the same at every thread count (the paper's portability). At one
+     thread the scheduler never dispatches, so a lane never nests on
+     the pool. With one lane the jobs run on the caller, undispatched;
+   - a job's own sink is called by the lane running that job. The
+     global sink sees no concurrent calls: each job's events are
+     buffered on its lane (only when the global sink is not null), and
+     the draining domain replays them, original stamps included, job
+     by job in id order. The draining domain also records the
+     responses — digest fold, counters, [responses] — in job-id order;
+   - a query whose run raises is answered [Failed] with the exception's
+     rendering, and the rest of its batch is still answered. The
+     exception is deterministic: the DIG scheduler re-raises the
+     lowest-id task's exception, and a sink raises at a fixed event;
    - rendered responses exclude everything timing-dependent (latency,
      batch number), so the response stream and the digest folded over
      it are functions of the submission sequence alone;
    - backpressure is deterministic: a submission is rejected iff the
      queue already holds [max_pending] jobs — a function of queue
-     occupancy, never of wall-clock.
+     occupancy, never of wall-clock. [submit] refuses to run during a
+     drain, where job ids would depend on which lane's sink got there
+     first.
 
    Across *different* interleavings (the same jobs grouped into
    different arrival batches) the responses are still byte-identical as
-   long as nothing is rejected, because execution order is id order
-   either way; detcheck's service case checks exactly that. *)
+   long as nothing is rejected, because every job's answer is a function
+   of its query and they are recorded in id order either way; detcheck's
+   service case checks exactly that. *)
 
 module D = Galois.Trace_digest
 
@@ -60,10 +78,11 @@ type job = { id : int; query : Query.t; sink : Obs.sink; submitted_s : float }
 type t = {
   pool : Galois.Pool.t;
   catalog : Catalog.t;
-  threads : int;
+  lanes : int;  (* jobs in flight *)
   max_pending : int;
   global_sink : Obs.sink;
   queue : job Queue.t;
+  draining : bool Atomic.t;
   mutable next_job : int;
   mutable batches : int;
   mutable digest : D.t;
@@ -75,18 +94,19 @@ type t = {
 }
 
 let create ?threads ?(max_pending = 1024) ?(sink = Obs.null) ~catalog pool =
-  let threads = match threads with Some t -> t | None -> Galois.Pool.size pool in
-  if threads < 1 then invalid_arg "Server.create: threads must be positive";
-  if threads > Galois.Pool.size pool then
+  let lanes = match threads with Some t -> t | None -> Galois.Pool.size pool in
+  if lanes < 1 then invalid_arg "Server.create: threads must be positive";
+  if lanes > Galois.Pool.size pool then
     invalid_arg "Server.create: more threads than pool workers";
   if max_pending < 1 then invalid_arg "Server.create: max_pending must be positive";
   {
     pool;
     catalog;
-    threads;
+    lanes;
     max_pending;
     global_sink = sink;
     queue = Queue.create ();
+    draining = Atomic.make false;
     next_job = 0;
     batches = 0;
     digest = D.seed;
@@ -112,6 +132,7 @@ let record t r =
       t.latencies_rev <- r.latency_s :: t.latencies_rev
 
 let submit ?(sink = Obs.null) t query =
+  if Atomic.get t.draining then invalid_arg "Server.submit: called while draining";
   let id = t.next_job in
   t.next_job <- id + 1;
   if Queue.length t.queue >= t.max_pending then begin
@@ -135,17 +156,16 @@ let submit ?(sink = Obs.null) t query =
 
 let digest_ints arr = Array.fold_left D.fold_int D.seed arr
 
-(* One query = one deterministic Galois run on the shared pool. Every
-   failure mode is detected from catalog metadata (never by catching
-   timing-dependent exceptions), so failures render deterministically
-   too. *)
+(* One query = one det:1 Galois run on the shared pool. Every
+   validation failure is detected from catalog metadata, so it renders
+   deterministically; a run that raises is caught by [execute]. *)
 let run_query t ~sink (q : Query.t) =
   match Catalog.find t.catalog (Query.graph q) with
   | None -> Failed { reason = "unknown-graph" }
   | Some entry -> (
       let g = entry.Catalog.graph in
       let n = Graphlib.Csr.nodes g in
-      let policy = Galois.Policy.det t.threads in
+      let policy = Galois.Policy.det 1 in
       let done_ ~summary ~output_digest (report : Galois.Run.report) =
         Done
           {
@@ -206,28 +226,64 @@ let run_query t ~sink (q : Query.t) =
                 (Printf.sprintf "components=%d" (Apps.Cc.count_components labels))
               ~output_digest:(digest_ints labels) report)
 
-let execute t ~batch (j : job) =
-  let sink = Obs.Sink.tee t.global_sink j.sink in
-  let outcome = run_query t ~sink j.query in
-  let latency_s = Galois.Clock.now_s () -. j.submitted_s in
-  { job = j.id; query = j.query; batch; outcome; latency_s }
+let failed exn = Failed { reason = Printexc.to_string exn }
+
+(* Runs on a lane: the job's outcome, its completion time, and the
+   events the global sink is owed, newest first. *)
+let execute t (j : job) =
+  let owed = ref [] in
+  let sink =
+    if Obs.Sink.is_null t.global_sink then j.sink
+    else Obs.Sink.tee { Obs.emit = (fun e -> owed := e :: !owed); close = ignore } j.sink
+  in
+  let outcome = try run_query t ~sink j.query with exn -> failed exn in
+  (outcome, Galois.Clock.now_s (), !owed)
+
+(* Lane [w] of [lanes] solves jobs until the batch runs out. *)
+let lane t jobs results ~lanes ~next w =
+  if w < lanes then begin
+    let i = ref (Atomic.fetch_and_add next 1) in
+    while !i < Array.length jobs do
+      results.(!i) <- Some (execute t jobs.(!i));
+      i := Atomic.fetch_and_add next 1
+    done
+  end
+
+(* On the draining domain, in job-id order: replay the job's events
+   into the global sink, then record its response. *)
+let answer t ~batch (j : job) (outcome, done_s, owed) =
+  let outcome =
+    match List.iter t.global_sink.Obs.emit (List.rev owed) with
+    | () -> outcome
+    | exception exn -> failed exn
+  in
+  let r = { job = j.id; query = j.query; batch; outcome; latency_s = done_s -. j.submitted_s } in
+  record t r;
+  r
 
 let drain t =
+  if Atomic.get t.draining then invalid_arg "Server.drain: called while draining";
   if Queue.is_empty t.queue then []
   else begin
+    (* The use-after-shutdown gate, before anything is popped. *)
+    let pool = Galois.Pool.domain_pool t.pool in
     let batch = t.batches in
     t.batches <- batch + 1;
-    (* Snapshot the batch size first: jobs admitted while this batch
-       executes belong to the next one. *)
-    let count = Queue.length t.queue in
-    let responses = ref [] in
-    for _ = 1 to count do
-      let j = Queue.pop t.queue in
-      let r = execute t ~batch j in
-      record t r;
-      responses := r :: !responses
-    done;
-    List.rev !responses
+    let jobs = Array.of_seq (Queue.to_seq t.queue) in
+    Queue.clear t.queue;
+    let results = Array.make (Array.length jobs) None in
+    let lanes = min t.lanes (Array.length jobs) and next = Atomic.make 0 in
+    Atomic.set t.draining true;
+    Fun.protect
+      ~finally:(fun () -> Atomic.set t.draining false)
+      (fun () ->
+        if lanes = 1 then lane t jobs results ~lanes ~next 0
+        else Parallel.Domain_pool.run pool (lane t jobs results ~lanes ~next);
+        let responses = ref [] in
+        Array.iteri
+          (fun i j -> responses := answer t ~batch j (Option.get results.(i)) :: !responses)
+          jobs;
+        List.rev !responses)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -3,8 +3,16 @@
 
     The admission queue batches submissions into rounds keyed only by
     (job id, arrival batch) — never wall-clock. {!drain} executes one
-    arrival batch (everything pending) in job-id order; each job runs
-    as one deterministic Galois run, its parallelism inside the run.
+    arrival batch (everything pending) on up to [threads] lanes: one
+    pool dispatch deals the batch's jobs to the lanes, and each job runs
+    as one det:1 Galois run on the lane that takes it. A det run's
+    answer does not depend on its thread count, so a job answers exactly
+    as it would at det:[threads], and jobs run side by side instead of
+    each paying the pool's wake-ups every round. A job's own sink is
+    called by the lane running it; the server's global sink is called
+    only by the draining domain, which replays each job's buffered
+    events and records the responses in job-id order.
+
     Rendered responses exclude latency and batch number, so an
     identical submission sequence yields byte-identical responses — and
     an identical folded {!digest} — at any pool size and under any
@@ -26,8 +34,10 @@ type outcome =
     }
   | Rejected of { reason : string }  (** deterministic backpressure *)
   | Failed of { reason : string }
-      (** deterministic validation failure: unknown graph, missing
-          weights, asymmetric graph, source out of range *)
+      (** deterministic failure: a validation failure (unknown graph,
+          missing weights, asymmetric graph, source out of range), or
+          the [Printexc] rendering of the exception the query's run or
+          one of its sinks raised *)
 
 type response = {
   job : int;  (** submission-order id *)
@@ -48,25 +58,31 @@ type t
 val create :
   ?threads:int -> ?max_pending:int -> ?sink:Obs.sink -> catalog:Catalog.t ->
   Galois.Pool.t -> t
-(** A server executing jobs on the given pool with [det:threads]
-    (default: the pool size; must not exceed it), holding at most
-    [max_pending] (default 1024) queued jobs, teeing every job's events
-    into [sink] (default {!Obs.null}). The server does not own the
-    pool; shutting the pool down is the creator's job, after the last
-    {!drain}. *)
+(** A server executing up to [threads] jobs at once on the given pool,
+    each at det:1 (default: the pool size; must not exceed it), holding
+    at most [max_pending] (default 1024) queued jobs, and replaying
+    every job's events into [sink] (default {!Obs.null}) in job-id
+    order. The server does not own the pool; shutting the pool down is
+    the creator's job, after the last {!drain}. *)
 
 val submit : ?sink:Obs.sink -> t -> Query.t -> [ `Accepted of int | `Rejected of int ]
 (** Enqueue a query; the id is the submission rank. [sink] receives
-    this job's events (teed with the server's global sink) when it
-    executes. Rejected submissions are recorded as {!Rejected}
-    responses immediately. *)
+    this job's events, from the lane that executes it; the server's
+    global sink receives them too, from the draining domain. Rejected
+    submissions are recorded as {!Rejected} responses immediately.
+    Raises [Invalid_argument "Server.submit: called while draining"]
+    when called during {!drain} (from a sink), where the job's id
+    would depend on timing. *)
 
 val pending : t -> int
 
 val drain : t -> response list
-(** Execute every currently pending job — one arrival batch — in job-id
-    order and return their responses (also recorded). Jobs submitted
-    from a sink while draining join the next batch. *)
+(** Execute every currently pending job — one arrival batch — and
+    return their responses in job-id order (also recorded in that
+    order). A query whose run raises is answered {!Failed}; the rest
+    of the batch is still answered. Raises [Invalid_argument] when
+    called during another drain, or when the pool is shut down (then
+    nothing is popped). *)
 
 (** {2 Introspection} *)
 

@@ -25,6 +25,24 @@ let test_fuzz_cases_invariant () =
       if not (Detcheck.ok report) then Alcotest.failf "%a" Detcheck.pp_report report)
     [ 1; 2; 3; 4 ]
 
+(* The repeated-gen row must really repeat items: with static ids it
+   commits fewer tasks than without, and gives the same answer. *)
+let test_repeated_row_collapses () =
+  List.iter
+    (fun seed ->
+      let (Detcheck.Replay_cases.Case c) = Detcheck.Replay_cases.gen_repeated ~seed in
+      let solve static_id =
+        let o, (report : Galois.Run.report) =
+          Galois.Run.solve ~policy:(Galois.Policy.det 2) (c.fresh ~static_id ())
+        in
+        (report.stats.commits, c.canonical_digest o ~commits:report.stats.commits)
+      in
+      let commits, answer = solve false and collapsed, answer' = solve true in
+      check_bool (Printf.sprintf "seed %d: static ids collapse repeats" seed) true
+        (collapsed < commits);
+      check_bool (Printf.sprintf "seed %d: same answer" seed) true (D.equal answer answer'))
+    [ 7; 2014 ]
+
 let test_bfs_case_invariant () =
   let report =
     Detcheck.check_invariance ~threads:quick_threads (Detcheck.Replay_cases.bfs ~n:150 ~seed:7)
@@ -170,6 +188,8 @@ let test_serial_and_nondet_have_no_digest () =
 let suite =
   [
     Alcotest.test_case "fuzz cases invariant on reduced lattice" `Quick test_fuzz_cases_invariant;
+    Alcotest.test_case "repeated row collapses under static ids" `Quick
+      test_repeated_row_collapses;
     Alcotest.test_case "bfs case invariant on reduced lattice" `Quick test_bfs_case_invariant;
     Alcotest.test_case "checker detects a nondeterministic case" `Quick
       test_checker_detects_divergence;

@@ -38,7 +38,7 @@ let print_table name rows =
   List.iter (fun row -> line (Printf.sprintf "    %S;" row)) rows;
   line "  ]"
 
-(* The fixture's eight table rows, shared by both tables and the
+(* The fixture's nine table rows, shared by both tables and the
    midpoint-resume test. *)
 let rows () =
   [
@@ -50,6 +50,7 @@ let rows () =
     Detcheck.Replay_cases.sssp ~n:300 ~seed:7;
     Detcheck.Replay_cases.boruvka ~n:300 ~seed:7;
     Detcheck.Replay_cases.dmr ~points:90 ~seed:7;
+    Detcheck.Replay_cases.gen_repeated ~seed:7;
   ]
 
 let observe_configs configs pool =
@@ -87,8 +88,9 @@ let observed =
    DIG scheduler 2026-08-06, re-pinned 2026-10-17 when the window
    controller's shrink floor became the previous round's commit count
    instead of the constant 32 (ROADMAP direction 4(b)). The ratio=0.5
-   rows (a non-default window target ratio) were added 2026-10-19; no
-   other row moved. *)
+   rows (a non-default window target ratio) were added 2026-10-19, and
+   the repeated-gen rows (children that repeat items, so static ids
+   collapse them) later that day; no other row moved. *)
 let expected =
   [
     "gen(seed=1,subsets,tasks=42,locks=16,depth=1)|default|534606af406d06de|a6f3b3c9ed1def70";
@@ -149,6 +151,15 @@ let expected =
     "dmr(points=90,seed=7)|no-continuation|db9dda662af3558b|217c872f03b40294";
     "dmr(points=90,seed=7)|validate|db9dda662af3558b|8b7c152201886452";
     "dmr(points=90,seed=7)|ratio=0.5|d794d7cfeea3fab7|11393bd7df24b744";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|default|85eb60986ac5da5a|a3c57fee4c339f42";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|window=8|66b400d3c4fcbbbc|8d98e9c374ec5aeb";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|window=256|30e92d51236db848|d3cfbc1201affdb4";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|spread=1|ce770e8bd0acdbc2|bf2eeb2219d5881e";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|no-continuation|85eb60986ac5da5a|4b7c1cc4797d8f6e";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|validate|85eb60986ac5da5a|a3c57fee4c339f42";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|ratio=0.5|c46f81526c9af07d|fd64bd8ecd42f275";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|static-id|97d6f723c20061d1|1a666382d4ddeebb";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|static-id+window=8|a4f173a55b0deb37|3c2e9cd4043849f2";
   ]
 
 let test_fixture () =
@@ -161,7 +172,7 @@ let test_fixture () =
       expected got
   end
 
-(* Soft-priority fixture: the same eight rows under ordered
+(* Soft-priority fixture: the same nine rows under ordered
    configurations, captured when the delta-stepping bucket axis landed.
    Pins the bucket layout (floor-division bucketing, id order within a
    bucket, per-run spread), the digest folds (generation length, delta,
@@ -198,8 +209,8 @@ let prio_configs ~static_id_capable:_ =
 let observed_prio = observe_configs prio_configs
 
 (* case|config|sched-digest|det-event-stream-digest — soft-priority
-   scheduler, captured 2026-08-07 and re-pinned with the table above.
-   Apps without a priority hint (bfs, boruvka, dmr) land in a single
+   scheduler, captured 2026-08-07 and re-pinned with the table above;
+   the repeated-gen rows were added with the table above's. Apps without a priority hint (bfs, boruvka, dmr) land in a single
    bucket 0: their event streams agree across deltas (bucket events
    carry no delta) while their schedule digests still pin the folded
    delta value. *)
@@ -245,6 +256,11 @@ let expected_prio =
     "dmr(points=90,seed=7)|prio=auto|bfbbd0635197a74a|19918d13da00655e";
     "dmr(points=90,seed=7)|prio=auto+window=8|c30b04e77306a107|d5844fb0f4e13dfc";
     "dmr(points=90,seed=7)|prio=delta:2+spread=1|123b4f4d739dfd3d|056a561bf0f99728";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|prio=delta:1|91200eb68b9807e2|2754f912ece05977";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|prio=delta:8|69189896ff598e10|10b2046ae612f996";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|prio=auto|91200eb68b9807e2|2754f912ece05977";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|prio=auto+window=8|91200eb68b9807e2|93d8a41f5778de22";
+    "repeated-gen(seed=7,bipartite,tasks=134,locks=26,depth=2)|prio=delta:2+spread=1|74335c60bc65bae4|4f0127313f022178";
   ]
 
 let test_prio_fixture () =
@@ -258,7 +274,7 @@ let test_prio_fixture () =
       expected_prio got
   end
 
-(* Pool-reuse determinism: the whole 50-point fixture run twice on one
+(* Pool-reuse determinism: the whole unordered fixture run twice on one
    shared long-lived pool must byte-match itself *and* the pinned table
    — a reused pool (warm workers, accumulated sync counters) is
    schedule-neutral. *)

@@ -219,13 +219,13 @@ let test_server_backpressure_deterministic () =
   check_lines "identical streams (rejects included)" lines1 lines2;
   check_string "identical digests" d1 d2
 
-let test_server_per_job_sinks () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+(* Two jobs, each with its own ring, under a global ring, on a pool of
+   [domains]: returns the three rings' contents. *)
+let per_job_session ~domains =
+  Galois.Pool.with_pool ~domains (fun pool ->
       let catalog = Service.Catalog.synthetic ~seed ~nodes:150 () in
       let global = Obs.Memory.create () in
-      let server =
-        Service.Server.create ~sink:(Obs.Memory.sink global) ~catalog pool
-      in
+      let server = Service.Server.create ~sink:(Obs.Memory.sink global) ~catalog pool in
       let ma = Obs.Memory.create () and mb = Obs.Memory.create () in
       ignore
         (Service.Server.submit ~sink:(Obs.Memory.sink ma) server
@@ -234,17 +234,122 @@ let test_server_per_job_sinks () =
         (Service.Server.submit ~sink:(Obs.Memory.sink mb) server
            (Service.Query.Cc { graph = "sym" }));
       ignore (Service.Server.drain server);
-      let ca = List.length (Obs.Memory.contents ma)
-      and cb = List.length (Obs.Memory.contents mb) in
-      check_bool "job A traced" true (ca > 0);
-      check_bool "job B traced" true (cb > 0);
-      (* Isolation: each job sink saw only its own run; the global sink
-         saw both. *)
-      check_int "global = A + B" (ca + cb)
-        (List.length (Obs.Memory.contents global));
-      check_bool "different runs, different streams" true
-        (Obs.deterministic_lines (Obs.Memory.contents ma)
-        <> Obs.deterministic_lines (Obs.Memory.contents mb)))
+      (Obs.Memory.contents global, Obs.Memory.contents ma, Obs.Memory.contents mb))
+
+let test_server_per_job_sinks () =
+  let global, a, b = per_job_session ~domains:2 in
+  let ca = List.length a and cb = List.length b in
+  check_bool "job A traced" true (ca > 0);
+  check_bool "job B traced" true (cb > 0);
+  (* Isolation: each job sink saw only its own run; the global sink
+     saw both, job A's events before job B's, although the two jobs ran
+     on different lanes. *)
+  check_int "global = A + B" (ca + cb) (List.length global);
+  let lines = Obs.deterministic_lines in
+  check_bool "different runs, different streams" true (lines a <> lines b);
+  check_string "global = A then B" (lines a ^ lines b) (lines global);
+  let global1, _, _ = per_job_session ~domains:1 in
+  check_string "global lines pool-size invariant" (lines global1) (lines global);
+  (* A lane runs its job at det:1 and never dispatches: no pool waits
+     are booked to it. *)
+  let counters =
+    List.filter_map
+      (fun (e : Obs.stamped) ->
+        match e.event with Obs.Worker_counters c -> Some c | _ -> None)
+      global
+  in
+  check_int "one worker per job" 2 (List.length counters);
+  List.iter
+    (fun (c : Obs.counters) ->
+      check_int "spins" 0 c.spins;
+      check_int "parks" 0 c.parks)
+    counters
+
+(* A job whose sink raises is answered [Failed] with the exception's
+   rendering; the rest of its batch is answered as in a clean session,
+   identically on pools of 1 and 2, and the pool serves the next drain. *)
+let test_server_failing_query () =
+  let queries = mixed_queries ~count:3 in
+  let session ~domains ~faulty =
+    Galois.Pool.with_pool ~domains (fun pool ->
+        let catalog = Service.Catalog.synthetic ~seed ~nodes:200 () in
+        let server = Service.Server.create ~catalog pool in
+        let raising =
+          {
+            Obs.emit =
+              (fun e ->
+                match e.Obs.event with
+                | Obs.Round_begin _ -> failwith "sink gave up"
+                | _ -> ());
+            close = ignore;
+          }
+        in
+        List.iteri
+          (fun i q ->
+            let sink = if faulty && i = 1 then raising else Obs.null in
+            ignore (Service.Server.submit ~sink server q))
+          queries;
+        let lines = List.map Service.Server.render (Service.Server.drain server) in
+        ignore (Service.Server.submit server (List.hd queries));
+        let later = Service.Server.drain server in
+        check_int "later drain answers" 1 (List.length later);
+        (match (List.hd later).outcome with
+        | Service.Server.Done _ -> ()
+        | _ -> Alcotest.fail "later drain should succeed");
+        lines)
+  in
+  let clean = session ~domains:1 ~faulty:false in
+  let f1 = session ~domains:1 ~faulty:true in
+  let f2 = session ~domains:2 ~faulty:true in
+  check_int "every job answered" 3 (List.length f1);
+  check_string "job 0 as clean" (List.nth clean 0) (List.nth f1 0);
+  check_string "job 2 as clean" (List.nth clean 2) (List.nth f1 2);
+  check_string "job 1 failed"
+    (Printf.sprintf "job=1 query=%s failed Failure(\"sink gave up\")"
+       (Service.Query.to_string (List.nth queries 1)))
+    (List.nth f1 1);
+  check_lines "pool-size invariant" f1 f2
+
+(* A sink that submits while its job runs is refused: its job's id
+   would depend on which lane got there first. *)
+let test_server_reentrant_submit () =
+  Galois.Pool.with_pool ~domains:2 (fun pool ->
+      let catalog = Service.Catalog.synthetic ~seed ~nodes:200 () in
+      let server = Service.Server.create ~catalog pool in
+      (* One sink for three jobs on two lanes: it may be called
+         concurrently, so it counts atomically. *)
+      let refused = Atomic.make 0 in
+      let sink =
+        {
+          Obs.emit =
+            (fun e ->
+              match e.Obs.event with
+              | Obs.Run_end _ -> (
+                  match Service.Server.submit server (Service.Query.Cc { graph = "sym" }) with
+                  | _ -> ()
+                  | exception Invalid_argument msg ->
+                      if msg = "Server.submit: called while draining" then Atomic.incr refused)
+              | _ -> ());
+          close = ignore;
+        }
+      in
+      List.iter
+        (fun q -> ignore (Service.Server.submit ~sink server q))
+        (mixed_queries ~count:3);
+      let rs = Service.Server.drain server in
+      check_int "every submit from a sink refused" 3 (Atomic.get refused);
+      List.iter
+        (fun (r : Service.Server.response) ->
+          match r.outcome with
+          | Service.Server.Done _ -> ()
+          | _ -> Alcotest.failf "job %d not answered" r.job)
+        rs;
+      check_int "nothing queued" 0 (Service.Server.pending server);
+      check_int "no id taken" 3 (Service.Server.stats server).submitted;
+      (* After the drain, submission works again. *)
+      match Service.Server.submit server (Service.Query.Cc { graph = "sym" }) with
+      | `Accepted id -> check_int "next id" 3 id
+      | `Rejected _ -> Alcotest.fail "rejected")
 
 let test_server_failed_outcomes () =
   Galois.Pool.with_pool ~domains:1 (fun pool ->
@@ -318,6 +423,9 @@ let suite =
       test_server_per_job_sinks;
     Alcotest.test_case "failed outcomes are deterministic" `Quick
       test_server_failed_outcomes;
+    Alcotest.test_case "a failing query is answered" `Quick test_server_failing_query;
+    Alcotest.test_case "submit while draining is refused" `Quick
+      test_server_reentrant_submit;
     Alcotest.test_case "server create rejects bad configs" `Quick
       test_server_create_rejects;
   ]
