@@ -5,7 +5,6 @@
      detcheck service 120
      detcheck audit --threads 1,2,4
      detcheck trace FILE.jsonl
-     detcheck replay FULL.sched RESUMED.sched
      detcheck ordered
 
    Every subcommand runs under `dune runtest` (the aliases in bin/dune),
@@ -130,7 +129,7 @@ let run_audit ~seed ~threads ~size ~points ~verbose =
     if v.failures = before && not verbose then
       Verdict.pass "%s %s %s at det:{%s}" what name passed tlist
   in
-  Galois.Pool.with_pool ~domains:tmax (fun pool ->
+  Parallel.Domain_pool.with_pool tmax (fun pool ->
       List.iter
         (fun (c : Detcheck.Audit_cases.t) ->
           sweep "audit" c.name ~passed:"clean" (fun ~policy ->
@@ -158,25 +157,6 @@ let run_trace path =
       let det = List.filter (fun (s : Obs.stamped) -> Obs.deterministic s.event) events in
       Verdict.pass "%s: %d events (%d deterministic)" path (List.length events)
         (List.length det));
-  Verdict.finish v
-
-let read_lines path =
-  try Ok (In_channel.with_open_text path In_channel.input_lines)
-  with Sys_error msg ->
-    (* open errors name the path, read errors (a directory) do not *)
-    Error (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg)
-
-(* replay: the schedule dump of a checkpoint/resume run must be the
-   suffix of an uninterrupted run's dump, digest trailer included. *)
-let run_replay full_path resumed_path =
-  let v = Verdict.start "replay" in
-  (match (read_lines full_path, read_lines resumed_path) with
-  | Error msg, _ | _, Error msg -> Verdict.fail v "%s" msg
-  | Ok full, Ok resumed -> (
-      match Detcheck.Schedule_dump.check_suffix ~full ~resumed with
-      | Ok rounds ->
-          Verdict.pass "%s is the suffix of %s (%d rounds)" resumed_path full_path rounds
-      | Error problems -> List.iter (Verdict.fail v "%s") problems));
   Verdict.finish v
 
 (* ordered: sssp on a weighted R-MAT graph under the soft-priority
@@ -302,8 +282,6 @@ let verbose_arg =
   in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let file_arg i docv = Arg.(required & pos i (some string) None & info [] ~docv)
-
 let lattice_cmd =
   let doc = "sweep the configuration lattice over the benchmarks and fuzz cases" in
   let man =
@@ -373,15 +351,8 @@ let audit_cmd =
 
 let trace_cmd =
   let doc = "validate a JSONL observability trace against the event schema" in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(ret (const run_trace $ file_arg 0 "FILE"))
-
-let replay_cmd =
-  let doc =
-    "check that a resumed run's $(b,galois-run --schedule-out) dump is the suffix of the \
-     full run's"
-  in
-  Cmd.v (Cmd.info "replay" ~doc)
-    Term.(ret (const run_replay $ file_arg 0 "FULL" $ file_arg 1 "RESUMED"))
+  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
+  Cmd.v (Cmd.info "trace" ~doc) Term.(ret (const run_trace $ file))
 
 let ordered_cmd =
   let doc = "soft-priority sssp: Dijkstra equality, invariant digests, work-unit drop" in
@@ -401,12 +372,11 @@ let cmd =
       `P "detcheck service 120 --size 300";
       `P "detcheck audit --size 300 --threads 1,2,4";
       `P "detcheck trace trace.jsonl";
-      `P "detcheck replay full.sched resumed.sched";
       `P "detcheck ordered";
     ]
   in
   Cmd.group
     (Cmd.info "detcheck" ~version:"1.0.0" ~doc ~man)
-    [ lattice_cmd; service_cmd; audit_cmd; trace_cmd; replay_cmd; ordered_cmd ]
+    [ lattice_cmd; service_cmd; audit_cmd; trace_cmd; ordered_cmd ]
 
 let () = exit (Cmd.eval ~term_err:1 cmd)

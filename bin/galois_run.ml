@@ -8,7 +8,7 @@
    (Detcheck.Replay_cases): its input, plan, output digest and summary
    line all come from there, and one path runs any row. The
    checkpoint/replay flags (--checkpoint, --resume, --replay-to,
-   --crash-resume, --schedule-out) ride on that path under a det
+   --crash-resume, --digest-out) ride on that path under a det
    policy. *)
 
 module D = Galois.Trace_digest
@@ -29,26 +29,15 @@ type replay_opts = {
   checkpoint : string option;  (* write round-boundary snapshots here *)
   every : int option;  (* checkpoint cadence (default 1); needs [checkpoint] *)
   resume : string option;  (* resume from this snapshot file *)
-  replay_to : int option;  (* stop after this round, dump the schedule prefix *)
+  replay_to : int option;  (* stop after this round *)
   crash_at : int option;  (* in-process crash/resume verification round *)
-  schedule_out : string option;  (* where the schedule prefix goes (default stdout) *)
+  digest_out : string option;  (* write the run's digest line here *)
 }
 
 let replay_requested r =
   Option.is_some r.checkpoint || Option.is_some r.every || Option.is_some r.resume
   || Option.is_some r.replay_to || Option.is_some r.crash_at
-  || Option.is_some r.schedule_out
-
-(* The executed rounds in the Detcheck.Schedule_dump format, which
-   `detcheck replay` compares against an uninterrupted run's dump
-   (@replay-smoke). *)
-let dump_schedule_prefix ~out report =
-  let lines = Detcheck.Schedule_dump.lines report in
-  match out with
-  | None -> List.iter print_endline lines
-  | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          List.iter (Printf.fprintf oc "%s\n") lines)
+  || Option.is_some r.digest_out
 
 (* Two fresh worlds: run one to completion, crash and resume the
    other, then require digest & output equality. *)
@@ -79,11 +68,13 @@ let snapshot_or_fail path = function
   | Error e -> failwith (Printf.sprintf "%s: %s" path (Galois.Snapshot.error_to_string e))
 
 (* One run of a table row: the replay flags ride on the description,
-   and asking for any of them adds the output digest (and the schedule
-   dump, if one was asked for) to the report. A run stopped by
-   --replay-to holds a partial answer, so it gets no summary line. *)
+   and asking for any of them adds the output digest to the report. A
+   run stopped by --replay-to holds a partial answer, so it gets no
+   summary line. --digest-out writes "digest=D rounds=R output=O": a
+   det schedule is a function of the input and the det options, so a
+   resumed run is correct iff this line equals the uninterrupted run's
+   (@replay-smoke compares the two files). *)
 let run_row ~app ~policy ~sink r (Detcheck.Replay_cases.Case c) =
-  let dump = Option.is_some r.replay_to || Option.is_some r.schedule_out in
   let run, out = c.fresh ~static_id:false () in
   let checkpoint path =
     Galois.Run.checkpoint ~every:(Option.value r.every ~default:1) (fun snap ->
@@ -97,14 +88,19 @@ let run_row ~app ~policy ~sink r (Detcheck.Replay_cases.Case c) =
     |> Galois.Run.opt checkpoint r.checkpoint
     |> Galois.Run.opt resume r.resume
     |> Galois.Run.opt Galois.Run.stop_after r.replay_to
-    |> if dump then Galois.Run.record else Fun.id
   in
   let report, wall_s = timed (fun () -> Galois.Run.exec run) in
   let output = out () in
+  let output_digest = D.to_hex (c.output_digest output) in
   pp_stats app ~policy ~wall_s report.stats;
   if Option.is_none r.replay_to then Fmt.pr "  %s@." (c.summary output);
-  if replay_requested r then Fmt.pr "  output digest=%s@." (D.to_hex (c.output_digest output));
-  if dump then dump_schedule_prefix ~out:r.schedule_out report;
+  if replay_requested r then Fmt.pr "  output digest=%s@." output_digest;
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          Printf.fprintf oc "digest=%s rounds=%d output=%s\n"
+            (D.to_hex report.stats.digest) report.stats.rounds output_digest))
+    r.digest_out;
   `Ok ()
 
 (* pfp runs one plan per epoch, so it has no table row and no replay. *)
@@ -206,8 +202,8 @@ let resume_arg =
 
 let replay_to_arg =
   let doc =
-    "Stop after round $(docv) and dump the executed schedule prefix (one line per round \
-     plus a digest trailer; see --schedule-out)."
+    "Stop after round $(docv); the printed digests then cover the executed prefix (see \
+     --digest-out)."
   in
   Arg.(value & opt (some int) None & info [ "replay-to" ] ~docv:"ROUND" ~doc)
 
@@ -219,9 +215,13 @@ let crash_resume_arg =
   in
   Arg.(value & opt (some int) None & info [ "crash-resume" ] ~docv:"ROUND" ~doc)
 
-let schedule_out_arg =
-  let doc = "Write the --replay-to schedule prefix to $(docv) instead of stdout." in
-  Arg.(value & opt (some string) None & info [ "schedule-out" ] ~docv:"FILE" ~doc)
+let digest_out_arg =
+  let doc =
+    "Write one line, $(b,digest=D rounds=R output=O), to $(docv): the round-trace digest, \
+     the round count and the output digest. A resumed run reproduces the uninterrupted \
+     run's line byte for byte."
+  in
+  Arg.(value & opt (some string) None & info [ "digest-out" ] ~docv:"FILE" ~doc)
 
 let cmd =
   let doc = "run Deterministic Galois benchmarks under a chosen execution policy" in
@@ -244,8 +244,8 @@ let cmd =
     ]
   in
   let run_traced app policy size seed trace checkpoint every resume replay_to crash_at
-      schedule_out =
-    let r = { checkpoint; every; resume; replay_to; crash_at; schedule_out } in
+      digest_out =
+    let r = { checkpoint; every; resume; replay_to; crash_at; digest_out } in
     (* The sink is assembled with the combinators: [of_list] collapses
        to [Obs.null] when no trace was requested, and teeing/closing a
        null sink is free, so dispatch never branches on an option. *)
@@ -262,7 +262,7 @@ let cmd =
       ret
         (const run_traced $ app_arg $ policy_arg $ size_arg $ seed_arg $ trace_arg
        $ checkpoint_arg $ every_arg $ resume_arg $ replay_to_arg $ crash_resume_arg
-       $ schedule_out_arg))
+       $ digest_out_arg))
   in
   Cmd.v (Cmd.info "galois-run" ~version:"1.0.0" ~doc ~man) term
 

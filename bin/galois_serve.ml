@@ -27,10 +27,9 @@ let run nodes seed requests batch domains threads max_pending trace verbose =
           (match trace with None -> [] | Some path -> [ Obs.Jsonl.file path ])
       in
       Fun.protect ~finally:(fun () -> Obs.close sink) @@ fun () ->
-      Galois.Pool.with_pool ?domains @@ fun pool ->
-      let lanes =
-        match threads with Some t -> t | None -> Galois.Pool.size pool
-      in
+      let domains = Option.value domains ~default:(Domain.recommended_domain_count ()) in
+      Parallel.Domain_pool.with_pool domains @@ fun pool ->
+      let lanes = Option.value threads ~default:domains in
       let catalog = Service.Catalog.synthetic ~seed ~nodes () in
       let queries = Detcheck.Service_case.queries ~seed ~nodes ~count:requests in
       let server =
@@ -54,7 +53,7 @@ let run nodes seed requests batch domains threads max_pending trace verbose =
       in
       let pct = Service.Server.percentile_latency_s server in
       Fmt.pr "galois-serve: pool=%d lanes=%d det:1 catalog=[%s] %a@."
-        (Galois.Pool.size pool) lanes
+        domains lanes
         (String.concat "," (Service.Catalog.names catalog))
         pp_stats stats;
       Fmt.pr "  wall=%.4fs queries/s=%.1f p50=%.3fms p99=%.3fms digest=%a@."

@@ -19,7 +19,7 @@ val galois :
   ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
+  ?pool:Parallel.Domain_pool.t ->
   Graphlib.Csr.t ->
   source:int ->
   int array * Galois.Run.report

@@ -25,7 +25,7 @@ val galois :
   ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
+  ?pool:Parallel.Domain_pool.t ->
   Graphlib.Csr.t ->
   int array ->
   forest * Galois.Run.report

@@ -11,7 +11,7 @@ val galois :
   ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
+  ?pool:Parallel.Domain_pool.t ->
   Graphlib.Csr.t ->
   int array * Galois.Run.report
 (** [Galois.Run.solve] over {!plan}. It stays only because

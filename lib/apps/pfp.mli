@@ -14,7 +14,7 @@ val galois :
   ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
+  ?pool:Parallel.Domain_pool.t ->
   Flow_network.t ->
   result
 (** Epoch-structured Galois preflow-push: active nodes are unordered

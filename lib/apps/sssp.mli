@@ -29,7 +29,7 @@ val galois :
   ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
+  ?pool:Parallel.Domain_pool.t ->
   Graphlib.Csr.t ->
   int array ->
   source:int ->
@@ -43,7 +43,7 @@ val galois_weighted :
   ?audit:bool ->
   ?sink:Obs.sink ->
   policy:Galois.Policy.t ->
-  ?pool:Galois.Pool.t ->
+  ?pool:Parallel.Domain_pool.t ->
   Graphlib.Csr.t ->
   source:int ->
   int array * Galois.Run.report

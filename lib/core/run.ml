@@ -27,7 +27,7 @@ type ('item, 'state) t = {
   operator : ('item, 'state) operator;
   items : 'item array;
   policy_ : Policy.t;
-  pool_ : Pool.t option;
+  pool_ : Parallel.Domain_pool.t option;
   record_ : bool;
   static_id_ : ('item -> int) option;
   priority_ : ('item -> int) option;
@@ -125,11 +125,12 @@ let accept_snapshot t (snap : _ Snapshot.t) =
 let with_pool ?pool threads f =
   match pool with
   | Some p ->
-      (* [domain_pool] is the use-after-shutdown gate. *)
-      let dp = Pool.domain_pool p in
-      if Parallel.Domain_pool.size dp < threads then
+      (* Checked here, not only in [Domain_pool.run]: a det:1 run and an
+         inline DIG phase never dispatch. *)
+      Parallel.Domain_pool.check_live p;
+      if Parallel.Domain_pool.size p < threads then
         invalid_arg "Galois.Run: pool smaller than policy thread count";
-      f dp
+      f p
   | None -> Parallel.Domain_pool.with_pool threads f
 
 let exec t =

@@ -31,11 +31,14 @@ val make : operator:('item, 'state) operator -> 'item array -> ('item, 'state) t
 
 val policy : Policy.t -> ('item, 'state) t -> ('item, 'state) t
 
-val pool : Pool.t -> ('item, 'state) t -> ('item, 'state) t
-(** Reuse a long-lived {!Pool.t} (must be at least as large as the
-    policy's thread count — {!exec} raises [Invalid_argument]
-    otherwise, and also when the pool is already shut down); without
-    one, {!exec} creates a temporary pool per run. *)
+val pool : Parallel.Domain_pool.t -> ('item, 'state) t -> ('item, 'state) t
+(** Reuse a long-lived pool, shared by any number of runs and shut
+    down by its creator. It must be at least as large as the policy's
+    thread count — {!exec} raises [Invalid_argument] otherwise, and
+    also when the pool is already shut down, at every thread count.
+    Schedulers use the first [threads] workers; a det schedule does not
+    depend on the pool. Without one, {!exec} creates a temporary pool
+    per run. *)
 
 val record : ('item, 'state) t -> ('item, 'state) t
 (** Capture a {!Schedule.t} for the simulators ([report.schedule]). *)
@@ -135,7 +138,7 @@ val solve :
   ?record:bool ->
   ?audit:bool ->
   ?sink:Obs.sink ->
-  ?pool:Pool.t ->
+  ?pool:Parallel.Domain_pool.t ->
   policy:Policy.t ->
   ('item, 'state) t * (unit -> 'a) ->
   'a * report

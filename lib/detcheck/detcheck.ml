@@ -661,7 +661,7 @@ let first_difference expected got =
 
 let check_invariance ?(threads = default_threads) (Replay_cases.Case c as row) =
   let tmax = List.fold_left max 1 threads in
-  Galois.Pool.with_pool ~domains:tmax (fun pool ->
+  Parallel.Domain_pool.with_pool tmax (fun pool ->
       let runs = ref 0 and divergences = ref [] in
       (* The canonical answer of the whole lattice is anchored at the
          first configuration's first-thread-count run. *)
@@ -712,7 +712,7 @@ let check_invariance ?(threads = default_threads) (Replay_cases.Case c as row) =
    pipeline has collapsed (and every invariance "pass" above is
    meaningless). *)
 let seeds_distinguished ?(threads = 2) ~seed policy =
-  Galois.Pool.with_pool ~domains:threads (fun pool ->
+  Parallel.Domain_pool.with_pool threads (fun pool ->
       let digest s =
         (observe (Replay_cases.gen ~seed:s) ~pool ~policy ~static_id:false).canonical_digest
       in
@@ -725,7 +725,7 @@ let seeds_distinguished ?(threads = 2) ~seed policy =
    priorities. Failure on either side means the bucket plumbing is
    dead and the prio lattice rows above prove nothing. *)
 let prio_salt_distinguished ?(threads = 2) ~seed () =
-  Galois.Pool.with_pool ~domains:threads (fun pool ->
+  Parallel.Domain_pool.with_pool threads (fun pool ->
       (* Force a non-trivial priority range: a drawn range of 1 would
          make every salt equivalent. *)
       let p = { (Gen.random_params ~seed) with Gen.prio_range = 64 } in
@@ -750,7 +750,7 @@ let prio_salt_distinguished ?(threads = 2) ~seed () =
 module Audit_cases = struct
   type t = {
     name : string;
-    run : policy:Galois.Policy.t -> pool:Galois.Pool.t -> Galois.Audit.report;
+    run : policy:Galois.Policy.t -> pool:Parallel.Domain_pool.t -> Galois.Audit.report;
   }
 
   let need = function
@@ -797,7 +797,7 @@ module Audit_cases = struct
     cname : string;
     crun :
       policy:Galois.Policy.t ->
-      pool:Galois.Pool.t ->
+      pool:Parallel.Domain_pool.t ->
       Galois.Run.report * Galois.Audit.finding list;
         (* (report, witnesses): the run's report carries its audit and
            its event stream, and every witness finding must appear
@@ -947,7 +947,7 @@ module Service_case = struct
      (each with its own memory sink), draining after every [chunk]
      submissions and once more at the end. *)
   let run_once ~pool_size ~chunk ~seed ~nodes ~count =
-    Galois.Pool.with_pool ~domains:pool_size (fun pool ->
+    Parallel.Domain_pool.with_pool pool_size (fun pool ->
         let catalog = Service.Catalog.synthetic ~seed ~nodes () in
         let server = Service.Server.create ~catalog pool in
         let captures =
@@ -1013,68 +1013,4 @@ module Service_case = struct
           interleavings)
       pool_sizes;
     { case_name = name; runs = !runs; divergences = List.rev !divergences }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Schedule dumps                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The executed rounds as stable text: one "round=N window=W
-   committed=C" line per recorded round, with absolute round numbers (a
-   resumed run's schedule starts mid-run), then a "digest=<hex>
-   rounds=R" trailer. A resumed run is correct iff its dump is the
-   suffix of the uninterrupted run's dump. *)
-module Schedule_dump = struct
-  let lines (report : Galois.Run.report) =
-    let rounds =
-      match report.schedule with
-      | Some (Galois.Schedule.Rounds rounds) -> rounds
-      | Some (Galois.Schedule.Flat _) | None -> []
-    in
-    let first = report.stats.rounds - List.length rounds + 1 in
-    List.mapi
-      (fun i window ->
-        let committed =
-          Array.fold_left
-            (fun a (t : Galois.Schedule.task_record) -> if t.committed then a + 1 else a)
-            0 window
-        in
-        Printf.sprintf "round=%d window=%d committed=%d" (first + i) (Array.length window)
-          committed)
-      rounds
-    @ [ Printf.sprintf "digest=%s rounds=%d" (D.to_hex report.stats.digest)
-          report.stats.rounds ]
-
-  (* "round=N ..." -> Some (N, line); anything else -> None *)
-  let round_of_line line =
-    match String.index_opt line ' ' with
-    | Some sp when String.starts_with ~prefix:"round=" line ->
-        int_of_string_opt (String.sub line 6 (sp - 6)) |> Option.map (fun r -> (r, line))
-    | _ -> None
-
-  let split lines =
-    ( List.filter_map round_of_line lines,
-      List.find_opt (String.starts_with ~prefix:"digest=") lines )
-
-  let check_suffix ~full ~resumed =
-    let full_rounds, full_trailer = split full in
-    let resumed_rounds, resumed_trailer = split resumed in
-    let round_problem (r, line) =
-      match List.assoc_opt r full_rounds with
-      | None -> Some (Printf.sprintf "round %d of the resumed dump is not in the full dump" r)
-      | Some l when l <> line ->
-          Some (Printf.sprintf "round %d differs:\n  full:    %s\n  resumed: %s" r l line)
-      | Some _ -> None
-    in
-    let problems =
-      (if resumed_rounds = [] then [ "the resumed dump has no round lines" ] else [])
-      @ List.filter_map round_problem resumed_rounds
-      @
-      match (full_trailer, resumed_trailer) with
-      | Some a, Some b when a = b -> []
-      | Some a, Some b ->
-          [ Printf.sprintf "digest trailers differ:\n  full:    %s\n  resumed: %s" a b ]
-      | _ -> [ "missing digest trailer" ]
-    in
-    if problems = [] then Ok (List.length resumed_rounds) else Error problems
 end

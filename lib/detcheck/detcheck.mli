@@ -175,7 +175,7 @@ val prio_salt_distinguished : ?threads:int -> seed:int -> unit -> bool
 module Audit_cases : sig
   type t = {
     name : string;
-    run : policy:Galois.Policy.t -> pool:Galois.Pool.t -> Galois.Audit.report;
+    run : policy:Galois.Policy.t -> pool:Parallel.Domain_pool.t -> Galois.Audit.report;
   }
 
   val apps : n:int -> points:int -> seed:int -> t list
@@ -187,7 +187,7 @@ module Audit_cases : sig
     cname : string;
     crun :
       policy:Galois.Policy.t ->
-      pool:Galois.Pool.t ->
+      pool:Parallel.Domain_pool.t ->
       Galois.Run.report * Galois.Audit.finding list;
         (** the run's report, with its audit and its {!Galois.Run.trace}
             stream, and the witnesses its audit must flag verbatim *)
@@ -222,22 +222,4 @@ module Service_case : sig
       uneven batches of 17 — and compare every point's response stream
       byte-for-byte (with each job's deterministic event-stream digest
       appended) against the first. *)
-end
-
-(** The schedule-dump text format, written by [galois-run --schedule-out]
-    and compared by [detcheck replay]: one ["round=N window=W
-    committed=C"] line per recorded round, numbered absolutely (a
-    resumed run's dump starts mid-run), then a ["digest=<hex> rounds=R"]
-    trailer. *)
-module Schedule_dump : sig
-  val lines : Galois.Run.report -> string list
-  (** The dump of a run executed with {!Galois.Run.record}; a report
-      without a round schedule yields the trailer alone. *)
-
-  val check_suffix : full:string list -> resumed:string list -> (int, string list) result
-  (** Whether the [resumed] dump is the suffix of the [full] one: every
-      resumed round line equals the same-numbered full line and the
-      digest trailers are equal. [Ok n] counts the resumed rounds;
-      [Error] lists every problem found, including a resumed dump with
-      no round lines and a missing trailer. *)
 end

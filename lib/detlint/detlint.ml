@@ -352,7 +352,7 @@ let rec walk path acc =
         else walk (Filename.concat path e) acc)
       acc entries
   end
-  else if Filename.check_suffix path ".ml" then path :: acc
+  else if String.ends_with ~suffix:".ml" path then path :: acc
   else acc
 
 let scan_path path =

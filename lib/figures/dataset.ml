@@ -1,6 +1,6 @@
 (* Run every benchmark in every variant once, with schedule recording,
    and keep the artifacts the figures need. Runs use a small real thread
-   count (the container is single-core; deterministic schedules are
+   count ([run_threads] = 2; deterministic schedules are
    thread-independent anyway), and the machine simulator projects the
    recorded schedules onto the paper's machines. *)
 
@@ -49,7 +49,7 @@ let collect_bfs pool (s : Scale.t) =
     (fun policy -> snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Bfs.plan g ~source:0)))
     ~pbbs:(fun () ->
       (* detBFS has no speculation; represent its rounds via level count. *)
-      let _, _, levels = Apps.Bfs.pbbs ~pool:(Galois.Pool.domain_pool pool) g ~source:0 in
+      let _, _, levels = Apps.Bfs.pbbs ~pool g ~source:0 in
       Some { Detreserve.rounds = levels; commits = s.bfs_nodes; retries = 0; time_s = 0.0 })
 
 let collect_mis pool (s : Scale.t) =
@@ -58,7 +58,7 @@ let collect_mis pool (s : Scale.t) =
     (fun policy -> snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Mis.plan g)))
     ~pbbs:(fun () ->
       let granularity = max 64 (s.mis_nodes / 20) in
-      Some (snd (Apps.Mis.pbbs ~granularity ~pool:(Galois.Pool.domain_pool pool) g)))
+      Some (snd (Apps.Mis.pbbs ~granularity ~pool g)))
 
 let collect_dt pool (s : Scale.t) =
   let pts = Point.random_unit_square ~seed:(s.seed + 2) s.dt_points in
@@ -66,7 +66,7 @@ let collect_dt pool (s : Scale.t) =
     (fun policy -> snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Dt.plan pts)))
     ~pbbs:(fun () ->
       let granularity = max 64 (s.dt_points / 20) in
-      Some (snd (Apps.Dt.pbbs ~granularity ~pool:(Galois.Pool.domain_pool pool) pts)))
+      Some (snd (Apps.Dt.pbbs ~granularity ~pool pts)))
 
 let collect_dmr pool (s : Scale.t) =
   let fresh_mesh () =
@@ -76,7 +76,7 @@ let collect_dmr pool (s : Scale.t) =
     (fun policy ->
       snd (Galois.Run.solve ~record:true ~policy ~pool (Apps.Dmr.plan (fresh_mesh ()))))
     ~pbbs:(fun () ->
-      Some (Apps.Dmr.pbbs ~granularity:256 ~pool:(Galois.Pool.domain_pool pool) (fresh_mesh ())))
+      Some (Apps.Dmr.pbbs ~granularity:256 ~pool (fresh_mesh ())))
 
 let collect_pfp pool (s : Scale.t) =
   let instance () = Gen.flow_network ~seed:(s.seed + 4) ~n:s.pfp_nodes ~k:s.pfp_degree () in
@@ -93,9 +93,9 @@ let collect_pfp pool (s : Scale.t) =
     ~pbbs:(fun () -> None)
 
 let collect_kernels pool (s : Scale.t) =
-  let _, bs = Apps.Blackscholes.run ~pool:(Galois.Pool.domain_pool pool) (Apps.Blackscholes.generate ~seed:s.seed s.blackscholes_options) in
-  let bt = (Apps.Bodytrack.run ~config:s.bodytrack ~pool:(Galois.Pool.domain_pool pool) ()).Apps.Bodytrack.profile in
-  let _, fm = Apps.Freqmine.run ~config:s.freqmine ~pool:(Galois.Pool.domain_pool pool) () in
+  let _, bs = Apps.Blackscholes.run ~pool (Apps.Blackscholes.generate ~seed:s.seed s.blackscholes_options) in
+  let bt = (Apps.Bodytrack.run ~config:s.bodytrack ~pool ()).Apps.Bodytrack.profile in
+  let _, fm = Apps.Freqmine.run ~config:s.freqmine ~pool () in
   [
     { kname = "blackscholes"; profile = bs };
     { kname = "bodytrack"; profile = bt };
@@ -103,7 +103,7 @@ let collect_kernels pool (s : Scale.t) =
   ]
 
 let collect (s : Scale.t) =
-  Galois.Pool.with_pool ~domains:run_threads (fun pool ->
+  Parallel.Domain_pool.with_pool run_threads (fun pool ->
       let apps =
         [
           collect_bfs pool s;

@@ -20,7 +20,7 @@ type variant = GN | GD | GDnc | PBBS
 
 let variant_name = function GN -> "g-n" | GD -> "g-d" | GDnc -> "g-d/nc" | PBBS -> "pbbs"
 
-(* The recorded runs are small-scale (this container is single-core);
+(* The recorded runs are small-scale (seconds on two threads);
    [amplification] projects each schedule to the paper's input scale
    (~millions of tasks) so that barrier and window costs amortize as
    they do in the paper's measurements. *)
@@ -507,7 +507,7 @@ let ablation t =
   let scale = t.data.scale in
   let m = Machine.m4x10 in
   let tmax = max_threads_of m in
-  Galois.Pool.with_pool ~domains:Dataset.run_threads (fun pool ->
+  Parallel.Domain_pool.with_pool Dataset.run_threads (fun pool ->
       let bfs_graph =
         Graphlib.Generators.kout ~seed:scale.Scale.seed ~n:scale.Scale.bfs_nodes
           ~k:scale.Scale.bfs_degree ()
@@ -674,7 +674,7 @@ let phase_breakdown (events : Obs.stamped list) =
    sink, summarized by [phase_breakdown]. *)
 let obs_phases t =
   let scale = t.data.Dataset.scale in
-  Galois.Pool.with_pool ~domains:Dataset.run_threads (fun pool ->
+  Parallel.Domain_pool.with_pool Dataset.run_threads (fun pool ->
       let g =
         Graphlib.Generators.kout ~seed:scale.Scale.seed ~n:scale.Scale.bfs_nodes
           ~k:scale.Scale.bfs_degree ()

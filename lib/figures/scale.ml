@@ -1,11 +1,11 @@
 (* Input scales for the reproduction harness.
 
    The paper's inputs (§4.2) are 10M-node graphs and 2.5M-point meshes
-   run on 40-core machines; this container has one core, so the default
-   scale keeps the same input *distributions* at sizes that execute in
-   seconds. The relative behaviour the figures report (abort ratios,
-   round counts, scheduling overhead ratios, atomic rates per work unit)
-   is scale-stable; absolute rates are reported from the machine
+   run on 40-core machines; the default scale keeps the same input
+   *distributions* at sizes that execute in seconds on two cores. The
+   relative behaviour the figures report (abort ratios, round counts,
+   scheduling overhead ratios, atomic rates per work unit) is
+   scale-stable; absolute rates are reported from the machine
    simulator either way. *)
 
 type t = {

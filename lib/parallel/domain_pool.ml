@@ -151,8 +151,10 @@ let size t = t.size
 
 let sync_counters t = Array.map (fun c -> (c.spins, c.parks)) t.counters
 
+let check_live t = if Atomic.get t.stop then invalid_arg "Domain_pool: pool is shut down"
+
 let run t job =
-  if Atomic.get t.stop then invalid_arg "Domain_pool.run: pool is shut down";
+  check_live t;
   t.failure <- None;
   t.job <- job;
   Atomic.set t.remaining (t.size - 1);

@@ -25,7 +25,15 @@ val run : t -> (int -> unit) -> unit
 (** [run t job] executes [job w] on every worker [w] (0 to [size t - 1])
     concurrently and returns when all have finished. If any worker
     raises, one of the raised exceptions is re-raised in the caller after
-    all workers have completed. *)
+    all workers have completed. Raises like {!check_live} after
+    {!shutdown}. *)
+
+val check_live : t -> unit
+(** Raises [Invalid_argument "Domain_pool: pool is shut down"] after
+    {!shutdown}. Code that may finish without calling {!run} — a det:1
+    run, a one-lane service drain — calls it where its work starts, so
+    that every use after shutdown fails loudly rather than running on
+    the caller alone. *)
 
 val sync_counters : t -> (int * int) array
 (** Per-worker [(spins, parks)] totals accumulated since pool creation:
@@ -39,7 +47,7 @@ val sync_counters : t -> (int * int) array
 
 val shutdown : t -> unit
 (** Join all worker domains. The pool cannot be used afterwards.
-    Idempotent. *)
+    Idempotent: a second [shutdown] is a no-op. *)
 
 val with_pool : ?spin:int -> int -> (t -> 'a) -> 'a
 (** [with_pool n f] runs [f] with a fresh pool, shutting it down

@@ -76,7 +76,7 @@ let render r =
 type job = { id : int; query : Query.t; sink : Obs.sink; submitted_s : float }
 
 type t = {
-  pool : Galois.Pool.t;
+  pool : Parallel.Domain_pool.t;
   catalog : Catalog.t;
   lanes : int;  (* jobs in flight *)
   max_pending : int;
@@ -94,9 +94,9 @@ type t = {
 }
 
 let create ?threads ?(max_pending = 1024) ?(sink = Obs.null) ~catalog pool =
-  let lanes = match threads with Some t -> t | None -> Galois.Pool.size pool in
+  let lanes = match threads with Some t -> t | None -> Parallel.Domain_pool.size pool in
   if lanes < 1 then invalid_arg "Server.create: threads must be positive";
-  if lanes > Galois.Pool.size pool then
+  if lanes > Parallel.Domain_pool.size pool then
     invalid_arg "Server.create: more threads than pool workers";
   if max_pending < 1 then invalid_arg "Server.create: max_pending must be positive";
   {
@@ -265,8 +265,8 @@ let drain t =
   if Atomic.get t.draining then invalid_arg "Server.drain: called while draining";
   if Queue.is_empty t.queue then []
   else begin
-    (* The use-after-shutdown gate, before anything is popped. *)
-    let pool = Galois.Pool.domain_pool t.pool in
+    (* Before anything is popped: a one-lane drain never dispatches. *)
+    Parallel.Domain_pool.check_live t.pool;
     let batch = t.batches in
     t.batches <- batch + 1;
     let jobs = Array.of_seq (Queue.to_seq t.queue) in
@@ -278,7 +278,7 @@ let drain t =
       ~finally:(fun () -> Atomic.set t.draining false)
       (fun () ->
         if lanes = 1 then lane t jobs results ~lanes ~next 0
-        else Parallel.Domain_pool.run pool (lane t jobs results ~lanes ~next);
+        else Parallel.Domain_pool.run t.pool (lane t jobs results ~lanes ~next);
         let responses = ref [] in
         Array.iteri
           (fun i j -> responses := answer t ~batch j (Option.get results.(i)) :: !responses)

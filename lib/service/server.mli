@@ -1,5 +1,5 @@
 (** The deterministic job server: concurrent bfs/sssp/cc queries
-    against a shared {!Catalog}, executed on a shared {!Galois.Pool}.
+    against a shared {!Catalog}, executed on a shared {!Parallel.Domain_pool}.
 
     The admission queue batches submissions into rounds keyed only by
     (job id, arrival batch) — never wall-clock. {!drain} executes one
@@ -57,7 +57,7 @@ type t
 
 val create :
   ?threads:int -> ?max_pending:int -> ?sink:Obs.sink -> catalog:Catalog.t ->
-  Galois.Pool.t -> t
+  Parallel.Domain_pool.t -> t
 (** A server executing up to [threads] jobs at once on the given pool,
     each at det:1 (default: the pool size; must not exceed it), holding
     at most [max_pending] (default 1024) queued jobs, and replaying

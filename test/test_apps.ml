@@ -21,7 +21,7 @@ let det = Galois.Policy.det 3
    digest), and the two det runs the same output, bit for bit. *)
 let test_table_policies_agree () =
   let module D = Galois.Trace_digest in
-  Galois.Pool.with_pool ~domains:3 @@ fun pool ->
+  Parallel.Domain_pool.with_pool 3 @@ fun pool ->
   List.iter
     (fun (Detcheck.Replay_cases.Case c) ->
       let run policy =
@@ -63,7 +63,7 @@ let test_bfs_all_variants_agree () =
    pushes it over. *)
 let test_bfs_allocation () =
   let g = Gen.kout ~seed:2014 ~n:8192 ~k:5 () in
-  Galois.Pool.with_pool ~domains:1 @@ fun pool ->
+  Parallel.Domain_pool.with_pool 1 @@ fun pool ->
   let g0 = Gc.quick_stat () in
   let _, report = Galois.Run.solve ~pool ~policy:(Galois.Policy.det 1) (Apps.Bfs.plan g ~source:0) in
   let g1 = Gc.quick_stat () in
@@ -85,7 +85,7 @@ let test_bfs_allocation () =
 let test_boruvka_hotspot_waste () =
   let g = Csr.symmetrize (Gen.kout ~seed:2014 ~n:400 ~k:4 ()) in
   let w = Graphlib.Graph_io.undirected_random_weights ~seed:2015 g in
-  Galois.Pool.with_pool ~domains:2 @@ fun pool ->
+  Parallel.Domain_pool.with_pool 2 @@ fun pool ->
   let forest, report = Galois.Run.solve ~pool ~policy:(Galois.Policy.det 2) (Apps.Boruvka.plan g w) in
   check_bool "forest valid" true (Apps.Boruvka.validate g forest);
   let stats = report.stats in

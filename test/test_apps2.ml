@@ -207,7 +207,7 @@ let test_boruvka_edge_cases () =
    forest matches Kruskal and validates at det:1 and det:4, and the two
    schedules are the same. *)
 let test_boruvka_random_graphs () =
-  Galois.Pool.with_pool ~domains:4 @@ fun pool ->
+  Parallel.Domain_pool.with_pool 4 @@ fun pool ->
   let solve t g w =
     let forest, report =
       Galois.Run.solve ~record:true ~pool ~policy:(Galois.Policy.det t) (Apps.Boruvka.plan g w)
@@ -235,7 +235,7 @@ let test_boruvka_random_graphs () =
 let test_boruvka_allocation () =
   let g = Csr.symmetrize (Gen.kout ~seed:2014 ~n:400 ~k:4 ()) in
   let w = Graphlib.Graph_io.undirected_random_weights ~seed:2015 g in
-  Galois.Pool.with_pool ~domains:1 @@ fun pool ->
+  Parallel.Domain_pool.with_pool 1 @@ fun pool ->
   let g0 = Gc.quick_stat () in
   let _, report = Galois.Run.solve ~pool ~policy:(Galois.Policy.det 1) (Apps.Boruvka.plan g w) in
   let g1 = Gc.quick_stat () in

@@ -23,7 +23,7 @@ let apps () = Detcheck.Audit_cases.apps ~n:small_n ~points:small_points ~seed
 (* Each app × each non-static-id lattice configuration × two thread
    counts: zero findings everywhere. *)
 let test_apps_clean_on_lattice () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let configs =
         List.filter
           (fun (c : Detcheck.config) -> not c.static_id)
@@ -57,7 +57,7 @@ let control_audit (c : Detcheck.Audit_cases.control) ~policy ~pool =
   (Option.get report.Galois.Run.audit, witnesses)
 
 let test_controls_flagged () =
-  Galois.Pool.with_pool ~domains:4 (fun pool ->
+  Parallel.Domain_pool.with_pool 4 (fun pool ->
       List.iter
         (fun (c : Detcheck.Audit_cases.control) ->
           List.iter
@@ -77,7 +77,7 @@ let test_controls_flagged () =
    containment escapes and one write/write race — in deterministic
    order. *)
 let test_racy_sssp_exact () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let c =
         List.find
           (fun (c : Detcheck.Audit_cases.control) -> c.cname = "racy-sssp")
@@ -102,7 +102,7 @@ let test_racy_sssp_exact () =
 (* (rule, round, task, other) localization must not depend on the
    thread count — only lids are run-relative (fresh locks per run). *)
 let test_localization_thread_invariant () =
-  Galois.Pool.with_pool ~domains:4 (fun pool ->
+  Parallel.Domain_pool.with_pool 4 (fun pool ->
       List.iter
         (fun (c : Detcheck.Audit_cases.control) ->
           let shape t =
@@ -127,7 +127,7 @@ let test_localization_thread_invariant () =
    acquired locations after the failsafe point are exactly the
    contract. *)
 let test_instrumented_bfs_clean () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let g = Graphlib.Generators.kout ~seed ~n:small_n ~k:4 () in
       let n = Graphlib.Csr.nodes g in
       let locks = Galois.Lock.create_array n in
@@ -162,7 +162,7 @@ let test_instrumented_bfs_clean () =
 (* Reading before the failsafe point is fine (inspection *is* reading);
    only pre-failsafe writes violate cautiousness. *)
 let test_pre_failsafe_read_ok () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let locks = Galois.Lock.create_array 4 in
       let cells = Array.make 4 0 in
       let operator ctx u =
@@ -193,7 +193,7 @@ let test_audit_requires_det () =
         |> Galois.Run.exec))
 
 let test_no_report_unless_requested () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let report =
         Galois.Run.make ~operator:(fun _ _ -> ()) [| 0; 1 |]
         |> Galois.Run.policy (Galois.Policy.det 2)
@@ -204,7 +204,7 @@ let test_no_report_unless_requested () =
 
 (* Findings surface as deterministic Obs events when tracing is on. *)
 let test_findings_traced () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let g = Graphlib.Csr.of_edges ~n:3 [| (0, 2); (1, 2) |] in
       let locks = Galois.Lock.create_array 3 in
       let cells = Array.make 3 0 in
@@ -238,7 +238,7 @@ let test_findings_traced () =
    deterministic lines: the racy control's findings are events, and the
    second run's locks have different lids than the first's. *)
 let test_audited_lines_repeat () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let c =
         List.find
           (fun (c : Detcheck.Audit_cases.control) -> c.cname = "racy-sssp")

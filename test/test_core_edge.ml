@@ -112,16 +112,6 @@ let test_det_window_floor () =
   check_int "one round per task" 40 report.stats.rounds;
   check_int "every task appears once" 40 (Array.fold_left (fun a c -> a + List.length c) 0 out)
 
-let test_runtime_rejects_small_pool () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.check_raises "pool too small"
-        (Invalid_argument "Galois.Run: pool smaller than policy thread count") (fun () ->
-          ignore
-            (Galois.Run.make ~operator:noop_operator [| () |]
-            |> Galois.Run.policy (Galois.Policy.nondet 4)
-            |> Galois.Run.pool pool
-            |> Galois.Run.exec)))
-
 let test_policy_threads_and_determinism () =
   check_int "serial threads" 1 (Galois.Policy.threads Galois.Policy.serial);
   check_int "nondet threads" 8 (Galois.Policy.threads (Galois.Policy.nondet 8));
@@ -251,7 +241,7 @@ let test_det_failure_lowest_id () =
       let phase = if commit then "commit" else "inspect" in
       expect (phase ^ ": det:1") (1, 30) (attempt ~commit 1);
       expect (phase ^ ": det:2") (1, 30) (attempt ~commit 2);
-      Galois.Pool.with_pool ~domains:4 (fun pool ->
+      Parallel.Domain_pool.with_pool 4 (fun pool ->
           expect (phase ^ ": det:2 on 4 domains") (1, 30) (attempt ~pool ~commit 2);
           let report = exec_on pool (Galois.Policy.det 2) ~operator:noop_operator [| (); () |] in
           check_int (phase ^ ": pool reusable") 2 report.stats.commits))
@@ -266,7 +256,7 @@ let test_nondet_failure_raises () =
     Galois.Context.failsafe ctx;
     if i = 137 then raise (Raised i)
   in
-  Galois.Pool.with_pool ~domains:4 @@ fun pool ->
+  Parallel.Domain_pool.with_pool 4 @@ fun pool ->
   List.iter
     (fun threads ->
       match exec_on pool (Galois.Policy.nondet threads) ~operator (Array.init 200 Fun.id) with
@@ -289,7 +279,7 @@ let test_det_inline_phases () =
     Galois.Context.failsafe ctx;
     if i < 40 then Galois.Context.push ctx (i + 1)
   in
-  Galois.Pool.with_pool ~domains:2 @@ fun pool ->
+  Parallel.Domain_pool.with_pool 2 @@ fun pool ->
   let mem = Obs.Memory.create () in
   let report =
     Galois.Run.make ~operator:chain [| 0 |]
@@ -330,7 +320,6 @@ let suite =
     Alcotest.test_case "task without failsafe commits" `Quick test_task_without_failsafe;
     Alcotest.test_case "det option matrix stays portable" `Quick test_det_option_matrix_portable;
     Alcotest.test_case "window shrink floors at minimum" `Quick test_det_window_floor;
-    Alcotest.test_case "runtime rejects undersized pool" `Quick test_runtime_rejects_small_pool;
     Alcotest.test_case "policy accessors" `Quick test_policy_threads_and_determinism;
     Alcotest.test_case "stats algebra" `Quick test_stats_algebra;
     Alcotest.test_case "schedule accessors" `Quick test_schedule_accessors;

@@ -105,7 +105,7 @@ let test_positive_control () =
 let test_gen_is_pure () =
   (* Same seed, fresh rows: identical digests run to run. *)
   let observe (Detcheck.Replay_cases.Case c) =
-    Galois.Pool.with_pool ~domains:2 (fun pool ->
+    Parallel.Domain_pool.with_pool 2 (fun pool ->
         let out, report =
           Galois.Run.solve ~pool ~policy:(Galois.Policy.det 2) (c.fresh ~static_id:false ())
         in

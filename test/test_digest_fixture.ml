@@ -163,7 +163,7 @@ let expected =
   ]
 
 let test_fixture () =
-  let got = Galois.Pool.with_pool ~domains:2 observed in
+  let got = Parallel.Domain_pool.with_pool 2 observed in
   if printing then print_table "expected" got
   else begin
     Alcotest.(check int) "fixture size" (List.length expected) (List.length got);
@@ -264,7 +264,7 @@ let expected_prio =
   ]
 
 let test_prio_fixture () =
-  let got = Galois.Pool.with_pool ~domains:2 observed_prio in
+  let got = Parallel.Domain_pool.with_pool 2 observed_prio in
   if printing then print_table "expected_prio" got
   else begin
     Alcotest.(check int) "prio fixture size" (List.length expected_prio)
@@ -279,7 +279,7 @@ let test_prio_fixture () =
    — a reused pool (warm workers, accumulated sync counters) is
    schedule-neutral. *)
 let test_pool_reuse () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let first = observed pool in
       let second = observed pool in
       Alcotest.(check int) "same size" (List.length first) (List.length second);

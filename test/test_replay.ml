@@ -456,42 +456,6 @@ let test_swap_bounds () =
       ignore (Replay.swap_pending_ids 0 99 b))
 
 (* ------------------------------------------------------------------ *)
-(* Schedule-dump comparator                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The @replay-smoke comparison in process: a bfs run recorded through
-   round 6, against a run crashed at round 4 and resumed through round
-   6. The comparator accepts the pair and rejects each way a resumed
-   dump can fail to be the full dump's suffix. *)
-let test_schedule_dump_suffix () =
-  let module Dump = Detcheck.Schedule_dump in
-  let g = Graphlib.Generators.kout ~seed:17 ~n:2000 ~k:5 () in
-  let bfs () =
-    fst (Apps.Bfs.plan g ~source:0)
-    |> Galois.Run.policy (Galois.Policy.det 2)
-    |> Galois.Run.stop_after 6
-    |> Galois.Run.record
-  in
-  let full = Dump.lines (Galois.Run.exec (bfs ())) in
-  let resumed = Dump.lines (Replay.crash_resume ~at:4 (bfs ())).Replay.resumed in
-  (match Dump.check_suffix ~full ~resumed with
-  | Ok rounds -> check_int "resumed rounds compared" 2 rounds
-  | Error es -> Alcotest.failf "resumed dump rejected: %s" (String.concat "; " es));
-  let rejects what resumed =
-    match Dump.check_suffix ~full ~resumed with
-    | Ok _ -> Alcotest.failf "%s: accepted" what
-    | Error _ -> ()
-  in
-  let trailer = List.nth resumed (List.length resumed - 1) in
-  let rounds = List.filter (fun l -> l <> trailer) resumed in
-  rejects "changed round line"
-    (List.map (fun l -> if l = List.hd rounds then l ^ "0" else l) resumed);
-  rejects "round absent from the full dump" ("round=99 window=1 committed=1" :: resumed);
-  rejects "differing trailers" (rounds @ [ "digest=0000000000000000 rounds=6" ]);
-  rejects "missing trailer" rounds;
-  rejects "no round lines" [ trailer ]
-
-(* ------------------------------------------------------------------ *)
 (* Builder validation                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -634,7 +598,6 @@ let suite =
     Alcotest.test_case "perturbed snapshot localized" `Quick
       test_perturbed_snapshot_localized;
     Alcotest.test_case "swap bounds checked" `Quick test_swap_bounds;
-    Alcotest.test_case "schedule dump suffix check" `Quick test_schedule_dump_suffix;
     Alcotest.test_case "builder validation" `Quick test_builder_validation;
     Alcotest.test_case "resume validation" `Quick test_resume_validation;
     Alcotest.test_case "live resume validation" `Quick test_live_resume_validation;

@@ -460,8 +460,76 @@ let test_solve_sink_brackets () =
       check_int "run_end commits" report.stats.commits commits
   | _ -> Alcotest.fail "last event must be Run_end"
 
+(* --- The shared pool: lifecycle, use after shutdown on every path
+   (including the ones that never dispatch), and undersized pools. *)
+
+let shut_down p =
+  match Parallel.Domain_pool.check_live p with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+let dead = Invalid_argument "Domain_pool: pool is shut down"
+
+let test_pool_lifecycle () =
+  let p = Parallel.Domain_pool.create 2 in
+  check_int "size" 2 (Parallel.Domain_pool.size p);
+  Alcotest.(check bool) "live" false (shut_down p);
+  Parallel.Domain_pool.shutdown p;
+  Alcotest.(check bool) "down" true (shut_down p);
+  (* Idempotent: a second shutdown is a no-op, not an error. *)
+  Parallel.Domain_pool.shutdown p;
+  Alcotest.(check bool) "still down" true (shut_down p)
+
+let test_pool_use_after_shutdown () =
+  let p = Parallel.Domain_pool.create 2 in
+  Parallel.Domain_pool.shutdown p;
+  Alcotest.check_raises "use after shutdown" dead (fun () ->
+      Parallel.Domain_pool.run p ignore);
+  Alcotest.check_raises "run on a dead pool" dead (fun () ->
+      ignore (Galois.Run.solve ~pool:p ~policy:(Galois.Policy.det 2) (bucket_plan 4 2)))
+
+(* det:1 never dispatches, so only [Run]'s own check catches it. *)
+let test_pool_dead_det1 () =
+  let p = Parallel.Domain_pool.create 2 in
+  Parallel.Domain_pool.shutdown p;
+  Alcotest.check_raises "det:1 on a dead pool" dead (fun () ->
+      ignore (Galois.Run.solve ~pool:p ~policy:(Galois.Policy.det 1) (bucket_plan 4 2)))
+
+(* A one-lane drain never dispatches either; the check comes before
+   anything is popped, so nothing is answered. *)
+let test_pool_dead_drain () =
+  let p = Parallel.Domain_pool.create 2 in
+  let catalog = Service.Catalog.synthetic ~seed:2014 ~nodes:50 () in
+  let server = Service.Server.create ~threads:1 ~catalog p in
+  List.iter
+    (fun q -> ignore (Service.Server.submit server q))
+    (Detcheck.Service_case.queries ~seed:2014 ~nodes:50 ~count:2);
+  Parallel.Domain_pool.shutdown p;
+  Alcotest.check_raises "drain on a dead pool" dead (fun () ->
+      ignore (Service.Server.drain server));
+  check_int "pending unchanged" 2 (Service.Server.pending server);
+  check_int "nothing answered" 0 (List.length (Service.Server.responses server))
+
+let test_with_pool () =
+  let size =
+    Parallel.Domain_pool.with_pool 3 (fun p ->
+        Alcotest.(check bool) "live inside" false (shut_down p);
+        Parallel.Domain_pool.size p)
+  in
+  check_int "returns the body's value" 3 size
+
+let test_undersized_pool () =
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
+      Alcotest.check_raises "pool too small"
+        (Invalid_argument "Galois.Run: pool smaller than policy thread count") (fun () ->
+          ignore
+            (Galois.Run.make ~operator:(fun _ () -> ()) [| () |]
+            |> Galois.Run.policy (Galois.Policy.nondet 4)
+            |> Galois.Run.pool pool
+            |> Galois.Run.exec)))
+
 let test_solve_undersized_pool () =
-  Galois.Pool.with_pool ~domains:1 (fun pool ->
+  Parallel.Domain_pool.with_pool 1 (fun pool ->
       Alcotest.check_raises "pool smaller than det:2"
         (Invalid_argument "Galois.Run: pool smaller than policy thread count") (fun () ->
           ignore (Galois.Run.solve ~pool ~policy:(Galois.Policy.det 2) (bucket_plan 4 2))))
@@ -519,6 +587,12 @@ let suite =
     Alcotest.test_case "Run.solve audits on request, det only" `Quick test_solve_audit;
     Alcotest.test_case "Run.solve sink sees Run_begin..Run_end" `Quick
       test_solve_sink_brackets;
+    Alcotest.test_case "pool lifecycle" `Quick test_pool_lifecycle;
+    Alcotest.test_case "pool use after shutdown raises" `Quick test_pool_use_after_shutdown;
+    Alcotest.test_case "det:1 on a shut-down pool raises" `Quick test_pool_dead_det1;
+    Alcotest.test_case "drain on a shut-down pool raises" `Quick test_pool_dead_drain;
+    Alcotest.test_case "with_pool" `Quick test_with_pool;
+    Alcotest.test_case "nondet rejects an undersized pool" `Quick test_undersized_pool;
     Alcotest.test_case "Run.solve rejects an undersized pool" `Quick
       test_solve_undersized_pool;
     Alcotest.test_case "policy parsing" `Quick test_policy_parsing;

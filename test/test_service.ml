@@ -1,8 +1,9 @@
-(* The service layer: the first-class pool (lifecycle, reuse,
-   park/idle/wake), the sink combinators it leans on, the query grammar,
-   the catalog, and the deterministic job server — byte-identical
-   response streams across pool sizes, admission interleavings, and
-   (for backpressure) identical submission sequences. *)
+(* The service layer: a shared pool's reuse across idle spells (its
+   lifecycle is tested in test_runtime), the sink combinators it leans
+   on, the query grammar, the catalog, and the deterministic job server
+   — byte-identical response streams across pool sizes, admission
+   interleavings, and (for backpressure) identical submission
+   sequences. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -11,55 +12,12 @@ let check_lines = Alcotest.(check (list string))
 
 let seed = 2014
 
-(* ------------------------------------------------------------------ *)
-(* Galois.Pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let shut_down p =
-  match Galois.Pool.domain_pool p with
-  | _ -> false
-  | exception Invalid_argument _ -> true
-
-let test_pool_lifecycle () =
-  let p = Galois.Pool.create ~domains:2 () in
-  check_int "size" 2 (Galois.Pool.size p);
-  check_bool "live" false (shut_down p);
-  Galois.Pool.shutdown p;
-  check_bool "down" true (shut_down p);
-  (* Idempotent: a second shutdown is a no-op, not an error. *)
-  Galois.Pool.shutdown p;
-  check_bool "still down" true (shut_down p)
-
-let test_pool_use_after_shutdown () =
-  let p = Galois.Pool.create ~domains:2 () in
-  Galois.Pool.shutdown p;
-  Alcotest.check_raises "use after shutdown"
-    (Invalid_argument "Galois.Pool: pool is shut down") (fun () ->
-      ignore (Galois.Pool.domain_pool p));
-  let g = Graphlib.Generators.kout ~seed ~n:50 ~k:3 () in
-  Alcotest.check_raises "run on a dead pool"
-    (Invalid_argument "Galois.Pool: pool is shut down") (fun () ->
-      ignore (Galois.Run.solve ~pool:p ~policy:(Galois.Policy.det 2) (Apps.Bfs.plan g ~source:0)))
-
-let test_pool_bad_domains () =
-  Alcotest.check_raises "domains=0"
-    (Invalid_argument "Galois.Pool.create: domains must be positive") (fun () ->
-      ignore (Galois.Pool.create ~domains:0 ()))
-
-let test_with_pool () =
-  let size =
-    Galois.Pool.with_pool ~domains:3 (fun p ->
-        check_bool "live inside" false (shut_down p);
-        Galois.Pool.size p)
-  in
-  check_int "returns the body's value" 3 size
-
 (* A pool left idle between jobs parks its workers; each new job must
    wake them and produce the same deterministic answer. This is the
    serve-loop usage pattern: bursts separated by dead time. *)
 let test_pool_idle_wake_stress () =
   let g = Graphlib.Generators.kout ~seed ~n:300 ~k:4 () in
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let run () =
         let dist, report =
           Galois.Run.solve ~pool ~policy:(Galois.Policy.det 2) (Apps.Bfs.plan g ~source:0)
@@ -162,7 +120,7 @@ let mixed_queries ~count = Detcheck.Service_case.queries ~seed ~nodes:200 ~count
    after every [chunk] submissions; return the rendered response stream
    and the service digest. *)
 let serve_session ~domains ~chunk ~count =
-  Galois.Pool.with_pool ~domains (fun pool ->
+  Parallel.Domain_pool.with_pool domains (fun pool ->
       let catalog = Service.Catalog.synthetic ~seed ~nodes:200 () in
       let server = Service.Server.create ~catalog pool in
       List.iteri
@@ -193,7 +151,7 @@ let test_server_interleaving_invariance () =
    rejections are part of the recorded (and digested) stream. *)
 let test_server_backpressure_deterministic () =
   let session () =
-    Galois.Pool.with_pool ~domains:1 (fun pool ->
+    Parallel.Domain_pool.with_pool 1 (fun pool ->
         let catalog = Service.Catalog.synthetic ~seed ~nodes:200 () in
         let server = Service.Server.create ~max_pending:3 ~catalog pool in
         let verdicts =
@@ -222,7 +180,7 @@ let test_server_backpressure_deterministic () =
 (* Two jobs, each with its own ring, under a global ring, on a pool of
    [domains]: returns the three rings' contents. *)
 let per_job_session ~domains =
-  Galois.Pool.with_pool ~domains (fun pool ->
+  Parallel.Domain_pool.with_pool domains (fun pool ->
       let catalog = Service.Catalog.synthetic ~seed ~nodes:150 () in
       let global = Obs.Memory.create () in
       let server = Service.Server.create ~sink:(Obs.Memory.sink global) ~catalog pool in
@@ -271,7 +229,7 @@ let test_server_per_job_sinks () =
 let test_server_failing_query () =
   let queries = mixed_queries ~count:3 in
   let session ~domains ~faulty =
-    Galois.Pool.with_pool ~domains (fun pool ->
+    Parallel.Domain_pool.with_pool domains (fun pool ->
         let catalog = Service.Catalog.synthetic ~seed ~nodes:200 () in
         let server = Service.Server.create ~catalog pool in
         let raising =
@@ -313,7 +271,7 @@ let test_server_failing_query () =
 (* A sink that submits while its job runs is refused: its job's id
    would depend on which lane got there first. *)
 let test_server_reentrant_submit () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let catalog = Service.Catalog.synthetic ~seed ~nodes:200 () in
       let server = Service.Server.create ~catalog pool in
       (* One sink for three jobs on two lanes: it may be called
@@ -352,7 +310,7 @@ let test_server_reentrant_submit () =
       | `Rejected _ -> Alcotest.fail "rejected")
 
 let test_server_failed_outcomes () =
-  Galois.Pool.with_pool ~domains:1 (fun pool ->
+  Parallel.Domain_pool.with_pool 1 (fun pool ->
       let catalog = Service.Catalog.synthetic ~seed ~nodes:100 () in
       let server = Service.Server.create ~catalog pool in
       List.iter
@@ -382,8 +340,17 @@ let test_server_failed_outcomes () =
       check_int "failed" 4 stats.failed;
       check_int "completed" 0 stats.completed)
 
+let test_pool_bad_domains () =
+  let bad = Invalid_argument "Domain_pool.create: size must be positive" in
+  Alcotest.check_raises "domains=0" bad (fun () ->
+      ignore (Parallel.Domain_pool.create 0));
+  Alcotest.check_raises "domains=-1" bad (fun () ->
+      ignore (Parallel.Domain_pool.create (-1)));
+  Alcotest.check_raises "with_pool domains=0" bad (fun () ->
+      Parallel.Domain_pool.with_pool 0 (fun _ -> ()))
+
 let test_server_create_rejects () =
-  Galois.Pool.with_pool ~domains:2 (fun pool ->
+  Parallel.Domain_pool.with_pool 2 (fun pool ->
       let catalog = Service.Catalog.synthetic ~seed ~nodes:50 () in
       let raises name f =
         match f () with
@@ -399,12 +366,8 @@ let test_server_create_rejects () =
 
 let suite =
   [
-    Alcotest.test_case "pool lifecycle" `Quick test_pool_lifecycle;
-    Alcotest.test_case "pool use after shutdown raises" `Quick
-      test_pool_use_after_shutdown;
     Alcotest.test_case "pool rejects bad domain counts" `Quick
       test_pool_bad_domains;
-    Alcotest.test_case "with_pool" `Quick test_with_pool;
     Alcotest.test_case "idle pool wakes deterministically" `Slow
       test_pool_idle_wake_stress;
     Alcotest.test_case "sink tee fans out" `Quick test_sink_tee;

@@ -121,7 +121,7 @@ let test_add_chains_digests () =
    digest, agrees at every thread count. *)
 let test_det_stats_thread_invariant () =
   let schedule_part (s : Stats.t) = { s with threads = 0; chunks = 0; spins = 0; parks = 0 } in
-  Galois.Pool.with_pool ~domains:4 @@ fun pool ->
+  Parallel.Domain_pool.with_pool 4 @@ fun pool ->
   List.iter
     (fun (Detcheck.Replay_cases.Case c) ->
       let stats threads =
@@ -241,7 +241,7 @@ let test_single_round_digest () =
 let test_digest_survives_pp_roundtrip () =
   (* Stats.pp prints the digest in hex; extracting and re-parsing it
      must give back the identical digest — the contract behind pinned
-     fixtures and the galois-run schedule dumps. *)
+     fixtures and the galois-run --digest-out lines. *)
   let r = det_run (Array.init 50 Fun.id) in
   let rendered = Format.asprintf "%a" Stats.pp r.stats in
   let hex =
