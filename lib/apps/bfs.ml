@@ -1,9 +1,10 @@
 (* Breadth-first search (paper §4.1).
 
    - [plan]: the Lonestar-style unordered label-correcting program. A
-     task (u, d) claims u and its successors, improves dist(u), and
-     creates tasks for improvable successors. Runs non-deterministically
-     or deterministically depending on the policy (g-n / g-d).
+     task, node u at distance d packed into one int ([Dist_task]),
+     claims u and its successors, improves dist(u), and creates tasks
+     for improvable successors. Runs non-deterministically or
+     deterministically depending on the policy (g-n / g-d).
    - [pbbs]: the handwritten deterministic level-synchronous program
      with min-parent races resolved by deterministic reservations
      (PBBS detBFS).
@@ -19,24 +20,35 @@ let unreached = max_int
    callers solve it under a policy, and the checkpoint/replay layer
    composes its own policies, checkpoints and resumes onto it. The
    distance array is the app's entire mutable state, so the snapshot
-   hook is a plain copy in / copy out. *)
+   hook is a plain copy in / copy out. The operator allocates nothing:
+   its tasks are immediate ints and it walks the successors with [for]
+   loops rather than closures. *)
 let plan g ~source =
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
   let dist = Array.make n unreached in
-  let operator ctx (u, d) =
+  let codec = Dist_task.codec ~nodes:n in
+  let operator ctx task =
+    let u = Dist_task.node codec task and d = Dist_task.dist codec task in
     Galois.Context.acquire ctx locks.(u);
     if dist.(u) <= d then () (* stale task: nothing to do, stays pure *)
     else begin
-      Csr.iter_succ g u (fun v -> Galois.Context.acquire ctx locks.(v));
-      Galois.Context.work ctx (Csr.out_degree g u);
+      let first = Csr.first_edge g u and last = Csr.end_edge g u - 1 in
+      for e = first to last do
+        Galois.Context.acquire ctx locks.(Csr.target g e)
+      done;
+      Galois.Context.work ctx (last + 1 - first);
       Galois.Context.failsafe ctx;
       dist.(u) <- d;
-      Csr.iter_succ g u (fun v -> if dist.(v) > d + 1 then Galois.Context.push ctx (v, d + 1))
+      for e = first to last do
+        let v = Csr.target g e in
+        if dist.(v) > d + 1 then
+          Galois.Context.push ctx (Dist_task.pack codec ~node:v ~dist:(d + 1))
+      done
     end
   in
   let run =
-    Galois.Run.make ~operator [| (source, 0) |]
+    Galois.Run.make ~operator [| Dist_task.pack codec ~node:source ~dist:0 |]
     |> Galois.Run.app "bfs"
     |> Galois.Run.snapshot_state
          ~save:(fun () -> Array.copy dist)

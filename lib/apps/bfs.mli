@@ -3,8 +3,7 @@
 val unreached : int
 (** Distance value of unreachable nodes ([max_int]). *)
 
-val plan :
-  Graphlib.Csr.t -> source:int -> ((int * int), unit) Galois.Run.t * (unit -> int array)
+val plan : Graphlib.Csr.t -> source:int -> (int, unit) Galois.Run.t * (unit -> int array)
 (** Lonestar-style unordered label-correcting BFS, the app's single
     definition: the unexecuted run description plus a reader of the
     distance array it fills. It runs non-deterministically or
@@ -12,7 +11,9 @@ val plan :
     g-n / g-d variants); the checkpoint/replay layer composes its own
     policies onto it. The description is tagged [app "bfs"] and carries
     a [Run.snapshot_state] hook over the distance array, so snapshots
-    can resume in a fresh process. *)
+    can resume in a fresh process. A task is a node and its distance
+    packed into one int ({!Dist_task}). Raises [Invalid_argument] when
+    [source] does not fit the graph's node width. *)
 
 val galois :
   ?record:bool ->

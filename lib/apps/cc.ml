@@ -12,22 +12,38 @@ let plan g =
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
   let label = Array.init n Fun.id in
+  (* The successors are walked with [for] loops rather than closures,
+     so a task allocates nothing. *)
   let operator ctx u =
     Galois.Context.acquire ctx locks.(u);
-    Csr.iter_succ g u (fun v -> Galois.Context.acquire ctx locks.(v));
-    Galois.Context.work ctx (Csr.out_degree g u);
+    let first = Csr.first_edge g u and last = Csr.end_edge g u - 1 in
+    for e = first to last do
+      Galois.Context.acquire ctx locks.(Csr.target g e)
+    done;
+    Galois.Context.work ctx (last + 1 - first);
     (* The minimum over the closed neighborhood. *)
-    let m = Csr.fold_succ g u (fun acc v -> min acc label.(v)) label.(u) in
-    if m >= label.(u) && Csr.fold_succ g u (fun acc v -> acc && label.(v) <= m) true then
-      () (* nothing to update: pure task *)
+    let m = ref label.(u) in
+    for e = first to last do
+      let l = label.(Csr.target g e) in
+      if l < !m then m := l
+    done;
+    let m = !m in
+    let settled = ref (m >= label.(u)) and e = ref first in
+    while !settled && !e <= last do
+      if label.(Csr.target g !e) > m then settled := false;
+      incr e
+    done;
+    if !settled then () (* nothing to update: pure task *)
     else begin
       Galois.Context.failsafe ctx;
       label.(u) <- m;
-      Csr.iter_succ g u (fun v ->
-          if label.(v) > m then begin
-            label.(v) <- m;
-            Galois.Context.push ctx v
-          end)
+      for e = first to last do
+        let v = Csr.target g e in
+        if label.(v) > m then begin
+          label.(v) <- m;
+          Galois.Context.push ctx v
+        end
+      done
     end
   in
   (Galois.Run.make ~operator (Array.init n Fun.id), fun () -> label)

@@ -12,31 +12,44 @@ let unreached = max_int
    [weight] abstracts where the per-edge weight lives — a heap array or
    the CSR's own off-heap weight plane; the task stream (and therefore
    the schedule digest) depends only on the weight values, so both
-   sources produce byte-identical schedules. *)
+   sources produce byte-identical schedules. A task is a node and its
+   tentative distance packed into one int ([Dist_task]), and the
+   successors are walked with [for] loops, so the operator allocates
+   nothing. A distance past the packed range raises [Invalid_argument]
+   from [Dist_task.pack] (a sum that overflows is negative and is
+   refused the same way): the run fails rather than answer a wrapped
+   distance. *)
 let plan_with ~weight g ~source =
   let n = Csr.nodes g in
   let locks = Galois.Lock.create_array n in
   let dist = Array.make n unreached in
-  let operator ctx (u, d) =
+  let codec = Dist_task.codec ~nodes:n in
+  let operator ctx task =
+    let u = Dist_task.node codec task and d = Dist_task.dist codec task in
     Galois.Context.acquire ctx locks.(u);
     if dist.(u) <= d then () (* stale: pure skip *)
     else begin
-      Csr.iter_succ g u (fun v -> Galois.Context.acquire ctx locks.(v));
-      Galois.Context.work ctx (Csr.out_degree g u);
+      let first = Csr.first_edge g u and last = Csr.end_edge g u - 1 in
+      for e = first to last do
+        Galois.Context.acquire ctx locks.(Csr.target g e)
+      done;
+      Galois.Context.work ctx (last + 1 - first);
       Galois.Context.failsafe ctx;
       dist.(u) <- d;
-      Csr.iter_succ_edges g u (fun e v ->
-          let nd = d + weight e in
-          if dist.(v) > nd then Galois.Context.push ctx (v, nd))
+      for e = first to last do
+        let v = Csr.target g e in
+        let nd = d + weight e in
+        if dist.(v) > nd then Galois.Context.push ctx (Dist_task.pack codec ~node:v ~dist:nd)
+      done
     end
   in
   let run =
-    Galois.Run.make ~operator [| (source, 0) |]
+    Galois.Run.make ~operator [| Dist_task.pack codec ~node:source ~dist:0 |]
     |> Galois.Run.app "sssp"
     (* Soft-priority hint: the tentative distance. Only consulted when
        the policy asks for prio=delta/auto; prio=off schedules are
        byte-identical to the hint-free ones. *)
-    |> Galois.Run.priority (fun (_, d) -> d)
+    |> Galois.Run.priority (Dist_task.dist codec)
     |> Galois.Run.snapshot_state
          ~save:(fun () -> Array.copy dist)
          ~restore:(fun saved -> Array.blit saved 0 dist 0 n)

@@ -6,18 +6,20 @@ val plan :
   Graphlib.Csr.t ->
   int array ->
   source:int ->
-  ((int * int), unit) Galois.Run.t * (unit -> int array)
+  (int, unit) Galois.Run.t * (unit -> int array)
 (** Unordered label-correcting SSSP (weights indexed by edge id): the
     unexecuted run description plus a reader of its distance array,
     tagged [app "sssp"] with a [Run.snapshot_state] hook — see
     {!Bfs.plan}. The distances are unique, so every policy agrees with
-    {!serial}. Raises [Invalid_argument] on weight-array size
-    mismatch. *)
+    {!serial}. A task is a node and its tentative distance packed into
+    one int ({!Dist_task}). Raises [Invalid_argument] on weight-array
+    size mismatch or a [source] that does not fit the node width; the
+    run raises it when a distance outgrows the packed range. *)
 
 val plan_weighted :
   Graphlib.Csr.t ->
   source:int ->
-  ((int * int), unit) Galois.Run.t * (unit -> int array)
+  (int, unit) Galois.Run.t * (unit -> int array)
 (** Like {!plan}, but weights come from the graph's own off-heap weight
     plane ({!Graphlib.Csr.weight}) — no heap-side weight array. Raises
     [Invalid_argument] on an unweighted graph. The schedule depends

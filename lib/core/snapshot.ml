@@ -9,8 +9,10 @@
    Wire format, all integers little-endian:
 
      "GSNAP"  5-byte magic
-     u16      format version (currently 4; v2 added the b_delta field,
-              v3 the b_buckets field, v4 the atomics counter)
+     u16      format version (currently 5; v2 added the b_delta field,
+              v3 the b_buckets field, v4 the atomics counter; v5:
+              bfs/sssp items are packed ints, so a v4 bfs or sssp
+              blob would unmarshal its (node, dist) pairs as ints)
      u64      FNV-1a checksum of everything after this field
      body:
        str      app tag            (u64 length + bytes)
@@ -63,7 +65,7 @@ let error_to_string = function
   | Io what -> Printf.sprintf "snapshot i/o error: %s" what
 
 let magic = "GSNAP"
-let version = 4
+let version = 5
 
 (* --- encoding ---------------------------------------------------------- *)
 

@@ -180,6 +180,20 @@ let out_degree t u =
   check_node t u "Csr.out_degree";
   Plane.unsafe_get t.offsets (u + 1) - Plane.unsafe_get t.offsets u
 
+(* The edge range [first_edge t u, end_edge t u) of [u]'s successors, for
+   a plain [for] loop over {!target}: no closure per call. *)
+let first_edge t u =
+  check_node t u "Csr.first_edge";
+  Plane.unsafe_get t.offsets u
+
+let end_edge t u =
+  check_node t u "Csr.end_edge";
+  Plane.unsafe_get t.offsets (u + 1)
+
+let target t e =
+  if e < 0 || e >= t.m then invalid_arg "Csr.target: edge index out of bounds";
+  Plane.unsafe_get t.targets e
+
 let iter_succ t u f =
   check_node t u "Csr.iter_succ";
   let hi = Plane.unsafe_get t.offsets (u + 1) in
@@ -197,14 +211,6 @@ let iter_succ_edges t u f =
     f !e (Plane.unsafe_get t.targets !e);
     incr e
   done
-
-(* A direct tail-recursive loop: no accumulator ref, no closure per
-   call (the old version allocated both). *)
-let fold_succ t u f acc =
-  check_node t u "Csr.fold_succ";
-  let hi = Plane.unsafe_get t.offsets (u + 1) in
-  let rec go e acc = if e >= hi then acc else go (e + 1) (f acc (Plane.unsafe_get t.targets e)) in
-  go (Plane.unsafe_get t.offsets u) acc
 
 let exists_succ t u p =
   check_node t u "Csr.exists_succ";

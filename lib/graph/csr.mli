@@ -78,11 +78,19 @@ val weights_array : t -> int array option
 
 val out_degree : t -> int -> int
 
+val first_edge : t -> int -> int
+val end_edge : t -> int -> int
+(** [u]'s successors are the edges [first_edge g u .. end_edge g u - 1].
+    Both raise [Invalid_argument] on a node out of bounds; with
+    {!target}, a [for] loop over that range walks the successors
+    without allocating a closure. *)
+
+val target : t -> int -> int
+(** The head of an edge. Raises [Invalid_argument] on an edge index
+    out of bounds. *)
+
 val iter_succ : t -> int -> (int -> unit) -> unit
 val iter_succ_edges : t -> int -> (int -> int -> unit) -> unit
-
-val fold_succ : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-(** Direct int loop — allocates neither a ref nor a per-call closure. *)
 
 val exists_succ : t -> int -> (int -> bool) -> bool
 

@@ -55,21 +55,42 @@ let test_bfs_all_variants_agree () =
       let dist, _, _ = Apps.Bfs.pbbs ~pool g ~source:0 in
       if dist <> reference then Alcotest.fail "pbbs bfs differs from serial")
 
-(* Allocation gate for the det scheduler's hot path: det:1 bfs on a
-   small kout input (the costbench bfs-kout shape) must stay below a
-   pinned number of minor words per commit (about 21 on this input).
-   The bfs operator itself allocates its task tuples and iteration
-   closures; a per-task record or a per-commit box in the scheduler
-   pushes it over. *)
-let test_bfs_allocation () =
-  let g = Gen.kout ~seed:2014 ~n:8192 ~k:5 () in
+(* Allocation gates for the det scheduler's hot path and the
+   label-propagation operators: one det:1 solve on a small kout input
+   (the costbench bfs-kout shape, n = 8,192) must stay below 8 minor
+   words per commit, building the plan included. bfs reads about 1.7,
+   sssp 1.0 under prio=off and 3.1 under prio=auto, cc 3.3; with task
+   tuples and iteration closures they read 12, 16, 17 and 45, so a
+   regression of that size fails them. The 1-domain pool runs the
+   solve on this domain, whose exact count [Gc.minor_words] gives;
+   [Gc.quick_stat] lags by whatever the minor heap holds, up to its
+   size. *)
+let check_det1_allocation name ?options plan =
   Parallel.Domain_pool.with_pool 1 @@ fun pool ->
-  let g0 = Gc.quick_stat () in
-  let _, report = Galois.Run.solve ~pool ~policy:(Galois.Policy.det 1) (Apps.Bfs.plan g ~source:0) in
-  let g1 = Gc.quick_stat () in
-  let per_commit = (g1.minor_words -. g0.minor_words) /. float_of_int report.stats.commits in
-  if per_commit >= 32.0 then
-    Alcotest.failf "det:1 bfs allocates %.1f minor words per commit (limit 32)" per_commit
+  let w0 = Gc.minor_words () in
+  let _, report = Galois.Run.solve ~pool ~policy:(Galois.Policy.det ?options 1) (plan ()) in
+  let per_commit = (Gc.minor_words () -. w0) /. float_of_int report.stats.commits in
+  if per_commit >= 8.0 then
+    Alcotest.failf "det:1 %s allocates %.1f minor words per commit (limit 8)" name per_commit
+
+let alloc_graph () = Gen.kout ~seed:2014 ~n:8192 ~k:5 ()
+
+let test_bfs_allocation () =
+  let g = alloc_graph () in
+  check_det1_allocation "bfs" (fun () -> Apps.Bfs.plan g ~source:0)
+
+let test_sssp_allocation () =
+  let g = alloc_graph () in
+  let w = Graphlib.Graph_io.random_weights ~seed:2015 g in
+  List.iter
+    (fun (name, priority) ->
+      let options = Galois.Policy.Det_options.make ~priority () in
+      check_det1_allocation ("sssp " ^ name) ~options (fun () -> Apps.Sssp.plan g w ~source:0))
+    [ ("prio=off", Galois.Policy.Prio_off); ("prio=auto", Galois.Policy.Prio_auto) ]
+
+let test_cc_allocation () =
+  let g = Csr.symmetrize (alloc_graph ()) in
+  check_det1_allocation "cc" (fun () -> Apps.Cc.plan g)
 
 (* Wasted-work gate for the window controller: det:2 boruvka on the
    input of [galois_run mst -n 400] (the costbench boruvka-hotspot
@@ -304,6 +325,8 @@ let suite =
     Alcotest.test_case "bfs: all variants agree" `Quick test_bfs_all_variants_agree;
     Alcotest.test_case "bfs: disconnected graph" `Quick test_bfs_disconnected;
     Alcotest.test_case "bfs: det:1 allocation per commit" `Quick test_bfs_allocation;
+    Alcotest.test_case "sssp: det:1 allocation per commit" `Quick test_sssp_allocation;
+    Alcotest.test_case "cc: det:1 allocation per commit" `Quick test_cc_allocation;
     Alcotest.test_case "boruvka: det:2 hot-spot inspections per commit" `Quick
       test_boruvka_hotspot_waste;
     Alcotest.test_case "sssp: weight plane = weight array" `Quick

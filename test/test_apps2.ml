@@ -57,7 +57,10 @@ let test_graph_io_roundtrip () =
       check_int "nodes" (Csr.nodes g) (Csr.nodes g');
       check_int "edges" (Csr.edges g) (Csr.edges g');
       for u = 0 to Csr.nodes g - 1 do
-        let succ h = List.sort compare (Csr.fold_succ h u (fun acc v -> v :: acc) []) in
+        let succ h =
+          List.sort compare
+            (List.init (Csr.out_degree h u) (fun i -> Csr.target h (Csr.first_edge h u + i)))
+        in
         if succ g <> succ g' then Alcotest.failf "adjacency differs at %d" u
       done)
 
@@ -143,6 +146,54 @@ let test_sssp_weight_mismatch () =
   Alcotest.check_raises "no weight plane"
     (Invalid_argument "Sssp.plan_weighted: graph has no weight plane") (fun () ->
       ignore (Apps.Sssp.plan_weighted g ~source:0))
+
+(* A distance past the packed task range makes every policy raise; none
+   may answer with a wrapped distance. On 4,096 nodes the node field
+   takes 12 bits, so distances stop at 2^50 - 1: two edges of weight
+   3 * 2^48 pass it on the second hop, and a weight of [max_int] after
+   a weight of 1 overflows the int sum itself. *)
+let test_sssp_distance_out_of_range () =
+  let g = Csr.of_edges ~n:4096 [| (0, 1); (1, 2) |] in
+  let refused = Invalid_argument "Dist_task.pack: node or distance out of range" in
+  List.iter
+    (fun weights ->
+      List.iter
+        (fun (name, policy) ->
+          Alcotest.check_raises name refused (fun () ->
+              ignore (Galois.Run.solve ~policy (Apps.Sssp.plan g weights ~source:0))))
+        [
+          ("serial", Galois.Policy.serial);
+          ("nondet:2", Galois.Policy.nondet 2);
+          ("det:2", Galois.Policy.det 2);
+        ])
+    [ [| 3 lsl 48; 3 lsl 48 |]; [| 1; max_int |] ]
+
+(* [pack] round-trips through [node] and [dist] at both ends of both
+   fields, for node widths 0 to 62 (the width of [nodes = 2^(bits-1) + 1]
+   is [bits]), and refuses one past either end. *)
+let prop_dist_task_roundtrip =
+  QCheck.Test.make ~name:"Dist_task pack/node/dist round-trip at the width edges" ~count:200
+    QCheck.(pair (int_range 0 62) (pair bool bool))
+    (fun (bits, (top_node, top_dist)) ->
+      let nodes = if bits = 0 then 1 else (1 lsl (bits - 1)) + 1 in
+      let c = Apps.Dist_task.codec ~nodes in
+      let max_node = if bits = 62 then max_int else (1 lsl bits) - 1 in
+      let max_dist = max_int lsr bits in
+      let node = if top_node then max_node else 0 in
+      let dist = if top_dist then max_dist else 0 in
+      let x = Apps.Dist_task.pack c ~node ~dist in
+      let refuses ~node ~dist =
+        match Apps.Dist_task.pack c ~node ~dist with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      x >= 0
+      && Apps.Dist_task.node c x = node
+      && Apps.Dist_task.dist c x = dist
+      && refuses ~node:(-1) ~dist
+      && refuses ~node ~dist:(-1)
+      && (bits = 62 || refuses ~node:(max_node + 1) ~dist)
+      && (bits = 0 || refuses ~node ~dist:(max_dist + 1)))
 
 let test_sssp_unit_weights_equal_bfs () =
   let g = Gen.kout ~seed:25 ~n:500 ~k:5 () in
@@ -302,6 +353,9 @@ let suite =
     Alcotest.test_case "sssp: all variants agree with dijkstra" `Quick test_sssp_variants_agree;
     Alcotest.test_case "sssp: weight validation" `Quick test_sssp_weight_mismatch;
     Alcotest.test_case "sssp: unit weights = bfs" `Quick test_sssp_unit_weights_equal_bfs;
+    Alcotest.test_case "sssp: a distance past the packed range raises" `Quick
+      test_sssp_distance_out_of_range;
+    QCheck_alcotest.to_alcotest prop_dist_task_roundtrip;
     Alcotest.test_case "boruvka: weight matches kruskal" `Quick
       test_boruvka_weight_matches_kruskal;
     Alcotest.test_case "boruvka: weight validation" `Quick test_boruvka_weight_mismatch;

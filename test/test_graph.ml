@@ -4,14 +4,16 @@ module Gen = Graphlib.Generators
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* [u]'s successors in edge order. *)
+let succ g u = List.init (Csr.out_degree g u) (fun i -> Csr.target g (Csr.first_edge g u + i))
+
 let test_of_adjacency () =
   let g = Csr.of_adjacency [| [ 1; 2 ]; [ 2 ]; [] |] in
   check_int "nodes" 3 (Csr.nodes g);
   check_int "edges" 3 (Csr.edges g);
   check_int "deg 0" 2 (Csr.out_degree g 0);
   check_int "deg 2" 0 (Csr.out_degree g 2);
-  let succ = Csr.fold_succ g 0 (fun acc v -> v :: acc) [] in
-  Alcotest.(check (list int)) "succ of 0" [ 2; 1 ] succ
+  Alcotest.(check (list int)) "succ of 0" [ 1; 2 ] (succ g 0)
 
 let test_of_edges () =
   let g = Csr.of_edges ~n:4 [| (0, 1); (2, 3); (0, 3); (1, 0) |] in
@@ -37,7 +39,17 @@ let test_edge_range_targets () =
   let edges = ref [] in
   Csr.iter_succ_edges g 0 (fun e v -> edges := (e, v) :: !edges);
   Alcotest.(check (list (pair int int))) "edge ids and targets of 0" [ (0, 2); (1, 1) ]
-    (List.rev !edges)
+    (List.rev !edges);
+  check_int "first edge of 2" 2 (Csr.first_edge g 2);
+  check_int "end edge of 2" 3 (Csr.end_edge g 2);
+  check_int "empty range of 1" (Csr.first_edge g 1) (Csr.end_edge g 1);
+  Alcotest.check_raises "first_edge checks the node"
+    (Invalid_argument "Csr.first_edge: node out of bounds") (fun () ->
+      ignore (Csr.first_edge g 3));
+  Alcotest.check_raises "end_edge checks the node"
+    (Invalid_argument "Csr.end_edge: node out of bounds") (fun () -> ignore (Csr.end_edge g (-1)));
+  Alcotest.check_raises "target checks the edge"
+    (Invalid_argument "Csr.target: edge index out of bounds") (fun () -> ignore (Csr.target g 3))
 
 let test_kout_degrees () =
   let g = Gen.kout ~seed:3 ~n:100 ~k:5 () in
@@ -47,16 +59,13 @@ let test_kout_degrees () =
     check_int "degree" 5 (Csr.out_degree g u);
     check_bool "no self loop" false (Csr.exists_succ g u (fun v -> v = u));
     (* distinct targets *)
-    let succ = List.sort compare (Csr.fold_succ g u (fun acc v -> v :: acc) []) in
-    check_int "distinct" 5 (List.length (List.sort_uniq compare succ))
+    check_int "distinct" 5 (List.length (List.sort_uniq compare (succ g u)))
   done
 
 let test_kout_deterministic () =
   let a = Gen.kout ~seed:42 ~n:50 ~k:3 () and b = Gen.kout ~seed:42 ~n:50 ~k:3 () in
   for u = 0 to 49 do
-    let sa = Csr.fold_succ a u (fun acc v -> v :: acc) [] in
-    let sb = Csr.fold_succ b u (fun acc v -> v :: acc) [] in
-    if sa <> sb then Alcotest.failf "kout differs at node %d" u
+    if succ a u <> succ b u then Alcotest.failf "kout differs at node %d" u
   done
 
 let test_kout_rejects_bad () =

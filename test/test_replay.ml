@@ -315,7 +315,8 @@ let test_codec_corruption () =
   | Snapshot.Bad_magic -> ()
   | e -> Alcotest.failf "magic: expected Bad_magic, got %s" (Snapshot.error_to_string e));
   (* Future and superseded versions (v2 lacks b_buckets, v3 the atomics
-     counter): reported before the checksum is even consulted. *)
+     counter, v4 holds bfs/sssp items as pairs): reported before the
+     checksum is even consulted. *)
   List.iter
     (fun v ->
       let other = Bytes.of_string bytes in
@@ -325,7 +326,30 @@ let test_codec_corruption () =
       | e ->
           Alcotest.failf "version: expected Bad_version %d, got %s" v
             (Snapshot.error_to_string e))
-    [ 99; 2; 3 ]
+    [ 99; 2; 3; 4 ]
+
+(* A v4 bfs snapshot held (node, dist) pairs; read as v5 its items would
+   unmarshal as packed ints and be misread, since [decode] is not
+   type-safe across item types. A real bfs snapshot with a v4 header is
+   refused by its version. *)
+let test_codec_refuses_v4_bfs () =
+  let g = Graphlib.Generators.kout ~seed:11 ~n:400 ~k:5 () in
+  let run, _ = Apps.Bfs.plan g ~source:0 in
+  let bytes = ref None in
+  let _ =
+    run
+    |> Galois.Run.policy (Galois.Policy.det 2)
+    |> Galois.Run.checkpoint ~every:2 (fun snap -> bytes := Some (Snapshot.encode snap))
+    |> Galois.Run.stop_after 2
+    |> Galois.Run.exec
+  in
+  let bytes = match !bytes with Some b -> Bytes.of_string b | None -> Alcotest.fail "no snapshot" in
+  check_int "written as the current version" Snapshot.version (Bytes.get_uint16_le bytes 5);
+  Bytes.set_uint16_le bytes 5 4;
+  match Snapshot.decode (Bytes.to_string bytes) with
+  | Error (Snapshot.Bad_version 4) -> ()
+  | Error e -> Alcotest.failf "expected Bad_version 4, got %s" (Snapshot.error_to_string e)
+  | Ok (_ : int Snapshot.t) -> Alcotest.fail "a v4 bfs snapshot was accepted"
 
 let test_save_load_atomic () =
   let path = Filename.temp_file "galois_snap" ".snap" in
@@ -592,6 +616,7 @@ let suite =
     Alcotest.test_case "checkpoint file round-trips" `Quick test_checkpoint_file_roundtrip;
     Alcotest.test_case "codec: round-trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec: corruption detection" `Quick test_codec_corruption;
+    Alcotest.test_case "codec: a v4 bfs snapshot is refused" `Quick test_codec_refuses_v4_bfs;
     Alcotest.test_case "codec: atomic save/load" `Quick test_save_load_atomic;
     Alcotest.test_case "checkpoint cadence" `Quick test_checkpoint_cadence;
     Alcotest.test_case "stop_after is a digest prefix" `Quick test_stop_after_prefix;
